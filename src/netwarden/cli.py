@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import ConfigInvalid, NetwardenError
+from .errors import ConfigInvalid, InputOutputError, NetwardenError
 from . import synth as synth_mod
 from .detectors import TrainedModel
 from .evaluation import (
@@ -329,16 +329,13 @@ def main(argv=None) -> int:
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg)
     except NetwardenError as e:
-        print("error: " + e.as_machine_line(), file=sys.stderr)
-        return 2
+        error = e
     except OSError as e:
-        print('error: {"code": "io_error", "message": %r}' % str(e),
-              file=sys.stderr)
-        return 2
+        error = InputOutputError(str(e))
     except json.JSONDecodeError as e:
-        print('error: {"code": "config_invalid", "message": %r}' % str(e),
-              file=sys.stderr)
-        return 2
+        error = ConfigInvalid(str(e))
+    print("error: " + error.as_machine_line(), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

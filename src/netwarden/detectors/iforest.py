@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import EmptyTraining
 
 _HARMONIC_CACHE = [0.0]  # H(0) = 0
+WALK_PAIRS = 16_384  # (row, tree) pairs walked together in mean_path_length
 
 
 def harmonic(k: int) -> float:
@@ -97,7 +98,7 @@ class IsolationForest:
         self.n_trees = int(n_trees)
         self.subsample_size = int(subsample_size)
         self.seed = int(seed)
-        self._trees = None
+        self._feat = None
         self._effective_subsample = None
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
@@ -114,63 +115,61 @@ class IsolationForest:
             idx = rng.choice(n, size=psi, replace=False)
             builder = _TreeBuilder(height_limit, rng)
             builder.build(X[idx], 0)
-            trees.append((
-                np.asarray(builder.feature, dtype=np.int64),
-                np.asarray(builder.threshold, dtype=np.float64),
-                np.asarray(builder.left, dtype=np.int64),
-                np.asarray(builder.right, dtype=np.int64),
-                np.asarray(builder.leaf_path, dtype=np.float64),
-            ))
+            trees.append({"feature": builder.feature,
+                          "threshold": builder.threshold,
+                          "left": builder.left, "right": builder.right,
+                          "leaf_path": builder.leaf_path})
         self._stack_trees(trees)
         return self
 
-    def _stack_trees(self, trees) -> None:
-        t = len(trees)
-        width = max(len(tree[0]) for tree in trees)
-        self._feat = np.zeros((t, width), dtype=np.int64)
-        self._thresh = np.zeros((t, width), dtype=np.float64)
-        self._left = np.zeros((t, width), dtype=np.int64)
-        self._right = np.zeros((t, width), dtype=np.int64)
-        self._path = np.zeros((t, width), dtype=np.float64)
-        self._feat[:] = -1
-        for ti, (f, th, le, ri, pa) in enumerate(trees):
-            w = len(f)
-            self._feat[ti, :w] = f
-            self._thresh[ti, :w] = th
-            self._left[ti, :w] = le
-            self._right[ti, :w] = ri
-            self._path[ti, :w] = pa
-        self._trees = trees
+    def _stack_trees(self, trees: list[dict]) -> None:
+        """Concatenate trees in the saved per-tree format into flat node
+        arrays, each tree's child indices shifted by its offset. Leaves
+        are told by feature -1."""
+        def flat(key, dtype):
+            return np.concatenate([tree[key] for tree in trees], dtype=dtype)
+        sizes = np.array([len(tree["feature"]) for tree in trees])
+        self._roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        offset = np.repeat(self._roots, sizes)
+        self._feat = flat("feature", np.int64)
+        self._thresh = flat("threshold", np.float64)
+        self._left = flat("left", np.int64) + offset
+        self._right = flat("right", np.int64) + offset
+        self._path = flat("leaf_path", np.float64)
 
     def mean_path_length(self, X: np.ndarray) -> np.ndarray:
-        """E(h(x)) per row, averaged over the ensemble."""
+        """E(h(x)) per row, averaged over the ensemble.
+
+        Walks (row, tree) pairs level by level in blocks of about
+        WALK_PAIRS pairs, dropping the pairs that reached a leaf.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         n = X.shape[0]
-        t = self._feat.shape[0]
+        t = self._roots.size
         out = np.empty(n, dtype=np.float64)
-        tree_idx = np.arange(t)
-        chunk = max(1, 4_000_000 // max(t, 1))
+        chunk = max(1, WALK_PAIRS // t)
         for start in range(0, n, chunk):
             rows = X[start:start + chunk]
             b = rows.shape[0]
-            node = np.zeros((b, t), dtype=np.int64)
-            feat = self._feat[tree_idx, node]
-            active = feat >= 0
-            while active.any():
-                bi, tj = np.nonzero(active)
-                f = feat[bi, tj]
-                go_left = rows[bi, f] < self._thresh[tj, node[bi, tj]]
-                nxt = np.where(go_left, self._left[tj, node[bi, tj]],
-                               self._right[tj, node[bi, tj]])
-                node[bi, tj] = nxt
-                feat = self._feat[tree_idx, node]
-                active = feat >= 0
-            out[start:start + b] = self._path[tree_idx, node].mean(axis=1)
+            leaf = np.empty(b * t, dtype=np.int64)
+            pair = np.arange(b * t)
+            row = pair // t
+            node = np.tile(self._roots, b)
+            while pair.size:
+                feat = self._feat[node]
+                done = feat < 0
+                leaf[pair[done]] = node[done]
+                walking = ~done
+                pair, row, node, feat = (
+                    pair[walking], row[walking], node[walking], feat[walking])
+                go_left = rows[row, feat] < self._thresh[node]
+                node = np.where(go_left, self._left[node], self._right[node])
+            out[start:start + b] = self._path[leaf].reshape(b, t).mean(axis=1)
         return out
 
     def score(self, X: np.ndarray) -> np.ndarray:
         """Normalized anomaly score in (0, 1]; higher = more anomalous."""
-        if self._trees is None:
+        if self._feat is None:
             raise EmptyTraining("model is not fitted")
         mean_paths = self.mean_path_length(X)
         c = average_path_normalizer(self._effective_subsample)
@@ -181,26 +180,23 @@ class IsolationForest:
                 "subsample_size": self.subsample_size, "seed": self.seed}
 
     def state_dict(self) -> dict:
-        return {
-            "effective_subsample": self._effective_subsample,
-            "trees": [
-                {"feature": f.tolist(), "threshold": th.tolist(),
-                 "left": le.tolist(), "right": ri.tolist(),
-                 "leaf_path": pa.tolist()}
-                for f, th, le, ri, pa in self._trees
-            ],
-        }
+        def per_tree(a):
+            return np.split(a, self._roots[1:])
+        trees = [
+            {"feature": f.tolist(), "threshold": th.tolist(),
+             "left": (le - lo).tolist(), "right": (ri - lo).tolist(),
+             "leaf_path": pa.tolist()}
+            for lo, f, th, le, ri, pa in zip(
+                self._roots, *map(per_tree, (self._feat, self._thresh,
+                                             self._left, self._right,
+                                             self._path)))
+        ]
+        return {"effective_subsample": self._effective_subsample,
+                "trees": trees}
 
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "IsolationForest":
         model = cls(**params)
         model._effective_subsample = int(state["effective_subsample"])
-        trees = [(
-            np.asarray(t["feature"], dtype=np.int64),
-            np.asarray(t["threshold"], dtype=np.float64),
-            np.asarray(t["left"], dtype=np.int64),
-            np.asarray(t["right"], dtype=np.int64),
-            np.asarray(t["leaf_path"], dtype=np.float64),
-        ) for t in state["trees"]]
-        model._stack_trees(trees)
+        model._stack_trees(state["trees"])
         return model

@@ -12,19 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyTraining, KTooLarge
+from .distance import sq_dists
 
 LRD_FLOOR = 1e-10
-
-
-def _pairwise_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances by direct differencing (chunked over rows)."""
-    n, m = A.shape[0], B.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
-    chunk = max(1, 4_000_000 // max(m, 1))
-    for s in range(0, n, chunk):
-        diff = A[s:s + chunk, None, :] - B[None, :, :]
-        out[s:s + chunk] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return out
+QUERY_BLOCK = 1024  # query rows per distance block in score()
 
 
 class LocalOutlierFactor:
@@ -32,7 +23,7 @@ class LocalOutlierFactor:
 
     def __init__(self, k: int = 20):
         self.k = int(k)
-        self._X = None
+        self._XT = None  # training rows, transposed (d, n)
         self._kdist = None
         self._lrd = None
 
@@ -44,47 +35,51 @@ class LocalOutlierFactor:
         if self.k >= n:
             raise KTooLarge("k=%d with only %d training points"
                             % (self.k, n))
-        D = _pairwise_dist(X, X)
+        XT = np.ascontiguousarray(X.T)
+        D = sq_dists(X, XT)
+        np.sqrt(D, out=D)
         np.fill_diagonal(D, np.inf)  # a training point is not its own neighbor
         # k-distance: k-th smallest distance to another training point
         kdist = np.partition(D, self.k - 1, axis=1)[:, self.k - 1]
         lrd = np.empty(n, dtype=np.float64)
-        neighbor_masks = D <= kdist[:, None]
         for i in range(n):
-            nbr = np.flatnonzero(neighbor_masks[i])
+            nbr = np.flatnonzero(D[i] <= kdist[i])
             reach = np.maximum(kdist[nbr], D[i, nbr])
             lrd[i] = 1.0 / (reach.mean() + LRD_FLOOR)
-        self._X = X
+        self._XT = XT
         self._kdist = kdist
         self._lrd = lrd
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:
         """LOF of each query against the training set."""
-        if self._X is None:
+        if self._XT is None:
             raise EmptyTraining("model is not fitted")
         Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        D = _pairwise_dist(Q, self._X)
-        kdist_q = np.partition(D, self.k - 1, axis=1)[:, self.k - 1]
         out = np.empty(Q.shape[0], dtype=np.float64)
-        for i in range(Q.shape[0]):
-            nbr = np.flatnonzero(D[i] <= kdist_q[i])
-            reach = np.maximum(self._kdist[nbr], D[i, nbr])
-            lrd_q = 1.0 / (reach.mean() + LRD_FLOOR)
-            out[i] = self._lrd[nbr].mean() / lrd_q
+        for s in range(0, Q.shape[0], QUERY_BLOCK):
+            D = sq_dists(Q[s:s + QUERY_BLOCK], self._XT)
+            np.sqrt(D, out=D)
+            kdist_q = np.partition(D, self.k - 1, axis=1)[:, self.k - 1]
+            for i in range(D.shape[0]):
+                nbr = np.flatnonzero(D[i] <= kdist_q[i])
+                reach = np.maximum(self._kdist[nbr], D[i, nbr])
+                lrd_q = 1.0 / (reach.mean() + LRD_FLOOR)
+                out[s + i] = self._lrd[nbr].mean() / lrd_q
         return out
 
     def get_params(self) -> dict:
         return {"k": self.k}
 
     def state_dict(self) -> dict:
-        return {"train": self._X.tolist(), "kdist": self._kdist.tolist(),
+        return {"train": self._XT.T.tolist(), "kdist": self._kdist.tolist(),
                 "lrd": self._lrd.tolist()}
 
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "LocalOutlierFactor":
         model = cls(**params)
-        model._X = np.asarray(state["train"], dtype=np.float64)
+        model._XT = np.ascontiguousarray(
+            np.asarray(state["train"], dtype=np.float64).T)
         model._kdist = np.asarray(state["kdist"], dtype=np.float64)
         model._lrd = np.asarray(state["lrd"], dtype=np.float64)
         return model

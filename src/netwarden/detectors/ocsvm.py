@@ -14,18 +14,19 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import EmptyTraining, NonConvergence
+from .distance import sq_dists
+
+
+def _rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
+    """rbf_kernel against the transposed second operand BT (d, m)."""
+    K = sq_dists(A, BT)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for all row pairs, chunked."""
-    n, m = A.shape[0], B.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
-    chunk = max(1, 4_000_000 // max(m, 1))
-    for s in range(0, n, chunk):
-        diff = A[s:s + chunk, None, :] - B[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[s:s + chunk] = np.exp(-gamma * d2)
-    return out
+    """exp(-gamma * ||a - b||^2) for all row pairs."""
+    return _rbf(A, B.T, gamma)
 
 
 class _KernelRows:
@@ -36,12 +37,11 @@ class _KernelRows:
     """
 
     def __init__(self, X: np.ndarray, gamma: float, cache_bytes: int):
-        self.X = X
+        self.XT = np.ascontiguousarray(X.T)
         self.gamma = gamma
         n = X.shape[0]
-        self.n = n
         if n * n * 8 <= cache_bytes:
-            self.full = rbf_kernel(X, X, gamma)
+            self.full = _rbf(X, self.XT, gamma)
             self.cache = None
         else:
             self.full = None
@@ -55,7 +55,7 @@ class _KernelRows:
         if cached is not None:
             self.cache.move_to_end(i)
             return cached
-        r = rbf_kernel(self.X[i:i + 1], self.X, self.gamma)[0]
+        r = _rbf(self.XT[:, i:i + 1].T, self.XT, self.gamma)[0]
         self.cache[i] = r
         if len(self.cache) > self.max_rows:
             self.cache.popitem(last=False)
@@ -76,7 +76,7 @@ class OneClassSVM:
         self.max_iter = int(max_iter)
         self.cache_mb = int(cache_mb)
         self.rho = None
-        self._sv = None
+        self._svT = None  # support vectors, transposed (d, n_sv)
         self._sv_alpha = None
         self._gamma_value = None
         self.n_iter_ = None
@@ -157,25 +157,20 @@ class OneClassSVM:
         self.alpha_ = alpha
         self._gamma_value = gamma
         sv = alpha > 0
-        self._sv = X[sv]
+        self._svT = np.ascontiguousarray(X[sv].T)
         self._sv_alpha = alpha[sv]
         return self
 
     def decision_value(self, X: np.ndarray) -> np.ndarray:
         """g(x); negative values are anomalous."""
-        if self._sv is None:
+        if self._svT is None:
             raise EmptyTraining("model is not fitted")
         Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k = rbf_kernel(Q, self._sv, self._gamma_value)
+        k = _rbf(Q, self._svT, self._gamma_value)
         return k @ self._sv_alpha - self.rho
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return -self.decision_value(X)
-
-    def dual_objective(self) -> float:
-        """1/2 a^T K a of the fitted alphas (zero coefficients drop out)."""
-        K = rbf_kernel(self._sv, self._sv, self._gamma_value)
-        return float(0.5 * self._sv_alpha @ K @ self._sv_alpha)
 
     def get_params(self) -> dict:
         return {"nu": self.nu, "gamma": self.gamma, "tol": self.tol,
@@ -183,7 +178,7 @@ class OneClassSVM:
 
     def state_dict(self) -> dict:
         return {
-            "sv": self._sv.tolist(),
+            "sv": self._svT.T.tolist(),
             "sv_alpha": self._sv_alpha.tolist(),
             "rho": self.rho,
             "gamma_value": self._gamma_value,
@@ -192,7 +187,8 @@ class OneClassSVM:
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "OneClassSVM":
         model = cls(**params)
-        model._sv = np.asarray(state["sv"], dtype=np.float64)
+        model._svT = np.ascontiguousarray(
+            np.asarray(state["sv"], dtype=np.float64).T)
         model._sv_alpha = np.asarray(state["sv_alpha"], dtype=np.float64)
         model.rho = float(state["rho"])
         model._gamma_value = float(state["gamma_value"])

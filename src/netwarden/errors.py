@@ -1,5 +1,7 @@
 """Exception types raised across the pipeline."""
 
+import json
+
 
 class NetwardenError(Exception):
     """Base class for all package errors."""
@@ -7,7 +9,7 @@ class NetwardenError(Exception):
     code = "error"
 
     def as_machine_line(self) -> str:
-        return '{"code": "%s", "message": %r}' % (self.code, str(self))
+        return json.dumps({"code": self.code, "message": str(self)})
 
 
 # --- capture / decoding ---
@@ -46,16 +48,16 @@ class FragmentContinuation(NonIP):
 
 # --- metering / features ---
 
-class ClockSkew(NetwardenError):
-    code = "clock_skew"
-
-
 class ManifestMismatch(NetwardenError):
     code = "manifest_mismatch"
 
 
 class EmptyTrainingSet(NetwardenError):
     code = "empty_training_set"
+
+
+class NonFiniteFeature(NetwardenError):
+    code = "non_finite_feature"
 
 
 # --- feature selection ---
@@ -132,3 +134,7 @@ class InvalidSpec(NetwardenError):
 
 class ConfigInvalid(NetwardenError):
     code = "config_invalid"
+
+
+class InputOutputError(NetwardenError):
+    code = "io_error"

@@ -316,7 +316,6 @@ class LatencyReport:
     p95_ms: float
     p99_ms: float
     throughput_pps: float | None = None
-    tw_floor_s: float | None = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
@@ -381,41 +380,3 @@ def delay_benchmark_packets(capture_path: str, model,
     return LatencyReport(mode="packet", n=len(frames), p50_ms=p50,
                          p95_ms=p95, p99_ms=p99,
                          throughput_pps=done / elapsed if elapsed else None)
-
-
-def delay_benchmark_flows(capture_path: str, model, tw: float,
-                          idle_timeout: float = 15.0) -> LatencyReport:
-    """Flow-path residual latency: featurize+score per emitted flow; the
-    time window itself lower-bounds total detection delay."""
-    from .pcap import open_capture
-    from .flows import FlowMeter, MeterConfig
-    from .features import DEFAULT_MANIFESTS, flow_features
-    from .pipeline import model_column_indices
-
-    manifest = DEFAULT_MANIFESTS[model.manifest_mode]
-    stats = model.norm_stats
-    mean, std = stats.mean, stats.std
-    kept = [manifest.names.index(n) for n in stats.kept_names]
-    cols = model_column_indices(model)
-    direction = "uni" if model.manifest_mode == "uni_flow" else "bi"
-    m = FlowMeter(MeterConfig(direction_mode=direction, tw_seconds=tw,
-                              idle_timeout=idle_timeout))
-    samples = []
-    perf = time.perf_counter
-    reader = open_capture(capture_path)
-
-    def handle(rec):
-        t0 = perf()
-        vec = flow_features(rec, manifest)
-        z = (vec[kept] - mean) / std
-        model.score(z[cols][None, :])
-        samples.append(perf() - t0)
-
-    for pkt in reader:
-        for rec in m.feed(pkt):
-            handle(rec)
-    for rec in m.finish():
-        handle(rec)
-    p50, p95, p99 = _percentiles_ms(samples)
-    return LatencyReport(mode=model.manifest_mode, n=len(samples),
-                         p50_ms=p50, p95_ms=p95, p99_ms=p99, tw_floor_s=tw)

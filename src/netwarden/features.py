@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, ManifestMismatch
+from .errors import EmptyTrainingSet, ManifestMismatch, NonFiniteFeature
 from .flows import BIDIRECTIONAL, FlowRecord, UNIDIRECTIONAL
 from .pcap import PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, PacketRecord
 
@@ -535,10 +535,6 @@ class NormalizationStats:
     mode: str
     input_hash: str
 
-    @property
-    def output_hash(self) -> str:
-        return manifest_hash(self.mode, self.kept_names)
-
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
@@ -562,11 +558,23 @@ class NormalizationStats:
 
 
 def fit_normalizer(X: FeatureMatrix) -> NormalizationStats:
-    """Fit per-feature mean/std (population) and record constant columns."""
+    """Fit per-feature mean/std (population) and record constant columns.
+
+    A NaN or infinite value is rejected: its column's std is not finite,
+    and the column would otherwise be dropped as constant.
+    """
     if X.n == 0:
         raise EmptyTrainingSet("cannot fit a normalizer on zero rows")
-    mean = X.values.mean(axis=0)
-    std = X.values.std(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf; checked below
+        mean = X.values.mean(axis=0)
+        std = X.values.std(axis=0)
+    if not np.isfinite(std).all():  # a NaN or inf, or a std that overflowed
+        bad = np.argwhere(~np.isfinite(X.values))
+        if bad.size:
+            row, col = (int(i) for i in bad[0])
+            raise NonFiniteFeature(
+                "value %r at row %d, column %d (%s) is not finite"
+                % (float(X.values[row, col]), row, col, X.names[col]))
     keep = std > 0
     dropped = [(X.names[i], float(mean[i]))
                for i in range(len(X.names)) if not keep[i]]

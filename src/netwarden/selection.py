@@ -98,10 +98,12 @@ def information_score(f: np.ndarray, sigma: float) -> float:
     """
     S = _column_similarity(np.asarray(f, dtype=np.float64), sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(S > 0.0, S * np.log2(S, where=S > 0.0), 0.0)
+        t1 = np.where(S > 0.0, S * np.log2(S, out=np.zeros_like(S),
+                                           where=S > 0.0), 0.0)
         one_m = 1.0 - S
         t2 = np.where(one_m > 0.0,
-                      one_m * np.log2(one_m, where=one_m > 0.0), 0.0)
+                      one_m * np.log2(one_m, out=np.zeros_like(one_m),
+                                      where=one_m > 0.0), 0.0)
     return float(-(t1 + t2).sum())
 
 

@@ -46,6 +46,36 @@ def lof_oracle(train, queries, k):
     return out
 
 
+def sq_dist_oracle(A, B) -> np.ndarray:
+    """Squared Euclidean distances by a scalar double loop, the column
+    terms added left to right."""
+    out = np.empty((len(A), len(B)))
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            total = 0.0
+            for x, y in zip(a, b):
+                diff = float(x) - float(y)
+                total += diff * diff
+            out[i, j] = total
+    return out
+
+
+def iforest_mean_path_oracle(state: dict, X) -> np.ndarray:
+    """Mean path length of each row over a saved isolation forest, walking
+    one row down one tree at a time."""
+    out = []
+    for x in X:
+        paths = []
+        for tree in state["trees"]:
+            node = 0
+            while tree["feature"][node] >= 0:
+                go_left = x[tree["feature"][node]] < tree["threshold"][node]
+                node = tree["left" if go_left else "right"][node]
+            paths.append(tree["leaf_path"][node])
+        out.append(np.mean(paths))
+    return np.array(out)
+
+
 def capped_simplex_projection(v: np.ndarray, cap: float) -> np.ndarray:
     """Project v onto {0 <= a <= cap, sum a = 1} by bisection on the shift."""
     lo = float(v.min()) - cap - 1.0

@@ -66,10 +66,24 @@ def test_c1_lof_oracle_equivalence():
         exp = np.asarray(lof_oracle(X.tolist(), Q.tolist(), k))
         worst = max(worst, float(np.max(np.abs(got - exp))))
         assert np.allclose(got, exp, atol=1e-9)
+    # repeated rows: distances tie exactly, and N_k counts every point
+    # tied at the k-distance
+    for _ in range(10):
+        n = int(rng.integers(40, 201))
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(2, 15))
+        base = rng.normal(size=(n // 3, d))
+        X = base[rng.integers(0, n // 3, size=n)]
+        Q = np.vstack([X[:4], base[:4] + rng.normal(size=(4, d)) * 0.1])
+        got = LocalOutlierFactor(k=k).fit(X).score(Q)
+        exp = np.asarray(lof_oracle(X.tolist(), Q.tolist(), k))
+        worst = max(worst, float(np.max(np.abs(got - exp))))
+        assert np.allclose(got, exp, atol=1e-9)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     passed("C1", "LOF oracle equivalence",
-           "50 datasets, worst |diff|=%.2e, %.1fs" % (worst, elapsed))
+           "50 random and 10 tied datasets, worst |diff|=%.2e, %.1fs"
+           % (worst, elapsed))
 
 
 def test_c2_osvm_oracle_and_nu_property():

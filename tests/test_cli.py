@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netwarden.cli import main
+from netwarden.errors import ConfigInvalid
 from netwarden.features import FeatureMatrix, read_matrix_csv, \
     write_matrix_csv
 
@@ -247,3 +248,31 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "bad_magic" in err
+
+    def test_error_lines_are_json(self, capsys, tmp_path):
+        err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')
+        assert json.loads(err.as_machine_line()) == {
+            "code": "config_invalid", "message": str(err)}
+        junk = tmp_path / "junk.pcap"
+        junk.write_bytes(b"\x00" * 64)
+        csv = tmp_path / "m.csv"
+        csv.write_text("a,b\n1,2\n3,4\n5,6\n")
+        nan_csv = tmp_path / "nan.csv"
+        nan_csv.write_text("a,b\n1,2\n3,nan\n5,6\n")
+        out = str(tmp_path / "out")
+        cases = [
+            (("extract", "--in", str(junk), "--out", out), "bad_magic"),
+            (("extract", "--in", str(tmp_path / 'no "such" file.pcap'),
+              "--out", out), "io_error"),
+            (("train", "--in", str(csv), "--params", "{'k': 3}",
+              "--out", out), "config_invalid"),
+            (("train", "--in", str(nan_csv), "--out", out),
+             "non_finite_feature"),
+        ]
+        for argv, code in cases:
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith("\n")
+            line = json.loads(err[len("error: "):])
+            assert line["code"] == code, line
+            assert isinstance(line["message"], str) and line["message"]

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,27 @@ from netwarden.detectors import (
     average_path_normalizer,
     harmonic,
 )
+from netwarden.detectors.distance import sq_dists
 from netwarden.errors import EmptyTraining, KTooLarge, SingularCovariance
 
-from oracles import lof_oracle, mahalanobis_oracle
+from oracles import (
+    iforest_mean_path_oracle,
+    lof_oracle,
+    mahalanobis_oracle,
+    sq_dist_oracle,
+)
+
+
+def tied_rows(seed, n_train=300, n_query=200, d=11):
+    """Training rows drawn with repeats from a few distinct points, and
+    queries that are partly training rows, so distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(40, d))
+    X = base[rng.integers(0, 40, size=n_train)]
+    Q = base[rng.integers(0, 40, size=n_query)] \
+        + rng.normal(size=(n_query, d)) * 0.3
+    Q[::4] = X[:(n_query + 3) // 4]
+    return X, Q
 
 
 def blob_with_outliers(n=512, d=8, frac=0.05, seed=0, dist=12.0):
@@ -22,6 +43,33 @@ def blob_with_outliers(n=512, d=8, frac=0.05, seed=0, dist=12.0):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     outliers = direction * dist + rng.normal(size=(n_out, d)) * 0.5
     return inliers, outliers
+
+
+class TestSquaredDistances:
+    def test_equals_scalar_column_order_loop(self):
+        rng = np.random.default_rng(0)
+        # one row against one row: numpy would sum those d terms pairwise
+        single = [(1, 1, d) for d in range(8, 40)]
+        for n, m, d in [(7, 9, 11), (1, 5, 20), (6, 1, 9), (4, 3, 1)] + single:
+            X = rng.normal(size=(m, d))
+            X[1::2] = X[0]  # repeated rows
+            Q = rng.normal(size=(n, d))
+            got = sq_dists(Q, X.T)
+            assert np.array_equal(got, sq_dist_oracle(Q, X)), (n, m, d)
+
+    def test_independent_of_batch_and_layout(self):
+        X, Q = tied_rows(3)
+        full = sq_dists(np.asfortranarray(Q), X.T)
+        rows = np.vstack([sq_dists(q[None, :], X.T) for q in Q])
+        assert np.array_equal(full, rows)
+        assert np.array_equal(full, sq_dist_oracle(Q, X))
+
+    def test_block_boundaries(self, monkeypatch):
+        from netwarden.detectors import distance
+        X, Q = tied_rows(4, n_train=50, n_query=30)
+        whole = sq_dists(Q, X.T)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * 50 * 11 * 7)
+        assert np.array_equal(sq_dists(Q, X.T), whole)
 
 
 class TestHarmonicNormalizer:
@@ -90,6 +138,29 @@ class TestIsolationForest:
         batch = model.score(Q)
         singles = np.array([model.score(q[None, :])[0] for q in Q])
         assert np.array_equal(batch, singles)
+
+    def test_mean_path_matches_scalar_walk(self, monkeypatch):
+        from netwarden.detectors import iforest
+        X, Q = tied_rows(7, d=5)
+        model = IsolationForest(n_trees=25, subsample_size=64, seed=1).fit(X)
+        expected = iforest_mean_path_oracle(model.state_dict(), Q)
+        assert np.array_equal(model.mean_path_length(Q), expected)
+        # blocks that split the queries unevenly give the same result
+        monkeypatch.setattr(iforest, "WALK_PAIRS", 25 * 7)
+        assert np.array_equal(model.mean_path_length(Q), expected)
+
+    def test_saved_model_bytes_pinned(self):
+        # digest of the per-tree JSON as the format was first written; the
+        # flat node arrays must reproduce it byte for byte
+        X = np.random.default_rng(11).normal(size=(300, 5))
+        X[::3] = X[0]
+        model = IsolationForest(n_trees=12, subsample_size=64, seed=4).fit(X)
+        text = json.dumps(model.state_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "911d67c4aef104f34289b80c56040f06de642dbf8d04d175d3d9858c07f5d0d5")
+        clone = IsolationForest.from_state(model.get_params(),
+                                           json.loads(text))
+        assert json.dumps(clone.state_dict()) == text
 
     def test_empty_training(self):
         with pytest.raises(EmptyTraining):
@@ -201,6 +272,18 @@ class TestLocalOutlierFactor:
             got = LocalOutlierFactor(k=k).fit(X).score(Q)
             exp = lof_oracle(X.tolist(), Q.tolist(), k)
             assert np.allclose(got, exp, atol=1e-9)
+
+    def test_single_vs_batch_scoring_identical_with_ties(self, monkeypatch):
+        # the neighbour set counts every training point tied at the
+        # k-distance, so one ulp of difference in a distance moves scores
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "QUERY_BLOCK", 64)
+        for seed in range(4):
+            X, Q = tied_rows(seed)
+            model = LocalOutlierFactor(k=10).fit(X)
+            batch = model.score(np.asfortranarray(Q))
+            singles = np.array([model.score(q)[0] for q in Q])
+            assert np.array_equal(batch, singles), seed
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):

@@ -3,7 +3,8 @@ import pytest
 
 from netwarden import features as ft
 from netwarden import pcap
-from netwarden.errors import EmptyTrainingSet, ManifestMismatch
+from netwarden.errors import EmptyTrainingSet, ManifestMismatch, \
+    NonFiniteFeature
 from netwarden.flows import MeterConfig, meter
 from test_flows import pkt, rev
 
@@ -221,6 +222,18 @@ class TestNormalizer:
         X = matrix(np.empty((0, 2)))
         with pytest.raises(EmptyTrainingSet):
             ft.fit_normalizer(X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # such a column has a non-finite std and was once dropped as
+        # constant without a word
+        vals = np.arange(12.0).reshape(4, 3)
+        vals[2, 1] = bad
+        vals[3, 0] = bad
+        with pytest.raises(NonFiniteFeature) as exc:
+            ft.fit_normalizer(matrix(vals))
+        assert "row 2, column 1 (f1)" in str(exc.value)
+        assert exc.value.code == "non_finite_feature"
 
     def test_hash_mismatch(self):
         X = matrix([[0.0], [1.0]])
