@@ -202,17 +202,21 @@ def cmd_select(cfg: dict) -> int:
     return 0
 
 
-def _load_matrix_any(cfg: dict) -> FeatureMatrix:
+def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
+    """The model, and the input CSV or PCAP (sniffed by magic number)
+    extracted in the model's traffic mode."""
+    _require(cfg, "in", "model", "out")
+    model = TrainedModel.load(cfg["model"])
     path = cfg["in"]
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic in (b"\xd4\xc3\xb2\xa1", b"\xa1\xb2\xc3\xd4",
                  b"\x4d\x3c\xb2\xa1", b"\xa1\xb2\x3c\x4d"):
-        return extract_matrix(path, mode=cfg["mode"],
-                              tw=_parse_tw(cfg["tw"]),
-                              idle_timeout=cfg["idle_timeout"],
-                              labels_path=cfg["labels"])
-    return read_matrix_csv(path)
+        return model, extract_matrix(path, mode=model.manifest_mode,
+                                     tw=_parse_tw(cfg["tw"]),
+                                     idle_timeout=cfg["idle_timeout"],
+                                     labels_path=cfg["labels"])
+    return model, read_matrix_csv(path)
 
 
 def cmd_train(cfg: dict) -> int:
@@ -234,11 +238,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_score(cfg: dict) -> int:
-    _require(cfg, "in", "model", "out")
-    model = TrainedModel.load(cfg["model"])
-    cfg = dict(cfg)
-    cfg["mode"] = model.manifest_mode
-    X = _load_matrix_any(cfg)
+    model, X = _load_model_and_input(cfg)
     scores, flags = score_matrix(model, X)
     with open(cfg["out"], "w") as fh:
         fh.write("score,flag\n")
@@ -250,11 +250,7 @@ def cmd_score(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    _require(cfg, "in", "model", "out")
-    model = TrainedModel.load(cfg["model"])
-    cfg = dict(cfg)
-    cfg["mode"] = model.manifest_mode
-    X = _load_matrix_any(cfg)
+    model, X = _load_model_and_input(cfg)
     report = evaluate(model, X)
     with open(cfg["out"] + ".json", "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptySpace, TooFewScores
-from ..features import NormalizationStats
+from ..errors import EmptySpace, ManifestMismatch, TooFewScores
+from ..features import NormalizationStats, manifest_hash
 from .autoencoder import Autoencoder
 from .elliptic import EllipticEnvelope
 from .iforest import (
@@ -212,6 +212,30 @@ class TrainedModel:
     norm_stats: NormalizationStats | None = None
     seed: int = 0
     extra: dict = field(default_factory=dict)
+    # the last input columns seen, as (mode, names), and their projection
+    _projection: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def input_projection(self, names: tuple[str, ...], mode: str) -> tuple:
+        """(raw column indices, mean, std) of the model's features in a
+        matrix with these raw columns. Compiled, and the manifest hash
+        checked, only when the columns differ from the last call's."""
+        key = (mode, names)
+        if self._projection is None or self._projection[0] != key:
+            stats, own = self.norm_stats, self.manifest_names
+            if stats is None and names == own:  # nothing to z-score
+                compiled = (np.arange(len(own)), 0.0, 1.0)
+            elif (stats is not None
+                  and manifest_hash(mode, names) == stats.input_hash):
+                at = [stats.kept_names.index(n) for n in own]
+                compiled = (np.array([names.index(n) for n in own]),
+                            stats.mean[at], stats.std[at])
+            else:
+                raise ManifestMismatch(
+                    "matrix columns (hash %s) do not match the model's "
+                    "normalizer input" % manifest_hash(mode, names))
+            self._projection = (key, compiled)
+        return self._projection[1]
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.detector.score(X)

@@ -151,14 +151,13 @@ def evaluate_scores(scores: np.ndarray, flags: np.ndarray,
 
 def evaluate(model, matrix, roc: bool = True) -> EvalReport:
     """Score a labeled FeatureMatrix with a TrainedModel and report."""
-    from .pipeline import project_for_model  # deferred, avoids a cycle
+    from .pipeline import score_matrix  # deferred, avoids a cycle
 
     if matrix.labels is None:
         raise LabelVocabularyMismatch("matrix has no label column")
-    X = project_for_model(model, matrix)
-    scores = model.score(X)
-    flags = scores > model.threshold
-    return evaluate_scores(scores, flags, matrix.labels, roc=roc)
+    scores, flags = score_matrix(model, matrix)
+    return evaluate_scores(scores, flags, matrix.labels, roc=roc,
+                           unmatched=matrix.unmatched_labels)
 
 
 def format_metric_table(rows: list[tuple], first_column: str) -> str:
@@ -332,19 +331,20 @@ def delay_benchmark_packets(capture_path: str, model,
     """Per-packet decode+featurize+score latency, one packet at a time,
     plus sustained batched throughput over the same capture."""
     from .pcap import decode_frame, iter_raw_frames
-    from .features import PACKET_MANIFEST, PacketContext, packet_features
-    from .pipeline import model_column_indices
+    from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
+                           PacketContext, packet_features)
+    from .pipeline import project_for_model
 
     frames = []
     for ts, raw, link_type in iter_raw_frames(capture_path):
         frames.append((ts, bytes(raw), link_type))
         if max_packets is not None and len(frames) >= max_packets:
             break
+    names = PACKET_MANIFEST.names
 
-    stats = model.norm_stats
-    mean, std = stats.mean, stats.std
-    cols = model_column_indices(model)
-    kept = [PACKET_MANIFEST.names.index(n) for n in stats.kept_names]
+    def score(rows: np.ndarray) -> None:
+        model.score(project_for_model(
+            model, FeatureMatrix(rows, names, MODE_PACKET)))
 
     # latency path: strictly one packet end to end at a time
     ctx = PacketContext()
@@ -353,30 +353,17 @@ def delay_benchmark_packets(capture_path: str, model,
     for ts, raw, link_type in frames:
         t0 = perf()
         rec = decode_frame(raw, link_type, ts=ts)
-        vec = packet_features(rec, ctx)
-        z = (vec[kept] - mean) / std
-        model.score(z[cols][None, :])
+        score(packet_features(rec, ctx)[None, :])
         samples.append(perf() - t0)
 
     # throughput path: the same work, chunked scoring
     ctx = PacketContext()
     t0 = perf()
-    chunk: list[np.ndarray] = []
-    done = 0
-    for ts, raw, link_type in frames:
-        rec = decode_frame(raw, link_type, ts=ts)
-        chunk.append(packet_features(rec, ctx))
-        if len(chunk) == 2048:
-            Z = (np.vstack(chunk)[:, kept] - mean) / std
-            model.score(Z[:, cols])
-            done += len(chunk)
-            chunk = []
-    if chunk:
-        Z = (np.vstack(chunk)[:, kept] - mean) / std
-        model.score(Z[:, cols])
-        done += len(chunk)
+    for start in range(0, len(frames), 2048):
+        score(np.vstack([packet_features(decode_frame(raw, link, ts=ts), ctx)
+                         for ts, raw, link in frames[start:start + 2048]]))
     elapsed = perf() - t0
     p50, p95, p99 = _percentiles_ms(samples)
     return LatencyReport(mode="packet", n=len(frames), p50_ms=p50,
-                         p95_ms=p95, p99_ms=p99,
-                         throughput_pps=done / elapsed if elapsed else None)
+                         p95_ms=p95, p99_ms=p99, throughput_pps=(
+                             len(frames) / elapsed if elapsed else None))

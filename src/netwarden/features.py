@@ -514,6 +514,7 @@ class FeatureMatrix:
     names: tuple[str, ...]
     mode: str
     labels: list[str] | None = None
+    unmatched_labels: int = 0  # labelled rows no label row matched
 
     @property
     def manifest_hash(self) -> str:

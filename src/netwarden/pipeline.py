@@ -17,7 +17,7 @@ from .detectors import (
     make_detector,
     random_search,
 )
-from .errors import ManifestMismatch
+from .errors import ManifestMismatch, NonFiniteFeature
 from .features import (
     DEFAULT_MANIFESTS,
     FeatureMatrix,
@@ -92,7 +92,8 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
             handle(rec)
     values = np.vstack(rows) if rows else np.empty((0, len(manifest)))
     return FeatureMatrix(values=values, names=manifest.names, mode=mode,
-                         labels=labels)
+                         labels=labels, unmatched_labels=(
+                             index.unmatched if index is not None else 0))
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
@@ -116,7 +117,7 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
                 "selected features not in the training matrix: %s"
                 % sorted(unknown))
         chosen = set(selected_names)
-        # selection order is kept, minus columns the normalizer dropped
+        # matrix order is kept, minus columns the normalizer dropped
         names = tuple(n for n in Xn.names if n in chosen)
         if not names:
             raise ManifestMismatch(
@@ -165,32 +166,20 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     )
 
 
-def model_column_indices(model: TrainedModel) -> list[int]:
-    """Positions of the model's feature columns within the normalized
-    (constant-dropped) column order."""
-    kept = model.norm_stats.kept_names
-    pos = {n: i for i, n in enumerate(kept)}
-    return [pos[n] for n in model.manifest_names]
-
-
 def project_for_model(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Align a matrix to the columns the model expects.
-
-    Accepts either a raw matrix in the model's extraction manifest (it is
-    normalized and projected) or one already carrying exactly the model's
-    columns.
-    """
-    if matrix.names == model.manifest_names:
-        return matrix.values
-    stats = model.norm_stats
-    if stats is not None and matrix.manifest_hash == stats.input_hash:
-        Xn = apply_normalizer(
-            FeatureMatrix(values=matrix.values, names=matrix.names,
-                          mode=matrix.mode), stats)
-        return Xn.values[:, model_column_indices(model)]
-    raise ManifestMismatch(
-        "matrix columns (hash %s) fit neither the model manifest nor its "
-        "normalizer input" % matrix.manifest_hash)
+    """The detector input: the model's columns of a raw matrix in its
+    extraction manifest, z-scored with its training stats. A NaN or
+    infinite input raises NonFiniteFeature naming its row and column."""
+    cols, mean, std = model.input_projection(matrix.names, matrix.mode)
+    X = (matrix.values[:, cols] - mean) / std
+    if not np.isfinite(X).all():
+        row, j = (int(i) for i in np.argwhere(~np.isfinite(X))[0])
+        col = int(cols[j])
+        raise NonFiniteFeature(
+            "value %r at row %d, column %d (%s) gives a non-finite "
+            "detector input" % (float(matrix.values[row, col]), row, col,
+                                matrix.names[col]))
+    return X
 
 
 def score_matrix(model: TrainedModel, matrix: FeatureMatrix):

@@ -184,6 +184,22 @@ class TestTrainScoreEvaluate:
         assert roc[0] == "fpr,tpr"
         assert len(roc) > 2
 
+    def test_evaluate_counts_unmatched_labels(self, workdir, tmp_path):
+        # regression: report.json said 0 unmatched whatever the label file
+        lines = (workdir / "corpus.labels.csv").read_text().splitlines()
+        half = tmp_path / "half.labels.csv"
+        half.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+        unmatched = {}
+        for i, labels in enumerate((workdir / "corpus.labels.csv", half)):
+            out = tmp_path / ("report%d" % i)
+            assert run("evaluate", "--model", str(workdir / "model.json"),
+                       "--in", str(workdir / "corpus.pcap"), "--tw", "1",
+                       "--labels", str(labels), "--out", str(out)) == 0
+            report = json.loads((tmp_path / ("report%d.json" % i))
+                                .read_text())
+            unmatched[labels.name] = report["unmatched_labels"]
+        assert unmatched["half.labels.csv"] > unmatched["corpus.labels.csv"]
+
     def test_score_pcap_input(self, workdir, tmp_path):
         out = tmp_path / "pscores.csv"
         assert run("score", "--model", str(workdir / "model.json"),
