@@ -167,8 +167,9 @@ def cmd_extract(cfg: dict) -> int:
         from .features import MODE_TO_DIRECTION
         write_flow_csv(dumped, cfg["flows_out"],
                        MODE_TO_DIRECTION[cfg["mode"]])
-    print(json.dumps({"rows": X.n, "features": len(X.names),
-                      "mode": X.mode}, sort_keys=True))
+    line = {"rows": X.n, "features": len(X.names), "mode": X.mode}
+    line.update((k, dataclasses.asdict(v)) for k, v in X.accounting.items())
+    print(json.dumps(line, sort_keys=True))
     return 0
 
 

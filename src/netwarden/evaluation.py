@@ -332,7 +332,7 @@ def delay_benchmark_packets(capture_path: str, model,
     plus sustained batched throughput over the same capture."""
     from .pcap import decode_frame, iter_raw_frames
     from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
-                           PacketContext, packet_features)
+                           PacketContext, packet_features, packet_row)
     from .pipeline import project_for_model
 
     frames = []
@@ -360,8 +360,9 @@ def delay_benchmark_packets(capture_path: str, model,
     ctx = PacketContext()
     t0 = perf()
     for start in range(0, len(frames), 2048):
-        score(np.vstack([packet_features(decode_frame(raw, link, ts=ts), ctx)
-                         for ts, raw, link in frames[start:start + 2048]]))
+        score(np.array([packet_row(decode_frame(raw, link, ts=ts), ctx)
+                        for ts, raw, link in frames[start:start + 2048]],
+                       dtype=np.float64))
     elapsed = perf() - t0
     p50, p95, p99 = _percentiles_ms(samples)
     return LatencyReport(mode="packet", n=len(frames), p50_ms=p50,

@@ -1,9 +1,12 @@
 """Named numeric features over flows and packets, plus z-score normalization.
 
 Features come in four categories (packet-based, byte-based, time-based,
-protocol-based) and are computed from restricted views that physically
-contain no IP addresses, no port numbers, no absolute timestamps and no
-payload content, so privacy holds by construction and is assertable.
+protocol-based). Each traffic mode has one row builder that reads a
+finished flow's accumulators, or one packet's header lengths, TTL,
+protocol, flags and window plus its per-flow gap and index, and returns
+the row in manifest order. No builder reads an IP address, a port
+number, an absolute timestamp or payload content; `audit_feature_access`
+records what each builder reads, so privacy is assertable.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from operator import add
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyTrainingSet, ManifestMismatch, NonFiniteFeature
-from .flows import BIDIRECTIONAL, FlowRecord, UNIDIRECTIONAL
+from .flows import BIDIRECTIONAL, DirStats, FlowRecord, UNIDIRECTIONAL
 from .pcap import PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, PacketRecord
 
 MODE_UNI_FLOW = "uni_flow"
@@ -36,189 +40,22 @@ RATE_FLOOR = 1e-3  # duration floor for rate features, seconds
 
 MODE_TO_DIRECTION = {MODE_UNI_FLOW: UNIDIRECTIONAL, MODE_BI_FLOW: BIDIRECTIONAL}
 
-
-def _mean(total: float, n: int) -> float:
-    return total / n if n else 0.0
-
-
-def _pop_std(total: float, sumsq: float, n: int) -> float:
-    if n == 0:
-        return 0.0
-    var = sumsq / n - (total / n) ** 2
-    return math.sqrt(var) if var > 0 else 0.0
-
-
-class DirView:
-    """Per-direction statistics visible to feature functions."""
-
-    __slots__ = (
-        "pkt_count", "byte_count", "header_bytes", "payload_bytes",
-        "pkt_len_min", "pkt_len_max", "pkt_len_mean", "pkt_len_std",
-        "payload_len_min", "payload_len_max", "payload_len_mean",
-        "payload_len_std",
-        "ip_hdr_min", "ip_hdr_max", "ip_hdr_mean",
-        "l4_hdr_min", "l4_hdr_max", "l4_hdr_mean",
-        "iat_min", "iat_max", "iat_mean", "iat_std",
-        "flag_counts", "ttl_min", "ttl_max", "ttl_mean", "init_window",
-        "small_pkt_ratio", "large_pkt_ratio",
-    )
-
-    @classmethod
-    def empty(cls) -> "DirView":
-        v = cls()
-        for name in cls.__slots__:
-            setattr(v, name, 0.0)
-        v.flag_counts = (0,) * 8
-        return v
-
-
-def _dir_view(s) -> DirView:
-    v = DirView()
-    n = s.pkt_count
-    v.pkt_count = float(n)
-    v.byte_count = float(s.byte_count)
-    v.header_bytes = float(s.header_byte_count)
-    v.payload_bytes = float(s.payload_byte_count)
-    v.pkt_len_min = float(s.pkt_len_min)
-    v.pkt_len_max = float(s.pkt_len_max)
-    v.pkt_len_mean = _mean(s.pkt_len_sum, n)
-    v.pkt_len_std = _pop_std(s.pkt_len_sum, s.pkt_len_sumsq, n)
-    v.payload_len_min = float(s.payload_len_min)
-    v.payload_len_max = float(s.payload_len_max)
-    v.payload_len_mean = _mean(s.payload_len_sum, n)
-    v.payload_len_std = _pop_std(s.payload_len_sum, s.payload_len_sumsq, n)
-    v.ip_hdr_min = float(s.ip_hdr_min)
-    v.ip_hdr_max = float(s.ip_hdr_max)
-    v.ip_hdr_mean = _mean(s.ip_hdr_sum, n)
-    v.l4_hdr_min = float(s.l4_hdr_min)
-    v.l4_hdr_max = float(s.l4_hdr_max)
-    v.l4_hdr_mean = _mean(s.l4_hdr_sum, n)
-    v.iat_min = s.iat_min if s.iat_count else 0.0
-    v.iat_max = s.iat_max if s.iat_count else 0.0
-    v.iat_mean = _mean(s.iat_sum, s.iat_count)
-    v.iat_std = _pop_std(s.iat_sum, s.iat_sumsq, s.iat_count)
-    v.flag_counts = tuple(s.flag_counts)
-    v.ttl_min = float(s.ttl_min)
-    v.ttl_max = float(s.ttl_max)
-    v.ttl_mean = _mean(s.ttl_sum, n)
-    v.init_window = float(s.init_window or 0)
-    v.small_pkt_ratio = s.small_pkt_count / n if n else 0.0
-    v.large_pkt_ratio = s.large_pkt_count / n if n else 0.0
-    return v
-
-
-def _merged_dir_view(a, b) -> DirView:
-    """Combined view over both directions of a bidirectional flow."""
-    v = DirView()
-    n = a.pkt_count + b.pkt_count
-    v.pkt_count = float(n)
-    v.byte_count = float(a.byte_count + b.byte_count)
-    v.header_bytes = float(a.header_byte_count + b.header_byte_count)
-    v.payload_bytes = float(a.payload_byte_count + b.payload_byte_count)
-    have_a, have_b = a.pkt_count > 0, b.pkt_count > 0
-
-    def mn(x, y, xa=have_a, ya=have_b):
-        if xa and ya:
-            return float(min(x, y))
-        return float(x if xa else y)
-
-    def mx(x, y, xa=have_a, ya=have_b):
-        if xa and ya:
-            return float(max(x, y))
-        return float(x if xa else y)
-
-    v.pkt_len_min = mn(a.pkt_len_min, b.pkt_len_min)
-    v.pkt_len_max = mx(a.pkt_len_max, b.pkt_len_max)
-    v.pkt_len_mean = _mean(a.pkt_len_sum + b.pkt_len_sum, n)
-    v.pkt_len_std = _pop_std(a.pkt_len_sum + b.pkt_len_sum,
-                             a.pkt_len_sumsq + b.pkt_len_sumsq, n)
-    v.payload_len_min = mn(a.payload_len_min, b.payload_len_min)
-    v.payload_len_max = mx(a.payload_len_max, b.payload_len_max)
-    v.payload_len_mean = _mean(a.payload_len_sum + b.payload_len_sum, n)
-    v.payload_len_std = _pop_std(a.payload_len_sum + b.payload_len_sum,
-                                 a.payload_len_sumsq + b.payload_len_sumsq, n)
-    v.ip_hdr_min = mn(a.ip_hdr_min, b.ip_hdr_min)
-    v.ip_hdr_max = mx(a.ip_hdr_max, b.ip_hdr_max)
-    v.ip_hdr_mean = _mean(a.ip_hdr_sum + b.ip_hdr_sum, n)
-    v.l4_hdr_min = mn(a.l4_hdr_min, b.l4_hdr_min)
-    v.l4_hdr_max = mx(a.l4_hdr_max, b.l4_hdr_max)
-    v.l4_hdr_mean = _mean(a.l4_hdr_sum + b.l4_hdr_sum, n)
-    iat_n = a.iat_count + b.iat_count
-    ia, ib = a.iat_count > 0, b.iat_count > 0
-    v.iat_min = mn(a.iat_min, b.iat_min, ia, ib) if iat_n else 0.0
-    v.iat_max = mx(a.iat_max, b.iat_max, ia, ib) if iat_n else 0.0
-    v.iat_mean = _mean(a.iat_sum + b.iat_sum, iat_n)
-    v.iat_std = _pop_std(a.iat_sum + b.iat_sum,
-                         a.iat_sumsq + b.iat_sumsq, iat_n)
-    v.flag_counts = tuple(x + y for x, y in zip(a.flag_counts, b.flag_counts))
-    v.ttl_min = mn(a.ttl_min, b.ttl_min, have_a, have_b)
-    v.ttl_max = mx(a.ttl_max, b.ttl_max)
-    v.ttl_mean = _mean(a.ttl_sum + b.ttl_sum, n)
-    v.init_window = float(a.init_window or b.init_window or 0)
-    v.small_pkt_ratio = (a.small_pkt_count + b.small_pkt_count) / n \
-        if n else 0.0
-    v.large_pkt_ratio = (a.large_pkt_count + b.large_pkt_count) / n \
-        if n else 0.0
-    return v
-
-
-class FlowView:
-    """Flow-level values feature functions may read. No key material."""
-
-    __slots__ = (
-        "duration", "protocol", "all", "fwd", "bwd",
-        "iat_min", "iat_max", "iat_mean", "iat_std",
-        "active_total", "active_max", "active_mean", "active_count",
-        "idle_total", "idle_max", "idle_mean", "idle_count",
-    )
-
-
-def flow_view(rec: FlowRecord) -> FlowView:
-    v = FlowView()
-    v.duration = rec.duration
-    v.protocol = rec.protocol
-    if rec.bwd is None:
-        v.all = _dir_view(rec.fwd)
-        v.fwd = v.all
-        v.bwd = DirView.empty()
-    else:
-        v.fwd = _dir_view(rec.fwd)
-        v.bwd = _dir_view(rec.bwd)
-        v.all = _merged_dir_view(rec.fwd, rec.bwd)
-    v.iat_min = rec.iat_min if rec.iat_count else 0.0
-    v.iat_max = rec.iat_max if rec.iat_count else 0.0
-    v.iat_mean = _mean(rec.iat_sum, rec.iat_count)
-    v.iat_std = _pop_std(rec.iat_sum, rec.iat_sumsq, rec.iat_count)
-    v.active_total = rec.active_total
-    v.active_max = rec.active_max
-    v.active_mean = _mean(rec.active_total, rec.active_count)
-    v.active_count = float(rec.active_count)
-    v.idle_total = rec.idle_total
-    v.idle_max = rec.idle_max
-    v.idle_mean = _mean(rec.idle_total, rec.idle_count)
-    v.idle_count = float(rec.idle_count)
-    return v
-
-
-class PacketView:
-    """Per-packet values feature functions may read."""
-
-    __slots__ = ("total_len", "ip_header_len", "l4_header_len", "payload_len",
-                 "ttl", "protocol", "tcp_flags", "tcp_window", "iat_prev",
-                 "pkt_index")
+_ICMP = (PROTO_ICMP, PROTO_ICMPV6)
+_NAMED_PROTOS = (PROTO_TCP, PROTO_UDP, PROTO_ICMP, PROTO_ICMPV6)
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
     name: str
     category: str
-    fn: Callable
 
 
 @dataclass(frozen=True)
 class Manifest:
     mode: str
     entries: tuple[FeatureSpec, ...]
+    # positions of the entries in the mode's full row; None: the full row
+    columns: tuple[int, ...] | None = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -236,8 +73,11 @@ class Manifest:
         unknown = wanted - set(self.names)
         if unknown:
             raise ManifestMismatch("unknown features: %s" % sorted(unknown))
-        return Manifest(self.mode,
-                        tuple(e for e in self.entries if e.name in wanted))
+        keep = [i for i, e in enumerate(self.entries) if e.name in wanted]
+        cols = keep if self.columns is None else [self.columns[i]
+                                                  for i in keep]
+        return Manifest(self.mode, tuple(self.entries[i] for i in keep),
+                        tuple(cols))
 
     def category_counts(self) -> dict[str, int]:
         counts = {c: 0 for c in CATEGORIES}
@@ -251,163 +91,71 @@ def manifest_hash(mode: str, names: Iterable[str]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _rate(count_attr: str):
-    def fn(v):
-        return getattr(v.all, count_attr) / max(v.duration, RATE_FLOOR)
-    return fn
-
-
-def _dir_attr(side: str, attr: str):
-    def fn(v):
-        return getattr(getattr(v, side), attr)
-    return fn
-
-
-def _flag_count(side: str, i: int):
-    def fn(v):
-        return float(getattr(v, side).flag_counts[i])
-    return fn
-
-
-def _flag_rate(i: int):
-    def fn(v):
-        return v.all.flag_counts[i] / max(v.duration, RATE_FLOOR)
-    return fn
-
-
-def _proto_onehot(proto_ids):
-    def fn(v):
-        return 1.0 if v.protocol in proto_ids else 0.0
-    return fn
-
-
-def _proto_other(v):
-    return 1.0 if v.protocol not in (PROTO_TCP, PROTO_UDP, PROTO_ICMP,
-                                     PROTO_ICMPV6) else 0.0
-
-
 def _flow_entries(bi: bool) -> tuple[FeatureSpec, ...]:
+    """Column names and categories, in the order `_flow_row` (and, for
+    bi_flow, `_side_row` twice and the three ratios) emits them."""
     E = FeatureSpec
     entries = [
-        # packet-based: counts and volume shape
-        E("pkt_count", CAT_PACKET, _dir_attr("all", "pkt_count")),
-        E("pkt_rate", CAT_PACKET, _rate("pkt_count")),
-        E("pkt_len_min", CAT_PACKET, _dir_attr("all", "pkt_len_min")),
-        E("pkt_len_max", CAT_PACKET, _dir_attr("all", "pkt_len_max")),
-        E("pkt_len_mean", CAT_PACKET, _dir_attr("all", "pkt_len_mean")),
-        E("pkt_len_std", CAT_PACKET, _dir_attr("all", "pkt_len_std")),
-        E("pkt_len_range", CAT_PACKET,
-          lambda v: v.all.pkt_len_max - v.all.pkt_len_min),
-        E("small_pkt_ratio", CAT_PACKET, _dir_attr("all", "small_pkt_ratio")),
-        E("large_pkt_ratio", CAT_PACKET, _dir_attr("all", "large_pkt_ratio")),
-        # byte-based: load and split between headers and payload
-        E("byte_count", CAT_BYTE, _dir_attr("all", "byte_count")),
-        E("byte_rate", CAT_BYTE, _rate("byte_count")),
-        E("header_bytes", CAT_BYTE, _dir_attr("all", "header_bytes")),
-        E("payload_bytes", CAT_BYTE, _dir_attr("all", "payload_bytes")),
-        E("payload_ratio", CAT_BYTE,
-          lambda v: v.all.payload_bytes / max(v.all.byte_count, 1.0)),
-        E("payload_len_min", CAT_BYTE, _dir_attr("all", "payload_len_min")),
-        E("payload_len_max", CAT_BYTE, _dir_attr("all", "payload_len_max")),
-        E("payload_len_mean", CAT_BYTE, _dir_attr("all", "payload_len_mean")),
-        E("payload_len_std", CAT_BYTE, _dir_attr("all", "payload_len_std")),
-        E("header_len_mean", CAT_BYTE,
-          lambda v: v.all.header_bytes / max(v.all.pkt_count, 1.0)),
-        # time-based: duration, gaps, activity runs
-        E("duration", CAT_TIME, lambda v: v.duration),
-        E("iat_min", CAT_TIME, lambda v: v.iat_min),
-        E("iat_max", CAT_TIME, lambda v: v.iat_max),
-        E("iat_mean", CAT_TIME, lambda v: v.iat_mean),
-        E("iat_std", CAT_TIME, lambda v: v.iat_std),
-        E("iat_range", CAT_TIME, lambda v: v.iat_max - v.iat_min),
-        E("active_total", CAT_TIME, lambda v: v.active_total),
-        E("active_max", CAT_TIME, lambda v: v.active_max),
-        E("active_mean", CAT_TIME, lambda v: v.active_mean),
-        E("active_count", CAT_TIME, lambda v: v.active_count),
-        E("idle_total", CAT_TIME, lambda v: v.idle_total),
-        E("idle_max", CAT_TIME, lambda v: v.idle_max),
-        E("idle_mean", CAT_TIME, lambda v: v.idle_mean),
-        E("idle_count", CAT_TIME, lambda v: v.idle_count),
-        E("idle_ratio", CAT_TIME,
-          lambda v: v.idle_total / max(v.duration, RATE_FLOOR)),
-        # protocol-based: header semantics
-        E("proto_tcp", CAT_PROTO, _proto_onehot((PROTO_TCP,))),
-        E("proto_udp", CAT_PROTO, _proto_onehot((PROTO_UDP,))),
-        E("proto_icmp", CAT_PROTO, _proto_onehot((PROTO_ICMP,
-                                                  PROTO_ICMPV6))),
-        E("proto_other", CAT_PROTO, _proto_other),
+        E("pkt_count", CAT_PACKET), E("pkt_rate", CAT_PACKET),
+        E("pkt_len_min", CAT_PACKET), E("pkt_len_max", CAT_PACKET),
+        E("pkt_len_mean", CAT_PACKET), E("pkt_len_std", CAT_PACKET),
+        E("pkt_len_range", CAT_PACKET), E("small_pkt_ratio", CAT_PACKET),
+        E("large_pkt_ratio", CAT_PACKET),
+        E("byte_count", CAT_BYTE), E("byte_rate", CAT_BYTE),
+        E("header_bytes", CAT_BYTE), E("payload_bytes", CAT_BYTE),
+        E("payload_ratio", CAT_BYTE), E("payload_len_min", CAT_BYTE),
+        E("payload_len_max", CAT_BYTE), E("payload_len_mean", CAT_BYTE),
+        E("payload_len_std", CAT_BYTE), E("header_len_mean", CAT_BYTE),
+        E("duration", CAT_TIME), E("iat_min", CAT_TIME),
+        E("iat_max", CAT_TIME), E("iat_mean", CAT_TIME),
+        E("iat_std", CAT_TIME), E("iat_range", CAT_TIME),
+        E("active_total", CAT_TIME), E("active_max", CAT_TIME),
+        E("active_mean", CAT_TIME), E("active_count", CAT_TIME),
+        E("idle_total", CAT_TIME), E("idle_max", CAT_TIME),
+        E("idle_mean", CAT_TIME), E("idle_count", CAT_TIME),
+        E("idle_ratio", CAT_TIME),
+        E("proto_tcp", CAT_PROTO), E("proto_udp", CAT_PROTO),
+        E("proto_icmp", CAT_PROTO), E("proto_other", CAT_PROTO),
     ]
-    for i, flag in enumerate(FLAG_NAMES):
-        entries.append(E("flag_%s_count" % flag, CAT_PROTO,
-                         _flag_count("all", i)))
-    for i, flag in enumerate(FLAG_NAMES):
-        entries.append(E("flag_%s_rate" % flag, CAT_PROTO, _flag_rate(i)))
+    entries += [E("flag_%s_count" % f, CAT_PROTO) for f in FLAG_NAMES]
+    entries += [E("flag_%s_rate" % f, CAT_PROTO) for f in FLAG_NAMES]
     entries += [
-        E("flag_total", CAT_PROTO,
-          lambda v: float(sum(v.all.flag_counts))),
-        E("ttl_min", CAT_PROTO, _dir_attr("all", "ttl_min")),
-        E("ttl_max", CAT_PROTO, _dir_attr("all", "ttl_max")),
-        E("ttl_mean", CAT_PROTO, _dir_attr("all", "ttl_mean")),
-        E("ttl_range", CAT_PROTO,
-          lambda v: v.all.ttl_max - v.all.ttl_min),
-        E("init_window", CAT_PROTO, _dir_attr("all", "init_window")),
-        E("ip_hdr_len_mean", CAT_PROTO, _dir_attr("all", "ip_hdr_mean")),
-        E("ip_hdr_len_max", CAT_PROTO, _dir_attr("all", "ip_hdr_max")),
-        E("l4_hdr_len_mean", CAT_PROTO, _dir_attr("all", "l4_hdr_mean")),
-        E("l4_hdr_len_max", CAT_PROTO, _dir_attr("all", "l4_hdr_max")),
+        E("flag_total", CAT_PROTO), E("ttl_min", CAT_PROTO),
+        E("ttl_max", CAT_PROTO), E("ttl_mean", CAT_PROTO),
+        E("ttl_range", CAT_PROTO), E("init_window", CAT_PROTO),
+        E("ip_hdr_len_mean", CAT_PROTO), E("ip_hdr_len_max", CAT_PROTO),
+        E("l4_hdr_len_mean", CAT_PROTO), E("l4_hdr_len_max", CAT_PROTO),
     ]
     if bi:
-        cat_by_attr = {
-            "pkt_count": CAT_PACKET, "pkt_len_mean": CAT_PACKET,
-            "pkt_len_std": CAT_PACKET, "pkt_len_max": CAT_PACKET,
-            "byte_count": CAT_BYTE, "payload_bytes": CAT_BYTE,
-            "payload_len_mean": CAT_BYTE, "payload_len_std": CAT_BYTE,
-            "iat_mean": CAT_TIME, "iat_std": CAT_TIME, "iat_max": CAT_TIME,
-            "ttl_mean": CAT_PROTO, "init_window": CAT_PROTO,
-        }
-        for side in ("fwd", "bwd"):
-            for attr, cat in cat_by_attr.items():
-                entries.append(E("%s_%s" % (side, attr), cat,
-                                 _dir_attr(side, attr)))
-            for i, flag in enumerate(FLAG_NAMES):
-                entries.append(E("%s_flag_%s_count" % (side, flag),
-                                 CAT_PROTO, _flag_count(side, i)))
-        entries += [
-            E("fwd_bwd_pkt_ratio", CAT_PACKET,
-              lambda v: v.fwd.pkt_count / max(v.bwd.pkt_count, 1.0)),
-            E("fwd_bwd_byte_ratio", CAT_BYTE,
-              lambda v: v.fwd.byte_count / max(v.bwd.byte_count, 1.0)),
-            E("fwd_bwd_payload_ratio", CAT_BYTE,
-              lambda v: v.fwd.payload_bytes / max(v.bwd.payload_bytes, 1.0)),
-        ]
+        side = (("pkt_count", CAT_PACKET), ("pkt_len_mean", CAT_PACKET),
+                ("pkt_len_std", CAT_PACKET), ("pkt_len_max", CAT_PACKET),
+                ("byte_count", CAT_BYTE), ("payload_bytes", CAT_BYTE),
+                ("payload_len_mean", CAT_BYTE), ("payload_len_std", CAT_BYTE),
+                ("iat_mean", CAT_TIME), ("iat_std", CAT_TIME),
+                ("iat_max", CAT_TIME), ("ttl_mean", CAT_PROTO),
+                ("init_window", CAT_PROTO))
+        for d in ("fwd", "bwd"):
+            entries += [E("%s_%s" % (d, name), cat) for name, cat in side]
+            entries += [E("%s_flag_%s_count" % (d, f), CAT_PROTO)
+                        for f in FLAG_NAMES]
+        entries += [E("fwd_bwd_pkt_ratio", CAT_PACKET),
+                    E("fwd_bwd_byte_ratio", CAT_BYTE),
+                    E("fwd_bwd_payload_ratio", CAT_BYTE)]
     return tuple(entries)
 
 
 def _packet_entries() -> tuple[FeatureSpec, ...]:
+    """Column names and categories, in the order `_packet_row` emits them."""
     E = FeatureSpec
     entries = [
-        E("total_len", CAT_PACKET, lambda v: float(v.total_len)),
-        E("pkt_index", CAT_PACKET, lambda v: float(v.pkt_index)),
-        E("payload_len", CAT_BYTE, lambda v: float(v.payload_len)),
-        E("ip_header_len", CAT_BYTE, lambda v: float(v.ip_header_len)),
-        E("l4_header_len", CAT_BYTE, lambda v: float(v.l4_header_len)),
-        E("iat_prev", CAT_TIME, lambda v: v.iat_prev),
-        E("proto_tcp", CAT_PROTO,
-          lambda v: 1.0 if v.protocol == PROTO_TCP else 0.0),
-        E("proto_udp", CAT_PROTO,
-          lambda v: 1.0 if v.protocol == PROTO_UDP else 0.0),
-        E("proto_icmp", CAT_PROTO,
-          lambda v: 1.0 if v.protocol in (PROTO_ICMP, PROTO_ICMPV6) else 0.0),
-        E("proto_other", CAT_PROTO, _proto_other),
+        E("total_len", CAT_PACKET), E("pkt_index", CAT_PACKET),
+        E("payload_len", CAT_BYTE), E("ip_header_len", CAT_BYTE),
+        E("l4_header_len", CAT_BYTE), E("iat_prev", CAT_TIME),
+        E("proto_tcp", CAT_PROTO), E("proto_udp", CAT_PROTO),
+        E("proto_icmp", CAT_PROTO), E("proto_other", CAT_PROTO),
     ]
-    for i, flag in enumerate(FLAG_NAMES):
-        entries.append(E("flag_%s" % flag, CAT_PROTO,
-                         (lambda bit: lambda v: 1.0 if v.tcp_flags
-                          & bit else 0.0)(1 << i)))
-    entries += [
-        E("tcp_window", CAT_PROTO, lambda v: float(v.tcp_window)),
-        E("ttl", CAT_PROTO, lambda v: float(v.ttl)),
-    ]
+    entries += [E("flag_%s" % f, CAT_PROTO) for f in FLAG_NAMES]
+    entries += [E("tcp_window", CAT_PROTO), E("ttl", CAT_PROTO)]
     return tuple(entries)
 
 
@@ -421,23 +169,179 @@ DEFAULT_MANIFESTS = {
     MODE_PACKET: PACKET_MANIFEST,
 }
 
+# Row builders. Each returns its mode's full row as a list of Python
+# numbers (ints and bools included); np.array(..., dtype=np.float64) turns
+# them into the same doubles float() would.
 
-def flow_features(rec: FlowRecord, manifest: Manifest) -> np.ndarray:
-    """Evaluate one FlowRecord against a flow-mode manifest."""
+
+def _pop_std(total: float, sumsq: float, n: int) -> float:
+    if n == 0:
+        return 0.0
+    var = sumsq / n - (total / n) ** 2
+    return math.sqrt(var) if var > 0 else 0.0
+
+
+_NO_PACKETS = DirStats()  # the absent backward side of a uni flow; read only
+
+
+def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
+    """The columns both flow modes share, over directions `a` and `b`
+    together. `a` is the forward side and never empty: it holds the
+    flow's first packet."""
+    # max() and min() written out: a builtin call per column costs more
+    # than the column's arithmetic
+    span = RATE_FLOOR if rec.duration < RATE_FLOOR else rec.duration
+    n = a.pkt_count + b.pkt_count
+    if b.pkt_count:
+        x, y = a.pkt_len_min, b.pkt_len_min
+        len_min = y if y < x else x
+        x, y = a.pkt_len_max, b.pkt_len_max
+        len_max = y if y > x else x
+        x, y = a.payload_len_min, b.payload_len_min
+        pay_min = y if y < x else x
+        x, y = a.payload_len_max, b.payload_len_max
+        pay_max = y if y > x else x
+        x, y = a.ttl_min, b.ttl_min
+        ttl_min = y if y < x else x
+        x, y = a.ttl_max, b.ttl_max
+        ttl_max = y if y > x else x
+        x, y = a.ip_hdr_max, b.ip_hdr_max
+        ip_max = y if y > x else x
+        x, y = a.l4_hdr_max, b.l4_hdr_max
+        l4_max = y if y > x else x
+    else:
+        len_min, len_max = a.pkt_len_min, a.pkt_len_max
+        pay_min, pay_max = a.payload_len_min, a.payload_len_max
+        ttl_min, ttl_max = a.ttl_min, a.ttl_max
+        ip_max, l4_max = a.ip_hdr_max, a.l4_hdr_max
+    len_sum = a.pkt_len_sum + b.pkt_len_sum
+    pay_sum = a.payload_len_sum + b.payload_len_sum
+    byte_count = a.byte_count + b.byte_count
+    payload_bytes = a.payload_byte_count + b.payload_byte_count
+    header_bytes = a.header_byte_count + b.header_byte_count
+    k = rec.iat_count
+    iat_min = rec.iat_min if k else 0.0
+    iat_max = rec.iat_max if k else 0.0
+    f0, f1, f2, f3, f4, f5, f6, f7 = map(add, a.flag_counts, b.flag_counts)
+    proto = rec.protocol
+    return [
+        # packet-based: counts and volume shape
+        n, n / span, len_min, len_max, len_sum / n,
+        _pop_std(len_sum, a.pkt_len_sumsq + b.pkt_len_sumsq, n),
+        len_max - len_min,
+        (a.small_pkt_count + b.small_pkt_count) / n,
+        (a.large_pkt_count + b.large_pkt_count) / n,
+        # byte-based: load and split between headers and payload
+        byte_count, byte_count / span, header_bytes, payload_bytes,
+        payload_bytes / (byte_count or 1.0),
+        pay_min, pay_max, pay_sum / n,
+        _pop_std(pay_sum, a.payload_len_sumsq + b.payload_len_sumsq, n),
+        header_bytes / n,
+        # time-based: duration, gaps, activity runs
+        rec.duration, iat_min, iat_max,
+        rec.iat_sum / k if k else 0.0,
+        _pop_std(rec.iat_sum, rec.iat_sumsq, k),
+        iat_max - iat_min,
+        rec.active_total, rec.active_max,
+        rec.active_total / rec.active_count if rec.active_count else 0.0,
+        rec.active_count,
+        rec.idle_total, rec.idle_max,
+        rec.idle_total / rec.idle_count if rec.idle_count else 0.0,
+        rec.idle_count,
+        rec.idle_total / span,
+        # protocol-based: header semantics
+        proto == PROTO_TCP, proto == PROTO_UDP, proto in _ICMP,
+        proto not in _NAMED_PROTOS,
+        f0, f1, f2, f3, f4, f5, f6, f7,
+        f0 / span, f1 / span, f2 / span, f3 / span,
+        f4 / span, f5 / span, f6 / span, f7 / span,
+        f0 + f1 + f2 + f3 + f4 + f5 + f6 + f7,
+        ttl_min, ttl_max, (a.ttl_sum + b.ttl_sum) / n, ttl_max - ttl_min,
+        a.init_window or b.init_window or 0,
+        (a.ip_hdr_sum + b.ip_hdr_sum) / n, ip_max,
+        (a.l4_hdr_sum + b.l4_hdr_sum) / n, l4_max,
+    ]
+
+
+def _side_row(s: DirStats) -> list:
+    """One direction's own columns in a bi_flow row."""
+    n = s.pkt_count
+    k = s.iat_count
+    return [
+        n,
+        s.pkt_len_sum / n if n else 0.0,
+        _pop_std(s.pkt_len_sum, s.pkt_len_sumsq, n),
+        s.pkt_len_max, s.byte_count, s.payload_byte_count,
+        s.payload_len_sum / n if n else 0.0,
+        _pop_std(s.payload_len_sum, s.payload_len_sumsq, n),
+        s.iat_sum / k if k else 0.0,
+        _pop_std(s.iat_sum, s.iat_sumsq, k),
+        s.iat_max if k else 0.0,
+        s.ttl_sum / n if n else 0.0,
+        s.init_window or 0,
+        *s.flag_counts,
+    ]
+
+
+def _uni_flow_row(rec: FlowRecord) -> list:
+    return _flow_row(rec, rec.fwd, _NO_PACKETS)
+
+
+def _bi_flow_row(rec: FlowRecord) -> list:
+    a, b = rec.fwd, rec.bwd
+    row = _flow_row(rec, a, b)
+    row += _side_row(a)
+    row += _side_row(b)
+    row += [a.pkt_count / (b.pkt_count or 1.0),
+            a.byte_count / (b.byte_count or 1.0),
+            a.payload_byte_count / (b.payload_byte_count or 1.0)]
+    return row
+
+
+def _packet_row(p: PacketRecord, iat_prev: float, pkt_index: int) -> list:
+    proto = p.protocol
+    f = p.tcp_flags or 0
+    return [
+        p.total_len, pkt_index, p.payload_len, p.ip_header_len,
+        p.l4_header_len, iat_prev,
+        proto == PROTO_TCP, proto == PROTO_UDP, proto in _ICMP,
+        proto not in _NAMED_PROTOS,
+        f & 1, f >> 1 & 1, f >> 2 & 1, f >> 3 & 1,
+        f >> 4 & 1, f >> 5 & 1, f >> 6 & 1, f >> 7 & 1,
+        p.tcp_window or 0, p.ttl,
+    ]
+
+
+_ROW_BUILDERS = {
+    MODE_UNI_FLOW: _uni_flow_row,
+    MODE_BI_FLOW: _bi_flow_row,
+    MODE_PACKET: _packet_row,
+}
+
+
+def flow_row(rec: FlowRecord, manifest: Manifest) -> list:
+    """One FlowRecord's row, as a list in `manifest` order."""
     expected = MODE_TO_DIRECTION.get(manifest.mode)
     if expected is None or rec.mode != expected:
         raise ManifestMismatch(
             "flow mode %r does not fit manifest mode %r"
             % (rec.mode, manifest.mode))
-    v = flow_view(rec)
-    return np.array([e.fn(v) for e in manifest.entries], dtype=np.float64)
+    row = _ROW_BUILDERS[manifest.mode](rec)
+    cols = manifest.columns
+    return row if cols is None else [row[i] for i in cols]
+
+
+def flow_features(rec: FlowRecord, manifest: Manifest) -> np.ndarray:
+    """Evaluate one FlowRecord against a flow-mode manifest."""
+    return np.array(flow_row(rec, manifest), dtype=np.float64)
 
 
 class PacketContext:
     """Per-flow running state for packet-mode features.
 
     Tracks, per unidirectional 5-tuple, the previous packet timestamp and
-    the packet index within the flow.
+    the packet index within the flow. It is the only packet-mode code that
+    reads addresses, ports or timestamps.
     """
 
     __slots__ = ("_state",)
@@ -445,67 +349,68 @@ class PacketContext:
     def __init__(self) -> None:
         self._state: dict = {}
 
-    def view(self, p: PacketRecord) -> PacketView:
+    def advance(self, p: PacketRecord) -> tuple[float, int]:
+        """Account `p`; return its gap to the previous packet of its
+        5-tuple (0.0 for the first) and its 1-based index there."""
         key = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
         prev = self._state.get(key)
-        v = PacketView()
-        v.total_len = p.total_len
-        v.ip_header_len = p.ip_header_len
-        v.l4_header_len = p.l4_header_len
-        v.payload_len = p.payload_len
-        v.ttl = p.ttl
-        v.protocol = p.protocol
-        v.tcp_flags = p.tcp_flags if p.tcp_flags is not None else 0
-        v.tcp_window = p.tcp_window if p.tcp_window is not None else 0
         if prev is None:
-            v.iat_prev = 0.0
-            v.pkt_index = 1
+            iat_prev, pkt_index = 0.0, 1
         else:
-            v.iat_prev = p.ts - prev[0]
-            v.pkt_index = prev[1] + 1
-        self._state[key] = (p.ts, v.pkt_index)
-        return v
+            iat_prev, pkt_index = p.ts - prev[0], prev[1] + 1
+        self._state[key] = (p.ts, pkt_index)
+        return iat_prev, pkt_index
+
+
+def packet_row(p: PacketRecord, ctx: PacketContext,
+               manifest: Manifest = PACKET_MANIFEST) -> list:
+    """One packet's row (with flow context), as a list in `manifest`
+    order."""
+    if manifest.mode != MODE_PACKET:
+        raise ManifestMismatch("manifest mode %r is not packet"
+                               % manifest.mode)
+    row = _packet_row(p, *ctx.advance(p))
+    cols = manifest.columns
+    return row if cols is None else [row[i] for i in cols]
 
 
 def packet_features(p: PacketRecord, ctx: PacketContext,
                     manifest: Manifest = PACKET_MANIFEST) -> np.ndarray:
     """Evaluate one packet (with flow context) against a packet manifest."""
-    if manifest.mode != MODE_PACKET:
-        raise ManifestMismatch("manifest mode %r is not packet"
-                               % manifest.mode)
-    v = ctx.view(p)
-    return np.array([e.fn(v) for e in manifest.entries], dtype=np.float64)
+    return np.array(packet_row(p, ctx, manifest), dtype=np.float64)
 
 
-class _RecordingProxy:
-    """Stands in for a view during the manifest privacy audit; records
-    every attribute path a feature function touches."""
+class _Recorder:
+    """Stands in for a FlowRecord, its DirStats or a PacketRecord during the
+    privacy audit; records every attribute path a row builder reads."""
 
-    def __init__(self, accessed: set, prefix: str = ""):
-        object.__setattr__(self, "_accessed", accessed)
-        object.__setattr__(self, "_prefix", prefix)
+    def __init__(self, read: set, prefix: str = ""):
+        self._read = read
+        self._prefix = prefix
 
     def __getattr__(self, name):
-        path = (self._prefix + "." + name) if self._prefix else name
-        self._accessed.add(path)
-        if name in ("all", "fwd", "bwd"):
-            return _RecordingProxy(self._accessed, path)
+        path = self._prefix + name
+        self._read.add(path)
+        if name in ("fwd", "bwd"):
+            return _Recorder(self._read, path + ".")
         if name == "flag_counts":
-            return (1,) * 8
-        if name in ("protocol", "tcp_flags"):
-            return 6
-        return 2.0
+            return [1] * 8
+        return 2
 
 
-def audit_feature_access(manifest: Manifest) -> dict[str, set]:
-    """Run every feature function against a recording proxy and return the
-    attribute paths each one reads."""
-    report = {}
-    for e in manifest.entries:
-        accessed: set = set()
-        e.fn(_RecordingProxy(accessed))
-        report[e.name] = accessed
-    return report
+def audit_feature_access(mode: str, build=None) -> set[str]:
+    """Run the row builder of `mode` against recording stand-ins and
+    return the attribute paths it read (`fwd.pkt_count`, `ttl`, ...).
+
+    `build`, if given, is audited in place of the mode's builder and is
+    called the same way."""
+    read: set = set()
+    build = build or _ROW_BUILDERS[mode]
+    if mode == MODE_PACKET:
+        build(_Recorder(read), 0.5, 2)
+    else:
+        build(_Recorder(read))
+    return read
 
 
 @dataclass
@@ -515,6 +420,9 @@ class FeatureMatrix:
     mode: str
     labels: list[str] | None = None
     unmatched_labels: int = 0  # labelled rows no label row matched
+    # what extract_matrix read and metered: "capture" (CaptureSummary) and,
+    # in flow modes, "meter" (MeterStats)
+    accounting: dict | None = None
 
     @property
     def manifest_hash(self) -> str:

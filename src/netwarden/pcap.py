@@ -60,13 +60,19 @@ REORDER_HORIZON = 1.0  # seconds; older arrivals are dropped and counted
 _IPV6_EXT_HEADERS = (0, 43, 60)  # hop-by-hop, routing, destination options
 
 
-def quantize_us(ts: float) -> float:
-    """Round a timestamp to the microsecond grid the PCAP format stores."""
+def _split_us(ts: float) -> tuple[int, int]:
+    """Seconds and microseconds of a timestamp on the PCAP microsecond
+    grid."""
     sec = int(ts)
     usec = int(round((ts - sec) * 1e6))
     if usec >= 1_000_000:
-        sec += 1
-        usec -= 1_000_000
+        return sec + 1, usec - 1_000_000
+    return sec, usec
+
+
+def quantize_us(ts: float) -> float:
+    """Round a timestamp to the microsecond grid the PCAP format stores."""
+    sec, usec = _split_us(ts)
     return sec + usec / 1e6
 
 
@@ -444,11 +450,7 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                              65535, link_type))
         for rec in records:
             frame = encode_frame(rec)
-            sec = int(rec.ts)
-            usec = int(round((rec.ts - sec) * 1e6))
-            if usec >= 1_000_000:
-                sec += 1
-                usec -= 1_000_000
+            sec, usec = _split_us(rec.ts)
             fh.write(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
             fh.write(frame)
             count += 1

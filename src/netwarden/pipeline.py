@@ -26,9 +26,9 @@ from .features import (
     PacketContext,
     apply_normalizer,
     fit_normalizer,
-    flow_features,
+    flow_row,
     manifest_hash,
-    packet_features,
+    packet_row,
 )
 from .flows import FlowMeter, MeterConfig
 from .pcap import open_capture
@@ -67,19 +67,21 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
     rows = []
     labels: list[str] | None = [] if index is not None else None
     reader = open_capture(capture_path)
+    accounting = {"capture": reader.summary}
     if mode == MODE_PACKET:
         ctx = PacketContext()
         for p in reader:
-            rows.append(packet_features(p, ctx, manifest))
+            rows.append(packet_row(p, ctx, manifest))
             if index is not None:
                 labels.append(index.label_for_packet(p))
     else:
         meter = FlowMeter(MeterConfig(
             direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
             idle_timeout=idle_timeout))
+        accounting["meter"] = meter.stats
 
         def handle(rec):
-            rows.append(flow_features(rec, manifest))
+            rows.append(flow_row(rec, manifest))
             if index is not None:
                 labels.append(index.label_for_flow(rec))
             if flow_sink is not None:
@@ -90,10 +92,12 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
                 handle(rec)
         for rec in meter.finish():
             handle(rec)
-    values = np.vstack(rows) if rows else np.empty((0, len(manifest)))
+    values = (np.array(rows, dtype=np.float64) if rows
+              else np.empty((0, len(manifest))))
     return FeatureMatrix(values=values, names=manifest.names, mode=mode,
                          labels=labels, unmatched_labels=(
-                             index.unmatched if index is not None else 0))
+                             index.unmatched if index is not None else 0),
+                         accounting=accounting)
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -73,6 +74,35 @@ class TestSynthExtract:
         assert lines[0] == ",".join(flow_csv_header("uni"))
         from netwarden.features import read_matrix_csv as read_csv
         assert len(lines) - 1 == read_csv(str(tmp_path / "feats.csv")).n
+
+    @pytest.mark.parametrize("mode", ["packet", "uni_flow", "bi_flow"])
+    def test_extract_accounts_for_its_input(self, workdir, tmp_path,
+                                            capsys, mode):
+        flows_csv = tmp_path / "raw_flows.csv"
+        capsys.readouterr()
+        assert run("extract", "--in", str(workdir / "corpus.pcap"),
+                   "--mode", mode, "--tw", "1",
+                   "--flows-out", str(flows_csv),
+                   "--out", str(tmp_path / "feats.csv")) == 0
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        cap = line["capture"]
+        assert cap["decoded"] > 0
+        assert cap["frames_read"] == (
+            cap["decoded"] + cap["skipped_non_ip"] + cap["skipped_malformed"]
+            + cap["fragment_frames"] + cap["dropped_late"])
+        if mode == "packet":
+            assert "meter" not in line
+            assert line["rows"] == cap["decoded"]
+            return
+        with open(flows_csv) as fh:
+            flows = list(csv.DictReader(fh))
+        sides = ("fwd", "bwd") if mode == "bi_flow" else ("fwd",)
+        metered = line["meter"]
+        assert metered["flows_emitted"] == len(flows) == line["rows"]
+        assert metered["packets_metered"] == sum(
+            int(f["%s_pkt_count" % s]) for f in flows for s in sides)
+        assert metered["packets_metered"] + metered["clock_skew_dropped"] \
+            == cap["decoded"]
 
 
 class TestSelect:

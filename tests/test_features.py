@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from netwarden import features as ft
 from netwarden import pcap
 from netwarden.errors import EmptyTrainingSet, ManifestMismatch, \
     NonFiniteFeature
-from netwarden.flows import MeterConfig, meter
+from netwarden.flows import DirStats, FlowRecord, MeterConfig, meter
+from netwarden.pipeline import extract_matrix
 from test_flows import pkt, rev
 
 
@@ -47,36 +52,55 @@ class TestManifests:
             ft.UNI_FLOW_MANIFEST.subset(["no_such_feature"])
 
 
-FORBIDDEN_TOKENS = ("src_ip", "dst_ip", "src_port", "dst_port", "ts",
-                    "window_start", "window_end", "first_ts", "last_ts",
-                    "key")
+FORBIDDEN_FIELDS = {"key", "src_ip", "dst_ip", "src_port", "dst_port", "ts",
+                    "first_ts", "last_ts", "window_start", "window_end"}
+
+
+def forbidden_reads(paths):
+    """Attribute paths that reach a key, an address, a port or an absolute
+    timestamp (a FlowRecord's or a DirStats' last_ts included)."""
+    return {p for p in paths if FORBIDDEN_FIELDS & set(p.split("."))}
 
 
 class TestPrivacyAudit:
-    """No feature computation may read addresses, ports or raw
-    timestamps; the views physically lack them and the access audit
-    proves no function reaches beyond the views."""
+    """No row builder may read addresses, ports or absolute timestamps.
+    The audit runs each builder against recording stand-ins for
+    FlowRecord / DirStats and PacketRecord; what each column means is
+    pinned by the oracle tests below."""
 
-    def test_views_expose_no_identifiers(self):
-        for cls in (ft.FlowView, ft.DirView, ft.PacketView):
-            for name in FORBIDDEN_TOKENS:
-                assert name not in cls.__slots__
-
-    @pytest.mark.parametrize("manifest", list(ft.DEFAULT_MANIFESTS.values()))
-    def test_feature_functions_touch_only_view_fields(self, manifest):
-        allowed_roots = set(ft.FlowView.__slots__) \
-            | set(ft.PacketView.__slots__)
-        allowed_dir = set(ft.DirView.__slots__)
-        report = ft.audit_feature_access(manifest)
-        assert set(report) == set(manifest.names)
-        for name, paths in report.items():
-            assert paths, "feature %s reads nothing" % name
-            for path in paths:
+    @pytest.mark.parametrize("mode", ft.MODES)
+    def test_builders_read_no_identifiers(self, mode):
+        read = ft.audit_feature_access(mode)
+        assert read
+        assert not forbidden_reads(read)
+        # the stand-ins answer for real fields only
+        if mode == ft.MODE_PACKET:
+            fields = {f.name for f in dataclasses.fields(pcap.PacketRecord)}
+            assert read <= fields
+        else:
+            top = {f.name for f in dataclasses.fields(FlowRecord)}
+            for path in read:
                 parts = path.split(".")
-                assert parts[0] in allowed_roots, (name, path)
+                assert parts[0] in top, path
                 if len(parts) > 1:
-                    assert parts[0] in ("all", "fwd", "bwd"), (name, path)
-                    assert parts[1] in allowed_dir, (name, path)
+                    assert parts[0] in ("fwd", "bwd"), path
+                    assert parts[1] in DirStats.__slots__, path
+
+    def test_bi_flow_reads_both_sides(self):
+        read = ft.audit_feature_access(ft.MODE_BI_FLOW)
+        assert {"fwd.pkt_count", "bwd.pkt_count", "bwd.flag_counts"} <= read
+
+    @pytest.mark.parametrize("mode, build, caught", [
+        (ft.MODE_UNI_FLOW, lambda rec: [rec.key, rec.duration], {"key"}),
+        (ft.MODE_BI_FLOW, lambda rec: [rec.bwd.last_ts], {"bwd.last_ts"}),
+        (ft.MODE_BI_FLOW, lambda rec: [rec.first_ts], {"first_ts"}),
+        (ft.MODE_PACKET, lambda p, iat, i: [p.ttl, p.src_port],
+         {"src_port"}),
+        (ft.MODE_PACKET, lambda p, iat, i: [p.ts], {"ts"}),
+    ], ids=["flow_key", "dir_last_ts", "first_ts", "port", "packet_ts"])
+    def test_audit_catches_identifier_reads(self, mode, build, caught):
+        assert forbidden_reads(ft.audit_feature_access(mode, build)) \
+            == caught
 
 
 class TestFlowFeatures:
@@ -183,6 +207,203 @@ class TestPacketFeatures:
         vec = ft.packet_features(rev(a, ts=1.0), ctx)
         got = dict(zip(ft.PACKET_MANIFEST.names, vec))
         assert got["iat_prev"] == 0.0  # reverse direction starts fresh
+
+
+ORACLE_ENTRIES = {
+    ft.MODE_UNI_FLOW: oracles.UNI_FLOW_ORACLE,
+    ft.MODE_BI_FLOW: oracles.BI_FLOW_ORACLE,
+    ft.MODE_PACKET: oracles.PACKET_ORACLE,
+}
+FLOW_CONFIGS = [(ft.MODE_UNI_FLOW, 1.0), (ft.MODE_UNI_FLOW, None),
+                (ft.MODE_BI_FLOW, 1.0), (ft.MODE_BI_FLOW, None)]
+
+
+def meter_flows(packets, mode, tw):
+    return list(meter(packets, MeterConfig(
+        direction_mode=ft.MODE_TO_DIRECTION[mode], tw_seconds=tw)))
+
+
+def oracle_flow_rows(recs, mode) -> np.ndarray:
+    entries = ORACLE_ENTRIES[mode]
+    return np.array([oracles.flow_row_oracle(r, entries) for r in recs],
+                    dtype=np.float64).reshape(len(recs), len(entries))
+
+
+def oracle_packet_rows(packets) -> np.ndarray:
+    ctx = oracles.PacketContextOracle()
+    return np.array([oracles.packet_row_oracle(p, ctx, oracles.PACKET_ORACLE)
+                     for p in packets], dtype=np.float64)
+
+
+def assert_same_bits(got, want, names):
+    """Bit-for-bit equality of two rows or matrices, compared as uint64."""
+    got = np.atleast_2d(np.asarray(got))
+    want = np.atleast_2d(np.asarray(want))
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    bad = np.argwhere(got.view(np.uint64) != want.view(np.uint64))
+    if bad.size:
+        row, col = bad[0]
+        pytest.fail("%d differing values; first at row %d, %s: %r != %r"
+                    % (len(bad), row, names[col], got[row, col],
+                       want[row, col]))
+
+
+def assert_stream_matches_oracle(packets):
+    """Every flow row in each flow mode and time window, and every packet
+    row, equals the oracle's bit for bit."""
+    for mode, tw in FLOW_CONFIGS:
+        manifest = ft.DEFAULT_MANIFESTS[mode]
+        for rec in meter_flows(packets, mode, tw):
+            assert_same_bits(ft.flow_features(rec, manifest),
+                             oracle_flow_rows([rec], mode), manifest.names)
+    ctx = ft.PacketContext()
+    got = [ft.packet_features(p, ctx) for p in packets]
+    assert_same_bits(got, oracle_packet_rows(packets),
+                     ft.PACKET_MANIFEST.names)
+
+
+def _edge_streams():
+    syn = pkt(0.0, flags=pcap.TCP_SYN, window=0)
+    icmp = dict(sport=0, dport=0)
+    return {
+        "one_packet_tcp": [pkt(0.0, flags=pcap.TCP_SYN)],
+        "one_packet_udp": [pkt(5.0, proto=17, payload=58)],
+        "icmp": [pkt(0.0, proto=1, **icmp),
+                 pkt(0.4, proto=1, payload=56, **icmp)],
+        "icmpv6": [pkt(0.0, proto=58, payload=8, **icmp)],
+        "other_proto": [pkt(0.0, proto=47, payload=100, **icmp),
+                        pkt(2.0, proto=47, payload=1200, **icmp)],
+        "zero_duration": [pkt(1.0), pkt(1.0, payload=1200), pkt(1.0)],
+        "empty_backward": [pkt(0.0), pkt(0.3, payload=31),
+                           pkt(0.6, flags=pcap.TCP_FIN)],
+        "one_each_way": [pkt(0.0, payload=10), rev(pkt(0.0), ts=0.2)],
+        "window_zero_fwd": [syn, rev(syn, ts=0.1, window=512,
+                                     flags=pcap.TCP_SYN | pcap.TCP_ACK),
+                            pkt(0.2, window=0)],
+        "window_zero_both": [syn, rev(syn, ts=0.1, window=0)],
+        "active_idle_runs": [pkt(0.0), pkt(0.1, payload=1000), pkt(3.0),
+                             pkt(3.2), pkt(9.0), pkt(30.0)],
+    }
+
+
+EDGE_STREAMS = _edge_streams()
+
+
+HOSTS = (("10.0.0.1", 5000), ("10.0.0.2", 80), ("10.0.0.3", 53),
+         ("2001:db8::1", 443))
+L4_HEADER = {6: 20, 17: 8, 1: 8, 58: 8}
+
+
+@st.composite
+def packet_streams(draw):
+    """Short timestamp-ordered packet streams among a few hosts, mixing
+    protocols, TCP flags and windows (0 included), payload sizes around
+    the small/large cut-offs, and gaps around the active gap, the time
+    window and the idle timeout."""
+    packets = []
+    ts = draw(st.floats(0.0, 1e6))
+    for _ in range(draw(st.integers(1, 30))):
+        ts += draw(st.one_of(
+            st.sampled_from([0.0, 1e-6, 0.001, 0.9999, 1.0, 1.5, 16.0]),
+            st.floats(0.0, 20.0)))
+        src, dst = draw(st.lists(st.sampled_from(HOSTS), min_size=2,
+                                 max_size=2, unique=True))
+        proto = draw(st.sampled_from([6, 6, 17, 1, 58, 47]))
+        tcp = proto == 6
+        ip_header = draw(st.sampled_from([20, 24, 40]))
+        l4_header = L4_HEADER.get(proto, 0)
+        payload = draw(st.one_of(
+            st.sampled_from([0, 31, 32, 999, 1000]),
+            st.integers(0, 1460)))
+        packets.append(pcap.PacketRecord(
+            ts=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1],
+            dst_port=dst[1], protocol=proto, link_header_len=14,
+            ip_header_len=ip_header, l4_header_len=l4_header,
+            total_len=ip_header + l4_header + payload,
+            ttl=draw(st.integers(1, 255)), payload_len=payload,
+            tcp_flags=draw(st.integers(0, 255)) if tcp else None,
+            tcp_window=draw(st.sampled_from([0, 1, 65535])) if tcp else None))
+    return packets
+
+
+class TestRowOracle:
+    """The row builders against the view-plus-lambda oracle
+    (tests/oracles.py), bit for bit."""
+
+    def test_names_and_categories_match_the_oracle(self):
+        for mode, entries in ORACLE_ENTRIES.items():
+            assert [(e.name, e.category) for e in
+                    ft.DEFAULT_MANIFESTS[mode].entries] \
+                == [(e.name, e.category) for e in entries]
+
+    @pytest.mark.parametrize("mode, tw", FLOW_CONFIGS)
+    @pytest.mark.parametrize("capture", ["train.pcap", "test.pcap"])
+    def test_synth_flow_matrix(self, corpus_dir, capture, mode, tw):
+        recs = []
+        X = extract_matrix(str(corpus_dir / capture), mode, tw=tw,
+                           flow_sink=recs.append)
+        assert X.n == len(recs) > 0
+        assert_same_bits(X.values, oracle_flow_rows(recs, mode), X.names)
+
+    @pytest.mark.parametrize("capture", ["train.pcap", "test.pcap"])
+    def test_synth_packet_matrix(self, corpus_dir, capture):
+        path = str(corpus_dir / capture)
+        X = extract_matrix(path, ft.MODE_PACKET)
+        assert_same_bits(X.values,
+                         oracle_packet_rows(list(pcap.open_capture(path))),
+                         X.names)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_STREAMS))
+    def test_edge_stream(self, name):
+        assert_stream_matches_oracle(EDGE_STREAMS[name])
+
+    def test_edge_streams_cover_the_cases(self):
+        flows = [rec for packets in EDGE_STREAMS.values()
+                 for mode, tw in FLOW_CONFIGS
+                 for rec in meter_flows(packets, mode, tw)]
+        bi = [r for r in flows if r.bwd is not None]
+        packets = [p for ps in EDGE_STREAMS.values() for p in ps]
+        assert any(r.pkt_count == 1 for r in flows)
+        assert any(r.bwd.pkt_count == 0 and r.pkt_count > 1 for r in bi)
+        assert any(r.bwd.pkt_count == 1 and r.fwd.pkt_count == 1
+                   for r in bi)  # iat_count == 0 on each side
+        assert any(r.iat_count == 0 for r in flows)
+        assert any(r.duration == 0.0 and r.pkt_count > 1 for r in flows)
+        assert any(r.fwd.init_window == 0 and r.bwd.init_window
+                   for r in bi)
+        assert any(r.fwd.init_window is None for r in flows)
+        assert any(r.idle_count > 0 for r in flows)
+        assert {p.protocol for p in packets} >= {6, 17, 1, 58, 47}
+        assert any(p.tcp_window == 0 for p in packets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packet_streams())
+    def test_generated_streams(self, packets):
+        assert_stream_matches_oracle(packets)
+
+    @pytest.mark.parametrize("mode", ft.MODES)
+    def test_subset_row_is_the_full_rows_named_columns(self, mode):
+        full = ft.DEFAULT_MANIFESTS[mode]
+        sub = full.subset(full.names[::-3])
+        assert sub.names == tuple(n for n in full.names
+                                  if n in set(full.names[::-3]))
+        packets = EDGE_STREAMS["window_zero_fwd"] \
+            + EDGE_STREAMS["active_idle_runs"]
+        for m in (sub, sub.subset(sub.names[1::2])):
+            cols = [full.names.index(n) for n in m.names]
+            if mode == ft.MODE_PACKET:
+                ctx_full, ctx_sub = ft.PacketContext(), ft.PacketContext()
+                pairs = [(ft.packet_features(p, ctx_sub, m),
+                          ft.packet_features(p, ctx_full)) for p in packets]
+            else:
+                pairs = [(ft.flow_features(rec, m),
+                          ft.flow_features(rec, full))
+                         for rec in meter_flows(sorted(
+                             packets, key=lambda p: p.ts), mode, 1.0)]
+            assert pairs
+            for got, row in pairs:
+                assert_same_bits(got, row[cols], m.names)
 
 
 def matrix(vals, names=None, mode="uni_flow"):
