@@ -227,9 +227,7 @@ class TrainedModel:
                 compiled = (np.arange(len(own)), 0.0, 1.0)
             elif (stats is not None
                   and manifest_hash(mode, names) == stats.input_hash):
-                at = [stats.kept_names.index(n) for n in own]
-                compiled = (np.array([names.index(n) for n in own]),
-                            stats.mean[at], stats.std[at])
+                compiled = stats.projection(names, own)
             else:
                 raise ManifestMismatch(
                     "matrix columns (hash %s) do not match the model's "

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelVocabularyMismatch, SingleClass
+from .errors import (LabelVocabularyMismatch, MalformedHeader, NonIP,
+                     SingleClass)
 
 LABEL_NORMAL = "Normal"
 LABEL_VOCABULARY = ("Normal", "DDoS", "Scan", "Attack", "C&C", "Download",
@@ -241,8 +242,8 @@ class LabelIndex:
         return LABEL_NORMAL
 
     def label_for_flow(self, rec) -> str:
-        k = rec.key
-        keys = [(k.src_ip, k.dst_ip, k.src_port, k.dst_port, k.protocol)]
+        k = rec.key  # a FlowKey is the label file's directed 5-tuple
+        keys = [k]
         if rec.mode == "bi":
             keys.append((k.dst_ip, k.src_ip, k.dst_port, k.src_port,
                          k.protocol))
@@ -310,11 +311,12 @@ def tw_sweep(capture_path: str, labels_path: str, kind: str,
 @dataclass
 class LatencyReport:
     mode: str
-    n: int
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
+    n: int  # frames scored
+    p50_ms: float | None
+    p95_ms: float | None
+    p99_ms: float | None
     throughput_pps: float | None = None
+    skipped: int = 0  # frames the capture reader would skip, not scored
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
@@ -329,7 +331,9 @@ def _percentiles_ms(samples_s: list[float]) -> tuple[float, float, float]:
 def delay_benchmark_packets(capture_path: str, model,
                             max_packets: int | None = None) -> LatencyReport:
     """Per-packet decode+featurize+score latency, one packet at a time,
-    plus sustained batched throughput over the same capture."""
+    plus sustained batched throughput over the same capture. Frames the
+    capture reader skips (non-IP, malformed, fragment continuations) are
+    counted in `skipped` and not scored."""
     from .pcap import decode_frame, iter_raw_frames
     from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
                            PacketContext, packet_features, packet_row)
@@ -342,6 +346,13 @@ def delay_benchmark_packets(capture_path: str, model,
             break
     names = PACKET_MANIFEST.names
 
+    def decode(frame):
+        ts, raw, link_type = frame
+        try:
+            return decode_frame(raw, link_type, ts=ts)
+        except (NonIP, MalformedHeader):  # FragmentContinuation is a NonIP
+            return None
+
     def score(rows: np.ndarray) -> None:
         model.score(project_for_model(
             model, FeatureMatrix(rows, names, MODE_PACKET)))
@@ -350,9 +361,11 @@ def delay_benchmark_packets(capture_path: str, model,
     ctx = PacketContext()
     samples = []
     perf = time.perf_counter
-    for ts, raw, link_type in frames:
+    for frame in frames:
         t0 = perf()
-        rec = decode_frame(raw, link_type, ts=ts)
+        rec = decode(frame)
+        if rec is None:
+            continue
         score(packet_features(rec, ctx)[None, :])
         samples.append(perf() - t0)
 
@@ -360,11 +373,16 @@ def delay_benchmark_packets(capture_path: str, model,
     ctx = PacketContext()
     t0 = perf()
     for start in range(0, len(frames), 2048):
-        score(np.array([packet_row(decode_frame(raw, link, ts=ts), ctx)
-                        for ts, raw, link in frames[start:start + 2048]],
-                       dtype=np.float64))
+        rows = [packet_row(rec, ctx)
+                for rec in map(decode, frames[start:start + 2048])
+                if rec is not None]
+        if rows:
+            score(np.array(rows, dtype=np.float64))
     elapsed = perf() - t0
-    p50, p95, p99 = _percentiles_ms(samples)
-    return LatencyReport(mode="packet", n=len(frames), p50_ms=p50,
-                         p95_ms=p95, p99_ms=p99, throughput_pps=(
-                             len(frames) / elapsed if elapsed else None))
+    n = len(samples)
+    # no frame scored: the percentiles are undefined, not zero
+    p50, p95, p99 = _percentiles_ms(samples) if n else (None, None, None)
+    return LatencyReport(mode="packet", n=n, p50_ms=p50, p95_ms=p95,
+                         p99_ms=p99, throughput_pps=(
+                             n / elapsed if elapsed else None),
+                         skipped=len(frames) - n)

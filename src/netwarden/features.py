@@ -454,6 +454,14 @@ class NormalizationStats:
             "input_hash": self.input_hash,
         }
 
+    def projection(self, raw_names: tuple[str, ...],
+                   names: tuple[str, ...]) -> tuple:
+        """(indices in `raw_names`, mean, std) of the kept features `names`:
+        their z-scores are (values[:, cols] - mean) / std."""
+        at = [self.kept_names.index(n) for n in names]
+        return (np.array([raw_names.index(n) for n in names]),
+                self.mean[at], self.std[at])
+
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationStats":
         return cls(

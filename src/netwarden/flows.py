@@ -10,7 +10,7 @@ reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .pcap import (
     PROTO_TCP,
@@ -35,17 +35,12 @@ SMALL_PAYLOAD = 32
 LARGE_PAYLOAD = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     src_ip: str
     dst_ip: str
     src_port: int
     dst_port: int
     protocol: int
-
-    def as_tuple(self) -> tuple:
-        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port,
-                self.protocol)
 
 
 def flow_key_of(p: PacketRecord, mode: str) -> FlowKey:
@@ -178,54 +173,31 @@ class DirStats:
                 self.init_window = p.tcp_window
 
 
-@dataclass
 class FlowRecord:
-    key: FlowKey
-    mode: str
-    window_start: float
-    window_end: float
-    first_ts: float
-    last_ts: float
-    duration: float
-    protocol: int
-    fwd: DirStats
-    bwd: DirStats | None
-    # combined-arrival gap statistics across both directions
-    iat_min: float
-    iat_max: float
-    iat_sum: float
-    iat_sumsq: float
-    iat_count: int
-    active_total: float
-    active_max: float
-    active_count: int
-    idle_total: float
-    idle_max: float
-    idle_count: int
-    termination: str
+    """One flow. The meter builds it on the flow's first packet, updates it
+    in place and emits it once `close` has set `duration`, `termination`
+    and `window_end`."""
 
-    @property
-    def pkt_count(self) -> int:
-        return self.fwd.pkt_count + (self.bwd.pkt_count if self.bwd else 0)
-
-
-class _FlowState:
     __slots__ = (
-        "key", "mode", "fwd_tuple", "window_start", "first_ts", "last_ts",
-        "fwd", "bwd", "iat_min", "iat_max", "iat_sum", "iat_sumsq",
-        "iat_count", "active_start", "active_total", "active_max",
-        "active_count", "idle_total", "idle_max", "idle_count",
-        "fin_fwd", "fin_bwd", "active_gap",
+        "key", "mode", "fwd_is_low", "window_start", "window_end",
+        "first_ts", "last_ts", "duration", "protocol", "fwd", "bwd",
+        # combined-arrival gap statistics across both directions
+        "iat_min", "iat_max", "iat_sum", "iat_sumsq", "iat_count",
+        "active_start", "active_total", "active_max", "active_count",
+        "idle_total", "idle_max", "idle_count",
+        "fin_fwd", "fin_bwd", "termination",
     )
 
-    def __init__(self, key: FlowKey, p: PacketRecord, mode: str,
-                 active_gap: float) -> None:
+    def __init__(self, key: FlowKey, p: PacketRecord, mode: str) -> None:
         self.key = key
         self.mode = mode
-        self.fwd_tuple = (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
+        # whether the forward side is the key's lower endpoint
+        self.fwd_is_low = (p.src_ip == key.src_ip
+                           and p.src_port == key.src_port)
         self.window_start = p.ts
         self.first_ts = p.ts
         self.last_ts = p.ts
+        self.protocol = key.protocol
         self.fwd = DirStats()
         self.bwd = DirStats() if mode == BIDIRECTIONAL else None
         self.iat_min = 0.0
@@ -242,36 +214,42 @@ class _FlowState:
         self.idle_count = 0
         self.fin_fwd = False
         self.fin_bwd = False
-        self.active_gap = active_gap
-        self._add(p, True)
+        self._add(p)
 
-    def _add(self, p: PacketRecord, first: bool) -> None:
-        if not first:
-            gap = p.ts - self.last_ts
-            if self.iat_count == 0:
-                self.iat_min = self.iat_max = gap
-            else:
-                if gap < self.iat_min:
-                    self.iat_min = gap
-                elif gap > self.iat_max:
-                    self.iat_max = gap
-            self.iat_sum += gap
-            self.iat_sumsq += gap * gap
-            self.iat_count += 1
-            if gap > self.active_gap:
-                run = self.last_ts - self.active_start
-                self.active_total += run
-                if run > self.active_max:
-                    self.active_max = run
-                self.active_count += 1
-                self.idle_total += gap
-                if gap > self.idle_max:
-                    self.idle_max = gap
-                self.idle_count += 1
-                self.active_start = p.ts
+    @property
+    def pkt_count(self) -> int:
+        return self.fwd.pkt_count + (self.bwd.pkt_count if self.bwd else 0)
+
+    def update(self, p: PacketRecord, active_gap: float) -> None:
+        gap = p.ts - self.last_ts
+        if self.iat_count == 0:
+            self.iat_min = self.iat_max = gap
+        else:
+            if gap < self.iat_min:
+                self.iat_min = gap
+            elif gap > self.iat_max:
+                self.iat_max = gap
+        self.iat_sum += gap
+        self.iat_sumsq += gap * gap
+        self.iat_count += 1
+        if gap > active_gap:
+            run = self.last_ts - self.active_start
+            self.active_total += run
+            if run > self.active_max:
+                self.active_max = run
+            self.active_count += 1
+            self.idle_total += gap
+            if gap > self.idle_max:
+                self.idle_max = gap
+            self.idle_count += 1
+            self.active_start = p.ts
+        self._add(p)
+
+    def _add(self, p: PacketRecord) -> None:
+        key = self.key
         is_fwd = (self.bwd is None
-                  or (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
-                  == self.fwd_tuple)
+                  or (p.src_ip == key.src_ip and p.src_port == key.src_port)
+                  == self.fwd_is_low)
         (self.fwd if is_fwd else self.bwd).add(p)
         self.last_ts = p.ts
         if p.tcp_flags is not None and p.tcp_flags & TCP_FIN:
@@ -280,42 +258,21 @@ class _FlowState:
             else:
                 self.fin_bwd = True
 
-    def update(self, p: PacketRecord) -> None:
-        self._add(p, False)
-
     def fin_complete(self) -> bool:
         if self.mode == BIDIRECTIONAL:
             return self.fin_fwd and self.fin_bwd
         return self.fin_fwd
 
-    def to_record(self, termination: str, window_end: float) -> FlowRecord:
+    def close(self, termination: str, window_end: float) -> FlowRecord:
+        """Close the last activity run and mark the flow finished."""
         run = self.last_ts - self.active_start
-        active_total = self.active_total + run
-        active_max = max(self.active_max, run)
-        return FlowRecord(
-            key=self.key,
-            mode=self.mode,
-            window_start=self.window_start,
-            window_end=window_end,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            duration=self.last_ts - self.first_ts,
-            protocol=self.key.protocol,
-            fwd=self.fwd,
-            bwd=self.bwd,
-            iat_min=self.iat_min,
-            iat_max=self.iat_max,
-            iat_sum=self.iat_sum,
-            iat_sumsq=self.iat_sumsq,
-            iat_count=self.iat_count,
-            active_total=active_total,
-            active_max=active_max,
-            active_count=self.active_count + 1,
-            idle_total=self.idle_total,
-            idle_max=self.idle_max,
-            idle_count=self.idle_count,
-            termination=termination,
-        )
+        self.active_total += run
+        self.active_max = max(self.active_max, run)
+        self.active_count += 1
+        self.duration = self.last_ts - self.first_ts
+        self.termination = termination
+        self.window_end = window_end
+        return self
 
 
 @dataclass
@@ -343,7 +300,7 @@ class FlowMeter:
             raise ValueError("time window must be positive")
         self.cfg = cfg
         self.stats = MeterStats()
-        self._table: dict[FlowKey, _FlowState] = {}
+        self._table: dict[FlowKey, FlowRecord] = {}
         self._max_ts = float("-inf")
         self._next_sweep = None
 
@@ -356,29 +313,29 @@ class FlowMeter:
         cfg = self.cfg
         out: list[FlowRecord] = []
         key = flow_key_of(p, cfg.direction_mode)
-        st = self._table.get(key)
-        if st is not None:
+        rec = self._table.get(key)
+        if rec is not None:
             if (cfg.tw_seconds is not None
-                    and p.ts >= st.window_start + cfg.tw_seconds):
-                out.append(st.to_record(TERM_WINDOW,
-                                        st.window_start + cfg.tw_seconds))
-                st = None
-            elif p.ts - st.last_ts > cfg.idle_timeout:
-                out.append(st.to_record(TERM_IDLE, st.last_ts))
-                st = None
-        if st is None:
-            st = _FlowState(key, p, cfg.direction_mode, cfg.active_gap)
-            self._table[key] = st
+                    and p.ts >= rec.window_start + cfg.tw_seconds):
+                out.append(rec.close(TERM_WINDOW,
+                                     rec.window_start + cfg.tw_seconds))
+                rec = None
+            elif p.ts - rec.last_ts > cfg.idle_timeout:
+                out.append(rec.close(TERM_IDLE, rec.last_ts))
+                rec = None
+        if rec is None:
+            rec = FlowRecord(key, p, cfg.direction_mode)
+            self._table[key] = rec
         else:
-            st.update(p)
+            rec.update(p, cfg.active_gap)
         self.stats.packets_metered += 1
 
         if p.protocol == PROTO_TCP and p.tcp_flags is not None:
             if p.tcp_flags & TCP_RST:
-                out.append(st.to_record(TERM_RST, p.ts))
+                out.append(rec.close(TERM_RST, p.ts))
                 del self._table[key]
-            elif st.fin_complete():
-                out.append(st.to_record(TERM_FIN, p.ts))
+            elif rec.fin_complete():
+                out.append(rec.close(TERM_FIN, p.ts))
                 del self._table[key]
 
         if self._next_sweep is None:
@@ -391,23 +348,23 @@ class FlowMeter:
 
     def _sweep(self, now: float) -> list[FlowRecord]:
         horizon = now - self.cfg.idle_timeout
-        stale = [(st.first_ts, st.key.as_tuple(), key, st)
-                 for key, st in self._table.items() if st.last_ts < horizon]
-        stale.sort(key=lambda item: item[:2])
-        out = []
-        for _, _, key, st in stale:
-            out.append(st.to_record(TERM_IDLE, st.last_ts))
-            del self._table[key]
-        return out
+        stale = sorted((rec for rec in self._table.values()
+                        if rec.last_ts < horizon), key=_age)
+        for rec in stale:
+            del self._table[rec.key]
+        return [rec.close(TERM_IDLE, rec.last_ts) for rec in stale]
 
     def finish(self) -> list[FlowRecord]:
         """Flush all live flows at end of stream, oldest first."""
-        remaining = sorted(self._table.values(),
-                           key=lambda st: (st.first_ts, st.key.as_tuple()))
-        out = [st.to_record(TERM_CAPTURE_END, st.last_ts) for st in remaining]
+        remaining = sorted(self._table.values(), key=_age)
+        out = [rec.close(TERM_CAPTURE_END, rec.last_ts) for rec in remaining]
         self._table.clear()
         self.stats.flows_emitted += len(out)
         return out
+
+
+def _age(rec: FlowRecord) -> tuple:
+    return rec.first_ts, rec.key
 
 
 def meter(packets: Iterable[PacketRecord],

@@ -361,26 +361,6 @@ def iter_raw_frames(path: str):
         yield ts, frame, reader.link_type
 
 
-def replay_capture(path: str, speed: float | None = 1.0, sleep=None):
-    """Live-replay over the capture interface: yield PacketRecords paced by
-    their capture timestamps (scaled by `speed`), or as fast as possible
-    when speed is None."""
-    import time as _time
-
-    sleep = sleep or _time.sleep
-    start_wall = _time.monotonic()
-    start_ts = None
-    for rec in CaptureReader(path):
-        if speed is not None:
-            if start_ts is None:
-                start_ts = rec.ts
-            due = (rec.ts - start_ts) / speed
-            lag = due - (_time.monotonic() - start_wall)
-            if lag > 0:
-                sleep(lag)
-        yield rec
-
-
 def _checksum16(data: bytes) -> int:
     if len(data) % 2:
         data += b"\x00"

@@ -24,7 +24,6 @@ from .features import (
     MODE_PACKET,
     MODE_TO_DIRECTION,
     PacketContext,
-    apply_normalizer,
     fit_normalizer,
     flow_row,
     manifest_hash,
@@ -113,7 +112,6 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     X = FeatureMatrix(values=matrix.values, names=matrix.names,
                       mode=matrix.mode)  # label-free view
     stats = fit_normalizer(X)
-    Xn = apply_normalizer(X, stats)
     if selected_names is not None:
         unknown = set(selected_names) - set(X.names)
         if unknown:
@@ -122,14 +120,14 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
                 % sorted(unknown))
         chosen = set(selected_names)
         # matrix order is kept, minus columns the normalizer dropped
-        names = tuple(n for n in Xn.names if n in chosen)
+        names = tuple(n for n in stats.kept_names if n in chosen)
         if not names:
             raise ManifestMismatch(
                 "every selected feature was constant on the training data")
     else:
-        names = Xn.names
-    cols = [Xn.names.index(n) for n in names]
-    vals = Xn.values[:, cols]
+        names = stats.kept_names
+    cols, mean, std = stats.projection(X.names, names)
+    vals = (X.values[:, cols] - mean) / std
     n = vals.shape[0]
 
     merged = dict(PIPELINE_DEFAULTS.get(kind, {}))

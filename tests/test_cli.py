@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -103,6 +104,29 @@ class TestSynthExtract:
             int(f["%s_pkt_count" % s]) for f in flows for s in sides)
         assert metered["packets_metered"] + metered["clock_skew_dropped"] \
             == cap["decoded"]
+
+    # SHA-256 of the raw flow dump on the shared corpus, taken with the
+    # code that kept a flow's live state and its emitted record apart
+    FLOWS_OUT_SHA256 = {
+        ("uni_flow", "1"):
+            "169824d1034576e69a0473b590a52886c9df2b73020c19b1cd0bbe6355a639ab",
+        ("uni_flow", "default"):
+            "e33ff0a8c7dc328a1af4d807a7b393c138054ce02cf32efde73ed05b2570b19f",
+        ("bi_flow", "1"):
+            "6645b38765934aa9d0c4823c17aabd9377a37cb7ffe9b206de6ea9ade3b679d1",
+        ("bi_flow", "default"):
+            "5c5d638888b290f069adea871f01926990950b4a8950d5ef11ac155d2cc8c548",
+    }
+
+    @pytest.mark.parametrize("mode, tw", sorted(FLOWS_OUT_SHA256))
+    def test_flows_out_is_pinned(self, workdir, tmp_path, mode, tw):
+        flows_csv = tmp_path / "raw_flows.csv"
+        assert run("extract", "--in", str(workdir / "corpus.pcap"),
+                   "--mode", mode, "--tw", tw,
+                   "--flows-out", str(flows_csv),
+                   "--out", str(tmp_path / "feats.csv")) == 0
+        digest = hashlib.sha256(flows_csv.read_bytes()).hexdigest()
+        assert digest == self.FLOWS_OUT_SHA256[mode, tw]
 
 
 class TestSelect:

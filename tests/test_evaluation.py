@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from netwarden import evaluation as ev
+from netwarden import evaluation as ev, synth
 from netwarden.errors import LabelVocabularyMismatch, SingleClass
+from netwarden.pipeline import extract_matrix, train_model
+from netwarden.synth import ScenarioSpec
 
+from conftest import build_global_header, build_record, eth_header
 from oracles import auc_pair_oracle
 
 
@@ -184,6 +187,49 @@ class TestLabelFiles:
         rec = list(meter(ps, MeterConfig(direction_mode="bi")))[0]
         idx = ev.LabelIndex(self.rows())
         assert idx.label_for_flow(rec) == "Scan"
+
+    def test_flow_key_is_the_label_files_five_tuple(self):
+        # label_for_flow looks a flow up by its key itself
+        from netwarden.flows import FlowKey
+        assert FlowKey._fields == ev.LABEL_FILE_COLUMNS[:5]
+
+
+ARP_FRAME = eth_header(0x0806) + b"\x00" * 28
+
+
+@pytest.fixture(scope="module")
+def packet_capture(tmp_path_factory):
+    """A small capture, its packet count and an EE model trained on it."""
+    d = tmp_path_factory.mktemp("latency")
+    path = d / "capture.pcap"
+    synth.generate_corpus(ScenarioSpec(duration=60.0, devices=2, seed=5),
+                          str(path), str(d / "labels.csv"))
+    X = extract_matrix(str(path), mode="packet")
+    return path, X.n, train_model(X, kind="ee", seed=0)
+
+
+@pytest.mark.parametrize("frame", [
+    ARP_FRAME,
+    eth_header() + b"\x45\x00",  # IPv4 header cut short
+], ids=["non_ip", "malformed"])
+def test_delay_benchmark_counts_skipped_frames(packet_capture, tmp_path,
+                                               frame):
+    """A frame the capture reader skips is counted, not scored."""
+    original, n, model = packet_capture
+    path = tmp_path / "capture.pcap"
+    path.write_bytes(original.read_bytes() + build_record(10**6, 0, frame))
+    rep = ev.delay_benchmark_packets(str(path), model)
+    assert (rep.n, rep.skipped) == (n, 1)
+    assert rep.throughput_pps > 0
+
+
+def test_delay_benchmark_with_nothing_to_score(packet_capture, tmp_path):
+    _, _, model = packet_capture
+    path = tmp_path / "arp.pcap"
+    path.write_bytes(build_global_header() + build_record(1, 0, ARP_FRAME))
+    rep = ev.delay_benchmark_packets(str(path), model)
+    assert (rep.n, rep.skipped) == (0, 1)
+    assert rep.p50_ms is rep.p95_ms is rep.p99_ms is None
 
 
 def test_format_metric_table_alignment():

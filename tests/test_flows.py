@@ -68,6 +68,17 @@ class TestMeterBasics:
         assert recs[0].fwd.pkt_count == 3
         assert recs[0].bwd.pkt_count == 2
 
+    @pytest.mark.parametrize("first_from_low", [True, False])
+    def test_bi_forward_is_the_first_senders_side(self, first_from_low):
+        low = pkt(0.0)  # 10.0.0.1:5000 sorts below 10.0.0.2:80
+        if first_from_low:
+            ps = [low, pkt(0.1), rev(low, ts=0.2)]
+        else:
+            ps = [rev(low, ts=0.0), rev(low, ts=0.1), pkt(0.2)]
+        rec, = meter(ps, MeterConfig(direction_mode=BIDIRECTIONAL))
+        assert rec.fwd_is_low is first_from_low
+        assert (rec.fwd.pkt_count, rec.bwd.pkt_count) == (2, 1)
+
     def test_tumbling_window_cut(self):
         # tw=1: packets at 0.0, 0.5 and 1.2 -> [0,1) with 2, then [1.2,..)
         ps = [pkt(0.0), pkt(0.5), pkt(1.2)]
@@ -157,6 +168,34 @@ def random_stream(rng, n=120):
                        payload=int(rng.integers(0, 300)),
                        flags=int(rng.integers(0, 64)) if proto == 6 else 0))
     return out
+
+
+def _leaves(value):
+    """Every plain value reachable from a record slot."""
+    if isinstance(value, flows.DirStats):
+        for name in value.__slots__:
+            yield from _leaves(getattr(value, name))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+class TestRecordPrivacy:
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_addresses_live_only_in_the_key(self, mode):
+        ps = random_stream(np.random.default_rng(7))
+        addresses = {p.src_ip for p in ps} | {p.dst_ip for p in ps}
+        recs = list(meter(ps, MeterConfig(direction_mode=mode,
+                                          tw_seconds=1.0)))
+        assert recs
+        for rec in recs:
+            assert set(rec.key[:2]) <= addresses
+            for name in flows.FlowRecord.__slots__:
+                if name != "key":
+                    assert not addresses & set(_leaves(getattr(rec, name))), \
+                        name
 
 
 class TestConservation:

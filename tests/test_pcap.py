@@ -307,30 +307,3 @@ class TestWriteReadRoundTrip:
 def test_quantize_us_carry():
     assert pcap.quantize_us(1.9999996) == 2.0
     assert pcap.quantize_us(5.0) == 5.0
-
-
-class TestReplay:
-    def make_capture(self, tmp_path):
-        recs = [pcap.PacketRecord(
-            ts=float(t), src_ip="192.0.2.1", dst_ip="192.0.2.2",
-            src_port=1, dst_port=2, protocol=17, link_header_len=14,
-            ip_header_len=20, l4_header_len=8, total_len=60, ttl=64,
-            payload_len=18) for t in (100.0, 100.5, 102.0)]
-        path = str(tmp_path / "replay.pcap")
-        pcap.write_pcap(recs, path)
-        return path, recs
-
-    def test_as_fast_as_possible(self, tmp_path):
-        path, recs = self.make_capture(tmp_path)
-        assert list(pcap.replay_capture(path, speed=None)) == recs
-
-    def test_paced_by_capture_clock(self, tmp_path):
-        path, recs = self.make_capture(tmp_path)
-        naps = []
-        out = list(pcap.replay_capture(path, speed=1000.0,
-                                       sleep=naps.append))
-        assert out == recs
-        # pacing sleeps reflect the 0.5 s and 1.5 s capture gaps / speed
-        assert len(naps) == 2
-        assert naps[0] <= 0.5 / 1000.0 + 1e-3
-        assert sum(naps) <= 2.0 / 1000.0 + 1e-2
