@@ -332,9 +332,10 @@ def delay_benchmark_packets(capture_path: str, model,
                             max_packets: int | None = None) -> LatencyReport:
     """Per-packet decode+featurize+score latency, one packet at a time,
     plus sustained batched throughput over the same capture. Frames the
-    capture reader skips (non-IP, malformed, fragment continuations) are
+    capture reader skips (non-IP, malformed, fragment continuations, and
+    frames more than REORDER_HORIZON behind the newest decoded one) are
     counted in `skipped` and not scored."""
-    from .pcap import decode_frame, iter_raw_frames
+    from .pcap import REORDER_HORIZON, decode_frame, iter_raw_frames
     from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
                            PacketContext, packet_features, packet_row)
     from .pipeline import project_for_model
@@ -346,19 +347,30 @@ def delay_benchmark_packets(capture_path: str, model,
             break
     names = PACKET_MANIFEST.names
 
-    def decode(frame):
-        ts, raw, link_type = frame
-        try:
-            return decode_frame(raw, link_type, ts=ts)
-        except (NonIP, MalformedHeader):  # FragmentContinuation is a NonIP
-            return None
+    def decoder():
+        """decode_frame that returns None for the frames the capture
+        reader skips; each loop takes a fresh one."""
+        newest = float("-inf")
+
+        def decode(frame):
+            nonlocal newest
+            ts, raw, link_type = frame
+            try:
+                rec = decode_frame(raw, link_type, ts=ts)
+            except (NonIP, MalformedHeader):  # FragmentContinuation too
+                return None
+            if ts < newest - REORDER_HORIZON:
+                return None
+            newest = max(newest, ts)
+            return rec
+        return decode
 
     def score(rows: np.ndarray) -> None:
         model.score(project_for_model(
             model, FeatureMatrix(rows, names, MODE_PACKET)))
 
     # latency path: strictly one packet end to end at a time
-    ctx = PacketContext()
+    ctx, decode = PacketContext(), decoder()
     samples = []
     perf = time.perf_counter
     for frame in frames:
@@ -370,7 +382,7 @@ def delay_benchmark_packets(capture_path: str, model,
         samples.append(perf() - t0)
 
     # throughput path: the same work, chunked scoring
-    ctx = PacketContext()
+    ctx, decode = PacketContext(), decoder()
     t0 = perf()
     for start in range(0, len(frames), 2048):
         rows = [packet_row(rec, ctx)

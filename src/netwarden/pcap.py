@@ -76,7 +76,7 @@ def quantize_us(ts: float) -> float:
     return sec + usec / 1e6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PacketRecord:
     """Decoded header fields of one IP packet. Never holds payload bytes."""
 

@@ -157,6 +157,63 @@ def mahalanobis_oracle(x, mu, cov) -> float:
                                                   diff)))
 
 
+# --- autoencoder training ---------------------------------------------------
+# The loop the autoencoder was first trained with: separate weight and bias
+# arrays, each batch gathered from the shuffled order on its own, and one
+# update per array. Autoencoder.fit must give the same weights, biases and
+# loss history bit for bit at the same hyperparameters.
+
+def _ae_loss_and_grads(weights, biases, X):
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = [X]
+        h = X
+        for li, (W, b) in enumerate(zip(weights, biases)):
+            z = h @ W + b
+            h = z if li == len(weights) - 1 else np.tanh(z)
+            acts.append(h)
+        diff = acts[-1] - X
+        batch = X.shape[0]
+        loss = 0.5 * float((diff * diff).sum()) / batch
+        grads_w = [None] * len(weights)
+        grads_b = [None] * len(biases)
+        delta = diff / batch
+        for li in range(len(weights) - 1, -1, -1):
+            grads_w[li] = acts[li].T @ delta
+            grads_b[li] = delta.sum(axis=0)
+            if li > 0:
+                delta = (delta @ weights[li].T) * (1.0 - acts[li] ** 2)
+    return loss, grads_w, grads_b
+
+
+def autoencoder_fit_oracle(X, sizes, epochs, learning_rate, batch_size,
+                           seed):
+    """(weights, biases, loss_history) of per-batch mini-batch descent."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    n = X.shape[0]
+    bs = min(batch_size, n)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        seen = 0
+        for s in range(0, n, bs):
+            batch = X[order[s:s + bs]]
+            loss, gw, gb = _ae_loss_and_grads(weights, biases, batch)
+            for li in range(len(weights)):
+                weights[li] -= learning_rate * gw[li]
+                biases[li] -= learning_rate * gb[li]
+            epoch_loss += loss * batch.shape[0]
+            seen += batch.shape[0]
+        history.append(epoch_loss / seen)
+    return weights, biases, history
+
+
 # --- feature rows -----------------------------------------------------------
 # The view-plus-lambda definitions the flow and packet features were first
 # written as: per-flow DirView/FlowView copies and one function per named

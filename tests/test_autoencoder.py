@@ -4,8 +4,10 @@ import pytest
 from netwarden.detectors import Autoencoder
 from netwarden.detectors.autoencoder import default_layer_sizes
 from netwarden.errors import DivergedLoss, EmptyTraining
+from netwarden.evaluation import auc
+from netwarden.pipeline import extract_matrix, project_for_model, train_model
 
-from oracles import central_difference_gradient
+from oracles import autoencoder_fit_oracle, central_difference_gradient
 
 
 def rank1_manifold(n=300, d=6, seed=0, noise=0.02):
@@ -109,3 +111,62 @@ class TestTraining:
         clone = Autoencoder.from_state(model.get_params(),
                                        model.state_dict())
         assert np.array_equal(model.score(Q), clone.score(Q))
+
+
+def as_bits(arrays):
+    return [np.asarray(a, dtype=np.float64).view(np.uint64) for a in arrays]
+
+
+class TestFitOracle:
+    """fit gathers each epoch's order once and updates one flat parameter
+    vector; the per-batch, per-array loop must give the same bits."""
+
+    @pytest.mark.parametrize("n,batch_size,learning_rate,order", [
+        (512, 32, 1e-3, "C"),     # the former defaults, whole batches
+        (1024, 256, 8e-3, "C"),   # the defaults, whole batches
+        (1000, 256, 8e-3, "C"),   # ragged last batch of 232 rows
+        (601, 32, 1e-3, "C"),     # ragged last batch of 25 rows
+        (100, 256, 8e-3, "C"),    # fewer rows than one batch
+        # a projected matrix (values[:, cols]) comes out Fortran-ordered
+        (300, 256, 8e-3, "F"),
+    ])
+    def test_matches_per_batch_loop(self, n, batch_size, learning_rate,
+                                    order):
+        X = np.asarray(rank1_manifold(n=n, d=7, seed=n), order=order)
+        model = Autoencoder(epochs=4, learning_rate=learning_rate,
+                            batch_size=batch_size, seed=9).fit(X)
+        weights, biases, history = autoencoder_fit_oracle(
+            X, default_layer_sizes(7), 4, learning_rate, batch_size, 9)
+        for got, want in zip(as_bits(model.weights + model.biases),
+                             as_bits(weights + biases)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(*as_bits([model.loss_history, history]))
+
+    def test_layers_are_views_of_the_flat_vector(self):
+        model = Autoencoder(layer_sizes=[3, 2, 3], epochs=0).fit(
+            np.ones((4, 3)))
+        model.set_flat_params(np.arange(model.params.size, dtype=float))
+        assert model.weights[0].tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert model.weights[1].tolist() == [[6, 7, 8], [9, 10, 11]]
+        assert [b.tolist() for b in model.biases] == [[12, 13],
+                                                      [14, 15, 16]]
+
+
+def test_default_quality_on_packet_corpus(corpus_dir):
+    """The 256-row default keeps the 32-row setting's detection quality
+    on the synthetic corpus: AUC within 0.005, benign FPR at most 0.03."""
+    Xtr = extract_matrix(str(corpus_dir / "train.pcap"), mode="packet")
+    Xte = extract_matrix(str(corpus_dir / "test.pcap"), mode="packet",
+                         labels_path=str(corpus_dir / "test.labels.csv"))
+    attack = np.asarray(Xte.labels) != "Normal"
+
+    def quality(params):
+        model = train_model(Xtr, kind="ae", params=params, seed=0)
+        scores = model.score(project_for_model(model, Xte))
+        fpr = float((scores[~attack] > model.threshold).mean())
+        return auc(scores, attack.astype(float)), fpr
+
+    default_auc, default_fpr = quality(None)
+    small_batch_auc, _ = quality({"batch_size": 32, "learning_rate": 1e-3})
+    assert default_auc >= small_batch_auc - 0.005
+    assert default_fpr <= 0.03

@@ -3,10 +3,12 @@ import pytest
 
 from netwarden import evaluation as ev, synth
 from netwarden.errors import LabelVocabularyMismatch, SingleClass
+from netwarden.pcap import open_capture
 from netwarden.pipeline import extract_matrix, train_model
 from netwarden.synth import ScenarioSpec
 
-from conftest import build_global_header, build_record, eth_header
+from conftest import (build_global_header, build_record, eth_header,
+                      golden_syn_frame)
 from oracles import auc_pair_oracle
 
 
@@ -221,6 +223,20 @@ def test_delay_benchmark_counts_skipped_frames(packet_capture, tmp_path,
     rep = ev.delay_benchmark_packets(str(path), model)
     assert (rep.n, rep.skipped) == (n, 1)
     assert rep.throughput_pps > 0
+
+
+def test_delay_benchmark_skips_late_frames(packet_capture, tmp_path):
+    """A frame more than REORDER_HORIZON behind the newest is dropped by
+    the capture reader, so the benchmark does not score it either."""
+    original, n, model = packet_capture
+    path = tmp_path / "capture.pcap"
+    path.write_bytes(original.read_bytes()
+                     + build_record(1, 0, golden_syn_frame()))
+    reader = open_capture(str(path))
+    assert sum(1 for _ in reader) == n
+    assert reader.summary.dropped_late == 1
+    rep = ev.delay_benchmark_packets(str(path), model)
+    assert (rep.n, rep.skipped) == (n, 1)
 
 
 def test_delay_benchmark_with_nothing_to_score(packet_capture, tmp_path):
