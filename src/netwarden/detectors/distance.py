@@ -35,3 +35,19 @@ def sq_dists(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
         # over the outer axis numpy adds the d planes one after another
         np.add.reduce(diff, axis=0, out=out[s:s + rows])
     return out
+
+
+def rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
+    """rbf_kernel against the transposed second operand BT (d, m).
+
+    Every entry is exp of one sq_dists float, so the kernel of a set with
+    itself is exactly symmetric with a unit diagonal.
+    """
+    K = sq_dists(A, BT)
+    K *= -gamma
+    return np.exp(K, out=K)
+
+
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for all row pairs."""
+    return rbf(A, B.T, gamma)

@@ -18,6 +18,15 @@ LRD_FLOOR = 1e-10
 QUERY_BLOCK = 1024  # query rows per distance block in score()
 
 
+def _neighbourhood(d: np.ndarray, kd: float, kdist: np.ndarray) -> tuple:
+    """(neighbour indices, lrd) of a point whose distances to the training
+    points are `d` and whose k-distance is `kd`; `kdist` holds the
+    training points' k-distances."""
+    nbr = np.flatnonzero(d <= kd)
+    reach = np.maximum(kdist[nbr], d[nbr])
+    return nbr, 1.0 / (reach.mean() + LRD_FLOOR)
+
+
 class LocalOutlierFactor:
     kind = "lof"
 
@@ -43,9 +52,7 @@ class LocalOutlierFactor:
         kdist = np.partition(D, self.k - 1, axis=1)[:, self.k - 1]
         lrd = np.empty(n, dtype=np.float64)
         for i in range(n):
-            nbr = np.flatnonzero(D[i] <= kdist[i])
-            reach = np.maximum(kdist[nbr], D[i, nbr])
-            lrd[i] = 1.0 / (reach.mean() + LRD_FLOOR)
+            _, lrd[i] = _neighbourhood(D[i], kdist[i], kdist)
         self._XT = XT
         self._kdist = kdist
         self._lrd = lrd
@@ -62,9 +69,7 @@ class LocalOutlierFactor:
             np.sqrt(D, out=D)
             kdist_q = np.partition(D, self.k - 1, axis=1)[:, self.k - 1]
             for i in range(D.shape[0]):
-                nbr = np.flatnonzero(D[i] <= kdist_q[i])
-                reach = np.maximum(self._kdist[nbr], D[i, nbr])
-                lrd_q = 1.0 / (reach.mean() + LRD_FLOOR)
+                nbr, lrd_q = _neighbourhood(D[i], kdist_q[i], self._kdist)
                 out[s + i] = self._lrd[nbr].mean() / lrd_q
         return out
 

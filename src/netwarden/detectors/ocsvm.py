@@ -14,19 +14,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import EmptyTraining, NonConvergence
-from .distance import sq_dists
-
-
-def _rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
-    """rbf_kernel against the transposed second operand BT (d, m)."""
-    K = sq_dists(A, BT)
-    K *= -gamma
-    return np.exp(K, out=K)
-
-
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for all row pairs."""
-    return _rbf(A, B.T, gamma)
+from .distance import rbf
 
 
 class _KernelRows:
@@ -41,7 +29,7 @@ class _KernelRows:
         self.gamma = gamma
         n = X.shape[0]
         if n * n * 8 <= cache_bytes:
-            self.full = _rbf(X, self.XT, gamma)
+            self.full = rbf(X, self.XT, gamma)
             self.cache = None
         else:
             self.full = None
@@ -55,7 +43,7 @@ class _KernelRows:
         if cached is not None:
             self.cache.move_to_end(i)
             return cached
-        r = _rbf(self.XT[:, i:i + 1].T, self.XT, self.gamma)[0]
+        r = rbf(self.XT[:, i:i + 1].T, self.XT, self.gamma)[0]
         self.cache[i] = r
         if len(self.cache) > self.max_rows:
             self.cache.popitem(last=False)
@@ -166,7 +154,7 @@ class OneClassSVM:
         if self._svT is None:
             raise EmptyTraining("model is not fitted")
         Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k = _rbf(Q, self._svT, self._gamma_value)
+        k = rbf(Q, self._svT, self._gamma_value)
         return k @ self._sv_alpha - self.rho
 
     def score(self, X: np.ndarray) -> np.ndarray:

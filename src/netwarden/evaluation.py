@@ -33,58 +33,43 @@ def binary_metrics(tp: int, fp: int, tn: int, fn: int) -> dict:
     }
 
 
-def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via the rank statistic, ties counted 1/2.
+def _roc_counts(scores: np.ndarray, labels: np.ndarray) -> tuple:
+    """(fp, tp, n_pos, n_neg): cumulative negative and positive counts
+    above each distinct score threshold, highest score first.
 
-    Equals trapezoidal integration of the ROC over thresholds at every
-    distinct score.
+    One stable sort by descending score; a group of tied scores ends
+    where the next sorted score differs.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(labels.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank for ties
-        i = j + 1
-    pos_rank_sum = ranks[labels].sum()
-    u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+        raise SingleClass("AUC and ROC need both classes present")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(labels[order])[ends]
+    return ends + 1 - tp, tp, n_pos, n_neg
+
+
+def auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Area under the ROC curve, ties counted 1/2.
+
+    The trapezoid over every distinct score threshold, summed in integers:
+    twice the Mann-Whitney U, so it equals the rank statistic exactly.
+    """
+    fp, tp, n_pos, n_neg = _roc_counts(scores, labels)
+    tp_prev = np.concatenate(([0], tp[:-1]))
+    u2 = int((np.diff(fp, prepend=0) * (tp_prev + tp)).sum())
+    return u2 / (2 * n_pos * n_neg)
 
 
 def roc_points(scores: np.ndarray, labels: np.ndarray) -> list:
     """(fpr, tpr) at every distinct score threshold, plus the corners."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC needs both classes present")
-    order = np.argsort(-scores, kind="stable")
-    pts = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < labels.size:
-        j = i
-        while (j + 1 < labels.size
-               and scores[order[j + 1]] == scores[order[i]]):
-            j += 1
-        for idx in order[i:j + 1]:
-            if labels[idx]:
-                tp += 1
-            else:
-                fp += 1
-        pts.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return pts
+    fp, tp, n_pos, n_neg = _roc_counts(scores, labels)
+    return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(),
+                                   (tp / n_pos).tolist()))
 
 
 @dataclass
@@ -101,7 +86,6 @@ class EvalReport:
     auc: float | None
     per_class_recall: dict
     roc: list = field(default_factory=list)
-    timing: dict | None = None  # filled only by the latency benchmark
     unmatched_labels: int = 0
 
     METRIC_NAMES = ("precision", "accuracy", "recall", "fpr", "f1", "auc")

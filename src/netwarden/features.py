@@ -459,7 +459,8 @@ class NormalizationStats:
         """(indices in `raw_names`, mean, std) of the kept features `names`:
         their z-scores are (values[:, cols] - mean) / std."""
         at = [self.kept_names.index(n) for n in names]
-        return (np.array([raw_names.index(n) for n in names]),
+        cols = [raw_names.index(n) for n in names]
+        return (np.array(cols, dtype=np.intp),
                 self.mean[at], self.std[at])
 
     @classmethod
@@ -512,9 +513,8 @@ def apply_normalizer(X: FeatureMatrix,
         raise ManifestMismatch(
             "matrix manifest %s does not match normalizer input %s"
             % (X.manifest_hash, stats.input_hash))
-    name_to_col = {n: i for i, n in enumerate(X.names)}
-    cols = [name_to_col[n] for n in stats.kept_names]
-    vals = (X.values[:, cols] - stats.mean) / stats.std
+    cols, mean, std = stats.projection(X.names, stats.kept_names)
+    vals = (X.values[:, cols] - mean) / std
     return FeatureMatrix(values=vals, names=stats.kept_names, mode=X.mode,
                          labels=X.labels)
 

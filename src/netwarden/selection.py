@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors.distance import rbf
 from .errors import (
     DegenerateGraph,
     NonPositiveSigma,
@@ -49,23 +50,17 @@ class SelectionConfig:
 
 
 def rbf_similarity(X: np.ndarray, sigma: float) -> np.ndarray:
-    """Pairwise RBF similarity exp(-||xi - xj||^2 / (2 sigma^2))."""
+    """Pairwise RBF similarity exp(-||xi - xj||^2 / (2 sigma^2)).
+
+    Built on the detectors' fixed-order distance kernel, so S is exactly
+    symmetric with a unit diagonal.
+    """
     if sigma <= 0:
         raise NonPositiveSigma("sigma must be positive, got %r" % sigma)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    S = np.exp(-d2 / (2.0 * sigma * sigma))
-    S = (S + S.T) / 2.0  # exact symmetry against float noise
-    np.fill_diagonal(S, 1.0)
-    return S
-
-
-def _column_similarity(f: np.ndarray, sigma: float) -> np.ndarray:
-    return rbf_similarity(f.reshape(-1, 1), sigma)
+    return rbf(X, X.T, 1.0 / (2.0 * sigma * sigma))
 
 
 def spectral_score(f: np.ndarray, S: np.ndarray) -> float:
@@ -96,7 +91,7 @@ def information_score(f: np.ndarray, sigma: float) -> float:
     E = -sum_ij [S log2 S + (1-S) log2 (1-S)] with 0*log2(0) := 0.
     Lower entropy means the feature induces crisp structure.
     """
-    S = _column_similarity(np.asarray(f, dtype=np.float64), sigma)
+    S = rbf_similarity(f, sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(S > 0.0, S * np.log2(S, out=np.zeros_like(S),
                                            where=S > 0.0), 0.0)

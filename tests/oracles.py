@@ -136,6 +136,69 @@ def auc_pair_oracle(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def auc_rank_loop_oracle(scores, labels) -> float:
+    """The rank-sum AUC with a Python walk over tied scores, each tie
+    group given its average rank."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(labels.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < labels.size:
+        j = i
+        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def roc_loop_oracle(scores, labels) -> list:
+    """(fpr, tpr) after each group of tied scores, walked one row at a
+    time from the highest score down, after the (0, 0) corner."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    pts = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < labels.size:
+        j = i
+        while (j + 1 < labels.size
+               and scores[order[j + 1]] == scores[order[i]]):
+            j += 1
+        for idx in order[i:j + 1]:
+            if labels[idx]:
+                tp += 1
+            else:
+                fp += 1
+        pts.append((fp / n_neg, tp / n_pos))
+        i = j + 1
+    return pts
+
+
+def rbf_similarity_gemm_oracle(X, sigma: float) -> np.ndarray:
+    """RBF similarity from the expanded distance |a|^2 + |b|^2 - 2ab,
+    patched for its cancellation: clamped at 0, symmetrized, unit
+    diagonal."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    S = np.exp(-d2 / (2.0 * sigma * sigma))
+    S = (S + S.T) / 2.0
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
 def central_difference_gradient(fn, x0: np.ndarray,
                                 h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, one coordinate at a

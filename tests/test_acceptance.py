@@ -24,7 +24,7 @@ from netwarden.detectors import (
     make_detector,
     random_search,
 )
-from netwarden.detectors.ocsvm import rbf_kernel
+from netwarden.detectors.distance import rbf_kernel
 from netwarden.evaluation import (
     auc,
     binary_metrics,

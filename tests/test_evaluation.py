@@ -9,7 +9,7 @@ from netwarden.synth import ScenarioSpec
 
 from conftest import (build_global_header, build_record, eth_header,
                       golden_syn_frame)
-from oracles import auc_pair_oracle
+from oracles import auc_pair_oracle, auc_rank_loop_oracle, roc_loop_oracle
 
 
 class TestBinaryMetrics:
@@ -106,6 +106,45 @@ class TestRocPoints:
         assert pts[-1] == (1.0, 1.0)
         for (f1, t1), (f2, t2) in zip(pts, pts[1:]):
             assert f2 >= f1 and t2 >= t1
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestSortedPass:
+    """AUC and ROC from one vectorized pass over the sorted scores equal
+    the tie-walking loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_tie_walking_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 0.3, 2.0, np.inf])
+        if seed % 3 == 0:
+            scores = rng.normal(size=n)  # (almost) no ties
+        elif seed % 3 == 1:
+            scores = np.round(rng.normal(size=n), 1)
+        else:
+            scores = rng.choice(pool[:int(rng.integers(1, 9))], size=n)
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        labels[:2] = [False, True]
+        got, exp = ev.auc(scores, labels), auc_rank_loop_oracle(scores, labels)
+        assert type(got) is float
+        assert _bits(got) == _bits(exp)
+        pts = ev.roc_points(scores, labels)
+        assert all(type(v) is float for pt in pts for v in pt)
+        assert np.array_equal(_bits(pts), _bits(roc_loop_oracle(scores,
+                                                                labels)))
+
+    def test_matches_loops_at_scale(self):
+        rng = np.random.default_rng(100)
+        scores = np.round(rng.normal(size=25_000), 2)
+        labels = rng.random(25_000) < 0.3
+        assert _bits(ev.auc(scores, labels)) \
+            == _bits(auc_rank_loop_oracle(scores, labels))
+        assert np.array_equal(_bits(ev.roc_points(scores, labels)),
+                              _bits(roc_loop_oracle(scores, labels)))
 
 
 class TestEvaluateScores:

@@ -419,6 +419,12 @@ class TestNormalizer:
         assert stats.dropped == [("f0", 2.0)]
         assert stats.kept_names == ("f1",)
 
+    def test_all_columns_constant(self):
+        X = matrix([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
+        out = ft.apply_normalizer(X, ft.fit_normalizer(X))
+        assert out.values.shape == (3, 0)
+        assert out.names == ()
+
     def test_two_point_column(self):
         X = matrix([[0.0], [2.0]])
         out = ft.apply_normalizer(X, ft.fit_normalizer(X))

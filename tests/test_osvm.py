@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netwarden.detectors import OneClassSVM
-from netwarden.detectors.ocsvm import rbf_kernel
+from netwarden.detectors.distance import rbf_kernel
 from netwarden.errors import EmptyTraining, NonConvergence
 
 from oracles import osvm_dual_oracle

@@ -8,6 +8,10 @@ from netwarden.errors import (
     TooFewSamples,
     ZeroVariance,
 )
+from netwarden.features import apply_normalizer, fit_normalizer
+from netwarden.pipeline import extract_matrix
+
+from oracles import rbf_similarity_gemm_oracle
 
 
 class TestRbfSimilarity:
@@ -270,3 +274,43 @@ class TestRankFeatures:
         assert rows[0][0] == "feature"
         assert len(rows) == 4
         assert sum(int(r[-1]) for r in rows[1:]) == 2
+
+
+SPECTRAL_ABS = 1e-13
+INFORMATION_REL = 1e-10
+
+
+def _order_flips_beyond(tol, got_ranks, exp_ranks, exp_scores, names):
+    """The feature pairs that the two rankings order differently although
+    their oracle scores differ by more than `tol` (per feature)."""
+    a, b = got_ranks, exp_ranks
+    i, j = np.nonzero((a[:, None] < a[None, :]) != (b[:, None] < b[None, :]))
+    far = np.abs(exp_scores[i] - exp_scores[j]) > np.maximum(tol[i], tol[j])
+    return [(names[p], names[q]) for p, q in zip(i[far], j[far])]
+
+
+@pytest.mark.parametrize("mode,tw", [("packet", None), ("uni_flow", 1.0),
+                                     ("bi_flow", 1.0)])
+def test_shared_kernel_matches_gemm_oracle(corpus_dir, monkeypatch, mode,
+                                           tw):
+    """Selection on the fixed-order kernel against the old expanded-form
+    (GEMM) similarity: the criteria without a similarity graph are
+    bit-identical, the two graph criteria move by float noise, and ranks
+    reorder only among features the noise cannot tell apart."""
+    X = extract_matrix(str(corpus_dir / "train.pcap"), mode, tw=tw)
+    Xn = apply_normalizer(X, fit_normalizer(X))
+    got = sel.rank_features(Xn.values, Xn.names)
+    monkeypatch.setattr(sel, "rbf_similarity", rbf_similarity_gemm_oracle)
+    exp = sel.rank_features(Xn.values, Xn.names)
+    for c in ("redundancy", "intra_class", "iqr"):
+        assert np.array_equal(got.scores[c].view(np.uint64),
+                              exp.scores[c].view(np.uint64)), c
+        assert np.array_equal(got.ranks[c], exp.ranks[c]), c
+    tols = {
+        "spectral": np.full(len(Xn.names), SPECTRAL_ABS),
+        "information": INFORMATION_REL * np.abs(exp.scores["information"]),
+    }
+    for c, tol in tols.items():
+        assert np.all(np.abs(got.scores[c] - exp.scores[c]) <= tol), c
+        assert _order_flips_beyond(tol, got.ranks[c], exp.ranks[c],
+                                   exp.scores[c], Xn.names) == [], c
