@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK_BYTES = 1 << 21  # one (d, rows, m) block of differences
+BLOCK_BYTES = 1 << 20  # one (d, rows, m) block of differences, reused
 
 
 def sq_dists(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
@@ -28,9 +28,11 @@ def sq_dists(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
     AT = np.ascontiguousarray(A.T)
     n = AT.shape[1]
     out = np.empty((n, m), dtype=np.float64)
-    rows = max(1, BLOCK_BYTES // (8 * max(d * m, 1)))
+    rows = max(1, min(n, BLOCK_BYTES // (8 * max(d * m, 1))))
+    block = np.empty((d, rows, m), dtype=np.float64)
     for s in range(0, n, rows):
-        diff = AT[:, s:s + rows, None] - BT[:, None, :]
+        diff = block[:, :min(rows, n - s)]
+        np.subtract(AT[:, s:s + rows, None], BT[:, None, :], out=diff)
         np.multiply(diff, diff, out=diff)
         # over the outer axis numpy adds the d planes one after another
         np.add.reduce(diff, axis=0, out=out[s:s + rows])

@@ -63,6 +63,15 @@ def rbf_similarity(X: np.ndarray, sigma: float) -> np.ndarray:
     return rbf(X, X.T, 1.0 / (2.0 * sigma * sigma))
 
 
+def _normalized_graph(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt of the degrees, D^-1/2 S D^-1/2) of a similarity graph."""
+    deg = S.sum(axis=1)
+    if np.any(deg <= 0):
+        raise DegenerateGraph("zero-degree node in similarity graph")
+    root = np.sqrt(deg)
+    return root, (S / root[:, None]) / root[None, :]
+
+
 def spectral_score(f: np.ndarray, S: np.ndarray) -> float:
     """Normalized-Laplacian smoothness of a feature on the similarity graph.
 
@@ -70,17 +79,16 @@ def spectral_score(f: np.ndarray, S: np.ndarray) -> float:
     its Rayleigh quotient with the normalized Laplacian. Constant features
     lie in the null space and score 0.
     """
-    f = np.asarray(f, dtype=np.float64)
-    deg = S.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateGraph("zero-degree node in similarity graph")
-    root = np.sqrt(deg)
+    return _spectral(np.asarray(f, dtype=np.float64), *_normalized_graph(S))
+
+
+def _spectral(f: np.ndarray, root: np.ndarray, w: np.ndarray) -> float:
+    """spectral_score on a graph given by _normalized_graph."""
     fh = root * f
     norm = np.linalg.norm(fh)
     if norm == 0:
         return 0.0
     fh /= norm
-    w = (S / root[:, None]) / root[None, :]
     score = float(fh @ fh - fh @ (w @ fh))
     return max(score, 0.0)
 
@@ -216,10 +224,10 @@ def rank_features(X: np.ndarray, names: tuple[str, ...],
         rng = np.random.default_rng(cfg.seed)
         idx = np.sort(rng.choice(n, size=cfg.subsample_cap, replace=False))
         Xs = X[idx]
-    S = rbf_similarity(Xs, cfg.sigma)
+    root, w = _normalized_graph(rbf_similarity(Xs, cfg.sigma))
     corr = _abs_corr(X)
     scores = {
-        "spectral": np.array([spectral_score(Xs[:, j], S)
+        "spectral": np.array([_spectral(Xs[:, j], root, w)
                               for j in range(m)]),
         "information": np.array([information_score(Xs[:, j], cfg.sigma)
                                  for j in range(m)]),

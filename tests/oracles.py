@@ -62,6 +62,53 @@ def sq_dist_oracle(A, B) -> np.ndarray:
     return out
 
 
+# --- LOF from a full distance matrix ----------------------------------------
+# LOF as it was first fitted and scored: the whole n x n distance matrix,
+# its k-distances by partition over distances, and each neighbour set read
+# off a row of distances. LocalOutlierFactor, which walks blocks of squared
+# distances, must give the same k-distances, lrd and scores bit for bit.
+
+def _column_sq_dists(A, B) -> np.ndarray:
+    """Squared distances with the column terms added left to right, one
+    whole column at a time."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    total = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        diff = A[:, j, None] - B[None, :, j]
+        total += diff * diff
+    return total
+
+
+def _lof_neighbourhood(d, kd, kdist):
+    nbr = np.flatnonzero(d <= kd)
+    reach = np.maximum(kdist[nbr], d[nbr])
+    return nbr, 1.0 / (reach.mean() + LRD_FLOOR)
+
+
+def lof_full_matrix_oracle(train, queries, k):
+    """(kdist, lrd, scores) of LOF fitted on `train` and scored on
+    `queries`."""
+    X = np.asarray(train, dtype=np.float64)
+    n = X.shape[0]
+    D = _column_sq_dists(X, X)
+    np.sqrt(D, out=D)
+    np.fill_diagonal(D, np.inf)  # a training point is not its own neighbor
+    kdist = np.partition(D, k - 1, axis=1)[:, k - 1]
+    lrd = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        _, lrd[i] = _lof_neighbourhood(D[i], kdist[i], kdist)
+    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    D = _column_sq_dists(Q, X)
+    np.sqrt(D, out=D)
+    kdist_q = np.partition(D, k - 1, axis=1)[:, k - 1]
+    scores = np.empty(Q.shape[0], dtype=np.float64)
+    for i in range(Q.shape[0]):
+        nbr, lrd_q = _lof_neighbourhood(D[i], kdist_q[i], kdist)
+        scores[i] = lrd[nbr].mean() / lrd_q
+    return kdist, lrd, scores
+
+
 def iforest_mean_path_oracle(state: dict, X) -> np.ndarray:
     """Mean path length of each row over a saved isolation forest, walking
     one row down one tree at a time."""

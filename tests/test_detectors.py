@@ -17,6 +17,7 @@ from netwarden.errors import EmptyTraining, KTooLarge, SingularCovariance
 
 from oracles import (
     iforest_mean_path_oracle,
+    lof_full_matrix_oracle,
     lof_oracle,
     mahalanobis_oracle,
     sq_dist_oracle,
@@ -33,6 +34,22 @@ def tied_rows(seed, n_train=300, n_query=200, d=11):
         + rng.normal(size=(n_query, d)) * 0.3
     Q[::4] = X[:(n_query + 3) // 4]
     return X, Q
+
+
+def sqrt_tie_rows():
+    """Training rows where the training point (6, 0) and the query (0, 0)
+    each have their second nearest training points at squared distances
+    2 and 2 + 2^-51, which sqrt rounds to one distance."""
+    up = 1.0 + 2.0 ** -52
+    X = np.array([[-0.3, 0.2], [1.0, 1.0], [1.0, up],
+                  [6.0, 0.0], [5.7, 0.2], [7.0, 1.0], [7.0, up],
+                  [20.0, 20.0], [20.0, 21.0], [21.0, 20.0]])
+    Q = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 3.0], [0.0, 0.0]])
+    return X, Q
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def blob_with_outliers(n=512, d=8, frac=0.05, seed=0, dist=12.0):
@@ -70,6 +87,25 @@ class TestSquaredDistances:
         whole = sq_dists(Q, X.T)
         monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * 50 * 11 * 7)
         assert np.array_equal(sq_dists(Q, X.T), whole)
+
+    @pytest.mark.parametrize("n, m, d, block_bytes", [
+        (5, 9, 4, 8),               # a block is smaller than one row
+        (11, 6, 3, 8 * 6 * 3 * 4),  # blocks of 4 rows, the last one of 3
+        (1, 40, 7, None),           # one query row
+        (9, 1, 5, 8),               # one column, padded to two
+        (8, 12, 1, 8 * 12 * 3),     # one feature, blocks of 3 rows
+    ])
+    def test_reused_block_equals_oracle(self, monkeypatch, n, m, d,
+                                        block_bytes):
+        from netwarden.detectors import distance
+        if block_bytes is not None:
+            monkeypatch.setattr(distance, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(100 * n + 10 * m + d)
+        X = rng.normal(size=(m, d))
+        X[1::2] = X[0]
+        Q = rng.normal(size=(n, d))
+        np.testing.assert_array_equal(bits(sq_dists(Q, X.T)),
+                                      bits(sq_dist_oracle(Q, X)))
 
 
 class TestHarmonicNormalizer:
@@ -235,6 +271,16 @@ class TestEllipticEnvelope:
                                             model.state_dict())
         assert np.array_equal(model.score(Q), clone.score(Q))
 
+    def test_one_row_equals_batch_bits(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(400, 11)) @ rng.normal(size=(11, 11))
+        Q = rng.normal(size=(300, 11)) * 2.0
+        Q[::4] = Q[1]
+        model = EllipticEnvelope().fit(X)
+        singles = bits([model.score(q)[0] for q in Q])
+        for batch in (Q, np.asfortranarray(Q)):
+            np.testing.assert_array_equal(bits(model.score(batch)), singles)
+
 
 class TestLocalOutlierFactor:
     def test_uniform_grid_interior_near_one(self):
@@ -277,13 +323,14 @@ class TestLocalOutlierFactor:
         # the neighbour set counts every training point tied at the
         # k-distance, so one ulp of difference in a distance moves scores
         from netwarden.detectors import lof
-        monkeypatch.setattr(lof, "QUERY_BLOCK", 64)
+        monkeypatch.setattr(lof, "QUERY_BLOCK", 7)
         for seed in range(4):
             X, Q = tied_rows(seed)
+            Q = np.vstack([Q, Q[:30], Q[7:8], Q[7:8]])  # repeated rows
             model = LocalOutlierFactor(k=10).fit(X)
             batch = model.score(np.asfortranarray(Q))
-            singles = np.array([model.score(q)[0] for q in Q])
-            assert np.array_equal(batch, singles), seed
+            singles = [model.score(q)[0] for q in Q]
+            np.testing.assert_array_equal(bits(batch), bits(singles))
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
@@ -298,6 +345,60 @@ class TestLocalOutlierFactor:
         clone = LocalOutlierFactor.from_state(model.get_params(),
                                               model.state_dict())
         assert np.array_equal(model.score(Q), clone.score(Q))
+
+
+class TestLofQueryBlocks:
+    """Fit and score walk blocks of squared distances; the full-matrix
+    oracle gives their k-distances, lrd and scores bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(X, Q, k):
+        model = LocalOutlierFactor(k=k).fit(X)
+        kdist, lrd, scores = lof_full_matrix_oracle(X, Q, k)
+        np.testing.assert_array_equal(bits(model._kdist), bits(kdist))
+        np.testing.assert_array_equal(bits(model._lrd), bits(lrd))
+        np.testing.assert_array_equal(bits(model.score(Q)), bits(scores))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_tied_rows(self, monkeypatch, block):
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "QUERY_BLOCK", block)
+        for seed in range(3):
+            X, Q = tied_rows(seed, n_train=150, n_query=100)
+            self.assert_matches_oracle(X, Q, 10)
+
+    def test_repeated_query_rows(self, monkeypatch):
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "QUERY_BLOCK", 7)
+        X, Q = tied_rows(5, n_train=150, n_query=60)
+        Q = np.vstack([Q, Q[::5], np.repeat(Q[:3], 4, axis=0)])
+        Q = Q[np.random.default_rng(5).permutation(len(Q))]
+        self.assert_matches_oracle(X, Q, 10)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_sqrt_ties_at_the_k_distance(self, monkeypatch, block):
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "QUERY_BLOCK", block)
+        X, Q = sqrt_tie_rows()
+        # the built case: distinct squared distances, one distance
+        for origin, pair in ((Q[0], X[1:3]), (X[3], X[5:7])):
+            d2 = sq_dists(origin[None, :], pair.T)[0]
+            assert d2[0] < d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
+        self.assert_matches_oracle(X, Q, 2)
+
+    def test_widened_bound_covers_every_sqrt_tie(self):
+        from netwarden.detectors.lof import WIDEN
+        rng = np.random.default_rng(8)
+        kd2 = np.ldexp(rng.uniform(1.0, 2.0, size=20000),
+                       rng.integers(-1074, 1000, size=20000))
+        kd2 = kd2[kd2 > 0]
+        kd = np.sqrt(kd2)
+        x = kd2.copy()
+        for _ in range(16):
+            x = np.nextafter(x, np.inf)
+            tied = np.sqrt(x) == kd
+            assert np.all(x[tied] <= kd2[tied] * WIDEN)
+        assert not tied.any()  # the walk went past every tie
 
 
 class TestOrientation:
