@@ -29,6 +29,7 @@ from .features import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from .pcap import MAGIC_NS_BE, MAGIC_NS_LE, MAGIC_US_BE, MAGIC_US_LE
 from .pipeline import extract_matrix, score_matrix, train_model
 from .selection import SelectionConfig, rank_features
 
@@ -210,9 +211,8 @@ def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
     model = TrainedModel.load(cfg["model"])
     path = cfg["in"]
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic in (b"\xd4\xc3\xb2\xa1", b"\xa1\xb2\xc3\xd4",
-                 b"\x4d\x3c\xb2\xa1", b"\xa1\xb2\x3c\x4d"):
+        magic = int.from_bytes(fh.read(4), "big")
+    if magic in (MAGIC_US_BE, MAGIC_US_LE, MAGIC_NS_BE, MAGIC_NS_LE):
         return model, extract_matrix(path, mode=model.manifest_mode,
                                      tw=_parse_tw(cfg["tw"]),
                                      idle_timeout=cfg["idle_timeout"],

@@ -211,7 +211,6 @@ class TrainedModel:
     manifest_hash: str
     norm_stats: NormalizationStats | None = None
     seed: int = 0
-    extra: dict = field(default_factory=dict)
     # the last input columns seen, as (mode, names), and their projection
     _projection: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)

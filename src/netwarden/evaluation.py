@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (LabelVocabularyMismatch, MalformedHeader, NonIP,
-                     SingleClass)
+from .errors import LabelVocabularyMismatch, SingleClass
 
 LABEL_NORMAL = "Normal"
 LABEL_VOCABULARY = ("Normal", "DDoS", "Scan", "Attack", "C&C", "Download",
@@ -312,73 +311,38 @@ def _percentiles_ms(samples_s: list[float]) -> tuple[float, float, float]:
     return float(p50), float(p95), float(p99)
 
 
-def delay_benchmark_packets(capture_path: str, model,
-                            max_packets: int | None = None) -> LatencyReport:
-    """Per-packet decode+featurize+score latency, one packet at a time,
-    plus sustained batched throughput over the same capture. Frames the
-    capture reader skips (non-IP, malformed, fragment continuations, and
-    frames more than REORDER_HORIZON behind the newest decoded one) are
-    counted in `skipped` and not scored."""
-    from .pcap import REORDER_HORIZON, decode_frame, iter_raw_frames
+def delay_benchmark_packets(capture_path: str, model) -> LatencyReport:
+    """Per-packet admit+featurize+score latency, one frame at a time in
+    arrival order, plus the throughput of the batch job (`extract_matrix`
+    then `score_matrix`) over the same capture. Frames the capture
+    reader skips (non-IP, malformed, fragment continuations, and frames
+    more than REORDER_HORIZON behind the newest admitted one) are counted
+    in `skipped` and not scored."""
     from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
-                           PacketContext, packet_features, packet_row)
-    from .pipeline import project_for_model
+                           PacketContext, packet_features)
+    from .pcap import CaptureReader
+    from .pipeline import extract_matrix, score_matrix
 
-    frames = []
-    for ts, raw, link_type in iter_raw_frames(capture_path):
-        frames.append((ts, bytes(raw), link_type))
-        if max_packets is not None and len(frames) >= max_packets:
-            break
-    names = PACKET_MANIFEST.names
-
-    def decoder():
-        """decode_frame that returns None for the frames the capture
-        reader skips; each loop takes a fresh one."""
-        newest = float("-inf")
-
-        def decode(frame):
-            nonlocal newest
-            ts, raw, link_type = frame
-            try:
-                rec = decode_frame(raw, link_type, ts=ts)
-            except (NonIP, MalformedHeader):  # FragmentContinuation too
-                return None
-            if ts < newest - REORDER_HORIZON:
-                return None
-            newest = max(newest, ts)
-            return rec
-        return decode
-
-    def score(rows: np.ndarray) -> None:
-        model.score(project_for_model(
-            model, FeatureMatrix(rows, names, MODE_PACKET)))
-
-    # latency path: strictly one packet end to end at a time
-    ctx, decode = PacketContext(), decoder()
+    reader = CaptureReader(capture_path)
+    admit, ctx, names = reader.admit, PacketContext(), PACKET_MANIFEST.names
     samples = []
     perf = time.perf_counter
-    for frame in frames:
+    for ts, frame in reader.frames():
         t0 = perf()
-        rec = decode(frame)
+        rec = admit(ts, frame)
         if rec is None:
             continue
-        score(packet_features(rec, ctx)[None, :])
+        score_matrix(model, FeatureMatrix(packet_features(rec, ctx)[None, :],
+                                          names, MODE_PACKET))
         samples.append(perf() - t0)
 
-    # throughput path: the same work, chunked scoring
-    ctx, decode = PacketContext(), decoder()
     t0 = perf()
-    for start in range(0, len(frames), 2048):
-        rows = [packet_row(rec, ctx)
-                for rec in map(decode, frames[start:start + 2048])
-                if rec is not None]
-        if rows:
-            score(np.array(rows, dtype=np.float64))
+    scored = score_matrix(model, extract_matrix(capture_path, MODE_PACKET))
     elapsed = perf() - t0
     n = len(samples)
     # no frame scored: the percentiles are undefined, not zero
     p50, p95, p99 = _percentiles_ms(samples) if n else (None, None, None)
     return LatencyReport(mode="packet", n=n, p50_ms=p50, p95_ms=p95,
                          p99_ms=p99, throughput_pps=(
-                             n / elapsed if elapsed else None),
-                         skipped=len(frames) - n)
+                             len(scored[0]) / elapsed if elapsed else None),
+                         skipped=reader.summary.frames_read - n)

@@ -261,7 +261,8 @@ class CaptureReader:
 
     Records are yielded in non-decreasing timestamp order; frames arriving
     more than REORDER_HORIZON behind the newest timestamp are dropped and
-    counted. `summary` is complete once iteration finishes.
+    counted. `admit` is the per-frame rule, `__iter__` adds the reorder
+    buffer. `summary` is complete once iteration finishes.
     """
 
     def __init__(self, path: str):
@@ -280,6 +281,7 @@ class CaptureReader:
             raise UnsupportedLinkType("link type %d" % network)
         self.link_type = network
         self.summary.link_type = network
+        self._newest = float("-inf")  # newest admitted timestamp
 
     def _parse_magic(self) -> tuple[str, bool]:
         magic_be = struct.unpack_from(">I", self._data, 0)[0]
@@ -294,11 +296,12 @@ class CaptureReader:
             return "<", True
         raise BadMagic("0x%08x is not a PCAP magic" % magic_be)
 
-    def _frames(self) -> Iterator[tuple[float, memoryview]]:
+    def frames(self) -> Iterator[tuple[float, memoryview]]:
+        """(timestamp, frame bytes) of every record in file order, not
+        decoded. Raises TruncatedHeader at a record cut short."""
         data = memoryview(self._data)
         offset = GLOBAL_HEADER_LEN
         rec_fmt = self._endian + "IIII"
-        divisor = 1e9 if self._ns else 1e6
         while offset < len(data):
             if offset + RECORD_HEADER_LEN > len(data):
                 raise TruncatedHeader("record header past end of file")
@@ -313,40 +316,59 @@ class CaptureReader:
             yield ts, data[offset:offset + caplen]
             offset += caplen
 
+    def admit(self, ts: float, frame: bytes | memoryview
+              ) -> PacketRecord | None:
+        """Decode one captured frame and count it in `summary`. Returns
+        None for a frame the reader skips: a fragment continuation, a
+        non-IP or malformed frame, or one more than REORDER_HORIZON
+        behind the newest admitted timestamp."""
+        s = self.summary
+        s.frames_read += 1
+        try:
+            rec = decode_frame(frame, self.link_type, ts=ts)
+        except FragmentContinuation as frag:
+            s.fragment_frames += 1
+            s.fragment_bytes += frag.byte_count
+            return None
+        except NonIP:
+            s.skipped_non_ip += 1
+            return None
+        except MalformedHeader:
+            s.skipped_malformed += 1
+            return None
+        if ts < self._newest - REORDER_HORIZON:
+            s.dropped_late += 1
+            return None
+        if ts > self._newest:
+            self._newest = ts
+        return rec
+
     def __iter__(self) -> Iterator[PacketRecord]:
         heap: list[tuple[float, int, PacketRecord]] = []
         seq = 0
-        max_ts = float("-inf")
-        s = self.summary
+        admit, s = self.admit, self.summary
+        self._newest = float("-inf")  # each pass restarts the horizon
         try:
-            for ts, frame in self._frames():
-                s.frames_read += 1
-                try:
-                    rec = decode_frame(frame, self.link_type, ts=ts)
-                except FragmentContinuation as frag:
-                    s.fragment_frames += 1
-                    s.fragment_bytes += frag.byte_count
+            for ts, frame in self.frames():
+                rec = admit(ts, frame)
+                if rec is None:
                     continue
-                except NonIP:
-                    s.skipped_non_ip += 1
-                    continue
-                except MalformedHeader:
-                    s.skipped_malformed += 1
-                    continue
-                if ts < max_ts - REORDER_HORIZON:
-                    s.dropped_late += 1
-                    continue
-                max_ts = max(max_ts, ts)
                 heapq.heappush(heap, (ts, seq, rec))
                 seq += 1
-                while heap and heap[0][0] <= max_ts - REORDER_HORIZON:
+                ready = self._newest - REORDER_HORIZON
+                while heap and heap[0][0] <= ready:
                     s.decoded += 1
                     yield heapq.heappop(heap)[2]
-        finally:
-            # flush the reorder buffer even when the file ends mid-record
-            while heap:
-                s.decoded += 1
-                yield heapq.heappop(heap)[2]
+        except TruncatedHeader:
+            # the records before the cut are still delivered
+            yield from self._flush(heap)
+            raise
+        yield from self._flush(heap)
+
+    def _flush(self, heap: list) -> Iterator[PacketRecord]:
+        while heap:
+            self.summary.decoded += 1
+            yield heapq.heappop(heap)[2]
 
 
 def open_capture(path: str) -> CaptureReader:
@@ -357,7 +379,7 @@ def open_capture(path: str) -> CaptureReader:
 def iter_raw_frames(path: str):
     """Yield (ts, raw_frame, link_type) without decoding; benchmark use."""
     reader = CaptureReader(path)
-    for ts, frame in reader._frames():
+    for ts, frame in reader.frames():
         yield ts, frame, reader.link_type
 
 

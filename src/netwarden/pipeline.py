@@ -32,13 +32,8 @@ from .features import (
 from .flows import FlowMeter, MeterConfig
 from .pcap import open_capture
 
-PIPELINE_DEFAULTS = {
-    "if": {"n_trees": 100, "subsample_size": 256},
-    "ee": {"ridge": 1e-6},
-    "lof": {"k": 20},
-    "osvm": {"nu": 0.05, "gamma": "scale"},
-    "ae": {},
-}
+# where the pipeline's default differs from the detector constructor's
+PIPELINE_DEFAULTS = {"osvm": {"nu": 0.05}}
 
 # heavier kinds fit on a seeded subsample; thresholds still use all rows
 MAX_TRAIN_DEFAULT = {"osvm": 4096, "lof": 4096}
@@ -101,8 +96,8 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
                 target_fpr: float = 0.02, seed: int = 0, budget: int = 0,
-                selected_names: tuple[str, ...] | None = None,
-                max_train: int | None = None) -> TrainedModel:
+                selected_names: tuple[str, ...] | None = None
+                ) -> TrainedModel:
     """Fit a one-class detector on a benign feature matrix.
 
     The training path never reads a label column: any labels on the input
@@ -135,8 +130,7 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     if kind in ("if", "ae") and "seed" not in merged:
         merged["seed"] = derive_seed(seed, "fit-" + kind)
 
-    cap = max_train if max_train is not None \
-        else MAX_TRAIN_DEFAULT.get(kind)
+    cap = MAX_TRAIN_DEFAULT.get(kind)
     if cap is not None and n > cap:
         rng = np.random.default_rng(derive_seed(seed, "subsample"))
         fit_rows = np.sort(rng.choice(n, size=cap, replace=False))

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from netwarden import pcap
 from netwarden.cli import main
 from netwarden.errors import ConfigInvalid
 from netwarden.features import FeatureMatrix, read_matrix_csv, \
     write_matrix_csv
+from netwarden.pipeline import extract_matrix, train_model
+
+from conftest import build_global_header, build_record, golden_syn_frame
 
 
 def run(*argv):
@@ -28,6 +32,15 @@ def workdir(tmp_path_factory):
     assert run("synth", "--scenario", str(d / "scenario.json"),
                "--seed", "11", "--out", str(d / "corpus")) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def packet_model(workdir):
+    """Path of an EE model trained on the corpus' packet matrix."""
+    path = workdir / "packet_model.json"
+    X = extract_matrix(str(workdir / "corpus.pcap"), mode="packet")
+    train_model(X, kind="ee").save(str(path))
+    return str(path)
 
 
 class TestSynthExtract:
@@ -260,6 +273,22 @@ class TestTrainScoreEvaluate:
                    "--in", str(workdir / "corpus.pcap"), "--tw", "1",
                    "--out", str(out)) == 0
         assert out.read_text().startswith("score,flag")
+
+    @pytest.mark.parametrize("magic,endian", [
+        (pcap.MAGIC_US_BE, ">"), (pcap.MAGIC_US_BE, "<"),
+        (pcap.MAGIC_NS_BE, ">"), (pcap.MAGIC_NS_BE, "<"),
+    ], ids=["us_be", "us_le", "ns_be", "ns_le"])
+    def test_score_sniffs_every_pcap_magic(self, packet_model, tmp_path,
+                                           magic, endian):
+        """A one-packet capture in each magic variant is read as a
+        capture, not as a matrix CSV."""
+        capture = tmp_path / "one.pcap"
+        capture.write_bytes(build_global_header(magic, endian)
+                            + build_record(1, 0, golden_syn_frame(), endian))
+        out = tmp_path / "one.csv"
+        assert run("score", "--model", packet_model, "--in", str(capture),
+                   "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2  # header + 1 row
 
 
 class TestSweep:

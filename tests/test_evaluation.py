@@ -8,7 +8,7 @@ from netwarden.pipeline import extract_matrix, train_model
 from netwarden.synth import ScenarioSpec
 
 from conftest import (build_global_header, build_record, eth_header,
-                      golden_syn_frame)
+                      golden_syn_frame, ipv4_header)
 from oracles import auc_pair_oracle, auc_rank_loop_oracle, roc_loop_oracle
 
 
@@ -252,7 +252,9 @@ def packet_capture(tmp_path_factory):
 @pytest.mark.parametrize("frame", [
     ARP_FRAME,
     eth_header() + b"\x45\x00",  # IPv4 header cut short
-], ids=["non_ip", "malformed"])
+    # a non-first IPv4 fragment (offset 3 x 8 bytes)
+    eth_header() + ipv4_header(48, 17, frag_field=3) + b"\x00" * 28,
+], ids=["non_ip", "malformed", "fragment"])
 def test_delay_benchmark_counts_skipped_frames(packet_capture, tmp_path,
                                                frame):
     """A frame the capture reader skips is counted, not scored."""
@@ -262,6 +264,10 @@ def test_delay_benchmark_counts_skipped_frames(packet_capture, tmp_path,
     rep = ev.delay_benchmark_packets(str(path), model)
     assert (rep.n, rep.skipped) == (n, 1)
     assert rep.throughput_pps > 0
+    reader = open_capture(str(path))
+    list(reader)
+    s = reader.summary
+    assert (rep.n, rep.skipped) == (s.decoded, s.frames_read - s.decoded)
 
 
 def test_delay_benchmark_skips_late_frames(packet_capture, tmp_path):

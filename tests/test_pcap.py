@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ class TestCaptureReader:
         with pytest.raises(TruncatedHeader):
             list(it)
 
+    def test_closing_early_does_not_raise(self, tmp_path, syn_frame,
+                                          udp_frame, monkeypatch):
+        """Regression: the reorder buffer was flushed from `finally`, so
+        closing the iterator while records were buffered yielded during
+        GeneratorExit and raised RuntimeError."""
+        body = build_record(1, 0, syn_frame) + build_record(3, 0, udp_frame) \
+            + build_record(5, 0, syn_frame)
+        path = self.write(tmp_path, body)
+        it = iter(pcap.open_capture(path))
+        assert next(it).ts == 1.0  # the 3 s record is still buffered
+        it.close()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        for _ in pcap.open_capture(path):
+            break
+        assert unraisable == []
+
     @pytest.mark.parametrize("endian,magic_ns", [("<", False), (">", False),
                                                  ("<", True), (">", True)])
     def test_all_four_magics(self, tmp_path, syn_frame, endian, magic_ns):
@@ -227,6 +245,14 @@ class TestCaptureReader:
         recs = list(reader)
         assert len(recs) == 1
         assert reader.summary.dropped_late == 1
+
+    def test_second_pass_yields_the_same_records(self, tmp_path, syn_frame,
+                                                 udp_frame):
+        body = build_record(10, 0, syn_frame) \
+            + build_record(20, 0, udp_frame)
+        reader = pcap.open_capture(self.write(tmp_path, body))
+        assert list(reader) == list(reader)
+        assert reader.summary.dropped_late == 0
 
     def test_non_ip_counted(self, tmp_path, syn_frame):
         arp = eth_header(0x0806) + b"\x00" * 28
