@@ -40,7 +40,7 @@ def sq_dists(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
 
 
 def rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
-    """rbf_kernel against the transposed second operand BT (d, m).
+    """exp(-gamma * ||a - b||^2) for rows a of A and columns b of BT.
 
     Every entry is exp of one sq_dists float, so the kernel of a set with
     itself is exactly symmetric with a unit diagonal.
@@ -49,7 +49,3 @@ def rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
     K *= -gamma
     return np.exp(K, out=K)
 
-
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a - b||^2) for all row pairs."""
-    return rbf(A, B.T, gamma)

@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from ..errors import EmptyTraining
+from ..errors import EmptyTraining, MalformedModel
 
 _HARMONIC_CACHE = [0.0]  # H(0) = 0
-WALK_PAIRS = 16_384  # (row, tree) pairs walked together in mean_path_length
+BLOCK_PAIRS = 16_384  # (row, tree) pairs walked together in mean_path_length
+_KEYS = ("feature", "threshold", "left", "right", "leaf_path")  # saved lists
 
 
 def harmonic(k: int) -> float:
@@ -44,48 +45,31 @@ def anomaly_score_from_mean_path(mean_path: float, n: int) -> float:
     return 2.0 ** (-mean_path / c)
 
 
-class _TreeBuilder:
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_path",
-                 "height_limit", "rng")
+def height_limit(psi: int) -> int:
+    """Depth at which a tree grown on psi rows stops splitting."""
+    return max(1, math.ceil(math.log2(max(psi, 2))))
 
-    def __init__(self, height_limit: int, rng: np.random.Generator):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_path: list[float] = []
-        self.height_limit = height_limit
-        self.rng = rng
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_path.append(0.0)
-        return len(self.feature) - 1
-
-    def build(self, X: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        n = X.shape[0]
-        if n <= 1 or depth >= self.height_limit:
-            self.leaf_path[node] = depth + average_path_normalizer(n)
-            return node
-        spread = X.max(axis=0) - X.min(axis=0)
-        candidates = np.flatnonzero(spread > 0)
-        if candidates.size == 0:  # all points identical
-            self.leaf_path[node] = depth + average_path_normalizer(n)
-            return node
-        q = int(candidates[self.rng.integers(candidates.size)])
-        lo = X[:, q].min()
-        hi = X[:, q].max()
-        p = self.rng.uniform(lo, hi)
-        mask = X[:, q] < p
-        self.feature[node] = q
-        self.threshold[node] = p
-        self.left[node] = self.build(X[mask], depth + 1)
-        self.right[node] = self.build(X[~mask], depth + 1)
+def _grow(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator,
+          nodes: list) -> int:
+    """Grow an isolation tree on the rows X, appending its nodes to `nodes`
+    in preorder as lists in _KEYS order; return the index of its root."""
+    node = len(nodes)
+    n = X.shape[0]
+    nodes.append([-1, 0.0, -1, -1, depth + average_path_normalizer(n)])
+    if n <= 1 or depth >= limit:
         return node
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    candidates = np.flatnonzero(hi > lo)
+    if candidates.size == 0:  # all points identical
+        return node
+    q = int(candidates[rng.integers(candidates.size)])
+    p = rng.uniform(lo[q], hi[q])
+    mask = X[:, q] < p
+    left = _grow(X[mask], depth + 1, limit, rng, nodes)
+    right = _grow(X[~mask], depth + 1, limit, rng, nodes)
+    nodes[node] = [q, p, left, right, 0.0]
+    return node
 
 
 class IsolationForest:
@@ -106,65 +90,91 @@ class IsolationForest:
         if X.size == 0:
             raise EmptyTraining("isolation forest needs training rows")
         n = X.shape[0]
-        psi = min(self.subsample_size, n)
-        self._effective_subsample = psi
-        height_limit = max(1, math.ceil(math.log2(max(psi, 2))))
+        self._effective_subsample = psi = min(self.subsample_size, n)
+        limit = height_limit(psi)
         rng = np.random.default_rng(self.seed)
         trees = []
         for _ in range(self.n_trees):
-            idx = rng.choice(n, size=psi, replace=False)
-            builder = _TreeBuilder(height_limit, rng)
-            builder.build(X[idx], 0)
-            trees.append({"feature": builder.feature,
-                          "threshold": builder.threshold,
-                          "left": builder.left, "right": builder.right,
-                          "leaf_path": builder.leaf_path})
+            nodes = []
+            _grow(X[rng.choice(n, size=psi, replace=False)], 0, limit, rng,
+                  nodes)
+            trees.append(dict(zip(_KEYS, map(list, zip(*nodes)))))
         self._stack_trees(trees)
         return self
 
     def _stack_trees(self, trees: list[dict]) -> None:
-        """Concatenate trees in the saved per-tree format into flat node
-        arrays, each tree's child indices shifted by its offset. Leaves
-        are told by feature -1."""
-        def flat(key, dtype):
-            return np.concatenate([tree[key] for tree in trees], dtype=dtype)
-        sizes = np.array([len(tree["feature"]) for tree in trees])
-        self._roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        offset = np.repeat(self._roots, sizes)
-        self._feat = flat("feature", np.int64)
-        self._thresh = flat("threshold", np.float64)
-        self._left = flat("left", np.int64) + offset
-        self._right = flat("right", np.int64) + offset
-        self._path = flat("leaf_path", np.float64)
+        """Lay out the saved trees as complete binary trees of depth
+        h = height_limit(psi), node i's children at 2i+1 and 2i+2. A leaf
+        above depth h becomes a pass-through subtree whose leaves all carry
+        its path length. MalformedModel names the tree if a child is out of
+        range, a node is reached twice or a node at depth h splits."""
+        if not trees:
+            raise MalformedModel("isolation forest has no trees")
+        self._trees = [{k: list(tree[k]) for k in _KEYS} for tree in trees]
+        sizes = np.array([len(tree["feature"]) for tree in self._trees])
+        for i, tree in enumerate(self._trees):
+            if not sizes[i] or {len(v) for v in tree.values()} != {sizes[i]}:
+                raise MalformedModel("tree %d: node lists empty or uneven" % i)
+        roots = np.cumsum(sizes) - sizes
+        dtypes = (np.intp, np.float64, np.intp, np.intp, np.float64)
+        feat, thresh, left, right, path = (np.concatenate(
+            [tree[k] for tree in self._trees], dtype=dt)
+            for k, dt in zip(_KEYS, dtypes))
+
+        def fail(node, what):
+            tree = int(np.searchsorted(roots, node, side="right")) - 1
+            raise MalformedModel("tree %d: node %d %s"
+                                 % (tree, node - roots[tree], what))
+        kids = np.stack([left, right])
+        bad = ((kids < 0) | (kids >= np.repeat(sizes, sizes))).any(axis=0)
+        if (bad & (feat >= 0)).any():
+            fail(np.argmax(bad & (feat >= 0)), "has a child out of range")
+        kids += np.repeat(roots, sizes)
+        h = height_limit(self._effective_subsample)
+        visits = np.bincount(roots, minlength=feat.size)
+        node = roots[:, None]  # the saved node behind each layout position
+        levels = []
+        for depth in range(h + 1):
+            split = feat[node] >= 0
+            levels.append((np.where(split, feat[node], 0),
+                           np.where(split, thresh[node], 0.0), path[node]))
+            if depth == h:
+                break
+            visits += np.bincount(kids[:, node[split]].ravel(),
+                                  minlength=feat.size)
+            if visits.max() > 1:
+                fail(np.argmax(visits > 1), "is reached twice")
+            node = np.where(split, kids[:, node], node)
+            node = np.moveaxis(node, 0, -1).reshape(len(roots), -1)
+        if split.any():
+            fail(node[split][0], "splits at depth %d, where trees of psi = "
+                 "%d rows end in leaves" % (h, self._effective_subsample))
+        self._depth = h
+        self._feat, self._thresh, self._path = (
+            np.concatenate(level, axis=1).ravel() for level in zip(*levels))
+        self._base = np.arange(len(roots)) * ((2 << h) - 1)  # tree offsets
+        self._width = int(self._feat.max()) + 1  # columns a row must have
 
     def mean_path_length(self, X: np.ndarray) -> np.ndarray:
-        """E(h(x)) per row, averaged over the ensemble.
-
-        Walks (row, tree) pairs level by level in blocks of about
-        WALK_PAIRS pairs, dropping the pairs that reached a leaf.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n = X.shape[0]
-        t = self._roots.size
-        out = np.empty(n, dtype=np.float64)
-        chunk = max(1, WALK_PAIRS // t)
+        """E(h(x)) per row, averaged over the ensemble. Each (row, tree)
+        pair of a block of about BLOCK_PAIRS pairs takes exactly h steps
+        down its complete tree, left if x[feat] < thr and otherwise right
+        (NaN too), so a row's mean does not depend on its block or batch."""
+        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
+        n, d = X.shape
+        if d < self._width:
+            raise ValueError("rows of %d columns are too narrow" % d)
+        values, base, out = X.ravel(), self._base, np.empty(n)
+        chunk = max(1, BLOCK_PAIRS // base.size)
         for start in range(0, n, chunk):
-            rows = X[start:start + chunk]
-            b = rows.shape[0]
-            leaf = np.empty(b * t, dtype=np.int64)
-            pair = np.arange(b * t)
-            row = pair // t
-            node = np.tile(self._roots, b)
-            while pair.size:
-                feat = self._feat[node]
-                done = feat < 0
-                leaf[pair[done]] = node[done]
-                walking = ~done
-                pair, row, node, feat = (
-                    pair[walking], row[walking], node[walking], feat[walking])
-                go_left = rows[row, feat] < self._thresh[node]
-                node = np.where(go_left, self._left[node], self._right[node])
-            out[start:start + b] = self._path[leaf].reshape(b, t).mean(axis=1)
+            b = min(chunk, n - start)
+            row_base = np.arange(start, start + b)[:, None] * d
+            node = np.zeros((b, base.size), dtype=np.intp)
+            for _ in range(self._depth):
+                at = node + base
+                x = values.take(self._feat.take(at) + row_base)
+                node = 2 * node + 1 + ~(x < self._thresh.take(at))
+            out[start:start + b] = self._path.take(node + base).mean(axis=1)
         return out
 
     def score(self, X: np.ndarray) -> np.ndarray:
@@ -180,19 +190,9 @@ class IsolationForest:
                 "subsample_size": self.subsample_size, "seed": self.seed}
 
     def state_dict(self) -> dict:
-        def per_tree(a):
-            return np.split(a, self._roots[1:])
-        trees = [
-            {"feature": f.tolist(), "threshold": th.tolist(),
-             "left": (le - lo).tolist(), "right": (ri - lo).tolist(),
-             "leaf_path": pa.tolist()}
-            for lo, f, th, le, ri, pa in zip(
-                self._roots, *map(per_tree, (self._feat, self._thresh,
-                                             self._left, self._right,
-                                             self._path)))
-        ]
         return {"effective_subsample": self._effective_subsample,
-                "trees": trees}
+                "trees": [{k: list(v) for k, v in tree.items()}
+                          for tree in self._trees]}
 
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "IsolationForest":

@@ -88,6 +88,10 @@ class EmptyTraining(NetwardenError):
     code = "empty_training"
 
 
+class MalformedModel(NetwardenError):
+    code = "malformed_model"
+
+
 class SingularCovariance(NetwardenError):
     code = "singular_covariance"
 

@@ -24,7 +24,7 @@ from netwarden.detectors import (
     make_detector,
     random_search,
 )
-from netwarden.detectors.distance import rbf_kernel
+from netwarden.detectors.distance import rbf
 from netwarden.evaluation import (
     auc,
     binary_metrics,
@@ -100,7 +100,7 @@ def test_c2_osvm_oracle_and_nu_property():
         C = 1.0 / (nu * n)
         assert np.all(alpha >= 0.0) and np.all(alpha <= C)  # box exact
         assert abs(alpha.sum() - 1.0) <= 1e-9
-        K = rbf_kernel(X, X, gamma)
+        K = rbf(X, X.T, gamma)
         _, oracle_obj = osvm_dual_oracle(K, nu)
         diff = abs(0.5 * alpha @ K @ alpha - oracle_obj)
         worst = max(worst, diff)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netwarden.detectors import (
     EllipticEnvelope,
@@ -13,7 +14,12 @@ from netwarden.detectors import (
     harmonic,
 )
 from netwarden.detectors.distance import sq_dists
-from netwarden.errors import EmptyTraining, KTooLarge, SingularCovariance
+from netwarden.errors import (
+    EmptyTraining,
+    KTooLarge,
+    MalformedModel,
+    SingularCovariance,
+)
 
 from oracles import (
     iforest_mean_path_oracle,
@@ -182,7 +188,7 @@ class TestIsolationForest:
         expected = iforest_mean_path_oracle(model.state_dict(), Q)
         assert np.array_equal(model.mean_path_length(Q), expected)
         # blocks that split the queries unevenly give the same result
-        monkeypatch.setattr(iforest, "WALK_PAIRS", 25 * 7)
+        monkeypatch.setattr(iforest, "BLOCK_PAIRS", 25 * 7)
         assert np.array_equal(model.mean_path_length(Q), expected)
 
     def test_saved_model_bytes_pinned(self):
@@ -210,6 +216,162 @@ class TestIsolationForest:
         clone = IsolationForest.from_state(model.get_params(),
                                            model.state_dict())
         assert np.array_equal(model.score(Q), clone.score(Q))
+
+
+def one_split_tree() -> dict:
+    """A saved tree of depth 1: x[0] < 0.5 goes left."""
+    return {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+            "left": [1, -1, -1], "right": [2, -1, -1],
+            "leaf_path": [0.0, 1.0, 1.0]}
+
+
+def forest_state(second_tree: dict, psi: int = 2) -> dict:
+    return {"effective_subsample": psi,
+            "trees": [one_split_tree(), second_tree]}
+
+
+class TestIsolationForestLayout:
+    """The complete-tree walk against the one-row, one-tree oracle, bit for
+    bit, and the checks made when the trees are laid out."""
+
+    @staticmethod
+    def assert_matches_oracle(model, Q):
+        expected = iforest_mean_path_oracle(model.state_dict(), Q)
+        assert np.array_equal(bits(model.mean_path_length(Q)), bits(expected))
+
+    @pytest.mark.parametrize("n_train,subsample", [
+        (300, 2), (300, 3), (300, 64), (300, 256), (2, 256), (3, 256),
+        (40, 256)])
+    def test_tied_rows_match_oracle(self, n_train, subsample):
+        X, Q = tied_rows(3, n_train=300, d=5)
+        model = IsolationForest(n_trees=20, subsample_size=subsample,
+                                seed=5).fit(X[:n_train])
+        self.assert_matches_oracle(model, Q)
+        self.assert_matches_oracle(model, X[:50])
+
+    def test_early_leaves_at_several_depths(self):
+        X, Q = tied_rows(8, n_train=300, d=3)
+        model = IsolationForest(n_trees=30, subsample_size=256,
+                                seed=2).fit(X)
+        depths = set()
+        for tree in model.state_dict()["trees"]:
+            stack = [(0, 0)]
+            while stack:
+                node, depth = stack.pop()
+                if tree["feature"][node] < 0:
+                    depths.add(depth)
+                else:
+                    stack += [(tree["left"][node], depth + 1),
+                              (tree["right"][node], depth + 1)]
+        assert {2, 3, 4, 5} <= depths and max(depths) <= 8
+        self.assert_matches_oracle(model, Q)
+
+    def test_single_tree(self):
+        X, Q = tied_rows(4, d=4)
+        model = IsolationForest(n_trees=1, subsample_size=64, seed=3).fit(X)
+        self.assert_matches_oracle(model, Q)
+
+    def test_one_row_queries_and_memory_order(self):
+        X, Q = tied_rows(5, d=6)
+        model = IsolationForest(n_trees=40, subsample_size=128,
+                                seed=8).fit(X)
+        batch = model.score(np.ascontiguousarray(Q))
+        assert np.array_equal(bits(model.score(np.asfortranarray(Q))),
+                              bits(batch))
+        # a column gather, as the model input projection makes
+        gathered = np.column_stack([Q, Q[:, :1]])[:, :Q.shape[1]]
+        assert np.array_equal(bits(model.score(gathered)), bits(batch))
+        singles = np.concatenate([model.score(q[None, :]) for q in Q])
+        assert np.array_equal(bits(singles), bits(batch))
+        self.assert_matches_oracle(model, Q[:1])
+
+    def test_nan_and_inf_go_as_the_oracle_sends_them(self):
+        X, Q = tied_rows(6, d=4)
+        model = IsolationForest(n_trees=25, subsample_size=64, seed=6).fit(X)
+        Q = Q[:12].copy()
+        Q[0, 0] = np.nan
+        Q[1] = np.nan
+        Q[2, 1], Q[3, 2] = np.inf, -np.inf
+        Q[4] = np.inf
+        Q[5] = -np.inf
+        Q[6, ::2] = np.nan
+        Q[6, 1::2] = -np.inf
+        self.assert_matches_oracle(model, Q)
+        c = average_path_normalizer(64)
+        expected = 2.0 ** (-iforest_mean_path_oracle(model.state_dict(), Q)
+                           / c)
+        assert np.array_equal(bits(model.score(Q)), bits(expected))
+
+    def test_narrow_rows_rejected(self):
+        X, _ = tied_rows(2, d=5)
+        model = IsolationForest(n_trees=10, seed=1).fit(X)
+        with pytest.raises(ValueError, match="too narrow"):
+            model.score(X[:, :2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_small_forests_on_tied_integers(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        values = st.integers(-2, 2).map(float)
+        X = np.array(data.draw(st.lists(st.lists(values, min_size=d,
+                                                 max_size=d),
+                                        min_size=n, max_size=n)))
+        Q = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 2.0, np.nan,
+                                      np.inf]), min_size=d, max_size=d),
+            min_size=1, max_size=8)))
+        model = IsolationForest(
+            n_trees=data.draw(st.integers(1, 6), label="n_trees"),
+            subsample_size=data.draw(st.integers(1, 48), label="psi"),
+            seed=data.draw(st.integers(0, 2**16), label="seed")).fit(X)
+        self.assert_matches_oracle(model, np.vstack([X, Q]))
+        clone = IsolationForest.from_state(
+            model.get_params(), json.loads(json.dumps(model.state_dict())))
+        assert json.dumps(clone.state_dict()) == json.dumps(
+            model.state_dict())
+
+    def test_child_index_out_of_range(self):
+        tree = one_split_tree()
+        tree["left"][0] = tree["right"][0] = 10 ** 6
+        with pytest.raises(MalformedModel, match="tree 1: node 0 has a child "
+                                                 "out of range"):
+            IsolationForest.from_state({}, forest_state(tree))
+
+    def test_cycle_raises_instead_of_walking_forever(self):
+        tree = one_split_tree()
+        tree["left"][0] = tree["right"][0] = 0
+        with pytest.raises(MalformedModel,
+                           match="tree 1: node 0 is reached twice"):
+            IsolationForest.from_state({}, forest_state(tree, psi=256))
+
+    def test_shared_child_is_reached_twice(self):
+        tree = one_split_tree()
+        tree["right"][0] = 1
+        with pytest.raises(MalformedModel,
+                           match="tree 1: node 1 is reached twice"):
+            IsolationForest.from_state({}, forest_state(tree))
+
+    def test_leaf_below_depth_limit(self):
+        # psi = 2 trees end in leaves at depth 1; this one splits there
+        deep = {"feature": [0, 1, -1, -1, -1],
+                "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
+                "left": [1, 2, -1, -1, -1], "right": [4, 3, -1, -1, -1],
+                "leaf_path": [0.0, 0.0, 2.0, 2.0, 1.0]}
+        with pytest.raises(MalformedModel,
+                           match="tree 1: node 1 splits at depth 1"):
+            IsolationForest.from_state({}, forest_state(deep))
+        model = IsolationForest.from_state({}, forest_state(deep, psi=4))
+        self.assert_matches_oracle(model, np.array([[0.0, 0.0], [0.0, 1.0],
+                                                    [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("trees", [[], [{"feature": [], "threshold": [],
+                                             "left": [], "right": [],
+                                             "leaf_path": []}]])
+    def test_empty_forest_or_tree(self, trees):
+        with pytest.raises(MalformedModel):
+            IsolationForest.from_state({}, {"effective_subsample": 4,
+                                            "trees": trees})
 
 
 class TestEllipticEnvelope:

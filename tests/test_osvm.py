@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netwarden.detectors import OneClassSVM
-from netwarden.detectors.distance import rbf_kernel
+from netwarden.detectors.distance import rbf
 from netwarden.errors import EmptyTraining, NonConvergence
 
 from oracles import osvm_dual_oracle
@@ -11,11 +11,11 @@ from oracles import osvm_dual_oracle
 class TestKernel:
     def test_unit_diagonal(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
-        K = rbf_kernel(X, X, 0.5)
+        K = rbf(X, X.T, 0.5)
         assert np.allclose(np.diag(K), 1.0)
 
     def test_known_value(self):
-        K = rbf_kernel(np.array([[0.0]]), np.array([[2.0]]), 0.5)
+        K = rbf(np.array([[0.0]]), np.array([[2.0]]), 0.5)
         assert K[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-15)
 
 
@@ -45,7 +45,7 @@ class TestSmoSolver:
         gamma = float(rng.uniform(0.2, 2.0))
         X = rng.normal(size=(n, d))
         model = OneClassSVM(nu=nu, gamma=gamma, tol=1e-10).fit(X)
-        K = rbf_kernel(X, X, gamma)
+        K = rbf(X, X.T, gamma)
         _, oracle_obj = osvm_dual_oracle(K, nu)
         smo_obj = 0.5 * model.alpha_ @ K @ model.alpha_
         assert smo_obj == pytest.approx(oracle_obj, abs=1e-6)
