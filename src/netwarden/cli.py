@@ -15,7 +15,7 @@ import sys
 
 from .errors import ConfigInvalid, InputOutputError, NetwardenError
 from . import synth as synth_mod
-from .detectors import TrainedModel
+from .detectors import TrainedModel, make_detector
 from .evaluation import (
     evaluate,
     format_metric_table,
@@ -102,15 +102,26 @@ def _merge(args: argparse.Namespace) -> dict:
 def _parse_tw(value) -> float | None:
     if value in (None, "default"):
         return None
-    tw = float(value)
-    if tw <= 0:
-        raise ConfigInvalid("tw must be positive or 'default'")
-    return tw
+    try:
+        tw = float(value)
+        if tw > 0:
+            return tw
+    except ValueError:
+        pass
+    raise ConfigInvalid("tw must be positive seconds or 'default', got %r"
+                        % value)
 
 
-def _parse_keep(value):
+def _parse_keep(value, m: int):
+    """--keep as a feature count, or as a fraction when it has a ".",
+    checked against the m columns it selects from."""
     text = str(value)
-    return float(text) if "." in text else int(text)
+    try:
+        keep = float(text) if "." in text else int(text)
+        SelectionConfig(keep=keep).resolve_keep(m)
+    except ValueError as e:
+        raise ConfigInvalid("keep: %s" % e) from None
+    return keep
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -185,7 +196,7 @@ def cmd_select(cfg: dict) -> int:
     Xn = apply_normalizer(X, stats)
     sel_cfg = SelectionConfig(sigma=cfg["sigma"],
                               aggregation=cfg["aggregate"],
-                              keep=_parse_keep(cfg["keep"]),
+                              keep=_parse_keep(cfg["keep"], len(Xn.names)),
                               seed=cfg["seed"])
     ranked = rank_features(Xn.values, Xn.names, sel_cfg)
     with open(cfg["out"], "w") as fh:
@@ -224,6 +235,10 @@ def cmd_train(cfg: dict) -> int:
     _require(cfg, "in", "out")
     X = read_matrix_csv(cfg["in"])
     params = json.loads(cfg["params"]) if cfg["params"] else None
+    try:
+        make_detector(cfg["detector"], params)
+    except (ValueError, TypeError) as e:
+        raise ConfigInvalid("params: %s" % e) from None
     selected = None
     if cfg["manifest"]:
         with open(cfg["manifest"]) as fh:
@@ -271,17 +286,13 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "in", "labels", "out")
-    tw_list = []
-    for tok in str(cfg["tw"]).split(","):
-        tok = tok.strip()
-        tw_list.append("default" if tok == "default" else float(tok))
+    tw_list = [_parse_tw(tok.strip()) for tok in str(cfg["tw"]).split(",")]
     params = json.loads(cfg["params"]) if cfg["params"] else None
     mode = cfg["mode"] if cfg["mode"] != "packet" else "uni_flow"
-    rows = tw_sweep(cfg["in"], cfg["labels"], kind=cfg["detector"],
-                    tw_list=tw_list, mode=mode,
-                    idle_timeout=cfg["idle_timeout"],
-                    target_fpr=cfg["target_fpr"], seed=cfg["seed"],
-                    params=params)
+    rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
+        cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=tw_list,
+        mode=mode, idle_timeout=cfg["idle_timeout"],
+        target_fpr=cfg["target_fpr"], seed=cfg["seed"], params=params)]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")
         for tw, rep in rows:

@@ -34,6 +34,8 @@ DETECTOR_CLASSES = {
 
 MODEL_FORMAT_VERSION = 1
 
+SEARCH_FOLDS = 5  # cross-validation folds of random_search
+
 __all__ = [
     "KINDS", "DETECTOR_CLASSES", "IsolationForest", "EllipticEnvelope",
     "LocalOutlierFactor", "OneClassSVM", "Autoencoder",
@@ -103,10 +105,10 @@ def _sample_params(space: dict, rng: np.random.Generator) -> dict:
     return params
 
 
-def _kfold_indices(n: int, folds: int, seed: int):
+def _kfold_indices(n: int, seed: int):
     order = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(folds, n // folds)
-    sizes[: n % folds] += 1
+    sizes = np.full(SEARCH_FOLDS, n // SEARCH_FOLDS)
+    sizes[: n % SEARCH_FOLDS] += 1
     start = 0
     for size in sizes:
         val = order[start:start + size]
@@ -119,16 +121,11 @@ def _kfold_indices(n: int, folds: int, seed: int):
 class SearchTrial:
     params: dict
     fold_fpr: list[float]
-    fold_auc: list[float] | None
     score_variance: float
 
     @property
     def mean_fpr(self) -> float:
         return float(np.mean(self.fold_fpr))
-
-    @property
-    def mean_auc(self) -> float | None:
-        return float(np.mean(self.fold_auc)) if self.fold_auc else None
 
 
 @dataclass
@@ -136,24 +133,19 @@ class SearchResult:
     kind: str
     best_params: dict
     trials: list[SearchTrial]
-    criterion: str  # "fpr" or "auc"
 
 
-def random_search(kind: str, space: dict, X: np.ndarray, folds: int = 5,
-                  budget: int = 20, seed: int = 0, target_fpr: float = 0.02,
-                  anomalies: np.ndarray | None = None) -> SearchResult:
-    """Sample `budget` configurations and 5-fold cross-validate each on
-    benign data.
+def random_search(kind: str, space: dict, X: np.ndarray, budget: int = 20,
+                  seed: int = 0, target_fpr: float = 0.02) -> SearchResult:
+    """Sample `budget` configurations and cross-validate each on benign
+    data over `SEARCH_FOLDS` folds.
 
     Selection minimizes the mean held-out false-positive rate at the
     quantile-calibrated threshold, tie-broken by lower pooled score
-    variance. If labeled anomalies are supplied the criterion switches to
-    the highest mean validation AUC.
+    variance. No labelled anomaly is read: training is benign-only.
     """
     if not space:
         raise EmptySpace("empty hyperparameter space")
-    from ..evaluation import auc as auc_fn  # local import, avoids a cycle
-
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = X.shape[0]
@@ -161,9 +153,8 @@ def random_search(kind: str, space: dict, X: np.ndarray, folds: int = 5,
     for _ in range(budget):
         params = _sample_params(space, rng)
         fold_fpr: list[float] = []
-        fold_auc: list[float] = []
         pooled: list[np.ndarray] = []
-        for train_idx, val_idx in _kfold_indices(n, folds, seed):
+        for train_idx, val_idx in _kfold_indices(n, seed):
             det = make_detector(kind, params)
             det.fit(X[train_idx])
             train_scores = det.score(X[train_idx])
@@ -171,30 +162,15 @@ def random_search(kind: str, space: dict, X: np.ndarray, folds: int = 5,
             val_scores = det.score(X[val_idx])
             fold_fpr.append(float((val_scores > theta).mean()))
             pooled.append(val_scores)
-            if anomalies is not None:
-                anom_scores = det.score(anomalies)
-                scores = np.concatenate([val_scores, anom_scores])
-                labels = np.concatenate([np.zeros(len(val_scores)),
-                                         np.ones(len(anom_scores))])
-                fold_auc.append(auc_fn(scores, labels))
         trials.append(SearchTrial(
             params=params,
             fold_fpr=fold_fpr,
-            fold_auc=fold_auc if anomalies is not None else None,
             score_variance=float(np.var(np.concatenate(pooled))),
         ))
-    if anomalies is not None:
-        best = max(range(len(trials)),
-                   key=lambda t: (trials[t].mean_auc,
-                                  -trials[t].score_variance))
-        criterion = "auc"
-    else:
-        best = min(range(len(trials)),
-                   key=lambda t: (trials[t].mean_fpr,
-                                  trials[t].score_variance))
-        criterion = "fpr"
+    best = min(range(len(trials)),
+               key=lambda t: (trials[t].mean_fpr, trials[t].score_variance))
     return SearchResult(kind=kind, best_params=trials[best].params,
-                        trials=trials, criterion=criterion)
+                        trials=trials)
 
 
 @dataclass
@@ -236,9 +212,6 @@ class TrainedModel:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.detector.score(X)
-
-    def flag(self, X: np.ndarray) -> np.ndarray:
-        return self.score(X) > self.threshold
 
     def to_dict(self) -> dict:
         return {

@@ -145,21 +145,13 @@ class Autoencoder:
         diff = self.reconstruct(X) - X
         return np.einsum("ij,ij->i", diff, diff)
 
-    # --- flat parameter access, used by the finite-difference check ---
-
-    def get_flat_params(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        self.params[:] = flat
-
     def loss(self, X: np.ndarray) -> float:
         G = np.empty_like(self.params)
         return self._backprop(np.asarray(X, dtype=np.float64),
                               *self._gradient_views(G))
 
     def flat_gradients(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of `loss` in the layout of `get_flat_params`; NaN
+        """Gradient of `loss` in the layout of `params`; NaN
         when the loss is not finite."""
         G = np.full_like(self.params, np.nan)
         self._backprop(np.asarray(X, dtype=np.float64),

@@ -183,6 +183,8 @@ class IsolationForest:
             raise EmptyTraining("model is not fitted")
         mean_paths = self.mean_path_length(X)
         c = average_path_normalizer(self._effective_subsample)
+        if c <= 0:  # fit on one row: as anomaly_score_from_mean_path
+            return np.ones_like(mean_paths)
         return np.power(2.0, -mean_paths / c)
 
     def get_params(self) -> dict:

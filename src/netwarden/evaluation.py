@@ -248,13 +248,13 @@ class LabelIndex:
 # --- time-window sweep ---------------------------------------------------
 
 TW_SWEEP_DEFAULT = ("default", 300.0, 100.0, 10.0, 1.0)
+TW_SWEEP_TRAIN_FRACTION = 0.7  # of each window's benign rows
 
 
 def tw_sweep(capture_path: str, labels_path: str, kind: str,
              tw_list=TW_SWEEP_DEFAULT, mode: str = "uni_flow",
              idle_timeout: float = 15.0, target_fpr: float = 0.02,
-             seed: int = 0, params: dict | None = None,
-             train_fraction: float = 0.7) -> list[tuple]:
+             seed: int = 0, params: dict | None = None) -> list[tuple]:
     """Re-meter, re-extract, re-train and re-evaluate per time window.
 
     Within each window setting, benign rows are split (seeded) into a
@@ -275,7 +275,7 @@ def tw_sweep(capture_path: str, labels_path: str, kind: str,
         anom_idx = np.flatnonzero(labels != LABEL_NORMAL)
         rng = np.random.default_rng([seed, pos])
         perm = rng.permutation(len(benign_idx))
-        cut = int(len(benign_idx) * train_fraction)
+        cut = int(len(benign_idx) * TW_SWEEP_TRAIN_FRACTION)
         train_rows = benign_idx[perm[:cut]]
         eval_rows = np.concatenate([benign_idx[perm[cut:]], anom_idx])
         train = FeatureMatrix(values=X.values[train_rows], names=X.names,
@@ -300,9 +300,6 @@ class LatencyReport:
     p99_ms: float | None
     throughput_pps: float | None = None
     skipped: int = 0  # frames the capture reader would skip, not scored
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
 
 
 def _percentiles_ms(samples_s: list[float]) -> tuple[float, float, float]:

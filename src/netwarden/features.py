@@ -54,8 +54,6 @@ class FeatureSpec:
 class Manifest:
     mode: str
     entries: tuple[FeatureSpec, ...]
-    # positions of the entries in the mode's full row; None: the full row
-    columns: tuple[int, ...] | None = None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -67,23 +65,6 @@ class Manifest:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def subset(self, names: Iterable[str]) -> "Manifest":
-        wanted = set(names)
-        unknown = wanted - set(self.names)
-        if unknown:
-            raise ManifestMismatch("unknown features: %s" % sorted(unknown))
-        keep = [i for i, e in enumerate(self.entries) if e.name in wanted]
-        cols = keep if self.columns is None else [self.columns[i]
-                                                  for i in keep]
-        return Manifest(self.mode, tuple(self.entries[i] for i in keep),
-                        tuple(cols))
-
-    def category_counts(self) -> dict[str, int]:
-        counts = {c: 0 for c in CATEGORIES}
-        for e in self.entries:
-            counts[e.category] += 1
-        return counts
 
 
 def manifest_hash(mode: str, names: Iterable[str]) -> str:
@@ -214,11 +195,9 @@ def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
         pay_min, pay_max = a.payload_len_min, a.payload_len_max
         ttl_min, ttl_max = a.ttl_min, a.ttl_max
         ip_max, l4_max = a.ip_hdr_max, a.l4_hdr_max
-    len_sum = a.pkt_len_sum + b.pkt_len_sum
-    pay_sum = a.payload_len_sum + b.payload_len_sum
-    byte_count = a.byte_count + b.byte_count
+    byte_count = a.byte_count + b.byte_count  # the sum of packet lengths
     payload_bytes = a.payload_byte_count + b.payload_byte_count
-    header_bytes = a.header_byte_count + b.header_byte_count
+    header_bytes = byte_count - payload_bytes
     k = rec.iat_count
     iat_min = rec.iat_min if k else 0.0
     iat_max = rec.iat_max if k else 0.0
@@ -226,16 +205,17 @@ def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
     proto = rec.protocol
     return [
         # packet-based: counts and volume shape
-        n, n / span, len_min, len_max, len_sum / n,
-        _pop_std(len_sum, a.pkt_len_sumsq + b.pkt_len_sumsq, n),
+        n, n / span, len_min, len_max, byte_count / n,
+        _pop_std(byte_count, a.pkt_len_sumsq + b.pkt_len_sumsq, n),
         len_max - len_min,
         (a.small_pkt_count + b.small_pkt_count) / n,
         (a.large_pkt_count + b.large_pkt_count) / n,
         # byte-based: load and split between headers and payload
         byte_count, byte_count / span, header_bytes, payload_bytes,
         payload_bytes / (byte_count or 1.0),
-        pay_min, pay_max, pay_sum / n,
-        _pop_std(pay_sum, a.payload_len_sumsq + b.payload_len_sumsq, n),
+        pay_min, pay_max, payload_bytes / n,
+        _pop_std(payload_bytes, a.payload_len_sumsq + b.payload_len_sumsq,
+                 n),
         header_bytes / n,
         # time-based: duration, gaps, activity runs
         rec.duration, iat_min, iat_max,
@@ -269,11 +249,11 @@ def _side_row(s: DirStats) -> list:
     k = s.iat_count
     return [
         n,
-        s.pkt_len_sum / n if n else 0.0,
-        _pop_std(s.pkt_len_sum, s.pkt_len_sumsq, n),
+        s.byte_count / n if n else 0.0,
+        _pop_std(s.byte_count, s.pkt_len_sumsq, n),
         s.pkt_len_max, s.byte_count, s.payload_byte_count,
-        s.payload_len_sum / n if n else 0.0,
-        _pop_std(s.payload_len_sum, s.payload_len_sumsq, n),
+        s.payload_byte_count / n if n else 0.0,
+        _pop_std(s.payload_byte_count, s.payload_len_sumsq, n),
         s.iat_sum / k if k else 0.0,
         _pop_std(s.iat_sum, s.iat_sumsq, k),
         s.iat_max if k else 0.0,
@@ -319,6 +299,15 @@ _ROW_BUILDERS = {
 }
 
 
+def _require_default(manifest: Manifest) -> None:
+    """Rows come only in a mode's default manifest; columns are narrowed
+    by name afterwards (`select`, `train_model(selected_names=)`)."""
+    default = DEFAULT_MANIFESTS.get(manifest.mode)
+    if manifest is not default and manifest != default:
+        raise ManifestMismatch("manifest %s is not the default %r manifest"
+                               % (manifest.hash, manifest.mode))
+
+
 def flow_row(rec: FlowRecord, manifest: Manifest) -> list:
     """One FlowRecord's row, as a list in `manifest` order."""
     expected = MODE_TO_DIRECTION.get(manifest.mode)
@@ -326,9 +315,8 @@ def flow_row(rec: FlowRecord, manifest: Manifest) -> list:
         raise ManifestMismatch(
             "flow mode %r does not fit manifest mode %r"
             % (rec.mode, manifest.mode))
-    row = _ROW_BUILDERS[manifest.mode](rec)
-    cols = manifest.columns
-    return row if cols is None else [row[i] for i in cols]
+    _require_default(manifest)
+    return _ROW_BUILDERS[manifest.mode](rec)
 
 
 def flow_features(rec: FlowRecord, manifest: Manifest) -> np.ndarray:
@@ -369,9 +357,8 @@ def packet_row(p: PacketRecord, ctx: PacketContext,
     if manifest.mode != MODE_PACKET:
         raise ManifestMismatch("manifest mode %r is not packet"
                                % manifest.mode)
-    row = _packet_row(p, *ctx.advance(p))
-    cols = manifest.columns
-    return row if cols is None else [row[i] for i in cols]
+    _require_default(manifest)
+    return _packet_row(p, *ctx.advance(p))
 
 
 def packet_features(p: PacketRecord, ctx: PacketContext,

@@ -29,7 +29,7 @@ TERM_WINDOW = "window_close"
 TERM_CAPTURE_END = "capture_end"
 
 DEFAULT_IDLE_TIMEOUT = 15.0
-DEFAULT_ACTIVE_GAP = 1.0
+ACTIVE_GAP = 1.0  # a longer gap between packets ends an activity run
 
 SMALL_PAYLOAD = 32
 LARGE_PAYLOAD = 1000
@@ -56,15 +56,15 @@ def flow_key_of(p: PacketRecord, mode: str) -> FlowKey:
 
 class DirStats:
     """Per-direction accumulators; all derivable without IPs, ports or
-    absolute timestamps."""
+    absolute timestamps. Each quantity is kept once: the sum of packet
+    lengths is `byte_count`, that of payload lengths `payload_byte_count`,
+    and the header bytes are their difference."""
 
     __slots__ = (
-        "pkt_count", "byte_count", "header_byte_count", "payload_byte_count",
-        "pkt_len_min", "pkt_len_max", "pkt_len_sum", "pkt_len_sumsq",
-        "payload_len_min", "payload_len_max", "payload_len_sum",
-        "payload_len_sumsq",
-        "ip_hdr_min", "ip_hdr_max", "ip_hdr_sum",
-        "l4_hdr_min", "l4_hdr_max", "l4_hdr_sum",
+        "pkt_count", "byte_count", "payload_byte_count",
+        "pkt_len_min", "pkt_len_max", "pkt_len_sumsq",
+        "payload_len_min", "payload_len_max", "payload_len_sumsq",
+        "ip_hdr_max", "ip_hdr_sum", "l4_hdr_max", "l4_hdr_sum",
         "iat_min", "iat_max", "iat_sum", "iat_sumsq", "iat_count", "last_ts",
         "flag_counts", "ttl_min", "ttl_max", "ttl_sum",
         "init_window", "small_pkt_count", "large_pkt_count",
@@ -73,20 +73,15 @@ class DirStats:
     def __init__(self) -> None:
         self.pkt_count = 0
         self.byte_count = 0
-        self.header_byte_count = 0
         self.payload_byte_count = 0
         self.pkt_len_min = 0
         self.pkt_len_max = 0
-        self.pkt_len_sum = 0
         self.pkt_len_sumsq = 0
         self.payload_len_min = 0
         self.payload_len_max = 0
-        self.payload_len_sum = 0
         self.payload_len_sumsq = 0
-        self.ip_hdr_min = 0
         self.ip_hdr_max = 0
         self.ip_hdr_sum = 0
-        self.l4_hdr_min = 0
         self.l4_hdr_max = 0
         self.l4_hdr_sum = 0
         self.iat_min = 0.0
@@ -107,16 +102,14 @@ class DirStats:
         n = self.pkt_count
         total = p.total_len
         payload = p.payload_len
-        header = total - payload
         self.pkt_count = n + 1
         self.byte_count += total
-        self.header_byte_count += header
         self.payload_byte_count += payload
         if n == 0:
             self.pkt_len_min = self.pkt_len_max = total
             self.payload_len_min = self.payload_len_max = payload
-            self.ip_hdr_min = self.ip_hdr_max = p.ip_header_len
-            self.l4_hdr_min = self.l4_hdr_max = p.l4_header_len
+            self.ip_hdr_max = p.ip_header_len
+            self.l4_hdr_max = p.l4_header_len
             self.ttl_min = self.ttl_max = p.ttl
         else:
             if total < self.pkt_len_min:
@@ -127,21 +120,15 @@ class DirStats:
                 self.payload_len_min = payload
             elif payload > self.payload_len_max:
                 self.payload_len_max = payload
-            if p.ip_header_len < self.ip_hdr_min:
-                self.ip_hdr_min = p.ip_header_len
-            elif p.ip_header_len > self.ip_hdr_max:
+            if p.ip_header_len > self.ip_hdr_max:
                 self.ip_hdr_max = p.ip_header_len
-            if p.l4_header_len < self.l4_hdr_min:
-                self.l4_hdr_min = p.l4_header_len
-            elif p.l4_header_len > self.l4_hdr_max:
+            if p.l4_header_len > self.l4_hdr_max:
                 self.l4_hdr_max = p.l4_header_len
             if p.ttl < self.ttl_min:
                 self.ttl_min = p.ttl
             elif p.ttl > self.ttl_max:
                 self.ttl_max = p.ttl
-        self.pkt_len_sum += total
         self.pkt_len_sumsq += total * total
-        self.payload_len_sum += payload
         self.payload_len_sumsq += payload * payload
         self.ip_hdr_sum += p.ip_header_len
         self.l4_hdr_sum += p.l4_header_len
@@ -220,7 +207,7 @@ class FlowRecord:
     def pkt_count(self) -> int:
         return self.fwd.pkt_count + (self.bwd.pkt_count if self.bwd else 0)
 
-    def update(self, p: PacketRecord, active_gap: float) -> None:
+    def update(self, p: PacketRecord) -> None:
         gap = p.ts - self.last_ts
         if self.iat_count == 0:
             self.iat_min = self.iat_max = gap
@@ -232,7 +219,7 @@ class FlowRecord:
         self.iat_sum += gap
         self.iat_sumsq += gap * gap
         self.iat_count += 1
-        if gap > active_gap:
+        if gap > ACTIVE_GAP:
             run = self.last_ts - self.active_start
             self.active_total += run
             if run > self.active_max:
@@ -280,7 +267,6 @@ class MeterConfig:
     direction_mode: str = UNIDIRECTIONAL
     tw_seconds: float | None = None  # None = the exporter-default mode
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-    active_gap: float = DEFAULT_ACTIVE_GAP
 
 
 @dataclass
@@ -327,7 +313,7 @@ class FlowMeter:
             rec = FlowRecord(key, p, cfg.direction_mode)
             self._table[key] = rec
         else:
-            rec.update(p, cfg.active_gap)
+            rec.update(p)
         self.stats.packets_metered += 1
 
         if p.protocol == PROTO_TCP and p.tcp_flags is not None:
@@ -398,9 +384,11 @@ def flow_csv_header(mode: str) -> list[str]:
 
 
 def _dir_csv_values(s: DirStats) -> list[str]:
+    derived = {"pkt_len_sum": s.byte_count,
+               "header_byte_count": s.byte_count - s.payload_byte_count}
     vals = []
     for f in _DIR_CSV_FIELDS:
-        v = getattr(s, f)
+        v = derived[f] if f in derived else getattr(s, f)
         if v is None:
             v = 0
         vals.append(repr(float(v)) if isinstance(v, float) else str(v))

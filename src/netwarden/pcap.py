@@ -266,7 +266,6 @@ class CaptureReader:
     """
 
     def __init__(self, path: str):
-        self.path = path
         self.summary = CaptureSummary()
         with open(path, "rb") as fh:
             self._data = fh.read()

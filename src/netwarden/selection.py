@@ -35,7 +35,6 @@ class SelectionConfig:
     sigma: float = 1.0
     aggregation: str = "mean"
     keep: int | float = 0.65  # int = feature count, float = fraction
-    subsample_cap: int = SUBSAMPLE_CAP
     seed: int = 0
 
     def resolve_keep(self, m: int) -> int:
@@ -220,9 +219,9 @@ def rank_features(X: np.ndarray, names: tuple[str, ...],
     if len(names) != m:
         raise RankListMismatch("%d names for %d columns" % (len(names), m))
     Xs = X
-    if n > cfg.subsample_cap:
+    if n > SUBSAMPLE_CAP:
         rng = np.random.default_rng(cfg.seed)
-        idx = np.sort(rng.choice(n, size=cfg.subsample_cap, replace=False))
+        idx = np.sort(rng.choice(n, size=SUBSAMPLE_CAP, replace=False))
         Xs = X[idx]
     root, w = _normalized_graph(rbf_similarity(Xs, cfg.sigma))
     corr = _abs_corr(X)

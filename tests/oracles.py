@@ -358,8 +358,7 @@ class DirView:
         "pkt_len_min", "pkt_len_max", "pkt_len_mean", "pkt_len_std",
         "payload_len_min", "payload_len_max", "payload_len_mean",
         "payload_len_std",
-        "ip_hdr_min", "ip_hdr_max", "ip_hdr_mean",
-        "l4_hdr_min", "l4_hdr_max", "l4_hdr_mean",
+        "ip_hdr_max", "ip_hdr_mean", "l4_hdr_max", "l4_hdr_mean",
         "iat_min", "iat_max", "iat_mean", "iat_std",
         "flag_counts", "ttl_min", "ttl_max", "ttl_mean", "init_window",
         "small_pkt_ratio", "large_pkt_ratio",
@@ -379,20 +378,19 @@ def _dir_view(s) -> DirView:
     n = s.pkt_count
     v.pkt_count = float(n)
     v.byte_count = float(s.byte_count)
-    v.header_bytes = float(s.header_byte_count)
+    v.header_bytes = float(s.byte_count - s.payload_byte_count)
     v.payload_bytes = float(s.payload_byte_count)
     v.pkt_len_min = float(s.pkt_len_min)
     v.pkt_len_max = float(s.pkt_len_max)
-    v.pkt_len_mean = _mean(s.pkt_len_sum, n)
-    v.pkt_len_std = _pop_std(s.pkt_len_sum, s.pkt_len_sumsq, n)
+    v.pkt_len_mean = _mean(s.byte_count, n)
+    v.pkt_len_std = _pop_std(s.byte_count, s.pkt_len_sumsq, n)
     v.payload_len_min = float(s.payload_len_min)
     v.payload_len_max = float(s.payload_len_max)
-    v.payload_len_mean = _mean(s.payload_len_sum, n)
-    v.payload_len_std = _pop_std(s.payload_len_sum, s.payload_len_sumsq, n)
-    v.ip_hdr_min = float(s.ip_hdr_min)
+    v.payload_len_mean = _mean(s.payload_byte_count, n)
+    v.payload_len_std = _pop_std(s.payload_byte_count, s.payload_len_sumsq,
+                                 n)
     v.ip_hdr_max = float(s.ip_hdr_max)
     v.ip_hdr_mean = _mean(s.ip_hdr_sum, n)
-    v.l4_hdr_min = float(s.l4_hdr_min)
     v.l4_hdr_max = float(s.l4_hdr_max)
     v.l4_hdr_mean = _mean(s.l4_hdr_sum, n)
     v.iat_min = s.iat_min if s.iat_count else 0.0
@@ -415,7 +413,8 @@ def _merged_dir_view(a, b) -> DirView:
     n = a.pkt_count + b.pkt_count
     v.pkt_count = float(n)
     v.byte_count = float(a.byte_count + b.byte_count)
-    v.header_bytes = float(a.header_byte_count + b.header_byte_count)
+    v.header_bytes = float(a.byte_count + b.byte_count
+                           - a.payload_byte_count - b.payload_byte_count)
     v.payload_bytes = float(a.payload_byte_count + b.payload_byte_count)
     have_a, have_b = a.pkt_count > 0, b.pkt_count > 0
 
@@ -431,18 +430,17 @@ def _merged_dir_view(a, b) -> DirView:
 
     v.pkt_len_min = mn(a.pkt_len_min, b.pkt_len_min)
     v.pkt_len_max = mx(a.pkt_len_max, b.pkt_len_max)
-    v.pkt_len_mean = _mean(a.pkt_len_sum + b.pkt_len_sum, n)
-    v.pkt_len_std = _pop_std(a.pkt_len_sum + b.pkt_len_sum,
+    v.pkt_len_mean = _mean(a.byte_count + b.byte_count, n)
+    v.pkt_len_std = _pop_std(a.byte_count + b.byte_count,
                              a.pkt_len_sumsq + b.pkt_len_sumsq, n)
     v.payload_len_min = mn(a.payload_len_min, b.payload_len_min)
     v.payload_len_max = mx(a.payload_len_max, b.payload_len_max)
-    v.payload_len_mean = _mean(a.payload_len_sum + b.payload_len_sum, n)
-    v.payload_len_std = _pop_std(a.payload_len_sum + b.payload_len_sum,
+    v.payload_len_mean = _mean(a.payload_byte_count + b.payload_byte_count,
+                               n)
+    v.payload_len_std = _pop_std(a.payload_byte_count + b.payload_byte_count,
                                  a.payload_len_sumsq + b.payload_len_sumsq, n)
-    v.ip_hdr_min = mn(a.ip_hdr_min, b.ip_hdr_min)
     v.ip_hdr_max = mx(a.ip_hdr_max, b.ip_hdr_max)
     v.ip_hdr_mean = _mean(a.ip_hdr_sum + b.ip_hdr_sum, n)
-    v.l4_hdr_min = mn(a.l4_hdr_min, b.l4_hdr_min)
     v.l4_hdr_max = mx(a.l4_hdr_max, b.l4_hdr_max)
     v.l4_hdr_mean = _mean(a.l4_hdr_sum + b.l4_hdr_sum, n)
     iat_n = a.iat_count + b.iat_count

@@ -121,14 +121,14 @@ def test_c3_numerical_checks():
     X = rng.normal(size=(10, 3))
     ae = Autoencoder(layer_sizes=[3, 4, 2, 4, 3], epochs=0, seed=4)
     ae.fit(X)
-    flat0 = ae.get_flat_params()
+    flat0 = ae.params.copy()
 
     def loss_at(flat):
-        ae.set_flat_params(flat)
+        ae.params[:] = flat
         return ae.loss(X)
 
     numeric = central_difference_gradient(loss_at, flat0, h=1e-5)
-    ae.set_flat_params(flat0)
+    ae.params[:] = flat0
     analytic = ae.flat_gradients(X)
     denom = np.maximum(np.abs(numeric), np.abs(analytic))
     denom[denom < 1e-8] = 1.0

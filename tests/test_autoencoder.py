@@ -43,14 +43,14 @@ class TestGradients:
         X = rng.normal(size=(12, 3))
         model = Autoencoder(layer_sizes=[3, 4, 2, 4, 3], epochs=0, seed=1)
         model.fit(X)  # initializes parameters, runs zero epochs
-        flat0 = model.get_flat_params()
+        flat0 = model.params.copy()
 
         def loss_at(flat):
-            model.set_flat_params(flat)
+            model.params[:] = flat
             return model.loss(X)
 
         numeric = central_difference_gradient(loss_at, flat0, h=1e-5)
-        model.set_flat_params(flat0)
+        model.params[:] = flat0
         analytic = model.flat_gradients(X)
         denom = np.maximum(np.abs(numeric), np.abs(analytic))
         denom[denom < 1e-8] = 1.0
@@ -145,7 +145,7 @@ class TestFitOracle:
     def test_layers_are_views_of_the_flat_vector(self):
         model = Autoencoder(layer_sizes=[3, 2, 3], epochs=0).fit(
             np.ones((4, 3)))
-        model.set_flat_params(np.arange(model.params.size, dtype=float))
+        model.params[:] = np.arange(model.params.size, dtype=float)
         assert model.weights[0].tolist() == [[0, 1], [2, 3], [4, 5]]
         assert model.weights[1].tolist() == [[6, 7, 8], [9, 10, 11]]
         assert [b.tolist() for b in model.biases] == [[12, 13],

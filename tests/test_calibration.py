@@ -71,17 +71,6 @@ class TestRandomSearch:
         res = random_search("osvm", space, X, budget=8, seed=4,
                             target_fpr=0.05)
         assert res.best_params["gamma"] == 0.5
-        assert res.criterion == "fpr"
-
-    def test_auc_criterion_with_anomalies(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(120, 3))
-        anomalies = rng.normal(size=(30, 3)) + 8.0
-        res = random_search("ee", {"ridge": ("loguniform", 1e-8, 1e-3)}, X,
-                            budget=3, seed=6, anomalies=anomalies)
-        assert res.criterion == "auc"
-        assert all(t.fold_auc is not None for t in res.trials)
-        assert res.trials[0].mean_auc > 0.99  # far anomalies are easy
 
     def test_default_spaces_sample(self):
         rng_X = self.benign(n=80)
@@ -117,7 +106,8 @@ class TestModelFile:
         assert back.kind == kind
         assert back.threshold == model.threshold
         assert np.array_equal(model.score(probes), back.score(probes))
-        assert np.array_equal(model.flag(probes), back.flag(probes))
+        assert np.array_equal(model.score(probes) > model.threshold,
+                              back.score(probes) > back.threshold)
 
     def test_unknown_fields_tolerated(self, tmp_path):
         import json

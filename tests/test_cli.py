@@ -348,6 +348,30 @@ class TestConfigAndErrors:
         assert err.startswith("error: ")
         assert "bad_magic" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("extract", "--tw", "abc"),
+        ("sweep", "--tw", "0"),
+        ("sweep", "--tw", "abc"),
+        ("select", "--keep", "abc"),
+        ("select", "--keep", "500"),
+        ("train", "--params", '{"nu": 2}'),
+    ], ids=["extract-tw-abc", "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
+            "select-keep-500", "train-nu-2"])
+    def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
+                                           argv):
+        matrix = tmp_path / "m11.csv"  # 11 non-constant columns
+        write_matrix_csv(FeatureMatrix(
+            np.random.default_rng(0).normal(size=(60, 11)),
+            tuple("f%d" % i for i in range(11)), "packet"), str(matrix))
+        src = workdir / "corpus.pcap" if argv[0] in ("extract", "sweep") \
+            else matrix
+        assert run(*argv, "--in", str(src),
+                   "--labels", str(workdir / "corpus.labels.csv"),
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
     def test_error_lines_are_json(self, capsys, tmp_path):
         err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')
         assert json.loads(err.as_machine_line()) == {

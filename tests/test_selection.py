@@ -257,11 +257,12 @@ class TestRankFeatures:
         for c in sel.CRITERIA:
             assert sorted(ranked.ranks[c]) == [1, 2, 3, 4, 5]
 
-    def test_subsample_cap_applies(self):
+    def test_subsample_cap_applies(self, monkeypatch):
         rng = np.random.default_rng(10)
         X = zscore(rng.normal(size=(2300, 2)))
         names = ("a", "b")
-        cfg = sel.SelectionConfig(keep=2, subsample_cap=200)
+        monkeypatch.setattr(sel, "SUBSAMPLE_CAP", 200)
+        cfg = sel.SelectionConfig(keep=2)
         ranked = sel.rank_features(X, names, cfg)  # must not be O(n^2) huge
         assert len(ranked.selected) == 2
 
