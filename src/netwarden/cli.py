@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import ConfigInvalid, InputOutputError, NetwardenError
@@ -104,11 +105,22 @@ def _parse_tw(value) -> float | None:
         return None
     try:
         tw = float(value)
-        if tw > 0:
+        if 0 < tw < math.inf:
             return tw
     except ValueError:
         pass
-    raise ConfigInvalid("tw must be positive seconds or 'default', got %r"
+    raise ConfigInvalid("tw must be positive finite seconds or 'default', "
+                        "got %r" % value)
+
+
+def _parse_idle(value) -> float:
+    try:
+        idle = float(value)
+        if idle > 0:
+            return idle
+    except (TypeError, ValueError):
+        pass
+    raise ConfigInvalid("idle_timeout must be positive seconds, got %r"
                         % value)
 
 
@@ -171,7 +183,7 @@ def cmd_extract(cfg: dict) -> int:
         flow_sink = dumped.append
     X = extract_matrix(cfg["in"], mode=cfg["mode"],
                        tw=_parse_tw(cfg["tw"]),
-                       idle_timeout=cfg["idle_timeout"],
+                       idle_timeout=_parse_idle(cfg["idle_timeout"]),
                        labels_path=cfg["labels"], flow_sink=flow_sink)
     write_matrix_csv(X, cfg["out"])
     if flow_sink is not None:
@@ -224,10 +236,10 @@ def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
     with open(path, "rb") as fh:
         magic = int.from_bytes(fh.read(4), "big")
     if magic in (MAGIC_US_BE, MAGIC_US_LE, MAGIC_NS_BE, MAGIC_NS_LE):
-        return model, extract_matrix(path, mode=model.manifest_mode,
-                                     tw=_parse_tw(cfg["tw"]),
-                                     idle_timeout=cfg["idle_timeout"],
-                                     labels_path=cfg["labels"])
+        return model, extract_matrix(
+            path, mode=model.manifest_mode, tw=_parse_tw(cfg["tw"]),
+            idle_timeout=_parse_idle(cfg["idle_timeout"]),
+            labels_path=cfg["labels"])
     return model, read_matrix_csv(path)
 
 
@@ -291,7 +303,7 @@ def cmd_sweep(cfg: dict) -> int:
     mode = cfg["mode"] if cfg["mode"] != "packet" else "uni_flow"
     rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
         cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=tw_list,
-        mode=mode, idle_timeout=cfg["idle_timeout"],
+        mode=mode, idle_timeout=_parse_idle(cfg["idle_timeout"]),
         target_fpr=cfg["target_fpr"], seed=cfg["seed"], params=params)]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")

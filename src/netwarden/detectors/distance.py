@@ -3,8 +3,13 @@
 Each distance is (a_0 - b_0)^2 + (a_1 - b_1)^2 + ... added left to right,
 so it is the same float whatever block or batch it is computed in:
 LOF neighbour sets, which count every point tied at the k-distance,
-cannot change with the shape of a query batch. The expanded form
-|a|^2 + |b|^2 - 2ab is faster but cancels, and splits exact ties.
+cannot change with the shape of a query batch. sq_dists gives every pair
+of two sets; sq_dists_pairs gives listed pairs, with the same bits.
+
+The expanded form |a|^2 + |b|^2 - 2ab is faster but cancels, and splits
+exact ties. LOF uses it only as a screen: it keeps every training point
+that the form's error bound cannot rule out and measures each of them
+again with sq_dists_pairs, so no value it returns comes from the screen.
 """
 
 from __future__ import annotations
@@ -36,6 +41,22 @@ def sq_dists(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
         np.multiply(diff, diff, out=diff)
         # over the outer axis numpy adds the d planes one after another
         np.add.reduce(diff, axis=0, out=out[s:s + rows])
+    return out
+
+
+def sq_dists_pairs(A: np.ndarray, BT: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """||A[rows[i]] - BT[:, cols[i]]||^2 for each listed pair i: the float
+    sq_dists gives for that pair. A one-row A needs no gather."""
+    diff = BT.take(cols, axis=1)
+    # b - a rounds to exactly -(a - b), so the squares are the same
+    np.subtract(diff, A.T if A.shape[0] == 1 else A[rows].T, out=diff)
+    np.multiply(diff, diff, out=diff)
+    out = diff[0]
+    # one plane after another: np.add.reduce over a (d, pairs) block sums
+    # the column terms pairwise when there is one pair
+    for plane in diff[1:]:
+        out += plane
     return out
 
 

@@ -6,8 +6,34 @@ distance is max(k-distance(y), d(x, y)), and local reachability density
 is the inverse mean reachability with a small additive floor so that
 duplicate-heavy data keeps finite densities.
 
-Fit and score walk the query rows in blocks of QUERY_BLOCK against all
-training points, so no n x n matrix is held; score computes each
+Fit and score find neighbours in blocks of QUERY_BLOCK query rows, so no
+n x n matrix is held, in two steps:
+
+1. Screen. One matrix product of the rows [-2q, |q|^2, 1] with the
+   columns [x; 1; |x|^2] gives approximate squared distances A. With U
+   at least the k-th smallest A of a query row (_kth_bound), every
+   training point with A <= (U + E) WIDEN + E is a candidate.
+2. Refine. Each candidate's squared distance D is measured again in the
+   fixed column order of distance.py. The k-distance, the neighbours,
+   lrd and the score come from those values alone.
+
+E bounds |A - D| for finite inputs. With u = eps / 2 and
+N = |q|^2 + |x|^2: D is within (d + 2) u |q - x|^2 <= 2 (d + 2) u N of
+the exact |q - x|^2; the computed norms are within d u N, and the
+product's d + 2 terms, whose magnitudes add up to at most 2N, within
+2 (d + 2) u N in any summation order. So |A - D| <= (5d + 8) u N to first
+order. E = (5d + 8) eps (|q|^2 + max |x|^2 + tiny) doubles that, which
+covers the higher-order terms and the rounding of E and of the bound, and
+its tiny term (the smallest normal) is 5d + 8 subnormal steps, more than
+underflow can cost. A query row whose norms could overflow the product
+keeps every training point.
+
+At least k points have A <= U, and so D <= U + E: the squared k-distance
+kd^2 <= U + E. A neighbour has D <= kd^2 WIDEN, hence
+A <= (U + E) WIDEN + E: the screen passes the k nearest points and every
+neighbour, and no value comes from it. Fit and score are bit for bit
+those of the full fixed-order distance matrix, whatever the product's
+rounding (gemv or gemm, memory layout, thread count). Score computes each
 distinct query row once.
 """
 
@@ -15,47 +41,92 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTraining, KTooLarge
-from .distance import sq_dists
+from ..errors import EmptyTraining, KTooLarge, MalformedModel, NonFiniteFeature
+from .distance import sq_dists_pairs
 
 LRD_FLOOR = 1e-10
-QUERY_BLOCK = 64  # query rows per block of squared distances
+QUERY_BLOCK = 64  # query rows per screened block
+GROUP = 16  # approximate distances per minimum in the k-th smallest bound
+EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).tiny
 # sqrt rounds squared distances up to 2 ulps (2 eps) above kd^2 onto kd
 # itself; a candidate bound 8 eps above kd^2 misses none of them
-WIDEN = 1.0 + 8 * np.finfo(np.float64).eps
+WIDEN = 1.0 + 8 * EPS
+NORM_LIMIT = 1e300  # above |q|^2 + max |x|^2 the product may overflow
 
 
-def _distance_blocks(Q: np.ndarray, XT: np.ndarray, own: bool):
-    """(start, squared distances to the training points XT) of each block
-    of query rows; with `own` the queries are the training points, and no
-    point is its own neighbour."""
-    for s in range(0, Q.shape[0], QUERY_BLOCK):
-        D2 = sq_dists(Q[s:s + QUERY_BLOCK], XT)
-        if own:
-            r = np.arange(D2.shape[0])
-            D2[r, s + r] = np.inf
-        yield s, D2
+def approx_sq_dists(Q: np.ndarray, screen: np.ndarray,
+                    max_sq_norm: float) -> tuple:
+    """(A, E): approximate squared distances of the query rows Q (b, d) to
+    the training points, from the screen matrix [X^T; 1; |x|^2], and the
+    bound E of each row on |A - D|. A row whose norms may overflow the
+    product gets A = 0 and E = inf."""
+    b, d = Q.shape
+    Qa = np.empty((b, d + 2))
+    np.multiply(Q, -2.0, out=Qa[:, :d])
+    np.einsum("ij,ij->i", Q, Q, out=Qa[:, d])
+    Qa[:, d + 1] = 1.0
+    c = (5 * d + 8) * EPS
+    E = Qa[:, d] * c + c * (max_sq_norm + TINY)  # cannot overflow
+    if E.max() <= c * NORM_LIMIT:
+        return Qa @ screen, E
+    wide = ~(E <= c * NORM_LIMIT)
+    E[wide] = np.inf
+    if not max_sq_norm <= NORM_LIMIT:  # every row is wide
+        return np.zeros((b, screen.shape[1])), E
+    Qa[wide] = 0.0
+    return Qa @ screen, E
 
 
-def _kth(D2: np.ndarray, k: int) -> np.ndarray:
-    """k-th smallest entry of each row: the squared k-distance, whose sqrt
-    is the k-th smallest distance."""
-    return np.partition(D2, k - 1, axis=1)[:, k - 1]
+def _kth_bound(A: np.ndarray, k: int) -> np.ndarray:
+    """U >= the k-th smallest entry of each row of A: the k-th smallest of
+    the minima of disjoint groups of GROUP columns. k groups hold an entry
+    at most U, so k entries are at most U. Group i holds the columns i,
+    i + g, i + 2g, ..., so that runs of like training rows fall in
+    different groups; a row of fewer than GROUP * k columns is not
+    grouped, and U is its k-th smallest entry."""
+    b, n = A.shape
+    g = n // GROUP if n >= GROUP * k else n
+    full = n - n % g
+    mins = A[:, :full].reshape(b, full // g, g).min(axis=1)
+    if full < n:
+        mins = np.concatenate([mins, A[:, full:]], axis=1)
+    mins.partition(k - 1, axis=1)
+    return mins[:, k - 1]
 
 
-def _neighbourhood(row: np.ndarray, kd2: float, kd: float,
-                   kdist: np.ndarray) -> tuple:
-    """(neighbour indices, lrd) of a point whose squared distances to the
-    training points are `row` and whose k-distance is kd = sqrt(kd2);
-    `kdist` holds the training points' k-distances."""
-    nbr = np.flatnonzero(row <= kd2 * WIDEN)
-    d = np.sqrt(row[nbr])
-    tied = d <= kd
-    if not tied.all():
-        nbr, d = nbr[tied], d[tied]
-    reach = np.maximum(kdist[nbr], d)
-    # the arithmetic of reach.mean() without its Python overhead
-    return nbr, 1.0 / (np.add.reduce(reach) / reach.size + LRD_FLOOR)
+def _kth_smallest(rows: np.ndarray, values: np.ndarray, n_rows: int,
+                  k: int) -> np.ndarray:
+    """k-th smallest of each row's values; `rows` (sorted) gives the row
+    of each value."""
+    counts = np.bincount(rows, minlength=n_rows)
+    padded = np.full((n_rows, counts.max()), np.inf)
+    padded[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] \
+        = values
+    padded.partition(k - 1, axis=1)
+    return padded[:, k - 1]
+
+
+def _row_means(rows: np.ndarray, n_rows: int, *values) -> list:
+    """Per query row, the mean of each array in `values` over that row's
+    entries, which `rows` (sorted) lists. Rows are grouped by entry count,
+    so each sum is the 1-D np.add.reduce of the row in order."""
+    counts = np.bincount(rows, minlength=n_rows)
+    start = np.cumsum(counts) - counts
+    means = [np.empty(n_rows) for _ in values]
+    for c in np.unique(counts):
+        r = np.flatnonzero(counts == c)
+        at = start[r, None] + np.arange(c)
+        for mean, v in zip(means, values):
+            mean[r] = np.add.reduce(v[at], axis=1) / c
+    return means
+
+
+def _require_finite(Q: np.ndarray, what: str) -> None:
+    """The screen's error bound holds for finite values only."""
+    if not np.isfinite(Q).all():
+        row = np.flatnonzero(~np.isfinite(Q).all(axis=-1))[0]
+        raise NonFiniteFeature("LOF %s row %d is not finite" % (what, row))
 
 
 class LocalOutlierFactor:
@@ -63,9 +134,55 @@ class LocalOutlierFactor:
 
     def __init__(self, k: int = 20):
         self.k = int(k)
-        self._XT = None  # training rows, transposed (d, n)
+        if self.k < 1:
+            raise ValueError("k must be at least 1, got %r" % k)
+        self._screen = None  # [X^T; 1; |x|^2]; the norms are never saved
+        self._XT = None  # training rows, transposed (d, n): the screen's top
+        self._max_sq_norm = None
         self._kdist = None
         self._lrd = None
+
+    def _set_training(self, X: np.ndarray) -> None:
+        """Keep the training rows X (n, d) in the screen matrix, under a
+        row of ones and their squared norms."""
+        n, d = X.shape
+        self._screen = np.empty((d + 2, n))
+        self._XT = self._screen[:d]
+        self._XT[:] = X.T
+        self._screen[d] = 1.0
+        np.einsum("ij,ij->j", self._XT, self._XT, out=self._screen[d + 1])
+        self._max_sq_norm = float(self._screen[d + 1].max())
+
+    def _candidates(self, block: np.ndarray, own_start) -> tuple:
+        """(row, training index) of every candidate neighbour of the query
+        rows `block`, in row then index order. `own_start` is the training
+        index of the block's first row when the queries are the training
+        points, which are not their own neighbours, and None otherwise."""
+        A, E = approx_sq_dists(block, self._screen, self._max_sq_norm)
+        b = A.shape[0]
+        if own_start is not None:
+            own = (np.arange(b), own_start + np.arange(b))
+            A[own] = np.inf
+        U = _kth_bound(A, self.k)
+        keep = A <= ((U + E) * WIDEN + E)[:, None]
+        if own_start is not None:
+            keep[own] = False
+        return np.unravel_index(np.flatnonzero(keep), keep.shape)
+
+    def _neighbour_blocks(self, Q: np.ndarray, own: bool):
+        """Per block of query rows: its first row, the k-distance of each of
+        its rows, and their neighbours as block row, training index and
+        distance, in row then index order. With `own` the queries are the
+        training points."""
+        for s in range(0, Q.shape[0], QUERY_BLOCK):
+            block = Q[s:s + QUERY_BLOCK]
+            rows, cols = self._candidates(block, s if own else None)
+            D = sq_dists_pairs(block, self._XT, rows, cols)
+            # the screen passes the k nearest: their kth D is kd^2
+            kd = np.sqrt(_kth_smallest(rows, D, block.shape[0], self.k))
+            dist = np.sqrt(D)
+            near = dist <= kd[rows]
+            yield s, kd, rows[near], cols[near], dist[near]
 
     def fit(self, X: np.ndarray) -> "LocalOutlierFactor":
         X = np.asarray(X, dtype=np.float64)
@@ -75,18 +192,16 @@ class LocalOutlierFactor:
         if self.k >= n:
             raise KTooLarge("k=%d with only %d training points"
                             % (self.k, n))
-        XT = np.ascontiguousarray(X.T)
+        _require_finite(X, "training")
+        self._set_training(X)
         # every lrd needs every k-distance: one pass for those, one for lrd
-        kd2 = np.empty(n, dtype=np.float64)
-        for s, D2 in _distance_blocks(X, XT, own=True):
-            kd2[s:s + D2.shape[0]] = _kth(D2, self.k)
-        kdist = np.sqrt(kd2)
-        lrd = np.empty(n, dtype=np.float64)
-        for s, D2 in _distance_blocks(X, XT, own=True):
-            for i in range(D2.shape[0]):
-                _, lrd[s + i] = _neighbourhood(D2[i], kd2[s + i],
-                                               kdist[s + i], kdist)
-        self._XT = XT
+        kdist = np.empty(n)
+        for s, kd, *_ in self._neighbour_blocks(X, own=True):
+            kdist[s:s + kd.size] = kd
+        lrd = np.empty(n)
+        for s, kd, rows, cols, dist in self._neighbour_blocks(X, own=True):
+            (mean,) = _row_means(rows, kd.size, np.maximum(kdist[cols], dist))
+            lrd[s:s + kd.size] = 1.0 / (mean + LRD_FLOOR)
         self._kdist = kdist
         self._lrd = lrd
         return self
@@ -96,8 +211,9 @@ class LocalOutlierFactor:
         if self._XT is None:
             raise EmptyTraining("model is not fitted")
         Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        _require_finite(Q, "query")
         if Q.shape[0] == 1:
-            return self._score_rows(Q)
+            return self._score_one(Q)
         # a score depends only on the row's bytes: score each once
         Q = np.ascontiguousarray(Q)
         rows = Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1]))).ravel()
@@ -105,16 +221,29 @@ class LocalOutlierFactor:
                                       return_inverse=True)
         return self._score_rows(Q[first])[inverse]
 
+    def _score_one(self, q: np.ndarray) -> np.ndarray:
+        """The score of one query row q (1, d): the screen, pair kernel and
+        arithmetic of the blocks on 1-D arrays, without their padding and
+        grouping."""
+        rows, cols = self._candidates(q, None)
+        D = sq_dists_pairs(q, self._XT, rows, cols)
+        kd = np.sqrt(np.partition(D, self.k - 1)[self.k - 1])
+        dist = np.sqrt(D)
+        near = dist <= kd
+        cols, dist = cols[near], dist[near]
+        reach = np.maximum(self._kdist[cols], dist)
+        lrd_q = 1.0 / (np.add.reduce(reach) / reach.size + LRD_FLOOR)
+        near_lrd = self._lrd[cols]
+        return np.array([np.add.reduce(near_lrd) / near_lrd.size / lrd_q])
+
     def _score_rows(self, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(Q.shape[0], dtype=np.float64)
-        kdist, lrd = self._kdist, self._lrd
-        for s, D2 in _distance_blocks(Q, self._XT, own=False):
-            kd2 = _kth(D2, self.k)
-            kd = np.sqrt(kd2)
-            for i in range(D2.shape[0]):
-                nbr, lrd_q = _neighbourhood(D2[i], kd2[i], kd[i], kdist)
-                near = lrd[nbr]
-                out[s + i] = np.add.reduce(near) / near.size / lrd_q
+        out = np.empty(Q.shape[0])
+        for s, kd, rows, cols, dist in self._neighbour_blocks(Q, own=False):
+            reach = np.maximum(self._kdist[cols], dist)
+            mean_reach, mean_lrd = _row_means(rows, kd.size, reach,
+                                              self._lrd[cols])
+            lrd_q = 1.0 / (mean_reach + LRD_FLOOR)
+            out[s:s + kd.size] = mean_lrd / lrd_q
         return out
 
     def get_params(self) -> dict:
@@ -126,9 +255,26 @@ class LocalOutlierFactor:
 
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "LocalOutlierFactor":
-        model = cls(**params)
-        model._XT = np.ascontiguousarray(
-            np.asarray(state["train"], dtype=np.float64).T)
-        model._kdist = np.asarray(state["kdist"], dtype=np.float64)
-        model._lrd = np.asarray(state["lrd"], dtype=np.float64)
+        try:
+            model = cls(**params)
+            X, kdist, lrd = (np.asarray(state[key], dtype=np.float64)
+                             for key in ("train", "kdist", "lrd"))
+        except (ValueError, TypeError) as exc:
+            raise MalformedModel("LOF parameters or state: %s"
+                                 % exc) from None
+        if X.ndim != 2 or X.size == 0:
+            raise MalformedModel("LOF training rows are not a non-empty "
+                                 "matrix")
+        n = X.shape[0]
+        if kdist.shape != (n,) or lrd.shape != (n,):
+            raise MalformedModel("LOF kdist and lrd need one value for each "
+                                 "of the %d training rows" % n)
+        if not (np.isfinite(X).all() and np.isfinite(kdist).all()
+                and np.isfinite(lrd).all()):
+            raise MalformedModel("LOF state holds a non-finite value")
+        if model.k >= n:
+            raise MalformedModel("LOF k=%d is outside [1, %d)" % (model.k, n))
+        model._set_training(X)
+        model._kdist = kdist
+        model._lrd = lrd
         return model

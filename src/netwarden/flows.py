@@ -9,6 +9,7 @@ reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -282,8 +283,11 @@ class FlowMeter:
     def __init__(self, cfg: MeterConfig):
         if cfg.direction_mode not in (UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ValueError("unknown direction mode %r" % cfg.direction_mode)
-        if cfg.tw_seconds is not None and cfg.tw_seconds <= 0:
-            raise ValueError("time window must be positive")
+        # written so that NaN fails each test
+        if cfg.tw_seconds is not None and not 0 < cfg.tw_seconds < math.inf:
+            raise ValueError("time window must be positive and finite")
+        if not cfg.idle_timeout > 0:
+            raise ValueError("idle timeout must be positive")
         self.cfg = cfg
         self.stats = MeterStats()
         self._table: dict[FlowKey, FlowRecord] = {}

@@ -350,13 +350,17 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("argv", [
         ("extract", "--tw", "abc"),
+        ("extract", "--tw", "inf"),
+        ("extract", "--idle-timeout", "nan"),
         ("sweep", "--tw", "0"),
         ("sweep", "--tw", "abc"),
         ("select", "--keep", "abc"),
         ("select", "--keep", "500"),
         ("train", "--params", '{"nu": 2}'),
-    ], ids=["extract-tw-abc", "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
-            "select-keep-500", "train-nu-2"])
+        ("train", "--detector", "lof", "--params", '{"k": 0}'),
+    ], ids=["extract-tw-abc", "extract-tw-inf", "extract-idle-nan",
+            "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
+            "select-keep-500", "train-nu-2", "train-lof-k-0"])
     def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
                                            argv):
         matrix = tmp_path / "m11.csv"  # 11 non-constant columns

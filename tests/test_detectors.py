@@ -13,11 +13,12 @@ from netwarden.detectors import (
     average_path_normalizer,
     harmonic,
 )
-from netwarden.detectors.distance import sq_dists
+from netwarden.detectors.distance import sq_dists, sq_dists_pairs
 from netwarden.errors import (
     EmptyTraining,
     KTooLarge,
     MalformedModel,
+    NonFiniteFeature,
     SingularCovariance,
 )
 
@@ -112,6 +113,25 @@ class TestSquaredDistances:
         Q = rng.normal(size=(n, d))
         np.testing.assert_array_equal(bits(sq_dists(Q, X.T)),
                                       bits(sq_dist_oracle(Q, X)))
+
+    @pytest.mark.parametrize("d", [1, 2, 11])
+    def test_pairs_equal_sq_dists_bits(self, d):
+        # the pairs are summed plane by plane: np.add.reduce over a
+        # (d, pairs) block adds the column terms pairwise for one pair
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(6, d)) * np.exp(rng.normal(size=(6, d)) * 4)
+        X = rng.normal(size=(9, d)) * np.exp(rng.normal(size=(9, d)) * 4)
+        X[1::3] = A[0]  # zero distances
+        full = sq_dists(A, X.T)
+        for p in range(1, 18):
+            rows = np.sort(rng.integers(0, 6, size=p))
+            cols = rng.integers(0, 9, size=p)
+            np.testing.assert_array_equal(
+                bits(sq_dists_pairs(A, X.T, rows, cols)),
+                bits(full[rows, cols]))
+            one = sq_dists_pairs(A[rows[:1]], X.T, np.zeros(p, np.intp),
+                                 cols)
+            np.testing.assert_array_equal(bits(one), bits(full[rows[0], cols]))
 
 
 class TestHarmonicNormalizer:
@@ -571,6 +591,200 @@ class TestLofQueryBlocks:
             tied = np.sqrt(x) == kd
             assert np.all(x[tied] <= kd2[tied] * WIDEN)
         assert not tied.any()  # the walk went past every tie
+
+
+class TestLofModelGuards:
+    @staticmethod
+    def fitted(n=30, k=5):
+        X = np.random.default_rng(3).normal(size=(n, 3))
+        return LocalOutlierFactor(k=k).fit(X)
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.update(kdist=s["kdist"][:-1]),
+        lambda s: s.update(lrd=s["lrd"] + [1.0]),
+        lambda s: s.update(kdist=[s["kdist"]]),
+        lambda s: s["train"][4].pop(),
+        lambda s: s.update(train=[]),
+        lambda s: s.update(lrd="dense"),
+        lambda s: s["lrd"].__setitem__(2, float("nan")),
+        lambda s: s["kdist"].__setitem__(0, float("inf")),
+        lambda s: s["train"][1].__setitem__(0, float("-inf")),
+    ], ids=["kdist-short", "lrd-long", "kdist-2d", "train-ragged",
+            "train-empty", "lrd-text", "lrd-nan", "kdist-inf", "train-inf"])
+    def test_malformed_state_refused(self, edit):
+        model = self.fitted()
+        state = model.state_dict()
+        edit(state)
+        with pytest.raises(MalformedModel):
+            LocalOutlierFactor.from_state(model.get_params(), state)
+
+    @pytest.mark.parametrize("k", [0, -1, 30, 31])
+    def test_k_outside_range_refused(self, k):
+        state = self.fitted(n=30).state_dict()
+        with pytest.raises(MalformedModel):
+            LocalOutlierFactor.from_state({"k": k}, state)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        # k = 0 scores NaN, and k < 0 picks the wrong order statistic
+        with pytest.raises(ValueError, match="at least 1"):
+            LocalOutlierFactor(k=k)
+
+    def test_k_at_the_edges_loads(self):
+        for k in (1, 29):
+            model = self.fitted(n=30, k=k)
+            clone = LocalOutlierFactor.from_state(model.get_params(),
+                                                  model.state_dict())
+            Q = np.random.default_rng(k).normal(size=(5, 3))
+            np.testing.assert_array_equal(bits(clone.score(Q)),
+                                          bits(model.score(Q)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_refused(self, bad):
+        model = self.fitted()
+        Q = np.random.default_rng(4).normal(size=(4, 3))
+        Q[2, 1] = bad
+        with pytest.raises(NonFiniteFeature, match="query row 2"):
+            model.score(Q)
+        with pytest.raises(NonFiniteFeature):
+            model.score(Q[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_training_refused(self, bad):
+        # such a fit would save a model file that loading refuses
+        X = np.random.default_rng(5).normal(size=(30, 3))
+        X[4, 1] = bad
+        with pytest.raises(NonFiniteFeature, match="training row 4"):
+            LocalOutlierFactor(k=5).fit(X)
+
+
+class TestLofScreen:
+    """The screen only picks candidates, and every value comes from the
+    fixed-order kernel, so the full-matrix oracle holds bit for bit, also
+    where the screen's bound is tight."""
+
+    @staticmethod
+    def assert_screen_keeps_neighbours(model, Q):
+        """Every training point within the k-distance of a query row, by
+        the full fixed-order matrix, is among the row's candidates."""
+        D = np.sqrt(sq_dists(Q, model._XT))
+        kd = np.partition(D, model.k - 1, axis=1)[:, model.k - 1]
+        rows, cols = model._candidates(Q, None)
+        kept = set(zip(rows.tolist(), cols.tolist()))
+        need = set(zip(*(a.tolist() for a in np.nonzero(D <= kd[:, None]))))
+        assert need <= kept
+
+    def check(self, X, Q, k):
+        TestLofQueryBlocks.assert_matches_oracle(X, Q, k)
+        model = LocalOutlierFactor(k=k).fit(X)
+        if len(Q):
+            self.assert_screen_keeps_neighbours(model, np.asarray(Q, float))
+
+    def test_large_norms_beside_near_ties(self):
+        rng = np.random.default_rng(11)
+        X = 1e6 + rng.normal(size=(120, 4)) * 1e-2
+        X[40:60] = X[:20] + 1e-9  # near-ties far below the screen's error
+        X[60:70] = X[:10]  # exact ties
+        X[110:] = -1e6 + rng.normal(size=(10, 4))
+        Q = np.vstack([1e6 + rng.normal(size=(30, 4)) * 1e-2, X[::7],
+                       X[:5] + 5e-10])
+        for k in (1, 5, 12):
+            self.check(X, Q, k)
+
+    def test_duplicates_tied_at_the_k_distance(self):
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(10, 3))
+        X = np.repeat(base, 7, axis=0)[rng.permutation(70)]
+        Q = np.vstack([base, base + rng.normal(size=(10, 3)) * 0.05])
+        for k in (6, 7, 10, 13):
+            self.check(X, Q, k)
+
+    def test_all_equal_training_rows(self):
+        X = np.full((30, 3), 2.5)
+        Q = np.vstack([X[:3], [[2.5, 2.5, 3.0], [-1.0, 0.0, 7.0]]])
+        for k in (1, 5, 29):
+            self.check(X, Q, k)
+
+    def test_k_is_n_minus_one(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(25, 3))
+        X[5] = X[6]
+        self.check(X, np.vstack([X[:4], rng.normal(size=(6, 3))]), 24)
+
+    def test_query_equal_to_a_training_row(self):
+        X, _ = tied_rows(14, n_train=200, n_query=1)
+        self.check(X, X[[0, 5, 5, 9, 199]], 10)
+
+    def test_zero_row_batch(self):
+        model = LocalOutlierFactor(k=3).fit(
+            np.random.default_rng(15).normal(size=(20, 4)))
+        out = model.score(np.empty((0, 4)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("centre, spread, d", [
+        (0.0, 1e150, 2),    # |x|^2 about the limit: some rows skip the screen
+        (1.2e154, 1e152, 1),  # the product overflows, the distances do not
+        (1.2e154, 1e152, 2),  # |x|^2 itself overflows
+    ])
+    def test_norms_that_may_overflow_keep_every_point(self, centre, spread,
+                                                       d):
+        rng = np.random.default_rng(16)
+        X = centre + rng.normal(size=(40, d)) * spread
+        Q = np.vstack([X[:3], centre + rng.normal(size=(5, d)) * spread])
+        self.check(X, Q, 4)
+
+    def test_underflowing_squares(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(60, 3)) * 1e-160
+        X[::6] = 5e-324
+        self.check(X, np.vstack([X[:4], rng.normal(size=(6, 3)) * 1e-160]),
+                   6)
+
+    @pytest.mark.parametrize("noise", ["up", "down", "sign", "uniform"])
+    def test_approximations_off_by_the_whole_bound(self, monkeypatch, noise):
+        # any A within E of the fixed-order value gives the same model
+        from netwarden.detectors import lof
+        rng = np.random.default_rng(18)
+        exact_screen = lof.approx_sq_dists
+
+        def off_by_bound(Q, screen, max_sq_norm):
+            _, E = exact_screen(Q, screen, max_sq_norm)
+            D = sq_dists(Q, screen[:-2])
+            u = {"up": lambda s: np.ones(s),
+                 "down": lambda s: -np.ones(s),
+                 "sign": lambda s: rng.choice([-1.0, 1.0], size=s),
+                 "uniform": lambda s: rng.uniform(-1.0, 1.0, size=s)}[noise]
+            return D + E[:, None] * u(D.shape), E
+
+        monkeypatch.setattr(lof, "approx_sq_dists", off_by_bound)
+        for seed in range(2):
+            X, Q = tied_rows(seed, n_train=150, n_query=60)
+            TestLofQueryBlocks.assert_matches_oracle(X, Q, 10)
+        X, Q = sqrt_tie_rows()
+        TestLofQueryBlocks.assert_matches_oracle(X, Q, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_small_matrices_match_oracle(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        k = data.draw(st.integers(1, min(n - 1, 6)), label="k")
+        value = st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, 3.0, 1e6, 1e-160, 5e-324]),
+            st.floats(-100.0, 100.0))
+        X = np.array(data.draw(st.lists(value, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        m = data.draw(st.integers(0, 6), label="queries")
+        Q = np.array(data.draw(st.lists(value, min_size=m * d,
+                                        max_size=m * d))).reshape(m, d)
+        Q = np.vstack([Q, X[:data.draw(st.integers(0, 2), label="own")]])
+        from netwarden.detectors import lof
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lof, "QUERY_BLOCK",
+                       data.draw(st.sampled_from([1, 3, 32]), label="block"))
+            mp.setattr(lof, "GROUP",
+                       data.draw(st.sampled_from([1, 2, 3, 8]), label="group"))
+            TestLofQueryBlocks.assert_matches_oracle(X, Q, k)
 
 
 class TestOrientation:

@@ -10,6 +10,9 @@ from netwarden.flows import (
     flow_key_of,
     meter,
 )
+from netwarden.pipeline import extract_matrix
+
+from conftest import build_global_header, build_record, golden_syn_frame
 
 
 def pkt(ts, src="10.0.0.1", dst="10.0.0.2", sport=5000, dport=80, proto=6,
@@ -27,6 +30,34 @@ def pkt(ts, src="10.0.0.1", dst="10.0.0.2", sport=5000, dport=80, proto=6,
 def rev(p, **kw):
     return pkt(kw.pop("ts"), src=p.dst_ip, dst=p.src_ip, sport=p.dst_port,
                dport=p.src_port, proto=p.protocol, **kw)
+
+
+class TestMeterSettings:
+    """A NaN, infinite or non-positive window or idle timeout would meter
+    silently with no window or no idle cut; the meter refuses them."""
+
+    @pytest.fixture
+    def capture(self, tmp_path):
+        path = tmp_path / "one.pcap"
+        path.write_bytes(build_global_header()
+                         + build_record(10, 0, golden_syn_frame()))
+        return str(path)
+
+    @pytest.mark.parametrize("tw", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_time_window_refused(self, capture, tw):
+        for mode in ("uni_flow", "bi_flow"):
+            with pytest.raises(ValueError, match="time window"):
+                extract_matrix(capture, mode, tw=tw)
+
+    @pytest.mark.parametrize("idle", [0.0, -5.0, np.nan])
+    def test_bad_idle_timeout_refused(self, capture, idle):
+        for tw in (None, 1.0):
+            with pytest.raises(ValueError, match="idle timeout"):
+                extract_matrix(capture, "bi_flow", tw=tw, idle_timeout=idle)
+
+    def test_good_settings_meter(self, capture):
+        X = extract_matrix(capture, "uni_flow", tw=1.0, idle_timeout=np.inf)
+        assert X.n == 1
 
 
 class TestFlowKey:
