@@ -5,11 +5,13 @@ higher score = more anomalous, with a quantile-calibrated threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptySpace, ManifestMismatch, TooFewScores
+from ..errors import (EmptySpace, MalformedModel, ManifestMismatch,
+                      TooFewScores)
 from ..features import NormalizationStats, manifest_hash
 from .autoencoder import Autoencoder
 from .elliptic import EllipticEnvelope
@@ -239,21 +241,36 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
+        """The model a file holds. An unknown kind, a missing key, a
+        non-finite threshold, or hyperparameters or state that the detector
+        refuses raise MalformedModel."""
         # unknown top-level fields are tolerated for forward compatibility
-        kind = d["kind"]
-        det = DETECTOR_CLASSES[kind].from_state(d["hyperparams"], d["state"])
-        stats = d.get("normalization")
-        return cls(
-            kind=kind,
-            detector=det,
-            threshold=float(d["threshold"]),
-            target_fpr=float(d.get("target_fpr", 0.0)),
-            manifest_mode=d["manifest"]["mode"],
-            manifest_names=tuple(d["manifest"]["names"]),
-            manifest_hash=d["manifest"]["hash"],
-            norm_stats=NormalizationStats.from_dict(stats) if stats else None,
-            seed=int(d.get("seed", 0)),
-        )
+        try:
+            kind = d["kind"]
+            if kind not in DETECTOR_CLASSES:
+                raise MalformedModel("unknown detector kind %r" % (kind,))
+            det = DETECTOR_CLASSES[kind].from_state(d["hyperparams"],
+                                                    d["state"])
+            threshold = float(d["threshold"])
+            if not math.isfinite(threshold):  # would flag no row
+                raise MalformedModel("threshold %r is not finite" % threshold)
+            stats = d.get("normalization")
+            return cls(
+                kind=kind,
+                detector=det,
+                threshold=threshold,
+                target_fpr=float(d.get("target_fpr", 0.0)),
+                manifest_mode=d["manifest"]["mode"],
+                manifest_names=tuple(d["manifest"]["names"]),
+                manifest_hash=d["manifest"]["hash"],
+                norm_stats=(NormalizationStats.from_dict(stats) if stats
+                            else None),
+                seed=int(d.get("seed", 0)),
+            )
+        except KeyError as exc:
+            raise MalformedModel("model file lacks the key %s" % exc) from None
+        except (ValueError, TypeError) as exc:  # LinAlgError is a ValueError
+            raise MalformedModel("model file: %s" % exc) from None
 
     @classmethod
     def load(cls, path: str) -> "TrainedModel":

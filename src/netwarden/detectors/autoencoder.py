@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..errors import DivergedLoss, EmptyTraining
+from ..errors import DivergedLoss, EmptyTraining, MalformedModel
 
 
 def default_layer_sizes(d: int) -> list[int]:
@@ -40,8 +40,16 @@ class Autoencoder:
                  batch_size: int = 256, seed: int = 0):
         self.layer_sizes = list(layer_sizes) if layer_sizes else None
         self.epochs = int(epochs)
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0, got %r" % epochs)
         self.learning_rate = float(learning_rate)
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite, "
+                             "got %r" % learning_rate)
         self.batch_size = int(batch_size)
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1, got %r"
+                             % batch_size)
         self.seed = int(seed)
         # every weight and bias lives in `params`; the lists are views
         self.params: np.ndarray | None = None
@@ -171,10 +179,17 @@ class Autoencoder:
     def from_state(cls, params: dict, state: dict) -> "Autoencoder":
         model = cls(**params)
         weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
-        model._allocate([W.shape for W in weights])
+        biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
+        shapes = [W.shape for W in weights]
+        if (not weights or any(len(s) != 2 for s in shapes)
+                or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:]))
+                or [b.shape for b in biases] != [s[1:] for s in shapes]
+                or not all(np.isfinite(v).all() for v in weights + biases)):
+            raise MalformedModel("autoencoder weights and biases must be "
+                                 "finite and form a chain of layers")
+        model._allocate(shapes)
         model.params[:] = np.concatenate(
-            [W.ravel() for W in weights]
-            + [np.asarray(b, dtype=np.float64) for b in state["biases"]])
+            [W.ravel() for W in weights] + biases)
         return model
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyTraining, SingularCovariance
+from ..errors import EmptyTraining, MalformedModel, SingularCovariance
 
 
 class EllipticEnvelope:
@@ -17,6 +17,9 @@ class EllipticEnvelope:
 
     def __init__(self, ridge: float = 1e-6):
         self.ridge = float(ridge)
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be at least 0 and finite, got %r"
+                             % ridge)
         self.mu = None
         self.cov = None
         self._precision = None
@@ -56,7 +59,13 @@ class EllipticEnvelope:
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "EllipticEnvelope":
         model = cls(**params)
-        model.mu = np.asarray(state["mu"], dtype=np.float64)
-        model.cov = np.asarray(state["cov"], dtype=np.float64)
-        model._precision = np.linalg.inv(model.cov)
+        mu = np.asarray(state["mu"], dtype=np.float64)
+        cov = np.asarray(state["cov"], dtype=np.float64)
+        if (mu.ndim != 1 or cov.shape != mu.shape * 2
+                or not (np.isfinite(mu).all() and np.isfinite(cov).all())):
+            raise MalformedModel("elliptic envelope needs a finite mean vector "
+                                 "and a square covariance of its length")
+        np.linalg.cholesky(cov)  # LinAlgError unless positive definite
+        model.mu, model.cov = mu, cov
+        model._precision = np.linalg.inv(cov)
         return model

@@ -80,7 +80,12 @@ class IsolationForest:
     def __init__(self, n_trees: int = 100, subsample_size: int = 256,
                  seed: int = 0):
         self.n_trees = int(n_trees)
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be at least 1, got %r" % n_trees)
         self.subsample_size = int(subsample_size)
+        if self.subsample_size < 1:
+            raise ValueError("subsample_size must be at least 1, got %r"
+                             % subsample_size)
         self.seed = int(seed)
         self._feat = None
         self._effective_subsample = None

@@ -2,52 +2,39 @@
 
 Solves the RBF-kernel dual
     min 1/2 a^T K a   s.t.  0 <= a_i <= 1/(nu*n),  sum a_i = 1
-by repeatedly updating the maximal KKT-violating pair. The decision value
-is g(x) = sum_i a_i k(x_i, x) - rho; g < 0 marks a point anomalous, so the
-unified anomaly score is -g(x).
+by repeatedly updating the maximal KKT-violating pair. Each step reads
+the two Gram rows of its pair, and a row is computed only when first read
+(Platt, 1998; LIBSVM caches rows the same way), so the n x n matrix is
+never built. The decision value is g(x) = sum_i a_i k(x_i, x) - rho;
+g < 0 marks a point anomalous, so the unified anomaly score is -g(x).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
+import math
 
 import numpy as np
 
-from ..errors import EmptyTraining, NonConvergence
+from ..errors import EmptyTraining, MalformedModel, NonConvergence
 from .distance import rbf
 
 
-class _KernelRows:
-    """Row cache for the training gram matrix under a byte budget.
+def _gram_rows(X: np.ndarray, gamma: float, cache_bytes: int):
+    """row(i): row i of the training Gram matrix rbf(X, X^T), computed
+    when first asked for and kept, read-only, in an LRU of as many rows as
+    fit in cache_bytes, and at least the two rows of one SMO step. Each
+    entry is the float the whole matrix holds, so the cache size cannot
+    change a fit."""
+    XT = np.ascontiguousarray(X.T)
+    n = X.shape[0]
 
-    When the full matrix fits it is materialized once; otherwise rows are
-    computed on demand and kept LRU.
-    """
-
-    def __init__(self, X: np.ndarray, gamma: float, cache_bytes: int):
-        self.XT = np.ascontiguousarray(X.T)
-        self.gamma = gamma
-        n = X.shape[0]
-        if n * n * 8 <= cache_bytes:
-            self.full = rbf(X, self.XT, gamma)
-            self.cache = None
-        else:
-            self.full = None
-            self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
-            self.max_rows = max(2, cache_bytes // (n * 8))
-
-    def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
-        cached = self.cache.get(i)
-        if cached is not None:
-            self.cache.move_to_end(i)
-            return cached
-        r = rbf(self.XT[:, i:i + 1].T, self.XT, self.gamma)[0]
-        self.cache[i] = r
-        if len(self.cache) > self.max_rows:
-            self.cache.popitem(last=False)
+    @functools.lru_cache(maxsize=max(2, cache_bytes // (n * 8)))
+    def row(i: int) -> np.ndarray:
+        r = rbf(XT[:, i:i + 1].T, XT, gamma)[0]
+        r.flags.writeable = False
         return r
+    return row
 
 
 class OneClassSVM:
@@ -58,11 +45,20 @@ class OneClassSVM:
                  cache_mb: int = 256):
         if not 0 < nu <= 1:
             raise ValueError("nu must be in (0, 1], got %r" % nu)
+        if gamma != "scale" and not 0 < float(gamma) < math.inf:
+            raise ValueError('gamma must be "scale" or positive and finite, '
+                             'got %r' % (gamma,))
         self.nu = float(nu)
         self.gamma = gamma
         self.tol = float(tol)
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite, got %r" % tol)
         self.max_iter = int(max_iter)
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1, got %r" % max_iter)
         self.cache_mb = int(cache_mb)
+        if self.cache_mb < 0:
+            raise ValueError("cache_mb must be at least 0, got %r" % cache_mb)
         self.rho = None
         self._svT = None  # support vectors, transposed (d, n_sv)
         self._sv_alpha = None
@@ -83,7 +79,7 @@ class OneClassSVM:
             raise EmptyTraining("one-class SVM needs at least 2 rows")
         gamma = self._resolve_gamma(X)
         C = 1.0 / (self.nu * n)
-        K = _KernelRows(X, gamma, self.cache_mb * 1024 * 1024)
+        row = _gram_rows(X, gamma, self.cache_mb * 1024 * 1024)
 
         alpha = np.zeros(n, dtype=np.float64)
         n_full = int(self.nu * n)
@@ -92,7 +88,7 @@ class OneClassSVM:
             alpha[n_full] = min(max(1.0 - n_full * C, 0.0), C)
         G = np.zeros(n, dtype=np.float64)
         for i in np.flatnonzero(alpha > 0):
-            G += alpha[i] * K.row(i)
+            G += alpha[i] * row(int(i))
 
         violation = np.inf
         it = 0
@@ -104,8 +100,8 @@ class OneClassSVM:
             violation = Gj[j] - Gi[i]
             if violation <= self.tol:
                 break
-            ki = K.row(i)
-            kj = K.row(j)
+            ki = row(i)
+            kj = row(j)
             eta = ki[i] + kj[j] - 2.0 * ki[j]
             delta = violation / max(eta, 1e-12)
             room_i = C - alpha[i]
@@ -175,9 +171,20 @@ class OneClassSVM:
     @classmethod
     def from_state(cls, params: dict, state: dict) -> "OneClassSVM":
         model = cls(**params)
-        model._svT = np.ascontiguousarray(
-            np.asarray(state["sv"], dtype=np.float64).T)
-        model._sv_alpha = np.asarray(state["sv_alpha"], dtype=np.float64)
-        model.rho = float(state["rho"])
-        model._gamma_value = float(state["gamma_value"])
+        sv = np.asarray(state["sv"], dtype=np.float64)
+        sv_alpha = np.asarray(state["sv_alpha"], dtype=np.float64)
+        rho = float(state["rho"])
+        gamma = float(state["gamma_value"])
+        if (sv.ndim != 2 or sv.size == 0 or sv_alpha.shape != sv.shape[:1]
+                or not (np.isfinite(sv).all() and np.isfinite(sv_alpha).all()
+                        and math.isfinite(rho))):
+            raise MalformedModel("OSVM needs finite support vectors, one "
+                                 "sv_alpha for each, and a finite rho")
+        if not 0 < gamma < math.inf:
+            raise MalformedModel("OSVM gamma_value must be positive and "
+                                 "finite, got %r" % gamma)
+        model._svT = np.ascontiguousarray(sv.T)
+        model._sv_alpha = sv_alpha
+        model.rho = rho
+        model._gamma_value = gamma
         return model

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, ManifestMismatch, NonFiniteFeature
 from .flows import BIDIRECTIONAL, DirStats, FlowRecord, UNIDIRECTIONAL
-from .pcap import PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, PacketRecord
+from .pcap import (PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP,
+                   TCP_FLAG_NAMES as FLAG_NAMES, PacketRecord)
 
 MODE_UNI_FLOW = "uni_flow"
 MODE_BI_FLOW = "bi_flow"
@@ -33,8 +34,6 @@ CAT_BYTE = "byte_based"
 CAT_TIME = "time_based"
 CAT_PROTO = "protocol_based"
 CATEGORIES = (CAT_PACKET, CAT_BYTE, CAT_TIME, CAT_PROTO)
-
-FLAG_NAMES = ("fin", "syn", "rst", "psh", "ack", "urg", "ece", "cwr")
 
 RATE_FLOOR = 1e-3  # duration floor for rate features, seconds
 

@@ -17,6 +17,7 @@ from .pcap import (
     PROTO_TCP,
     PacketRecord,
     TCP_FIN,
+    TCP_FLAG_NAMES,
     TCP_RST,
 )
 
@@ -381,9 +382,7 @@ def flow_csv_header(mode: str) -> list[str]:
     sides = ("fwd", "bwd") if mode == BIDIRECTIONAL else ("fwd",)
     for side in sides:
         cols += ["%s_%s" % (side, f) for f in _DIR_CSV_FIELDS]
-        cols += ["%s_flag_%s" % (side, name)
-                 for name in ("fin", "syn", "rst", "psh", "ack", "urg",
-                              "ece", "cwr")]
+        cols += ["%s_flag_%s" % (side, name) for name in TCP_FLAG_NAMES]
     return cols
 
 

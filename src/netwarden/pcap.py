@@ -53,6 +53,7 @@ TCP_ACK = 0x10
 TCP_URG = 0x20
 TCP_ECE = 0x40
 TCP_CWR = 0x80
+# in bit order; every flag column and the flow dump list flags in this order
 TCP_FLAG_NAMES = ("fin", "syn", "rst", "psh", "ack", "urg", "ece", "cwr")
 
 REORDER_HORIZON = 1.0  # seconds; older arrivals are dropped and counted

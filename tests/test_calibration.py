@@ -8,7 +8,7 @@ from netwarden.detectors import (
     make_detector,
     random_search,
 )
-from netwarden.errors import EmptySpace, TooFewScores
+from netwarden.errors import EmptySpace, MalformedModel, TooFewScores
 
 
 class TestCalibrateThreshold:
@@ -121,3 +121,32 @@ class TestModelFile:
         path.write_text(json.dumps(d))
         back = TrainedModel.load(str(path))
         assert np.array_equal(model.score(X), back.score(X))
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("ee", lambda d: d["state"].update(
+            cov=np.zeros_like(d["state"]["cov"]).tolist())),
+        ("ee", lambda d: d["state"].update(cov=d["state"]["cov"][:-1])),
+        ("ee", lambda d: d["state"]["mu"].__setitem__(0, float("inf"))),
+        ("ee", lambda d: d.update(kind="svm")),
+        ("ee", lambda d: d.pop("state")),
+        ("osvm", lambda d: d["state"]["sv_alpha"].pop()),
+        ("osvm", lambda d: d["state"].update(rho=float("nan"))),
+        ("osvm", lambda d: d["state"].update(gamma_value=0.0)),
+        ("osvm", lambda d: d["hyperparams"].update(tol=-1.0)),
+        ("ae", lambda d: d["state"]["biases"][0].pop()),
+        ("ae", lambda d: d["state"]["weights"].pop()),
+        ("ae", lambda d: d["state"]["weights"][0][0].__setitem__(
+            0, float("nan"))),
+        ("if", lambda d: d["hyperparams"].update(n_trees=0)),
+        ("if", lambda d: d.update(threshold=float("nan"))),
+    ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
+            "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
+            "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
+            "ae-weight-nan", "if-trees-0", "threshold-nan"])
+    def test_malformed_file_refused(self, tmp_path, kind, edit):
+        X = np.random.default_rng(12).normal(size=(60, 3))
+        model, _ = self.roundtrip(tmp_path, kind, X)
+        d = model.to_dict()
+        edit(d)
+        with pytest.raises(MalformedModel):
+            TrainedModel.from_dict(d)

@@ -358,9 +358,27 @@ class TestConfigAndErrors:
         ("select", "--keep", "500"),
         ("train", "--params", '{"nu": 2}'),
         ("train", "--detector", "lof", "--params", '{"k": 0}'),
+        ("train", "--detector", "osvm", "--params", '{"gamma": -1}'),
+        ("train", "--detector", "osvm", "--params", '{"gamma": 0}'),
+        ("train", "--detector", "osvm", "--params", '{"gamma": "nan"}'),
+        ("train", "--detector", "osvm", "--params", '{"tol": -1}'),
+        ("train", "--detector", "osvm", "--params", '{"max_iter": 0}'),
+        ("train", "--detector", "osvm", "--params", '{"cache_mb": -1}'),
+        ("train", "--detector", "if", "--params", '{"subsample_size": 0}'),
+        ("train", "--detector", "if", "--params", '{"n_trees": 0}'),
+        ("train", "--detector", "ae", "--params", '{"batch_size": 0}'),
+        ("train", "--detector", "ae", "--params",
+         '{"learning_rate": -0.01}'),
+        ("train", "--detector", "ae", "--params", '{"epochs": -1}'),
+        ("train", "--detector", "ee", "--params", '{"ridge": "nan"}'),
     ], ids=["extract-tw-abc", "extract-tw-inf", "extract-idle-nan",
             "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
-            "select-keep-500", "train-nu-2", "train-lof-k-0"])
+            "select-keep-500", "train-nu-2", "train-lof-k-0",
+            "train-osvm-gamma-neg", "train-osvm-gamma-0",
+            "train-osvm-gamma-nan", "train-osvm-tol-neg",
+            "train-osvm-max-iter-0", "train-osvm-cache-neg",
+            "train-if-subsample-0", "train-if-trees-0", "train-ae-batch-0",
+            "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan"])
     def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
                                            argv):
         matrix = tmp_path / "m11.csv"  # 11 non-constant columns
@@ -375,6 +393,19 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
+    def test_malformed_model_file(self, packet_model, workdir, tmp_path,
+                                  capsys):
+        with open(packet_model) as fh:
+            d = json.load(fh)
+        d["state"]["cov"] = np.zeros_like(d["state"]["cov"]).tolist()
+        bad = tmp_path / "zero_cov.json"
+        bad.write_text(json.dumps(d))
+        assert run("score", "--model", str(bad),
+                   "--in", str(workdir / "corpus.pcap"),
+                   "--out", str(tmp_path / "scores.csv")) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["code"] == "malformed_model"
 
     def test_error_lines_are_json(self, capsys, tmp_path):
         err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')

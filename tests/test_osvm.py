@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from netwarden.detectors import OneClassSVM
+from netwarden.detectors import OneClassSVM, ocsvm
 from netwarden.detectors.distance import rbf
 from netwarden.errors import EmptyTraining, NonConvergence
 
 from oracles import osvm_dual_oracle
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestKernel:
@@ -95,14 +101,52 @@ class TestSmoSolver:
         model = OneClassSVM(nu=0.2, gamma="scale").fit(X)
         assert model._gamma_value == pytest.approx(1.0 / (4 * X.var()))
 
-    def test_row_cache_path_matches_full_kernel(self):
+    def test_row_cache_size_does_not_change_the_fit(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(120, 3))
         Q = rng.normal(size=(15, 3))
-        full = OneClassSVM(nu=0.1, gamma=0.5, cache_mb=64).fit(X)
-        # 120x120 doubles = 115 kB; 0 MB budget forces the LRU row cache
+        K = rbf(X, X.T, 0.5)
+        read = []
+
+        def row_of_rbf(A, BT, gamma):
+            r = rbf(A, BT, gamma)
+            i = int(np.flatnonzero((X == A[0]).all(axis=1))[0])
+            np.testing.assert_array_equal(bits(r[0]), bits(K[i]))
+            read.append(i)
+            return r
+        monkeypatch.setattr(ocsvm, "rbf", row_of_rbf)
+        # cache_mb=0 keeps two rows, so rows are evicted and computed again
         tiny = OneClassSVM(nu=0.1, gamma=0.5, cache_mb=0).fit(X)
-        assert np.allclose(full.score(Q), tiny.score(Q), atol=1e-12)
+        recomputed = len(read) - len(set(read))
+        read.clear()
+        roomy = OneClassSVM(nu=0.1, gamma=0.5).fit(X)
+        monkeypatch.undo()
+        assert recomputed > 0 and len(read) == len(set(read))
+        assert tiny.n_iter_ == roomy.n_iter_
+        for a, b in ((tiny.alpha_, roomy.alpha_), (tiny.rho, roomy.rho),
+                     (tiny.score(Q), roomy.score(Q))):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+    def test_fit_computes_only_the_rows_it_reads(self, monkeypatch):
+        X = np.random.default_rng(12).normal(size=(3000, 4))
+        computed = []
+
+        def counted(A, BT, gamma):
+            computed.append(A.shape[0])
+            return rbf(A, BT, gamma)
+        monkeypatch.setattr(ocsvm, "rbf", counted)
+        OneClassSVM(nu=0.05, gamma=0.5).fit(X)
+        assert set(computed) == {1} and len(computed) < X.shape[0]
+
+    def test_fit_never_holds_the_n_by_n_matrix(self):
+        X = np.random.default_rng(12).normal(size=(3000, 4))
+        tracemalloc.start()
+        try:
+            OneClassSVM(nu=0.05, gamma=0.5).fit(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] ** 2 * 8 / 2  # 36 MB
 
     def test_persistence_round_trip(self):
         rng = np.random.default_rng(9)
