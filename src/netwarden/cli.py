@@ -89,14 +89,17 @@ def _merge(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
         cfg.update(file_cfg)
-    cfg.setdefault("in", None)
-    for key in ("labels", "out", "model", "scenario", "params", "manifest",
-                "flows_out"):
+    for key in _CONFIG_KEYS - set(_DEFAULTS):
         cfg.setdefault(key, None)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         cfg["in" if key == "in_path" else key] = value
+    seed, fpr = cfg["seed"], cfg["target_fpr"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigInvalid("seed must be an integer >= 0, got %r" % (seed,))
+    if type(fpr) not in (int, float) or not 0 <= fpr < 1:
+        raise ConfigInvalid("target_fpr must be in [0, 1), got %r" % (fpr,))
     return cfg
 
 
@@ -143,18 +146,18 @@ def _require(cfg: dict, *keys: str) -> None:
                             % ", ".join("--" + k for k in missing))
 
 
-def _scenario_from_dict(d: dict) -> synth_mod.ScenarioSpec:
-    spec = synth_mod.ScenarioSpec()
-    stage_types = {f.name: f.type for f in dataclasses.fields(spec)}
+def _scenario_from_dict(d: dict, spec=None,
+                        where: str = "scenario") -> synth_mod.ScenarioSpec:
+    """The scenario a JSON object sets, each stage from an object of its
+    own; validate() checks the values."""
+    spec = synth_mod.ScenarioSpec() if spec is None else spec
+    if not isinstance(d, dict):
+        raise ConfigInvalid("%s must be a JSON object, got %r" % (where, d))
     for key, value in d.items():
-        if key not in stage_types:
-            raise ConfigInvalid("unknown scenario key %r" % key)
-        if isinstance(value, dict):
-            stage = getattr(spec, key)
-            for k, v in value.items():
-                if not hasattr(stage, k):
-                    raise ConfigInvalid("unknown %s key %r" % (key, k))
-                setattr(stage, k, v)
+        if key not in {f.name for f in dataclasses.fields(spec)}:
+            raise ConfigInvalid("unknown %s key %r" % (where, key))
+        if dataclasses.is_dataclass(getattr(spec, key)):
+            _scenario_from_dict(value, getattr(spec, key), key)
         else:
             setattr(spec, key, value)
     return spec
@@ -298,12 +301,14 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "in", "labels", "out")
+    if cfg["mode"] == "packet":
+        raise ConfigInvalid("sweep meters flows: mode must be uni_flow or "
+                            "bi_flow")
     tw_list = [_parse_tw(tok.strip()) for tok in str(cfg["tw"]).split(",")]
     params = json.loads(cfg["params"]) if cfg["params"] else None
-    mode = cfg["mode"] if cfg["mode"] != "packet" else "uni_flow"
     rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
         cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=tw_list,
-        mode=mode, idle_timeout=_parse_idle(cfg["idle_timeout"]),
+        mode=cfg["mode"], idle_timeout=_parse_idle(cfg["idle_timeout"]),
         target_fpr=cfg["target_fpr"], seed=cfg["seed"], params=params)]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")

@@ -38,6 +38,13 @@ MODEL_FORMAT_VERSION = 1
 
 SEARCH_FOLDS = 5  # cross-validation folds of random_search
 
+# the input columns a fitted detector's state holds (a forest: its highest
+# split column, plus one)
+_STATE_WIDTH = {"if": lambda m: m._width, "ee": lambda m: m.mu.size,
+                "lof": lambda m: m._XT.shape[0],
+                "osvm": lambda m: m._svT.shape[0],
+                "ae": lambda m: m.weights[0].shape[0]}
+
 __all__ = [
     "KINDS", "DETECTOR_CLASSES", "IsolationForest", "EllipticEnvelope",
     "LocalOutlierFactor", "OneClassSVM", "Autoencoder",
@@ -243,7 +250,8 @@ class TrainedModel:
     def from_dict(cls, d: dict) -> "TrainedModel":
         """The model a file holds. An unknown kind, a missing key, a
         non-finite threshold, or hyperparameters or state that the detector
-        refuses raise MalformedModel."""
+        refuses, or a state whose input width differs from the manifest's,
+        raise MalformedModel."""
         # unknown top-level fields are tolerated for forward compatibility
         try:
             kind = d["kind"]
@@ -254,6 +262,12 @@ class TrainedModel:
             threshold = float(d["threshold"])
             if not math.isfinite(threshold):  # would flag no row
                 raise MalformedModel("threshold %r is not finite" % threshold)
+            names = tuple(d["manifest"]["names"])
+            width = _STATE_WIDTH[kind](det)
+            if width > len(names) or (kind != "if" and width < len(names)):
+                raise MalformedModel(
+                    "%s state reads %d input columns, the manifest names %d"
+                    % (kind, width, len(names)))
             stats = d.get("normalization")
             return cls(
                 kind=kind,
@@ -261,7 +275,7 @@ class TrainedModel:
                 threshold=threshold,
                 target_fpr=float(d.get("target_fpr", 0.0)),
                 manifest_mode=d["manifest"]["mode"],
-                manifest_names=tuple(d["manifest"]["names"]),
+                manifest_names=names,
                 manifest_hash=d["manifest"]["hash"],
                 norm_stats=(NormalizationStats.from_dict(stats) if stats
                             else None),

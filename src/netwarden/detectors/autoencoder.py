@@ -183,10 +183,12 @@ class Autoencoder:
         shapes = [W.shape for W in weights]
         if (not weights or any(len(s) != 2 for s in shapes)
                 or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:]))
+                or shapes[-1][1] != shapes[0][0]
                 or [b.shape for b in biases] != [s[1:] for s in shapes]
                 or not all(np.isfinite(v).all() for v in weights + biases)):
             raise MalformedModel("autoencoder weights and biases must be "
-                                 "finite and form a chain of layers")
+                                 "finite and form a chain of layers that "
+                                 "ends at its input width")
         model._allocate(shapes)
         model.params[:] = np.concatenate(
             [W.ravel() for W in weights] + biases)

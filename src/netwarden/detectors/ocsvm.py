@@ -40,7 +40,7 @@ def _gram_rows(X: np.ndarray, gamma: float, cache_bytes: int):
 class OneClassSVM:
     kind = "osvm"
 
-    def __init__(self, nu: float = 0.1, gamma: float | str = "scale",
+    def __init__(self, nu: float = 0.05, gamma: float | str = "scale",
                  tol: float = 1e-4, max_iter: int = 1_000_000,
                  cache_mb: int = 256):
         if not 0 < nu <= 1:

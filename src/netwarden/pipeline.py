@@ -32,9 +32,6 @@ from .features import (
 from .flows import FlowMeter, MeterConfig
 from .pcap import open_capture
 
-# where the pipeline's default differs from the detector constructor's
-PIPELINE_DEFAULTS = {"osvm": {"nu": 0.05}}
-
 # heavier kinds fit on a seeded subsample; thresholds still use all rows
 MAX_TRAIN_DEFAULT = {"osvm": 4096, "lof": 4096}
 
@@ -125,8 +122,7 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     vals = (X.values[:, cols] - mean) / std
     n = vals.shape[0]
 
-    merged = dict(PIPELINE_DEFAULTS.get(kind, {}))
-    merged.update(params or {})
+    merged = dict(params or {})
     if kind in ("if", "ae") and "seed" not in merged:
         merged["seed"] = derive_seed(seed, "fit-" + kind)
 

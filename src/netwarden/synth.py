@@ -10,6 +10,9 @@ Protocol realism stops at headers, sizes and timing; payloads are zeros.
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,68 +64,32 @@ LBL_DDOS = "DDoS"
 
 
 @dataclass
-class TelemetrySpec:
+class BenignSpec:
+    """A benign traffic source: on unless disabled."""
     enabled: bool = True
-    interval: float = 5.0
-    jitter: float = 0.1
-    payload_lo: int = 24
-    payload_hi: int = 64
 
 
 @dataclass
-class MediaSpec:
-    enabled: bool = True
-    burst_interval: float = 20.0
-    burst_pkts_lo: int = 20
-    burst_pkts_hi: int = 60
-    payload_lo: int = 1150
-    payload_hi: int = 1250
-    gap: float = 0.002
-
-
-@dataclass
-class ScanSpec:
+class StageSpec:
+    """A botnet stage: off unless enabled, from `start` seconds on."""
     enabled: bool = False
     start: float = 0.0
-    rate: float = 50.0
+
+
+@dataclass
+class ScanSpec(StageSpec):
     targets: int = 100
-    retry_fraction: float = 0.3
 
 
 @dataclass
-class DownloadSpec:
-    enabled: bool = False
-    start: float = 0.0
-    data_packets: int = 150
-    payload: int = 1460
-    gap: float = 0.002
-
-
-@dataclass
-class C2Spec:
-    enabled: bool = False
-    start: float = 0.0
-    interval: float = 30.0
-    jitter: float = 0.1
+class C2Spec(StageSpec):
     bots: int = 1
 
 
 @dataclass
-class HeartbeatSpec:
-    enabled: bool = False
-    start: float = 0.0
-    interval: float = 60.0
-    payload: int = 4
-    bots: int = 1
-
-
-@dataclass
-class DdosSpec:
-    enabled: bool = False
-    start: float = 0.0
+class DdosSpec(StageSpec):
     duration: float = 2.0
     rate: float = 5000.0
-    payload: int = 512
     bots: int = 1
 
 
@@ -131,23 +98,52 @@ class ScenarioSpec:
     duration: float = 60.0
     devices: int = 5
     seed: int = 0
-    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
-    media: MediaSpec = field(default_factory=MediaSpec)
+    telemetry: BenignSpec = field(default_factory=BenignSpec)
+    media: BenignSpec = field(default_factory=BenignSpec)
     scan: ScanSpec = field(default_factory=ScanSpec)
-    download: DownloadSpec = field(default_factory=DownloadSpec)
+    download: StageSpec = field(default_factory=StageSpec)
     c2: C2Spec = field(default_factory=C2Spec)
-    heartbeat: HeartbeatSpec = field(default_factory=HeartbeatSpec)
+    heartbeat: StageSpec = field(default_factory=StageSpec)
     ddos: DdosSpec = field(default_factory=DdosSpec)
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise InvalidSpec("duration must be positive")
-        if not 1 <= self.devices <= 200:
-            raise InvalidSpec("devices must be within 1..200")
-        if self.ddos.enabled and self.ddos.rate <= 0:
-            raise InvalidSpec("ddos rate must be positive")
-        if self.scan.enabled and self.scan.targets > 480:
-            raise InvalidSpec("scan target pool holds at most 480 targets")
+        """Raise InvalidSpec naming the first setting out of its range."""
+        _check("duration", self.duration, "finite and > 0",
+               _number(self.duration) > 0)
+        _check("devices", self.devices, "an integer in 1..200",
+               1 <= _number(self.devices, numbers.Integral) <= 200)
+        _check("seed", self.seed, "an integer >= 0",
+               _number(self.seed, numbers.Integral) >= 0)
+        for name, _, _ in _STAGES:
+            stage = getattr(self, name)
+            _check(name + ".enabled", stage.enabled, "true or false",
+                   isinstance(stage.enabled, bool))
+            if isinstance(stage, StageSpec):
+                _check(name + ".start", stage.start, "finite and >= 0",
+                       _number(stage.start) >= 0)
+        _check("scan.targets", self.scan.targets, "an integer in 1..480",
+               1 <= _number(self.scan.targets, numbers.Integral) <= 480)
+        for name, value in (("c2.bots", self.c2.bots),
+                            ("ddos.bots", self.ddos.bots)):
+            _check(name, value, "an integer in 1..devices",
+                   1 <= _number(value, numbers.Integral) <= self.devices)
+        for name, value in (("ddos.duration", self.ddos.duration),
+                            ("ddos.rate", self.ddos.rate)):
+            _check(name, value, "finite and > 0", _number(value) > 0)
+
+
+def _number(value, kind=numbers.Real):
+    """value if it is a finite number of this kind (not a bool), else NaN,
+    which fails every range test."""
+    if isinstance(value, kind) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or math.isfinite(value)):
+        return value
+    return math.nan
+
+
+def _check(name: str, value, want: str, ok: bool) -> None:
+    if not ok:
+        raise InvalidSpec("%s must be %s, got %r" % (name, want, value))
 
 
 def device_ip(i: int) -> str:
@@ -171,11 +167,10 @@ def _udp(ts, src, dst, sport, dport, payload, ttl):
 
 
 def _telemetry(spec: ScenarioSpec, rng) -> list[PacketRecord]:
-    cfg = spec.telemetry
     out = []
     for i in range(spec.devices):
         dev = device_ip(i)
-        t = float(rng.uniform(0.0, cfg.interval))
+        t = float(rng.uniform(0.0, 5.0))
         use_tcp = i % 2 == 1
         tcp_sport = 33000 + i
         while t < spec.duration:
@@ -190,33 +185,30 @@ def _telemetry(spec: ScenarioSpec, rng) -> list[PacketRecord]:
                                 TTL_HUB, WIN_HUB))
             else:
                 sport = int(rng.integers(40000, 60000))
-                size = int(rng.integers(cfg.payload_lo, cfg.payload_hi))
+                size = int(rng.integers(24, 64))
                 out.append(_udp(ts, dev, HUB_IP, sport, 5683, size,
                                 TTL_DEVICE))
                 out.append(_udp(ts + float(rng.uniform(0.002, 0.010)),
                                 HUB_IP, dev, 5683, sport, 16, TTL_HUB))
-            t += cfg.interval * (1.0 + cfg.jitter
-                                 * float(rng.uniform(-1.0, 1.0)))
+            t += 5.0 * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
     return out
 
 
 def _media(spec: ScenarioSpec, rng) -> list[PacketRecord]:
-    cfg = spec.media
     out = []
     for i in range(0, spec.devices, 3):  # every third device streams media
         dev = device_ip(i)
-        t = float(rng.uniform(0.0, cfg.burst_interval))
+        t = float(rng.uniform(0.0, 20.0))
         while t < spec.duration:
             sport = int(rng.integers(50000, 60000))
-            n = int(rng.integers(cfg.burst_pkts_lo, cfg.burst_pkts_hi))
+            n = int(rng.integers(20, 60))
             ts = BASE_TIME + t
             for k in range(n):
-                size = int(rng.integers(cfg.payload_lo, cfg.payload_hi))
+                size = int(rng.integers(1150, 1250))
                 out.append(_udp(ts, dev, MEDIA_IP, sport, 5004, size,
                                 TTL_DEVICE))
-                ts += cfg.gap * (1.0 + 0.2 * float(rng.uniform(-1.0, 1.0)))
-            t += cfg.burst_interval * (1.0
-                                       + 0.25 * float(rng.uniform(-1.0, 1.0)))
+                ts += 0.002 * (1.0 + 0.2 * float(rng.uniform(-1.0, 1.0)))
+            t += 20.0 * (1.0 + 0.25 * float(rng.uniform(-1.0, 1.0)))
     return out
 
 
@@ -250,18 +242,17 @@ def _scan(spec: ScenarioSpec, rng) -> list[PacketRecord]:
         sport = 50000 + (idx % 8000)
         out.append(_tcp(ts, bot, ip, sport, port, TCP_SYN, 0, TTL_DEVICE,
                         WIN_SCAN_PROBE))
-        if float(rng.random()) < cfg.retry_fraction:
+        if float(rng.random()) < 0.3:
             out.append(_tcp(ts + 1.0, bot, ip, sport, port, TCP_SYN, 0,
                             TTL_DEVICE, WIN_SCAN_PROBE))
-        t += (1.0 / cfg.rate) * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
+        t += (1.0 / 50.0) * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
     return out
 
 
 def _download(spec: ScenarioSpec, rng) -> list[PacketRecord]:
-    cfg = spec.download
     bot = device_ip(0)
     sport = 44001
-    t = BASE_TIME + cfg.start
+    t = BASE_TIME + spec.download.start
     out = [
         _tcp(t, bot, DOWNLOAD_IP, sport, 80, TCP_SYN, 0, TTL_DEVICE,
              WIN_DEVICE),
@@ -271,14 +262,14 @@ def _download(spec: ScenarioSpec, rng) -> list[PacketRecord]:
              WIN_DEVICE),
     ]
     ts = t + 0.080
-    for k in range(cfg.data_packets):
+    for k in range(150):
         flags = TCP_PSH | TCP_ACK if k % 8 == 0 else TCP_ACK
-        out.append(_tcp(ts, DOWNLOAD_IP, bot, 80, sport, flags, cfg.payload,
+        out.append(_tcp(ts, DOWNLOAD_IP, bot, 80, sport, flags, 1460,
                         TTL_DOWNLOAD, WIN_DOWNLOAD))
         if k % 2 == 1:
             out.append(_tcp(ts + 0.0004, bot, DOWNLOAD_IP, sport, 80,
                             TCP_ACK, 0, TTL_DEVICE, WIN_DEVICE))
-        ts += cfg.gap * (1.0 + 0.3 * float(rng.uniform(-1.0, 1.0)))
+        ts += 0.002 * (1.0 + 0.3 * float(rng.uniform(-1.0, 1.0)))
     out.append(_tcp(ts + 0.010, DOWNLOAD_IP, bot, 80, sport,
                     TCP_FIN | TCP_ACK, 0, TTL_DOWNLOAD, WIN_DOWNLOAD))
     out.append(_tcp(ts + 0.020, bot, DOWNLOAD_IP, sport, 80,
@@ -292,7 +283,7 @@ def _c2(spec: ScenarioSpec, rng) -> list[PacketRecord]:
     for b in range(cfg.bots):
         dev = device_ip(min(1 + b, spec.devices - 1))
         sport = 45000 + b
-        t = cfg.start + float(rng.uniform(0.0, cfg.interval))
+        t = cfg.start + float(rng.uniform(0.0, 30.0))
         while t < spec.duration:
             ts = BASE_TIME + t
             req = int(rng.integers(24, 40))
@@ -303,42 +294,35 @@ def _c2(spec: ScenarioSpec, rng) -> list[PacketRecord]:
                             TCP_PSH | TCP_ACK, rep, TTL_C2, WIN_C2))
             out.append(_tcp(ts + 0.050, dev, C2_IP, sport, 48101, TCP_ACK,
                             0, TTL_DEVICE, WIN_DEVICE))
-            t += cfg.interval * (1.0 + cfg.jitter
-                                 * float(rng.uniform(-1.0, 1.0)))
+            t += 30.0 * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
     return out
 
 
 def _heartbeat(spec: ScenarioSpec, rng) -> list[PacketRecord]:
-    cfg = spec.heartbeat
+    dev = device_ip(min(2, spec.devices - 1))
     out = []
-    for b in range(cfg.bots):
-        dev = device_ip(min(2 + b, spec.devices - 1))
-        sport = 45100 + b
-        t = cfg.start + float(rng.uniform(0.0, cfg.interval))
-        while t < spec.duration:
-            ts = BASE_TIME + t
-            out.append(_tcp(ts, dev, HEARTBEAT_IP, sport, 48102,
-                            TCP_PSH | TCP_ACK, cfg.payload, TTL_DEVICE,
-                            WIN_DEVICE))
-            out.append(_tcp(ts + 0.030, HEARTBEAT_IP, dev, 48102, sport,
-                            TCP_PSH | TCP_ACK, cfg.payload, TTL_HEARTBEAT,
-                            WIN_C2))
-            t += cfg.interval * (1.0 + 0.05 * float(rng.uniform(-1.0, 1.0)))
+    t = spec.heartbeat.start + float(rng.uniform(0.0, 60.0))
+    while t < spec.duration:
+        ts = BASE_TIME + t
+        out.append(_tcp(ts, dev, HEARTBEAT_IP, 45100, 48102,
+                        TCP_PSH | TCP_ACK, 4, TTL_DEVICE, WIN_DEVICE))
+        out.append(_tcp(ts + 0.030, HEARTBEAT_IP, dev, 48102, 45100,
+                        TCP_PSH | TCP_ACK, 4, TTL_HEARTBEAT, WIN_C2))
+        t += 60.0 * (1.0 + 0.05 * float(rng.uniform(-1.0, 1.0)))
     return out
 
 
 def _ddos(spec: ScenarioSpec, rng) -> list[PacketRecord]:
     cfg = spec.ddos
     out = []
-    n_bots = min(cfg.bots, spec.devices)
     total = int(cfg.rate * cfg.duration)
     step = 1.0 / cfg.rate
     t = cfg.start
     for k in range(total):
-        bot_idx = k % n_bots
+        bot_idx = k % cfg.bots
         dev = device_ip(bot_idx)
         out.append(_udp(BASE_TIME + t, dev, DDOS_VICTIM_IP,
-                        55000 + bot_idx, 80, cfg.payload, TTL_DEVICE))
+                        55000 + bot_idx, 80, 512, TTL_DEVICE))
         t += step * (1.0 + 0.05 * float(rng.uniform(-1.0, 1.0)))
     return out
 
@@ -398,12 +382,9 @@ def generate_corpus(spec: ScenarioSpec, pcap_path: str,
     packets, label_rows = generate(spec)
     write_pcap(packets, pcap_path)
     write_label_file(label_rows, labels_path)
-    counts: dict[str, int] = {}
     by_key = {(r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol):
               r.label for r in label_rows}
-    for p in packets:
-        lbl = by_key[(p.src_ip, p.dst_ip, p.src_port, p.dst_port,
-                      p.protocol)]
-        counts[lbl] = counts.get(lbl, 0) + 1
+    counts = Counter(by_key[p.src_ip, p.dst_ip, p.src_port, p.dst_port,
+                            p.protocol] for p in packets)
     return {"packets": len(packets), "label_rows": len(label_rows),
             "packets_by_label": dict(sorted(counts.items()))}

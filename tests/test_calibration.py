@@ -122,6 +122,15 @@ class TestModelFile:
         back = TrainedModel.load(str(path))
         assert np.array_equal(model.score(X), back.score(X))
 
+    def test_forest_may_leave_last_columns_unread(self, tmp_path):
+        X = np.random.default_rng(12).normal(size=(60, 3))
+        model, _ = self.roundtrip(tmp_path, "if", X)
+        d = model.to_dict()
+        d["manifest"]["names"].append("d")
+        back = TrainedModel.from_dict(d)
+        wide = np.hstack([X, np.zeros((60, 1))])
+        assert np.array_equal(back.score(wide), model.score(X))
+
     @pytest.mark.parametrize("kind, edit", [
         ("ee", lambda d: d["state"].update(
             cov=np.zeros_like(d["state"]["cov"]).tolist())),
@@ -139,10 +148,33 @@ class TestModelFile:
             0, float("nan"))),
         ("if", lambda d: d["hyperparams"].update(n_trees=0)),
         ("if", lambda d: d.update(threshold=float("nan"))),
+        ("osvm", lambda d: d["state"].update(
+            sv=[row[:2] for row in d["state"]["sv"]])),
+        ("lof", lambda d: d["state"].update(
+            train=[row[:2] for row in d["state"]["train"]])),
+        ("ee", lambda d: d["state"].update(
+            mu=d["state"]["mu"][:2],
+            cov=[row[:2] for row in d["state"]["cov"][:2]])),
+        ("ee", lambda d: d["manifest"]["names"].append("d")),
+        ("ae", lambda d: d["state"].update(
+            weights=[d["state"]["weights"][0][:2]]
+            + d["state"]["weights"][1:-1]
+            + [[row[:2] for row in d["state"]["weights"][-1]]],
+            biases=d["state"]["biases"][:-1]
+            + [d["state"]["biases"][-1][:2]])),
+        ("ae", lambda d: d["state"].update(
+            weights=d["state"]["weights"][:-1]
+            + [[row[:2] for row in d["state"]["weights"][-1]]],
+            biases=d["state"]["biases"][:-1]
+            + [d["state"]["biases"][-1][:2]])),
+        ("if", lambda d: d["manifest"].update(names=["a", "b"])),
     ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
             "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
             "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
-            "ae-weight-nan", "if-trees-0", "threshold-nan"])
+            "ae-weight-nan", "if-trees-0", "threshold-nan",
+            "osvm-sv-narrow", "lof-train-narrow", "ee-narrow",
+            "ee-manifest-wider", "ae-narrow", "ae-output-narrow",
+            "if-splits-past-manifest"])
     def test_malformed_file_refused(self, tmp_path, kind, edit):
         X = np.random.default_rng(12).normal(size=(60, 3))
         model, _ = self.roundtrip(tmp_path, kind, X)

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from netwarden.errors import ConfigInvalid
 from netwarden.features import FeatureMatrix, read_matrix_csv, \
     write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
+from netwarden.cli import _scenario_from_dict
 
 from conftest import build_global_header, build_record, golden_syn_frame
 
@@ -371,6 +375,11 @@ class TestConfigAndErrors:
          '{"learning_rate": -0.01}'),
         ("train", "--detector", "ae", "--params", '{"epochs": -1}'),
         ("train", "--detector", "ee", "--params", '{"ridge": "nan"}'),
+        ("synth", "--seed", "-1"),
+        ("sweep", "--seed", "-2"),
+        ("train", "--target-fpr", "1.5"),
+        ("train", "--target-fpr", "nan"),
+        ("sweep", "--mode", "packet"),
     ], ids=["extract-tw-abc", "extract-tw-inf", "extract-idle-nan",
             "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
             "select-keep-500", "train-nu-2", "train-lof-k-0",
@@ -378,7 +387,9 @@ class TestConfigAndErrors:
             "train-osvm-gamma-nan", "train-osvm-tol-neg",
             "train-osvm-max-iter-0", "train-osvm-cache-neg",
             "train-if-subsample-0", "train-if-trees-0", "train-ae-batch-0",
-            "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan"])
+            "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan",
+            "synth-seed-neg", "sweep-seed-neg", "train-fpr-1.5",
+            "train-fpr-nan", "sweep-mode-packet"])
     def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
                                            argv):
         matrix = tmp_path / "m11.csv"  # 11 non-constant columns
@@ -406,6 +417,68 @@ class TestConfigAndErrors:
                    "--out", str(tmp_path / "scores.csv")) == 2
         err = capsys.readouterr().err
         assert json.loads(err[len("error: "):])["code"] == "malformed_model"
+
+    def test_model_narrower_than_its_manifest(self, tmp_path, capsys):
+        # regression: support vectors of 2 of the manifest's 4 columns
+        # loaded, and scoring raised numpy's broadcast ValueError
+        X = FeatureMatrix(np.random.default_rng(1).normal(size=(80, 4)),
+                          ("a", "b", "c", "d"), "packet")
+        write_matrix_csv(X, str(tmp_path / "x.csv"))
+        d = train_model(X, kind="osvm").to_dict()
+        d["state"]["sv"] = [row[:2] for row in d["state"]["sv"]]
+        (tmp_path / "narrow.json").write_text(json.dumps(d))
+        assert run("score", "--model", str(tmp_path / "narrow.json"),
+                   "--in", str(tmp_path / "x.csv"),
+                   "--out", str(tmp_path / "scores.csv")) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["code"] == "malformed_model"
+
+    @pytest.mark.parametrize("scenario, code", [
+        ('{"duration": NaN}', "invalid_spec"),
+        ('{"c2": {"enabled": "no"}}', "invalid_spec"),
+        ('{"c2": {"start": NaN}}', "invalid_spec"),
+        ('{"devices": 2.5}', "invalid_spec"),
+        ('{"ddos": {"bots": 6}}', "invalid_spec"),
+        ('{"scan": 5}', "config_invalid"),
+        ('[]', "config_invalid"),
+        ('{"scan": {"rate": 0}}', "config_invalid"),
+        ('{"c2": {"interval": 0}}', "config_invalid"),
+        ('{"heartbeat": {"bots": 2}}', "config_invalid"),
+    ], ids=["duration-nan", "c2-enabled-str", "c2-start-nan",
+            "devices-float", "ddos-bots-6", "scan-not-object",
+            "not-object", "scan-rate-removed", "c2-interval-removed",
+            "heartbeat-bots-removed"])
+    def test_bad_scenario_is_one_error_line(self, tmp_path, capsys,
+                                            scenario, code):
+        # an infinite duration is refused by the same check as NaN; it is
+        # tested on validate() alone (test_synth.py), since at the parent
+        # it generates forever
+        (tmp_path / "s.json").write_text(scenario)
+        assert run("synth", "--scenario", str(tmp_path / "s.json"),
+                   "--out", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert json.loads(err[len("error: "):])["code"] == code
+        assert not (tmp_path / "c.pcap").exists()
+
+    def test_readme_scenario_is_accepted(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md") \
+            .read_text()
+        block = re.search(r"<<'JSON'\n(.*?)\nJSON\n", readme, re.S).group(1)
+        spec = _scenario_from_dict(json.loads(block))
+        spec.validate()
+        assert spec.c2.bots == 2 and spec.ddos.rate == 800.0
+        # the key table lists exactly the keys the scenario accepts
+        table = readme.split("| scenario key |")[1].split("\n\n")[0]
+        listed = set(re.findall(r"`([a-z0-9_.]+)`", "\n".join(
+            line.split("|")[1] for line in table.splitlines()[2:])))
+        accepted = set()
+        for f in dataclasses.fields(spec):
+            stage = getattr(spec, f.name)
+            accepted |= ({f.name + "." + g.name
+                          for g in dataclasses.fields(stage)}
+                         if dataclasses.is_dataclass(stage) else {f.name})
+        assert listed == accepted
 
     def test_error_lines_are_json(self, capsys, tmp_path):
         err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netwarden.detectors import OneClassSVM, ocsvm
+from netwarden.detectors import OneClassSVM, make_detector, ocsvm
 from netwarden.detectors.distance import rbf
 from netwarden.errors import EmptyTraining, NonConvergence
+from netwarden.features import FeatureMatrix
+from netwarden.pipeline import train_model
 
 from oracles import osvm_dual_oracle
 
@@ -156,3 +158,13 @@ class TestSmoSolver:
         clone = OneClassSVM.from_state(model.get_params(),
                                        model.state_dict())
         assert np.array_equal(model.score(Q), clone.score(Q))
+
+    def test_train_model_fits_the_constructor_defaults(self):
+        # regression: train_model applied nu = 0.05 over the constructor's
+        # 0.1, so make_detector("osvm") fit another model
+        X = FeatureMatrix(np.random.default_rng(10).normal(size=(80, 3)),
+                          ("a", "b", "c"), "packet")
+        model = train_model(X, kind="osvm")
+        assert model.detector.get_params() == \
+            make_detector("osvm").get_params()
+        assert model.detector.nu == 0.05

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from netwarden import pcap, synth
@@ -105,6 +109,70 @@ class TestGenerate:
         bad.scan.targets = 10_000
         with pytest.raises(InvalidSpec):
             synth.generate(bad)
+
+
+def settings(spec):
+    """(dotted name, owner, field name) of every scenario setting."""
+    out = []
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if dataclasses.is_dataclass(value):
+            out += [(f.name + "." + g.name, value, g.name)
+                    for g in dataclasses.fields(value)]
+        else:
+            out.append((f.name, spec, f.name))
+    return out
+
+
+def with_setting(name, value, **top):
+    spec = ScenarioSpec(**top)
+    for dotted, owner, attr in settings(spec):
+        if dotted == name:
+            setattr(owner, attr, value)
+            return spec
+    raise KeyError(name)
+
+
+class TestSpecChecks:
+    def test_twenty_settings(self):
+        assert len(settings(ScenarioSpec())) == 20
+
+    @pytest.mark.parametrize("name", [n for n, _, _ in
+                                      settings(ScenarioSpec())])
+    def test_every_setting_is_checked(self, name):
+        with pytest.raises(InvalidSpec, match="^%s must" % name):
+            with_setting(name, float("nan")).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("duration", math.inf), ("duration", 0.0), ("duration", "60"),
+        ("devices", 2.5), ("devices", 0), ("devices", 201),
+        ("devices", True), ("seed", -1), ("seed", 1.5),
+        ("c2.enabled", "no"), ("scan.enabled", 1), ("media.enabled", None),
+        ("ddos.start", -1.0), ("scan.start", math.inf),
+        ("scan.targets", 0), ("scan.targets", 481), ("c2.bots", 0),
+        ("c2.bots", 6), ("c2.bots", 2.0), ("ddos.bots", 6),
+        ("ddos.rate", 0.0), ("ddos.rate", math.inf),
+        ("ddos.duration", -2.0),
+    ])
+    def test_bad_value_raises(self, name, value):
+        # the default spec has 5 devices; an infinite duration is only
+        # validated, never generated
+        with pytest.raises(InvalidSpec, match="^%s must" % name):
+            with_setting(name, value).validate()
+
+    def test_bounds_are_accepted(self):
+        spec = with_setting("scan.targets", 480, devices=200, seed=0)
+        spec.c2.bots = spec.ddos.bots = 200
+        spec.ddos.start = 0
+        spec.validate()
+        with_setting("c2.bots", np.int64(1), devices=np.int64(1)).validate()
+
+    def test_ddos_bots_beyond_devices_refused(self):
+        # the generator used to clamp them to the device count
+        spec = with_setting("ddos.bots", 3, devices=2)
+        spec.ddos.enabled = True
+        with pytest.raises(InvalidSpec):
+            synth.generate(spec)
 
 
 class TestCorpusFiles:
