@@ -32,7 +32,7 @@ from .features import (
 )
 from .pcap import MAGIC_NS_BE, MAGIC_NS_LE, MAGIC_US_BE, MAGIC_US_LE
 from .pipeline import extract_matrix, score_matrix, train_model
-from .selection import SelectionConfig, rank_features
+from .selection import AGGREGATIONS, SelectionConfig, rank_features
 
 TW_CHOICES_HELP = 'seconds, or "default" for timeout-only flow cuts'
 
@@ -43,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tw", help=TW_CHOICES_HELP)
     p.add_argument("--idle-timeout", type=float, dest="idle_timeout")
     p.add_argument("--sigma", type=float, help="RBF bandwidth")
-    p.add_argument("--aggregate", choices=("mean", "majority", "borda"))
+    p.add_argument("--aggregate", choices=AGGREGATIONS)
     p.add_argument("--keep", help="features to keep: count or fraction")
     p.add_argument("--detector", choices=("if", "ee", "lof", "osvm", "ae"))
     p.add_argument("--target-fpr", type=float, dest="target_fpr")
@@ -85,6 +85,8 @@ def _merge(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigInvalid("cannot read config: %s" % e) from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigInvalid("config must be a JSON object")
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
@@ -95,11 +97,19 @@ def _merge(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         cfg["in" if key == "in_path" else key] = value
-    seed, fpr = cfg["seed"], cfg["target_fpr"]
-    if type(seed) is not int or seed < 0:
-        raise ConfigInvalid("seed must be an integer >= 0, got %r" % (seed,))
-    if type(fpr) not in (int, float) or not 0 <= fpr < 1:
-        raise ConfigInvalid("target_fpr must be in [0, 1), got %r" % (fpr,))
+    for key, want, ok in (  # settings the commands use as given
+            ("seed", "an integer >= 0", lambda v: type(v) is int and v >= 0),
+            ("budget", "an integer >= 0", lambda v: type(v) is int and v >= 0),
+            ("target_fpr", "in [0, 1)",
+             lambda v: type(v) in (int, float) and 0 <= v < 1),
+            ("idle_timeout", "positive seconds",
+             lambda v: type(v) in (int, float) and v > 0),
+            ("mode", "one of " + ", ".join(MODES), lambda v: v in MODES),
+            ("aggregate", "one of " + ", ".join(AGGREGATIONS),
+             lambda v: v in AGGREGATIONS)):
+        if not ok(cfg[key]):
+            raise ConfigInvalid("%s must be %s, got %r"
+                                % (key, want, cfg[key]))
     return cfg
 
 
@@ -114,17 +124,6 @@ def _parse_tw(value) -> float | None:
         pass
     raise ConfigInvalid("tw must be positive finite seconds or 'default', "
                         "got %r" % value)
-
-
-def _parse_idle(value) -> float:
-    try:
-        idle = float(value)
-        if idle > 0:
-            return idle
-    except (TypeError, ValueError):
-        pass
-    raise ConfigInvalid("idle_timeout must be positive seconds, got %r"
-                        % value)
 
 
 def _parse_keep(value, m: int):
@@ -186,7 +185,7 @@ def cmd_extract(cfg: dict) -> int:
         flow_sink = dumped.append
     X = extract_matrix(cfg["in"], mode=cfg["mode"],
                        tw=_parse_tw(cfg["tw"]),
-                       idle_timeout=_parse_idle(cfg["idle_timeout"]),
+                       idle_timeout=cfg["idle_timeout"],
                        labels_path=cfg["labels"], flow_sink=flow_sink)
     write_matrix_csv(X, cfg["out"])
     if flow_sink is not None:
@@ -202,7 +201,7 @@ def cmd_extract(cfg: dict) -> int:
 
 def cmd_select(cfg: dict) -> int:
     _require(cfg, "in", "out")
-    X = read_matrix_csv(cfg["in"])
+    X = _read_matrix(cfg)
     if X.labels is not None:
         benign = [i for i, lbl in enumerate(X.labels) if lbl == "Normal"]
         X = FeatureMatrix(values=X.values[benign], names=X.names,
@@ -230,25 +229,31 @@ def cmd_select(cfg: dict) -> int:
     return 0
 
 
-def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
-    """The model, and the input CSV or PCAP (sniffed by magic number)
-    extracted in the model's traffic mode."""
-    _require(cfg, "in", "model", "out")
-    model = TrainedModel.load(cfg["model"])
+def _read_matrix(cfg: dict, mode: str | None = None) -> FeatureMatrix:
+    """The input matrix CSV; or, given a traffic mode, a PCAP (sniffed by
+    magic number) extracted in it. Without a mode a PCAP is refused."""
     path = cfg["in"]
     with open(path, "rb") as fh:
         magic = int.from_bytes(fh.read(4), "big")
-    if magic in (MAGIC_US_BE, MAGIC_US_LE, MAGIC_NS_BE, MAGIC_NS_LE):
-        return model, extract_matrix(
-            path, mode=model.manifest_mode, tw=_parse_tw(cfg["tw"]),
-            idle_timeout=_parse_idle(cfg["idle_timeout"]),
-            labels_path=cfg["labels"])
-    return model, read_matrix_csv(path)
+    if magic not in (MAGIC_US_BE, MAGIC_US_LE, MAGIC_NS_BE, MAGIC_NS_LE):
+        return read_matrix_csv(path)
+    if mode is None:
+        raise ConfigInvalid("%s is a PCAP capture; this command reads a "
+                            "matrix CSV written by extract" % path)
+    return extract_matrix(path, mode=mode, tw=_parse_tw(cfg["tw"]),
+                          idle_timeout=cfg["idle_timeout"],
+                          labels_path=cfg["labels"])
+
+
+def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
+    _require(cfg, "in", "model", "out")
+    model = TrainedModel.load(cfg["model"])
+    return model, _read_matrix(cfg, model.manifest_mode)
 
 
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "in", "out")
-    X = read_matrix_csv(cfg["in"])
+    X = _read_matrix(cfg)
     params = json.loads(cfg["params"]) if cfg["params"] else None
     try:
         make_detector(cfg["detector"], params)
@@ -257,7 +262,10 @@ def cmd_train(cfg: dict) -> int:
     selected = None
     if cfg["manifest"]:
         with open(cfg["manifest"]) as fh:
-            selected = tuple(json.load(fh)["names"])
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict) or "names" not in manifest:
+            raise ConfigInvalid("manifest has no names list")
+        selected = tuple(manifest["names"])
     model = train_model(X, kind=cfg["detector"], params=params,
                         target_fpr=cfg["target_fpr"], seed=cfg["seed"],
                         budget=cfg["budget"], selected_names=selected)
@@ -308,7 +316,7 @@ def cmd_sweep(cfg: dict) -> int:
     params = json.loads(cfg["params"]) if cfg["params"] else None
     rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
         cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=tw_list,
-        mode=cfg["mode"], idle_timeout=_parse_idle(cfg["idle_timeout"]),
+        mode=cfg["mode"], idle_timeout=cfg["idle_timeout"],
         target_fpr=cfg["target_fpr"], seed=cfg["seed"], params=params)]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")

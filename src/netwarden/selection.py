@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors.distance import rbf
+from .detectors.distance import BLOCK_BYTES, rbf
 from .errors import (
     DegenerateGraph,
     NonPositiveSigma,
@@ -28,6 +28,7 @@ CRITERIA = ("spectral", "information", "redundancy", "intra_class", "iqr")
 AGGREGATIONS = ("mean", "majority", "borda")
 
 SUBSAMPLE_CAP = 2000  # the O(n^2) similarity criteria cap their row count
+SPECTRAL_DECIMALS = 13  # spectral scores are kept to 1e-13
 
 
 @dataclass
@@ -48,65 +49,65 @@ class SelectionConfig:
         return k
 
 
-def rbf_similarity(X: np.ndarray, sigma: float) -> np.ndarray:
-    """Pairwise RBF similarity exp(-||xi - xj||^2 / (2 sigma^2)).
-
-    Built on the detectors' fixed-order distance kernel, so S is exactly
-    symmetric with a unit diagonal.
-    """
+def _gamma(sigma: float) -> float:
+    """The RBF exponent 1 / (2 sigma^2) of a bandwidth sigma."""
     if sigma <= 0:
         raise NonPositiveSigma("sigma must be positive, got %r" % sigma)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    return rbf(X, X.T, 1.0 / (2.0 * sigma * sigma))
+    return 1.0 / (2.0 * sigma * sigma)
 
 
-def _normalized_graph(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt of the degrees, D^-1/2 S D^-1/2) of a similarity graph."""
-    deg = S.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateGraph("zero-degree node in similarity graph")
-    root = np.sqrt(deg)
-    return root, (S / root[:, None]) / root[None, :]
+def _row_blocks(n: int):
+    """Row slices of an n-column float64 matrix, BLOCK_BYTES each."""
+    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    return (slice(s, min(s + rows, n)) for s in range(0, n, rows))
 
 
-def spectral_score(f: np.ndarray, S: np.ndarray) -> float:
-    """Normalized-Laplacian smoothness of a feature on the similarity graph.
+def spectral_scores(F: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
+    """Laplacian Score of each column f of F on the RBF graph S of X's rows:
+    1/2 sum_ij S_ij (f_i - f_j)^2 / sum_i d_i f_i^2, d the degrees of S.
 
-    The feature column is degree-weighted and unit-normalized; the score is
-    its Rayleigh quotient with the normalized Laplacian. Constant features
-    lie in the null space and score 0.
+    It equals the Rayleigh quotient of the degree-weighted f with the
+    normalized Laplacian, but sums differences, so it does not cancel. S is
+    built in row blocks. Scores are rounded to SPECTRAL_DECIMALS: features
+    that cut the graph along the same edges (proto_tcp, proto_udp, counts
+    nonzero only on TCP) then tie, in column order, instead of ranking by
+    the few ulps in which their z-scores differ.
     """
-    return _spectral(np.asarray(f, dtype=np.float64), *_normalized_graph(S))
-
-
-def _spectral(f: np.ndarray, root: np.ndarray, w: np.ndarray) -> float:
-    """spectral_score on a graph given by _normalized_graph."""
-    fh = root * f
-    norm = np.linalg.norm(fh)
-    if norm == 0:
-        return 0.0
-    fh /= norm
-    score = float(fh @ fh - fh @ (w @ fh))
-    return max(score, 0.0)
+    n, gamma = X.shape[0], _gamma(sigma)
+    deg, num = np.empty(n), np.zeros(F.shape[1])
+    XT = np.ascontiguousarray(X.T)
+    for b in _row_blocks(n):
+        S = rbf(X[b], XT, gamma)
+        deg[b] = S.sum(axis=1)
+        diff = np.empty_like(S)
+        for j in range(F.shape[1]):
+            np.subtract(F[b, j, None], F[None, :, j], out=diff)
+            num[j] += np.vdot(S, np.multiply(diff, diff, out=diff))
+    if not np.all(deg > 0):  # NaN too: it would give every column 0
+        raise DegenerateGraph("zero or NaN degree in similarity graph")
+    den = deg @ (F * F)
+    score = np.divide(0.5 * num, den, out=np.zeros_like(num), where=den > 0)
+    return np.round(score, SPECTRAL_DECIMALS)
 
 
 def information_score(f: np.ndarray, sigma: float) -> float:
     """Total binary entropy of the feature's own similarity matrix.
 
     E = -sum_ij [S log2 S + (1-S) log2 (1-S)] with 0*log2(0) := 0.
-    Lower entropy means the feature induces crisp structure.
+    Lower entropy means the feature induces crisp structure. S_ij depends
+    only on the two values, so E = -c^T H(S(v, v)) c over the distinct
+    values v with counts c, summed in row blocks of the upper triangle.
     """
-    S = rbf_similarity(f, sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(S > 0.0, S * np.log2(S, out=np.zeros_like(S),
-                                           where=S > 0.0), 0.0)
+    v, c = np.unique(f, return_counts=True)
+    total, gamma = 0.0, _gamma(sigma)
+    for b in _row_blocks(v.size):
+        S = rbf(v[b, None], v[None, b.start:], gamma)
         one_m = 1.0 - S
-        t2 = np.where(one_m > 0.0,
-                      one_m * np.log2(one_m, out=np.zeros_like(one_m),
-                                      where=one_m > 0.0), 0.0)
-    return float(-(t1 + t2).sum())
+        H = S * np.log2(S, out=np.zeros_like(S), where=S > 0.0)
+        H += one_m * np.log2(one_m, out=np.zeros_like(S), where=one_m > 0.0)
+        # pairs inside the block appear twice in H, pairs beyond it once
+        total += c[b] @ (H @ np.concatenate([c[b], 2.0 * c[b.stop:]]))
+    return float(-total)
 
 
 def pearson_redundancy(i: int, X: np.ndarray,
@@ -223,11 +224,9 @@ def rank_features(X: np.ndarray, names: tuple[str, ...],
         rng = np.random.default_rng(cfg.seed)
         idx = np.sort(rng.choice(n, size=SUBSAMPLE_CAP, replace=False))
         Xs = X[idx]
-    root, w = _normalized_graph(rbf_similarity(Xs, cfg.sigma))
     corr = _abs_corr(X)
     scores = {
-        "spectral": np.array([_spectral(Xs[:, j], root, w)
-                              for j in range(m)]),
+        "spectral": spectral_scores(Xs, Xs, cfg.sigma),
         "information": np.array([information_score(Xs[:, j], cfg.sigma)
                                  for j in range(m)]),
         "redundancy": np.array([pearson_redundancy(j, X, corr)

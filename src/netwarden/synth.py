@@ -130,6 +130,10 @@ class ScenarioSpec:
         for name, value in (("ddos.duration", self.ddos.duration),
                             ("ddos.rate", self.ddos.rate)):
             _check(name, value, "finite and > 0", _number(value) > 0)
+        packets = sum(bound(self) for name, bound in _MAX_PACKETS.items()
+                      if getattr(self, name).enabled)
+        _check("packets", packets, "at most %d" % MAX_PACKETS,
+               packets <= MAX_PACKETS)
 
 
 def _number(value, kind=numbers.Real):
@@ -326,6 +330,19 @@ def _ddos(spec: ScenarioSpec, rng) -> list[PacketRecord]:
         t += step * (1.0 + 0.05 * float(rng.uniform(-1.0, 1.0)))
     return out
 
+
+# Most packets each stage can generate, from its shortest gap between
+# bursts and its largest burst (a stage's first burst comes at t >= 0).
+_MAX_PACKETS = {
+    "telemetry": lambda s: s.devices * 2 * (s.duration / 4.5 + 1),
+    "media": lambda s: -(-s.devices // 3) * 59 * (s.duration / 15.0 + 1),
+    "scan": lambda s: 2 * s.scan.targets,
+    "download": lambda s: 230,
+    "c2": lambda s: s.c2.bots * 3 * (s.duration / 27.0 + 1),
+    "heartbeat": lambda s: 2 * (s.duration / 57.0 + 1),
+    "ddos": lambda s: s.ddos.rate * s.ddos.duration,
+}
+MAX_PACKETS = 2_000_000  # about 1 GB of PacketRecords, at 0.5 kB each
 
 _STAGES = (
     ("telemetry", _telemetry, LBL_NORMAL),

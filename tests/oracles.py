@@ -246,6 +246,46 @@ def rbf_similarity_gemm_oracle(X, sigma: float) -> np.ndarray:
     return S
 
 
+# --- Feature selection on a whole similarity matrix --------------------------
+# The two graph criteria from an n x n similarity, as they were first
+# computed; selection computes both in row blocks. The spectral score has
+# two dense forms. The Rayleigh quotient 1 - fh^T W fh on the normalized
+# graph is the old one, and it cancels to rounding noise for features
+# the graph finds smooth. The pairwise form equals it in exact arithmetic
+# and does not cancel.
+
+def spectral_rayleigh_oracle(f, S) -> float:
+    """1 - fh^T W fh, W = D^-1/2 S D^-1/2, fh = D^1/2 f / |D^1/2 f|."""
+    S = np.asarray(S, dtype=np.float64)
+    root = np.sqrt(S.sum(axis=1))
+    w = (S / root[:, None]) / root[None, :]
+    fh = root * np.asarray(f, dtype=np.float64)
+    norm = np.linalg.norm(fh)
+    if norm == 0:
+        return 0.0
+    fh /= norm
+    return max(float(fh @ fh - fh @ (w @ fh)), 0.0)
+
+
+def spectral_score_oracle(f, S) -> float:
+    """1/2 sum_ij S_ij (f_i - f_j)^2 / sum_i d_i f_i^2, 0 for f = 0."""
+    S = np.asarray(S, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    den = float(S.sum(axis=1) @ (f * f))
+    if den == 0:
+        return 0.0
+    return 0.5 * float((S * (f[:, None] - f[None, :]) ** 2).sum()) / den
+
+
+def information_score_oracle(S) -> float:
+    """-sum_ij [S log2 S + (1-S) log2 (1-S)], with 0 log2 0 := 0."""
+    S = np.asarray(S, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(S > 0.0, S * np.log2(S), 0.0)
+        t2 = np.where(S < 1.0, (1.0 - S) * np.log2(1.0 - S), 0.0)
+    return float(-(t1 + t2).sum())
+
+
 def central_difference_gradient(fn, x0: np.ndarray,
                                 h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function, one coordinate at a

@@ -380,6 +380,12 @@ class TestConfigAndErrors:
         ("train", "--target-fpr", "1.5"),
         ("train", "--target-fpr", "nan"),
         ("sweep", "--mode", "packet"),
+        ("extract", "--config", '{"mode": "foo"}'),
+        ("select", "--config", '{"aggregate": "foo"}'),
+        ("train", "--config", '{"budget": "x"}'),
+        ("train", "--config", '{"budget": -1}'),
+        ("extract", "--config", '["mode"]'),
+        ("extract", "--config", '5'),
     ], ids=["extract-tw-abc", "extract-tw-inf", "extract-idle-nan",
             "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
             "select-keep-500", "train-nu-2", "train-lof-k-0",
@@ -389,9 +395,16 @@ class TestConfigAndErrors:
             "train-if-subsample-0", "train-if-trees-0", "train-ae-batch-0",
             "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan",
             "synth-seed-neg", "sweep-seed-neg", "train-fpr-1.5",
-            "train-fpr-nan", "sweep-mode-packet"])
+            "train-fpr-nan", "sweep-mode-packet", "config-mode-foo",
+            "config-aggregate-foo", "config-budget-str",
+            "config-budget-neg", "config-list", "config-number"])
     def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
                                            argv):
+        argv = list(argv)
+        if "--config" in argv:  # the next item is the file's content
+            i = argv.index("--config") + 1
+            (tmp_path / "cfg.json").write_text(argv[i])
+            argv[i] = str(tmp_path / "cfg.json")
         matrix = tmp_path / "m11.csv"  # 11 non-constant columns
         write_matrix_csv(FeatureMatrix(
             np.random.default_rng(0).normal(size=(60, 11)),
@@ -404,6 +417,29 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
+    @pytest.mark.parametrize("manifest", ['{"mode": "packet"}', '[]'])
+    def test_manifest_without_names_is_config_invalid(self, tmp_path, capsys,
+                                                      manifest):
+        X = FeatureMatrix(np.random.default_rng(2).normal(size=(40, 3)),
+                          ("a", "b", "c"), "packet")
+        write_matrix_csv(X, str(tmp_path / "x.csv"))
+        (tmp_path / "m.json").write_text(manifest)
+        assert run("train", "--in", str(tmp_path / "x.csv"),
+                   "--manifest", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "model.json")) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_pcap_where_a_matrix_is_read_is_refused(self, workdir, tmp_path,
+                                                    capsys, command):
+        assert run(command, "--in", str(workdir / "corpus.pcap"),
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_model_file(self, packet_model, workdir, tmp_path,
                                   capsys):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from netwarden import selection as sel
+from netwarden.detectors.distance import rbf
 from netwarden.errors import (
+    DegenerateGraph,
     NonPositiveSigma,
     RankListMismatch,
     TooFewSamples,
@@ -11,47 +15,54 @@ from netwarden.errors import (
 from netwarden.features import apply_normalizer, fit_normalizer
 from netwarden.pipeline import extract_matrix
 
-from oracles import rbf_similarity_gemm_oracle
+from oracles import (
+    information_score_oracle,
+    rbf_similarity_gemm_oracle,
+    spectral_rayleigh_oracle,
+    spectral_score_oracle,
+    sq_dist_oracle,
+)
 
 
 class TestRbfSimilarity:
+    """The kernel both graph criteria build their similarity from."""
+
     def test_identical_points(self):
-        S = sel.rbf_similarity(np.array([[1.0, 2.0], [1.0, 2.0]]), 1.0)
-        assert S[0, 1] == 1.0
+        X = np.array([[1.0, 2.0], [1.0, 2.0]])
+        assert rbf(X, X.T, 0.5)[0, 1] == 1.0
 
     def test_derived_value(self):
         # 1-D points 0 and 2 with sigma=1: exp(-4/2)
-        S = sel.rbf_similarity(np.array([[0.0], [2.0]]), 1.0)
+        X = np.array([[0.0], [2.0]])
+        S = rbf(X, X.T, 0.5)
         assert S[0, 1] == pytest.approx(np.exp(-2.0), abs=1e-12)
         assert S[0, 1] == pytest.approx(0.13534, abs=1e-5)
 
     def test_symmetry_exact(self):
-        rng = np.random.default_rng(0)
-        S = sel.rbf_similarity(rng.normal(size=(40, 5)), 0.7)
+        X = np.random.default_rng(0).normal(size=(40, 5))
+        S = rbf(X, X.T, 1.0 / (2.0 * 0.7 * 0.7))
         assert np.array_equal(S, S.T)
         assert np.all(np.diag(S) == 1.0)
         assert np.all(S > 0.0) and np.all(S <= 1.0)
 
     def test_non_positive_sigma(self):
         with pytest.raises(NonPositiveSigma):
-            sel.rbf_similarity(np.zeros((3, 1)), 0.0)
+            sel.spectral_scores(np.zeros((3, 1)), np.zeros((3, 1)), 0.0)
+        with pytest.raises(NonPositiveSigma):
+            sel.information_score(np.zeros(3), -1.0)
 
 
 class TestSpectralScore:
     def test_constant_feature_scores_zero(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(25, 3))
-        S = sel.rbf_similarity(X, 1.0)
-        assert sel.spectral_score(np.full(25, 3.3), S) < 1e-12
+        X = np.random.default_rng(1).normal(size=(25, 3))
+        F = np.column_stack([np.full(25, 3.3), np.zeros(25)])
+        assert sel.spectral_scores(F, X, 1.0).tolist() == [0.0, 0.0]
 
     def test_fiedler_vector_gives_second_eigenvalue(self):
         # independent oracle: eigendecompose the 4x4 normalized Laplacian
-        S = np.array([
-            [1.0, 0.6, 0.1, 0.05],
-            [0.6, 1.0, 0.2, 0.1],
-            [0.1, 0.2, 1.0, 0.7],
-            [0.05, 0.1, 0.7, 1.0],
-        ])
+        # of the RBF graph of two tight pairs of points
+        X = np.array([[0.0, 0.0], [0.9, 0.2], [2.1, 1.4], [2.6, 2.2]])
+        S = np.exp(-sq_dist_oracle(X, X) / 2.0)
         deg = S.sum(axis=1)
         d_inv_sqrt = 1.0 / np.sqrt(deg)
         L = np.eye(4) - (S * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
@@ -59,14 +70,23 @@ class TestSpectralScore:
         lam2 = evals[1]
         u2 = evecs[:, 1]
         f = d_inv_sqrt * u2  # feature whose weighted form is the eigenvector
-        assert sel.spectral_score(f, S) == pytest.approx(lam2, abs=1e-9)
+        got = sel.spectral_scores(f[:, None], X, 1.0)[0]
+        assert got == pytest.approx(lam2, abs=SPECTRAL_ABS)
+        assert got == pytest.approx(spectral_rayleigh_oracle(f, S),
+                                    abs=SPECTRAL_ABS)
+        assert got == pytest.approx(spectral_score_oracle(f, S),
+                                    abs=SPECTRAL_ABS)
+
+    def test_nan_is_a_degenerate_graph(self):
+        X = np.random.default_rng(6).normal(size=(50, 3))
+        X[3, 1] = np.nan
+        with pytest.raises(DegenerateGraph):
+            sel.spectral_scores(X, X, 1.0)
 
     def test_duplicate_columns_same_score(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(30, 4))
-        S = sel.rbf_similarity(X, 1.0)
-        f = X[:, 2]
-        assert sel.spectral_score(f, S) == sel.spectral_score(f.copy(), S)
+        X = np.random.default_rng(2).normal(size=(30, 4))
+        a, b = sel.spectral_scores(X[:, [2, 2]], X, 1.0)
+        assert a == b
 
 
 class TestInformationScore:
@@ -86,6 +106,19 @@ class TestInformationScore:
         for _ in range(5):
             E = sel.information_score(rng.normal(size=20), 1.0)
             assert E >= 0.0
+
+    @pytest.mark.parametrize("column", ["duplicate_heavy", "all_distinct",
+                                        "constant"])
+    def test_distinct_values_match_dense_oracle(self, column):
+        rng = np.random.default_rng(5)
+        f = {"duplicate_heavy": rng.integers(0, 7, size=300) * 0.4,
+             "all_distinct": rng.normal(size=300),
+             "constant": np.full(300, -1.25)}[column]
+        sigma = 0.8
+        S = np.exp(-sq_dist_oracle(f[:, None], f[:, None])
+                   / (2.0 * sigma * sigma))
+        assert sel.information_score(f, sigma) == pytest.approx(
+            information_score_oracle(S), rel=1e-12, abs=0.0)
 
     def test_duplicate_columns_same_score(self):
         f = np.random.default_rng(4).normal(size=15)
@@ -292,26 +325,54 @@ def _order_flips_beyond(tol, got_ranks, exp_ranks, exp_scores, names):
 
 @pytest.mark.parametrize("mode,tw", [("packet", None), ("uni_flow", 1.0),
                                      ("bi_flow", 1.0)])
-def test_shared_kernel_matches_gemm_oracle(corpus_dir, monkeypatch, mode,
-                                           tw):
-    """Selection on the fixed-order kernel against the old expanded-form
-    (GEMM) similarity: the criteria without a similarity graph are
-    bit-identical, the two graph criteria move by float noise, and ranks
-    reorder only among features the noise cannot tell apart."""
+def test_shared_kernel_matches_gemm_oracle(corpus_dir, mode, tw):
+    """Selection in row blocks against the dense criteria on the old
+    expanded-form (GEMM) similarity: the graph criteria move by float
+    noise, the spectral score also stays that close to the old Rayleigh
+    quotient, ranks reorder only among features the noise cannot tell
+    apart, and the selected set does not move."""
     X = extract_matrix(str(corpus_dir / "train.pcap"), mode, tw=tw)
     Xn = apply_normalizer(X, fit_normalizer(X))
     got = sel.rank_features(Xn.values, Xn.names)
-    monkeypatch.setattr(sel, "rbf_similarity", rbf_similarity_gemm_oracle)
-    exp = sel.rank_features(Xn.values, Xn.names)
-    for c in ("redundancy", "intra_class", "iqr"):
-        assert np.array_equal(got.scores[c].view(np.uint64),
-                              exp.scores[c].view(np.uint64)), c
-        assert np.array_equal(got.ranks[c], exp.ranks[c]), c
+    Xs = Xn.values
+    if len(Xs) > sel.SUBSAMPLE_CAP:  # the rows rank_features draws
+        rng = np.random.default_rng(sel.SelectionConfig().seed)
+        Xs = Xs[np.sort(rng.choice(len(Xs), size=sel.SUBSAMPLE_CAP,
+                                   replace=False))]
+    S = rbf_similarity_gemm_oracle(Xs, 1.0)
+    exp_scores = dict(got.scores)
+    exp_scores["spectral"] = np.array(
+        [spectral_score_oracle(f, S) for f in Xs.T])
+    exp_scores["information"] = np.array(
+        [information_score_oracle(rbf_similarity_gemm_oracle(f, 1.0))
+         for f in Xs.T])
+    # the criterion rounds away what the sums cannot resolve
+    exp_ranks = {c: sel._ranks_from_scores(exp_scores[c])
+                 for c in sel.CRITERIA}
+    exp_ranks["spectral"] = sel._ranks_from_scores(
+        np.round(exp_scores["spectral"], sel.SPECTRAL_DECIMALS))
     tols = {
         "spectral": np.full(len(Xn.names), SPECTRAL_ABS),
-        "information": INFORMATION_REL * np.abs(exp.scores["information"]),
+        "information": INFORMATION_REL * np.abs(exp_scores["information"]),
     }
     for c, tol in tols.items():
-        assert np.all(np.abs(got.scores[c] - exp.scores[c]) <= tol), c
-        assert _order_flips_beyond(tol, got.ranks[c], exp.ranks[c],
-                                   exp.scores[c], Xn.names) == [], c
+        assert np.all(np.abs(got.scores[c] - exp_scores[c]) <= tol), c
+        assert _order_flips_beyond(tol, got.ranks[c], exp_ranks[c],
+                                   exp_scores[c], Xn.names) == [], c
+    rayleigh = np.array([spectral_rayleigh_oracle(f, S) for f in Xs.T])
+    assert np.all(np.abs(got.scores["spectral"] - rayleigh) <= SPECTRAL_ABS)
+    _, order = sel.aggregate_ranks(exp_ranks, "mean", Xn.names)
+    k = sel.SelectionConfig().resolve_keep(len(Xn.names))
+    assert set(got.selected) == {Xn.names[i] for i in order[:k]}
+
+
+def test_rank_features_holds_no_n_by_n_matrix():
+    X = zscore(np.random.default_rng(12).normal(size=(2000, 20)))
+    names = tuple("f%d" % i for i in range(20))
+    tracemalloc.start()
+    try:
+        sel.rank_features(X, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8

@@ -174,6 +174,33 @@ class TestSpecChecks:
         with pytest.raises(InvalidSpec):
             synth.generate(spec)
 
+    @pytest.mark.parametrize("stage, settings", [
+        ("ddos", {"rate": 1e9, "duration": 1e3}),
+        ("ddos", {"rate": 1e200, "duration": 1e200}),
+        ("telemetry", {}),
+        ("c2", {"bots": 5}),
+    ])
+    def test_packet_count_is_capped_before_generating(self, stage, settings):
+        # validated only: these would need gigabytes or more
+        spec = ScenarioSpec(duration=1e3 if stage == "ddos" else 1e7)
+        spec.telemetry.enabled = stage == "telemetry"
+        spec.media.enabled = False
+        getattr(spec, stage).enabled = True
+        for key, value in settings.items():
+            setattr(getattr(spec, stage), key, value)
+        with pytest.raises(InvalidSpec, match="^packets must be at most"):
+            spec.validate()
+
+    @pytest.mark.parametrize("stage", [name for name, _, _ in synth._STAGES])
+    def test_packet_bound_holds(self, stage):
+        spec = ScenarioSpec(duration=120.0, devices=7, seed=3)
+        for name, _, _ in synth._STAGES:
+            getattr(spec, name).enabled = name == stage
+        spec.c2.bots = spec.ddos.bots = 3
+        spec.ddos.duration = 0.5
+        packets, _ = synth.generate(spec)
+        assert 0 < len(packets) <= synth._MAX_PACKETS[stage](spec)
+
 
 class TestCorpusFiles:
     def test_round_trip_through_pcap(self, tmp_path):
