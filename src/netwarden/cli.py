@@ -11,74 +11,60 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
-from .errors import ConfigInvalid, InputOutputError, NetwardenError
 from . import synth as synth_mod
-from .detectors import TrainedModel, make_detector
-from .evaluation import (
-    evaluate,
-    format_metric_table,
-    tw_sweep,
-)
-from .features import (
-    FeatureMatrix,
-    MODES,
-    fit_normalizer,
-    apply_normalizer,
-    read_matrix_csv,
-    write_matrix_csv,
-)
+from .detectors import KIND, TARGET_FPR, TrainedModel, make_detector
+from .errors import ConfigInvalid, InputOutputError, NetwardenError
+from .evaluation import evaluate, format_metric_table, tw_sweep
+from .features import (MODE_TO_DIRECTION, MODES, FeatureMatrix,
+                       apply_normalizer, fit_normalizer, manifest_hash,
+                       read_matrix_csv, write_matrix_csv)
+from .flows import MeterConfig, write_flow_csv
 from .pcap import MAGIC_NS_BE, MAGIC_NS_LE, MAGIC_US_BE, MAGIC_US_LE
 from .pipeline import extract_matrix, score_matrix, train_model
-from .selection import AGGREGATIONS, SelectionConfig, rank_features
+from .selection import SelectionConfig, rank_features
+from .settings import SEED, Setting, settings_of
 
-TW_CHOICES_HELP = 'seconds, or "default" for timeout-only flow cuts'
+_SETTINGS = {  # the keys with a default, each checked in _merge
+    "mode": Setting(None, "uni_flow", choices=MODES),
+    "tw": settings_of(MeterConfig)["tw_seconds"],
+    "idle_timeout": settings_of(MeterConfig)["idle_timeout"],
+    "sigma": settings_of(SelectionConfig)["sigma"],
+    "aggregate": settings_of(SelectionConfig)["aggregation"],
+    "keep": settings_of(SelectionConfig)["keep"],
+    "detector": KIND,
+    "target_fpr": TARGET_FPR,
+    "seed": SEED,
+    "budget": Setting(int, 0, "[0, inf)"),  # random-search trials
+}
+_PATHS = {"in": "input file", "labels": "label sidecar CSV",
+          "out": "output path (or prefix)", "model": "model file path",
+          "scenario": "scenario JSON for synth",
+          "manifest": "reduced-manifest JSON from select",
+          "flows_out": "extract only: also dump raw FlowRecords as CSV"}
+_CONFIG_KEYS = set(_SETTINGS) | set(_PATHS) | {"params"}
+_TEXT_HELP = {  # settings whose flags take text, parsed in _merge
+    "tw": 'seconds, or "default" (timeout-only cuts); sweep: a list a,b,c',
+    "keep": 'features to keep: a count, or a fraction written with a "."'}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the flags")
-    p.add_argument("--mode", choices=MODES, help="traffic representation")
-    p.add_argument("--tw", help=TW_CHOICES_HELP)
-    p.add_argument("--idle-timeout", type=float, dest="idle_timeout")
-    p.add_argument("--sigma", type=float, help="RBF bandwidth")
-    p.add_argument("--aggregate", choices=AGGREGATIONS)
-    p.add_argument("--keep", help="features to keep: count or fraction")
-    p.add_argument("--detector", choices=("if", "ee", "lof", "osvm", "ae"))
-    p.add_argument("--target-fpr", type=float, dest="target_fpr")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, help="random-search trials")
-    p.add_argument("--in", dest="in_path", help="input file")
-    p.add_argument("--labels", help="label sidecar CSV")
-    p.add_argument("--out", help="output path (or prefix)")
-    p.add_argument("--model", help="model file path")
-    p.add_argument("--scenario", help="scenario JSON for synth")
     p.add_argument("--params", help="JSON dict of detector hyperparameters")
-    p.add_argument("--manifest", help="reduced-manifest JSON from select")
-    p.add_argument("--flows-out", dest="flows_out",
-                   help="extract only: also dump raw FlowRecords as CSV")
-
-
-_DEFAULTS = {
-    "mode": "uni_flow",
-    "tw": "default",
-    "idle_timeout": 15.0,
-    "sigma": 1.0,
-    "aggregate": "mean",
-    "keep": "0.65",
-    "detector": "osvm",
-    "target_fpr": 0.02,
-    "seed": 0,
-    "budget": 0,
-}
-
-_CONFIG_KEYS = set(_DEFAULTS) | {"in", "labels", "out", "model", "scenario",
-                                 "params", "manifest", "flows_out"}
+    for key, setting in _SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=None if key in _TEXT_HELP else setting.numeric,
+                       help=_TEXT_HELP.get(key, setting.describe()))
+    for key, help_text in _PATHS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The settings of a run, from the defaults, then the config file,
+    then the flags; ConfigInvalid unless each is accepted."""
+    cfg = dict.fromkeys(_CONFIG_KEYS)
+    cfg.update((key, s.default) for key, s in _SETTINGS.items())
     if args.config:
         try:
             with open(args.config) as fh:
@@ -91,51 +77,45 @@ def _merge(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigInvalid("unknown config keys: %s" % sorted(unknown))
         cfg.update(file_cfg)
-    for key in _CONFIG_KEYS - set(_DEFAULTS):
-        cfg.setdefault(key, None)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg["in" if key == "in_path" else key] = value
-    for key, want, ok in (  # settings the commands use as given
-            ("seed", "an integer >= 0", lambda v: type(v) is int and v >= 0),
-            ("budget", "an integer >= 0", lambda v: type(v) is int and v >= 0),
-            ("target_fpr", "in [0, 1)",
-             lambda v: type(v) in (int, float) and 0 <= v < 1),
-            ("idle_timeout", "positive seconds",
-             lambda v: type(v) in (int, float) and v > 0),
-            ("mode", "one of " + ", ".join(MODES), lambda v: v in MODES),
-            ("aggregate", "one of " + ", ".join(AGGREGATIONS),
-             lambda v: v in AGGREGATIONS)):
-        if not ok(cfg[key]):
-            raise ConfigInvalid("%s must be %s, got %r"
-                                % (key, want, cfg[key]))
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key not in ("command", "config") and value is not None)
+    try:
+        for key in (*_PATHS, "params"):
+            if not isinstance(cfg[key], (str, type(None))):
+                raise ValueError("%s must be a string, got %r"
+                                 % (key, cfg[key]))
+        for key, setting in _SETTINGS.items():
+            if key not in ("tw", "keep"):
+                cfg[key] = setting.check(key, cfg[key])
+        cfg["tw"] = _parse_tw(cfg["tw"], many=args.command == "sweep")
+        keep = str(cfg["keep"])  # a fraction when it has a ".", or a count
+        try:
+            keep = float(keep) if "." in keep else int(keep)
+        except ValueError:
+            pass  # refused below, with keep's name
+        cfg["keep"] = (keep if type(keep) is int
+                       else _SETTINGS["keep"].check("keep", keep))
+        cfg["params"] = json.loads(cfg["params"] or "null")
+        if cfg["params"] is not None:
+            make_detector(cfg["detector"], cfg["params"])
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise ConfigInvalid(str(e)) from None
     return cfg
 
 
-def _parse_tw(value) -> float | None:
-    if value in (None, "default"):
-        return None
-    try:
-        tw = float(value)
-        if 0 < tw < math.inf:
-            return tw
-    except ValueError:
-        pass
-    raise ConfigInvalid("tw must be positive finite seconds or 'default', "
-                        "got %r" % value)
-
-
-def _parse_keep(value, m: int):
-    """--keep as a feature count, or as a fraction when it has a ".",
-    checked against the m columns it selects from."""
-    text = str(value)
-    try:
-        keep = float(text) if "." in text else int(text)
-        SelectionConfig(keep=keep).resolve_keep(m)
-    except ValueError as e:
-        raise ConfigInvalid("keep: %s" % e) from None
-    return keep
+def _parse_tw(value, many: bool) -> list:
+    """The time windows a tw value names, comma-separated in text if many:
+    "default" (None, timeout-only flow cuts) or seconds."""
+    tws = []
+    for tw in value.split(",") if many and isinstance(value, str) else [value]:
+        try:
+            if isinstance(tw, str):
+                tw = None if tw.strip() == "default" else float(tw)
+            tws.append(_SETTINGS["tw"].check("tw", tw))
+        except ValueError:
+            raise ValueError('tw must be "default" or %s, got %r'
+                             % (_SETTINGS["tw"].describe(), tw)) from None
+    return tws
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -184,13 +164,10 @@ def cmd_extract(cfg: dict) -> int:
     if cfg["flows_out"] and cfg["mode"] != "packet":
         flow_sink = dumped.append
     X = extract_matrix(cfg["in"], mode=cfg["mode"],
-                       tw=_parse_tw(cfg["tw"]),
-                       idle_timeout=cfg["idle_timeout"],
+                       tw=cfg["tw"][0], idle_timeout=cfg["idle_timeout"],
                        labels_path=cfg["labels"], flow_sink=flow_sink)
     write_matrix_csv(X, cfg["out"])
     if flow_sink is not None:
-        from .flows import write_flow_csv
-        from .features import MODE_TO_DIRECTION
         write_flow_csv(dumped, cfg["flows_out"],
                        MODE_TO_DIRECTION[cfg["mode"]])
     line = {"rows": X.n, "features": len(X.names), "mode": X.mode}
@@ -210,14 +187,16 @@ def cmd_select(cfg: dict) -> int:
     Xn = apply_normalizer(X, stats)
     sel_cfg = SelectionConfig(sigma=cfg["sigma"],
                               aggregation=cfg["aggregate"],
-                              keep=_parse_keep(cfg["keep"], len(Xn.names)),
-                              seed=cfg["seed"])
+                              keep=cfg["keep"], seed=cfg["seed"])
+    try:  # keep is at most the column count
+        sel_cfg.resolve_keep(len(Xn.names))
+    except ValueError as e:
+        raise ConfigInvalid("keep: %s" % e) from None
     ranked = rank_features(Xn.values, Xn.names, sel_cfg)
     with open(cfg["out"], "w") as fh:
         for row in ranked.csv_rows():
             fh.write(",".join(row) + "\n")
     manifest_path = cfg["out"] + ".manifest.json"
-    from .features import manifest_hash
     with open(manifest_path, "w") as fh:
         json.dump({"mode": X.mode, "names": list(ranked.selected),
                    "hash": manifest_hash(X.mode, ranked.selected)},
@@ -240,7 +219,7 @@ def _read_matrix(cfg: dict, mode: str | None = None) -> FeatureMatrix:
     if mode is None:
         raise ConfigInvalid("%s is a PCAP capture; this command reads a "
                             "matrix CSV written by extract" % path)
-    return extract_matrix(path, mode=mode, tw=_parse_tw(cfg["tw"]),
+    return extract_matrix(path, mode=mode, tw=cfg["tw"][0],
                           idle_timeout=cfg["idle_timeout"],
                           labels_path=cfg["labels"])
 
@@ -254,11 +233,6 @@ def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "in", "out")
     X = _read_matrix(cfg)
-    params = json.loads(cfg["params"]) if cfg["params"] else None
-    try:
-        make_detector(cfg["detector"], params)
-    except (ValueError, TypeError) as e:
-        raise ConfigInvalid("params: %s" % e) from None
     selected = None
     if cfg["manifest"]:
         with open(cfg["manifest"]) as fh:
@@ -266,7 +240,7 @@ def cmd_train(cfg: dict) -> int:
         if not isinstance(manifest, dict) or "names" not in manifest:
             raise ConfigInvalid("manifest has no names list")
         selected = tuple(manifest["names"])
-    model = train_model(X, kind=cfg["detector"], params=params,
+    model = train_model(X, kind=cfg["detector"], params=cfg["params"],
                         target_fpr=cfg["target_fpr"], seed=cfg["seed"],
                         budget=cfg["budget"], selected_names=selected)
     model.save(cfg["out"])
@@ -312,12 +286,11 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["mode"] == "packet":
         raise ConfigInvalid("sweep meters flows: mode must be uni_flow or "
                             "bi_flow")
-    tw_list = [_parse_tw(tok.strip()) for tok in str(cfg["tw"]).split(",")]
-    params = json.loads(cfg["params"]) if cfg["params"] else None
     rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
-        cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=tw_list,
+        cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=cfg["tw"],
         mode=cfg["mode"], idle_timeout=cfg["idle_timeout"],
-        target_fpr=cfg["target_fpr"], seed=cfg["seed"], params=params)]
+        target_fpr=cfg["target_fpr"], seed=cfg["seed"],
+        params=cfg["params"])]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")
         for tw, rep in rows:

@@ -13,6 +13,7 @@ import numpy as np
 from ..errors import (EmptySpace, MalformedModel, ManifestMismatch,
                       TooFewScores)
 from ..features import NormalizationStats, manifest_hash
+from ..settings import SEED, Setting
 from .autoencoder import Autoencoder
 from .elliptic import EllipticEnvelope
 from .iforest import (
@@ -38,6 +39,10 @@ MODEL_FORMAT_VERSION = 1
 
 SEARCH_FOLDS = 5  # cross-validation folds of random_search
 
+KIND = Setting(None, "osvm", choices=KINDS)  # the CLI's default is osvm
+# benign rows flagged at the calibrated threshold
+TARGET_FPR = Setting(float, 0.02, "[0, 1)")
+
 # the input columns a fitted detector's state holds (a forest: its highest
 # split column, plus one)
 _STATE_WIDTH = {"if": lambda m: m._width, "ee": lambda m: m.mu.size,
@@ -46,8 +51,8 @@ _STATE_WIDTH = {"if": lambda m: m._width, "ee": lambda m: m.mu.size,
                 "ae": lambda m: m.weights[0].shape[0]}
 
 __all__ = [
-    "KINDS", "DETECTOR_CLASSES", "IsolationForest", "EllipticEnvelope",
-    "LocalOutlierFactor", "OneClassSVM", "Autoencoder",
+    "KINDS", "KIND", "DETECTOR_CLASSES", "TARGET_FPR", "IsolationForest",
+    "EllipticEnvelope", "LocalOutlierFactor", "OneClassSVM", "Autoencoder",
     "anomaly_score_from_mean_path", "average_path_normalizer", "harmonic",
     "calibrate_threshold", "make_detector", "default_search_space",
     "random_search", "SearchResult", "TrainedModel",
@@ -55,9 +60,8 @@ __all__ = [
 
 
 def make_detector(kind: str, params: dict | None = None):
-    if kind not in DETECTOR_CLASSES:
-        raise ValueError("unknown detector kind %r" % kind)
-    return DETECTOR_CLASSES[kind](**(params or {}))
+    return DETECTOR_CLASSES[KIND.check("kind", kind)](
+        **({} if params is None else params))
 
 
 def calibrate_threshold(scores: np.ndarray, target_fpr: float) -> float:
@@ -70,8 +74,7 @@ def calibrate_threshold(scores: np.ndarray, target_fpr: float) -> float:
     if scores.size < 50:
         raise TooFewScores("need at least 50 calibration scores, got %d"
                            % scores.size)
-    if not 0 <= target_fpr < 1:
-        raise ValueError("target_fpr must be in [0, 1)")
+    target_fpr = TARGET_FPR.check("target_fpr", target_fpr)
     return float(np.quantile(scores, 1.0 - target_fpr))
 
 
@@ -145,7 +148,8 @@ class SearchResult:
 
 
 def random_search(kind: str, space: dict, X: np.ndarray, budget: int = 20,
-                  seed: int = 0, target_fpr: float = 0.02) -> SearchResult:
+                  seed: int = 0, target_fpr: float = TARGET_FPR.default
+                  ) -> SearchResult:
     """Sample `budget` configurations and cross-validate each on benign
     data over `SEARCH_FOLDS` folds.
 
@@ -254,9 +258,7 @@ class TrainedModel:
         raise MalformedModel."""
         # unknown top-level fields are tolerated for forward compatibility
         try:
-            kind = d["kind"]
-            if kind not in DETECTOR_CLASSES:
-                raise MalformedModel("unknown detector kind %r" % (kind,))
+            kind = KIND.check("kind", d["kind"])
             det = DETECTOR_CLASSES[kind].from_state(d["hyperparams"],
                                                     d["state"])
             threshold = float(d["threshold"])
@@ -273,13 +275,14 @@ class TrainedModel:
                 kind=kind,
                 detector=det,
                 threshold=threshold,
-                target_fpr=float(d.get("target_fpr", 0.0)),
+                target_fpr=TARGET_FPR.check("target_fpr",
+                                            d.get("target_fpr", 0.0)),
                 manifest_mode=d["manifest"]["mode"],
                 manifest_names=names,
                 manifest_hash=d["manifest"]["hash"],
                 norm_stats=(NormalizationStats.from_dict(stats) if stats
                             else None),
-                seed=int(d.get("seed", 0)),
+                seed=SEED.check("seed", d.get("seed", 0)),
             )
         except KeyError as exc:
             raise MalformedModel("model file lacks the key %s" % exc) from None

@@ -15,6 +15,9 @@ import math
 import numpy as np
 
 from ..errors import DivergedLoss, EmptyTraining, MalformedModel
+from ..settings import SEED, Declared, Setting
+
+_WIDTH = Setting(int, 1, "[1, inf)")  # one layer's width
 
 
 def default_layer_sizes(d: int) -> list[int]:
@@ -23,34 +26,29 @@ def default_layer_sizes(d: int) -> list[int]:
     return [d, half, mid, half, d]
 
 
-def _validate_layers(sizes: list[int]) -> None:
-    if len(sizes) < 3 or sizes[0] != sizes[-1]:
-        raise ValueError("layer sizes must be symmetric around a bottleneck")
-    if sizes != sizes[::-1]:
-        raise ValueError("layer sizes must read the same in both directions")
-    if sizes[0] > 1 and min(sizes) >= sizes[0]:
-        raise ValueError("bottleneck must be narrower than the input")
+def _checked_layers(sizes) -> list[int] | None:
+    """The layer widths, as integers, or None (the default sizes); a
+    ValueError unless they are symmetric around a narrower bottleneck."""
+    if not sizes:
+        return None
+    sizes = [_WIDTH.check("layer_sizes", w) for w in sizes]
+    if len(sizes) < 3 or sizes != sizes[::-1] or (
+            sizes[0] > 1 and min(sizes) >= sizes[0]):
+        raise ValueError("layer sizes must be symmetric around a bottleneck "
+                         "narrower than the input, got %r" % sizes)
+    return sizes
 
 
-class Autoencoder:
+class Autoencoder(Declared):
     kind = "ae"
+    PARAMS = {"epochs": Setting(int, 100, "[0, inf)"),
+              "learning_rate": Setting(float, 8e-3, "(0, inf)"),
+              "batch_size": Setting(int, 256, "[1, inf)"),
+              "seed": SEED}
 
-    def __init__(self, layer_sizes: list[int] | None = None,
-                 epochs: int = 100, learning_rate: float = 8e-3,
-                 batch_size: int = 256, seed: int = 0):
-        self.layer_sizes = list(layer_sizes) if layer_sizes else None
-        self.epochs = int(epochs)
-        if self.epochs < 0:
-            raise ValueError("epochs must be at least 0, got %r" % epochs)
-        self.learning_rate = float(learning_rate)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite, "
-                             "got %r" % learning_rate)
-        self.batch_size = int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1, got %r"
-                             % batch_size)
-        self.seed = int(seed)
+    def __init__(self, layer_sizes: list[int] | None = None, **params):
+        super().__init__(**params)
+        self.layer_sizes = _checked_layers(layer_sizes)
         # every weight and bias lives in `params`; the lists are views
         self.params: np.ndarray | None = None
         self.weights: list[np.ndarray] | None = None
@@ -113,7 +111,6 @@ class Autoencoder:
             raise EmptyTraining("autoencoder needs training rows")
         d = X.shape[1]
         sizes = self.layer_sizes or default_layer_sizes(d)
-        _validate_layers(sizes)
         if sizes[0] != d:
             raise ValueError("layer sizes start at %d but data has %d "
                              "columns" % (sizes[0], d))
@@ -167,9 +164,7 @@ class Autoencoder:
         return G
 
     def get_params(self) -> dict:
-        return {"layer_sizes": self.layer_sizes, "epochs": self.epochs,
-                "learning_rate": self.learning_rate,
-                "batch_size": self.batch_size, "seed": self.seed}
+        return {"layer_sizes": self.layer_sizes, **super().get_params()}
 
     def state_dict(self) -> dict:
         return {"weights": [w.tolist() for w in self.weights],

@@ -10,19 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyTraining, MalformedModel, SingularCovariance
+from ..settings import Declared, Setting
 
 
-class EllipticEnvelope:
+class EllipticEnvelope(Declared):
     kind = "ee"
-
-    def __init__(self, ridge: float = 1e-6):
-        self.ridge = float(ridge)
-        if not 0 <= self.ridge < np.inf:
-            raise ValueError("ridge must be at least 0 and finite, got %r"
-                             % ridge)
-        self.mu = None
-        self.cov = None
-        self._precision = None
+    PARAMS = {"ridge": Setting(float, 1e-6, "[0, inf)")}
+    mu = cov = _precision = None  # fitted state, set by fit
 
     def fit(self, X: np.ndarray) -> "EllipticEnvelope":
         X = np.asarray(X, dtype=np.float64)
@@ -49,9 +43,6 @@ class EllipticEnvelope:
         Z = np.atleast_2d(np.asarray(X, dtype=np.float64)) - self.mu
         q = np.einsum("ij,jk,ik->i", Z, self._precision, Z)
         return np.sqrt(np.maximum(q, 0.0))
-
-    def get_params(self) -> dict:
-        return {"ridge": self.ridge}
 
     def state_dict(self) -> dict:
         return {"mu": self.mu.tolist(), "cov": self.cov.tolist()}

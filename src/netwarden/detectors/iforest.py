@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ..errors import EmptyTraining, MalformedModel
+from ..settings import SEED, Declared, Setting
 
 _HARMONIC_CACHE = [0.0]  # H(0) = 0
 BLOCK_PAIRS = 16_384  # (row, tree) pairs walked together in mean_path_length
@@ -72,23 +73,14 @@ def _grow(X: np.ndarray, depth: int, limit: int, rng: np.random.Generator,
     return node
 
 
-class IsolationForest:
+class IsolationForest(Declared):
     """Ensemble of isolation trees built on seeded subsamples."""
 
     kind = "if"
-
-    def __init__(self, n_trees: int = 100, subsample_size: int = 256,
-                 seed: int = 0):
-        self.n_trees = int(n_trees)
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be at least 1, got %r" % n_trees)
-        self.subsample_size = int(subsample_size)
-        if self.subsample_size < 1:
-            raise ValueError("subsample_size must be at least 1, got %r"
-                             % subsample_size)
-        self.seed = int(seed)
-        self._feat = None
-        self._effective_subsample = None
+    PARAMS = {"n_trees": Setting(int, 100, "[1, inf)"),
+              "subsample_size": Setting(int, 256, "[1, inf)"),
+              "seed": SEED}
+    _feat = _effective_subsample = None  # fitted state, set by fit
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
         X = np.asarray(X, dtype=np.float64)
@@ -191,10 +183,6 @@ class IsolationForest:
         if c <= 0:  # fit on one row: as anomaly_score_from_mean_path
             return np.ones_like(mean_paths)
         return np.power(2.0, -mean_paths / c)
-
-    def get_params(self) -> dict:
-        return {"n_trees": self.n_trees,
-                "subsample_size": self.subsample_size, "seed": self.seed}
 
     def state_dict(self) -> dict:
         return {"effective_subsample": self._effective_subsample,

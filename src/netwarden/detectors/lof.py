@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyTraining, KTooLarge, MalformedModel, NonFiniteFeature
+from ..settings import Declared, Setting
 from .distance import sq_dists_pairs
 
 LRD_FLOOR = 1e-10
@@ -129,18 +130,12 @@ def _require_finite(Q: np.ndarray, what: str) -> None:
         raise NonFiniteFeature("LOF %s row %d is not finite" % (what, row))
 
 
-class LocalOutlierFactor:
+class LocalOutlierFactor(Declared):
     kind = "lof"
-
-    def __init__(self, k: int = 20):
-        self.k = int(k)
-        if self.k < 1:
-            raise ValueError("k must be at least 1, got %r" % k)
-        self._screen = None  # [X^T; 1; |x|^2]; the norms are never saved
-        self._XT = None  # training rows, transposed (d, n): the screen's top
-        self._max_sq_norm = None
-        self._kdist = None
-        self._lrd = None
+    PARAMS = {"k": Setting(int, 20, "[1, inf)")}
+    # fitted state, set by fit: the screen [X^T; 1; |x|^2], whose norms are
+    # never saved, and its top, the training rows transposed (d, n)
+    _screen = _XT = _max_sq_norm = _kdist = _lrd = None
 
     def _set_training(self, X: np.ndarray) -> None:
         """Keep the training rows X (n, d) in the screen matrix, under a
@@ -245,9 +240,6 @@ class LocalOutlierFactor:
             lrd_q = 1.0 / (mean_reach + LRD_FLOOR)
             out[s:s + kd.size] = mean_lrd / lrd_q
         return out
-
-    def get_params(self) -> dict:
-        return {"k": self.k}
 
     def state_dict(self) -> dict:
         return {"train": self._XT.T.tolist(), "kdist": self._kdist.tolist(),

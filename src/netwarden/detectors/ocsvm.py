@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from ..errors import EmptyTraining, MalformedModel, NonConvergence
+from ..settings import Declared, Setting
 from .distance import rbf
 
 
@@ -37,34 +38,15 @@ def _gram_rows(X: np.ndarray, gamma: float, cache_bytes: int):
     return row
 
 
-class OneClassSVM:
+class OneClassSVM(Declared):
     kind = "osvm"
-
-    def __init__(self, nu: float = 0.05, gamma: float | str = "scale",
-                 tol: float = 1e-4, max_iter: int = 1_000_000,
-                 cache_mb: int = 256):
-        if not 0 < nu <= 1:
-            raise ValueError("nu must be in (0, 1], got %r" % nu)
-        if gamma != "scale" and not 0 < float(gamma) < math.inf:
-            raise ValueError('gamma must be "scale" or positive and finite, '
-                             'got %r' % (gamma,))
-        self.nu = float(nu)
-        self.gamma = gamma
-        self.tol = float(tol)
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite, got %r" % tol)
-        self.max_iter = int(max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1, got %r" % max_iter)
-        self.cache_mb = int(cache_mb)
-        if self.cache_mb < 0:
-            raise ValueError("cache_mb must be at least 0, got %r" % cache_mb)
-        self.rho = None
-        self._svT = None  # support vectors, transposed (d, n_sv)
-        self._sv_alpha = None
-        self._gamma_value = None
-        self.n_iter_ = None
-        self.alpha_ = None
+    PARAMS = {"nu": Setting(float, 0.05, "(0, 1]"),
+              "gamma": Setting(float, "scale", "(0, inf)", ("scale",)),
+              "tol": Setting(float, 1e-4, "(0, inf)"),
+              "max_iter": Setting(int, 1_000_000, "[1, inf)"),
+              "cache_mb": Setting(int, 256, "[0, inf)")}
+    # fitted state, set by fit; _svT holds the support vectors transposed
+    rho = _svT = _sv_alpha = _gamma_value = n_iter_ = alpha_ = None
 
     def _resolve_gamma(self, X: np.ndarray) -> float:
         if self.gamma == "scale":
@@ -156,10 +138,6 @@ class OneClassSVM:
     def score(self, X: np.ndarray) -> np.ndarray:
         return -self.decision_value(X)
 
-    def get_params(self) -> dict:
-        return {"nu": self.nu, "gamma": self.gamma, "tol": self.tol,
-                "max_iter": self.max_iter, "cache_mb": self.cache_mb}
-
     def state_dict(self) -> dict:
         return {
             "sv": self._svT.T.tolist(),
@@ -180,9 +158,7 @@ class OneClassSVM:
                         and math.isfinite(rho))):
             raise MalformedModel("OSVM needs finite support vectors, one "
                                  "sv_alpha for each, and a finite rho")
-        if not 0 < gamma < math.inf:
-            raise MalformedModel("OSVM gamma_value must be positive and "
-                                 "finite, got %r" % gamma)
+        cls.PARAMS["gamma"].check("gamma_value", gamma)
         model._svT = np.ascontiguousarray(sv.T)
         model._sv_alpha = sv_alpha
         model.rho = rho

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detectors import TARGET_FPR
 from .errors import LabelVocabularyMismatch, SingleClass
+from .flows import MeterConfig
 
 LABEL_NORMAL = "Normal"
 LABEL_VOCABULARY = ("Normal", "DDoS", "Scan", "Attack", "C&C", "Download",
@@ -253,8 +255,9 @@ TW_SWEEP_TRAIN_FRACTION = 0.7  # of each window's benign rows
 
 def tw_sweep(capture_path: str, labels_path: str, kind: str,
              tw_list=TW_SWEEP_DEFAULT, mode: str = "uni_flow",
-             idle_timeout: float = 15.0, target_fpr: float = 0.02,
-             seed: int = 0, params: dict | None = None) -> list[tuple]:
+             idle_timeout: float = MeterConfig.idle_timeout,
+             target_fpr: float = TARGET_FPR.default, seed: int = 0,
+             params: dict | None = None) -> list[tuple]:
     """Re-meter, re-extract, re-train and re-evaluate per time window.
 
     Within each window setting, benign rows are split (seeded) into a

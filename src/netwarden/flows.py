@@ -9,7 +9,6 @@ reads them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -20,6 +19,7 @@ from .pcap import (
     TCP_FLAG_NAMES,
     TCP_RST,
 )
+from .settings import Setting, check_fields
 
 UNIDIRECTIONAL = "uni"
 BIDIRECTIONAL = "bi"
@@ -30,7 +30,6 @@ TERM_IDLE = "idle_timeout"
 TERM_WINDOW = "window_close"
 TERM_CAPTURE_END = "capture_end"
 
-DEFAULT_IDLE_TIMEOUT = 15.0
 ACTIVE_GAP = 1.0  # a longer gap between packets ends an activity run
 
 SMALL_PAYLOAD = 32
@@ -266,9 +265,12 @@ class FlowRecord:
 
 @dataclass
 class MeterConfig:
-    direction_mode: str = UNIDIRECTIONAL
-    tw_seconds: float | None = None  # None = the exporter-default mode
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT
+    direction_mode: str = Setting(
+        None, UNIDIRECTIONAL, choices=(UNIDIRECTIONAL, BIDIRECTIONAL)).field()
+    tw_seconds: float | None = Setting(  # None = the exporter-default mode
+        float, None, "(0, inf)", unit="time window seconds").field()
+    idle_timeout: float = Setting(
+        float, 15.0, "(0, inf]", unit="idle timeout seconds").field()
 
 
 @dataclass
@@ -282,13 +284,7 @@ class FlowMeter:
     """Streaming flow table. Memory is proportional to live flows only."""
 
     def __init__(self, cfg: MeterConfig):
-        if cfg.direction_mode not in (UNIDIRECTIONAL, BIDIRECTIONAL):
-            raise ValueError("unknown direction mode %r" % cfg.direction_mode)
-        # written so that NaN fails each test
-        if cfg.tw_seconds is not None and not 0 < cfg.tw_seconds < math.inf:
-            raise ValueError("time window must be positive and finite")
-        if not cfg.idle_timeout > 0:
-            raise ValueError("idle timeout must be positive")
+        check_fields(cfg)
         self.cfg = cfg
         self.stats = MeterStats()
         self._table: dict[FlowKey, FlowRecord] = {}

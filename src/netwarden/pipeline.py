@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 from .detectors import (
+    TARGET_FPR,
     TrainedModel,
     calibrate_threshold,
     default_search_space,
@@ -43,7 +44,7 @@ def derive_seed(master: int, stage: str) -> int:
 
 
 def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
-                   idle_timeout: float = 15.0,
+                   idle_timeout: float = MeterConfig.idle_timeout,
                    labels_path: str | None = None,
                    flow_sink=None) -> FeatureMatrix:
     """PCAP -> FeatureMatrix in the requested traffic mode, with labels
@@ -92,7 +93,8 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
-                target_fpr: float = 0.02, seed: int = 0, budget: int = 0,
+                target_fpr: float = TARGET_FPR.default, seed: int = 0,
+                budget: int = 0,
                 selected_names: tuple[str, ...] | None = None
                 ) -> TrainedModel:
     """Fit a one-class detector on a benign feature matrix.

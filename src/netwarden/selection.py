@@ -23,6 +23,7 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
+from .settings import Setting, settings_of
 
 CRITERIA = ("spectral", "information", "redundancy", "intra_class", "iqr")
 AGGREGATIONS = ("mean", "majority", "borda")
@@ -33,16 +34,19 @@ SPECTRAL_DECIMALS = 13  # spectral scores are kept to 1e-13
 
 @dataclass
 class SelectionConfig:
-    sigma: float = 1.0
-    aggregation: str = "mean"
-    keep: int | float = 0.65  # int = feature count, float = fraction
+    sigma: float = Setting(float, 1.0, "(0, inf)").field()  # RBF bandwidth
+    aggregation: str = Setting(None, "mean", choices=AGGREGATIONS).field()
+    # a float fraction of the features, or an int count of them
+    keep: int | float = Setting(float, 0.65, "(0, 1]").field()
     seed: int = 0
 
     def resolve_keep(self, m: int) -> int:
-        if isinstance(self.keep, float) and 0 < self.keep <= 1:
-            k = int(round(self.keep * m))
-        else:
-            k = int(self.keep)
+        """The count of the m features kept: keep, or keep's fraction of
+        them rounded; ValueError unless it is in 1..m."""
+        k = self.keep
+        if isinstance(k, float):
+            k = int(round(settings_of(SelectionConfig)["keep"].check(
+                "keep", k) * m))
         if not 1 <= k <= m:
             raise ValueError("keep=%r out of range for %d features"
                              % (self.keep, m))
@@ -51,8 +55,8 @@ class SelectionConfig:
 
 def _gamma(sigma: float) -> float:
     """The RBF exponent 1 / (2 sigma^2) of a bandwidth sigma."""
-    if sigma <= 0:
-        raise NonPositiveSigma("sigma must be positive, got %r" % sigma)
+    sigma = settings_of(SelectionConfig)["sigma"].check("sigma", sigma,
+                                                        NonPositiveSigma)
     return 1.0 / (2.0 * sigma * sigma)
 
 
@@ -196,6 +200,7 @@ def aggregate_ranks(rank_lists: dict[str, np.ndarray], method: str,
                 % (len(r), m))
         if sorted(r) != list(range(1, m + 1)):
             raise RankListMismatch("ranks are not a permutation of 1..m")
+    settings_of(SelectionConfig)["aggregation"].check("aggregation", method)
     R = np.vstack(lists).astype(np.float64)
     if method == "mean":
         agg = R.mean(axis=0)
@@ -203,11 +208,9 @@ def aggregate_ranks(rank_lists: dict[str, np.ndarray], method: str,
     elif method == "majority":
         agg = np.median(R, axis=0)
         order = np.argsort(agg, kind="stable")
-    elif method == "borda":
+    else:  # borda
         agg = (m - R).sum(axis=0)
         order = np.argsort(-agg, kind="stable")
-    else:
-        raise ValueError("unknown aggregation %r" % method)
     return agg, order
 
 

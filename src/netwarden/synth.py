@@ -10,10 +10,8 @@ Protocol realism stops at headers, sizes and timing; payloads are zeros.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .pcap import (
     quantize_us,
     write_pcap,
 )
+from .settings import SEED, Setting, check_fields
 
 BASE_TIME = 1_700_000_000.0
 
@@ -63,41 +62,46 @@ LBL_HEARTBEAT = "HeartBeat"
 LBL_DDOS = "DDoS"
 
 
+_SWITCH = Setting(None, False, choices=(True, False))
+_BOTS = Setting(int, 1, "[1, inf)")  # and at most `devices`
+
+
 @dataclass
 class BenignSpec:
     """A benign traffic source: on unless disabled."""
-    enabled: bool = True
+    enabled: bool = replace(_SWITCH, default=True).field()
 
 
 @dataclass
 class StageSpec:
     """A botnet stage: off unless enabled, from `start` seconds on."""
-    enabled: bool = False
-    start: float = 0.0
+    enabled: bool = _SWITCH.field()
+    start: float = Setting(float, 0.0, "[0, inf)", unit="seconds").field()
 
 
 @dataclass
 class ScanSpec(StageSpec):
-    targets: int = 100
+    targets: int = Setting(int, 100, "[1, 480]").field()
 
 
 @dataclass
 class C2Spec(StageSpec):
-    bots: int = 1
+    bots: int = _BOTS.field()
 
 
 @dataclass
 class DdosSpec(StageSpec):
-    duration: float = 2.0
-    rate: float = 5000.0
-    bots: int = 1
+    duration: float = Setting(float, 2.0, "(0, inf)", unit="seconds").field()
+    rate: float = Setting(float, 5000.0, "(0, inf)",
+                          unit="packets/s").field()
+    bots: int = _BOTS.field()
 
 
 @dataclass
 class ScenarioSpec:
-    duration: float = 60.0
-    devices: int = 5
-    seed: int = 0
+    duration: float = Setting(float, 60.0, "(0, inf)", unit="seconds").field()
+    devices: int = Setting(int, 5, "[1, 200]").field()
+    seed: int = SEED.field()
     telemetry: BenignSpec = field(default_factory=BenignSpec)
     media: BenignSpec = field(default_factory=BenignSpec)
     scan: ScanSpec = field(default_factory=ScanSpec)
@@ -108,46 +112,16 @@ class ScenarioSpec:
 
     def validate(self) -> None:
         """Raise InvalidSpec naming the first setting out of its range."""
-        _check("duration", self.duration, "finite and > 0",
-               _number(self.duration) > 0)
-        _check("devices", self.devices, "an integer in 1..200",
-               1 <= _number(self.devices, numbers.Integral) <= 200)
-        _check("seed", self.seed, "an integer >= 0",
-               _number(self.seed, numbers.Integral) >= 0)
-        for name, _, _ in _STAGES:
-            stage = getattr(self, name)
-            _check(name + ".enabled", stage.enabled, "true or false",
-                   isinstance(stage.enabled, bool))
-            if isinstance(stage, StageSpec):
-                _check(name + ".start", stage.start, "finite and >= 0",
-                       _number(stage.start) >= 0)
-        _check("scan.targets", self.scan.targets, "an integer in 1..480",
-               1 <= _number(self.scan.targets, numbers.Integral) <= 480)
-        for name, value in (("c2.bots", self.c2.bots),
-                            ("ddos.bots", self.ddos.bots)):
-            _check(name, value, "an integer in 1..devices",
-                   1 <= _number(value, numbers.Integral) <= self.devices)
-        for name, value in (("ddos.duration", self.ddos.duration),
-                            ("ddos.rate", self.ddos.rate)):
-            _check(name, value, "finite and > 0", _number(value) > 0)
+        check_fields(self, InvalidSpec)
+        for name, stage in (("c2", self.c2), ("ddos", self.ddos)):
+            if stage.bots > self.devices:
+                raise InvalidSpec("%s.bots must be at most devices (%d), got "
+                                  "%r" % (name, self.devices, stage.bots))
         packets = sum(bound(self) for name, bound in _MAX_PACKETS.items()
                       if getattr(self, name).enabled)
-        _check("packets", packets, "at most %d" % MAX_PACKETS,
-               packets <= MAX_PACKETS)
-
-
-def _number(value, kind=numbers.Real):
-    """value if it is a finite number of this kind (not a bool), else NaN,
-    which fails every range test."""
-    if isinstance(value, kind) and not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral) or math.isfinite(value)):
-        return value
-    return math.nan
-
-
-def _check(name: str, value, want: str, ok: bool) -> None:
-    if not ok:
-        raise InvalidSpec("%s must be %s, got %r" % (name, want, value))
+        if packets > MAX_PACKETS:
+            raise InvalidSpec("packets must be at most %d, got %r"
+                              % (MAX_PACKETS, packets))
 
 
 def device_ip(i: int) -> str:

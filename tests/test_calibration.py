@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from netwarden.detectors import (
+    DETECTOR_CLASSES,
+    KINDS,
     TrainedModel,
     calibrate_threshold,
     default_search_space,
@@ -81,6 +83,40 @@ class TestRandomSearch:
             assert len(res.trials) == 2
             det = make_detector(kind, res.best_params)
             det.fit(rng_X)
+
+    @pytest.mark.parametrize("d", [1, 11, 51])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_space_inside_declared_ranges(self, kind, d):
+        declared = DETECTOR_CLASSES[kind].PARAMS
+        for name, (tag, *spec) in default_search_space(kind, d).items():
+            # every choice, or each end of a range (randint's excludes
+            # its upper end)
+            values = (spec[0] if tag == "choice" else
+                      [spec[0], spec[1] - 1] if tag == "randint" else spec)
+            for value in values:
+                assert declared[name].check(name, value) == value
+
+
+class TestDeclaredHyperparameters:
+    @pytest.mark.parametrize("kind, params", [
+        ("if", {"seed": -1}), ("ae", {"seed": -1}),
+        ("ae", {"layer_sizes": [11, 3]}),
+        ("ae", {"layer_sizes": [20, 30, 20]}),
+        ("ae", {"layer_sizes": [4, 2.0, 4]}),
+        ("if", {"n_trees": 2.7}), ("if", {"n_trees": "7"}),
+        ("if", {"subsample_size": True}), ("lof", {"k": 5.0}),
+        ("osvm", {"gamma": True}), ("osvm", {"gamma": "0.5"}),
+        ("ee", {"ridge": "0"}), ("ae", {"learning_rate": False}),
+    ])
+    def test_refused_by_the_constructor(self, kind, params):
+        with pytest.raises(ValueError):
+            make_detector(kind, params)
+
+    def test_an_int_for_a_real_setting_is_a_float(self):
+        det = make_detector("osvm", {"nu": 1, "gamma": 2, "tol": 1})
+        assert [type(det.get_params()[k]) for k in ("nu", "gamma", "tol")] \
+            == [float, float, float]
+        assert make_detector("osvm").gamma == "scale"
 
 
 class TestModelFile:
@@ -168,13 +204,17 @@ class TestModelFile:
             biases=d["state"]["biases"][:-1]
             + [d["state"]["biases"][-1][:2]])),
         ("if", lambda d: d["manifest"].update(names=["a", "b"])),
+        ("if", lambda d: d["hyperparams"].update(n_trees=2.7)),
+        ("ee", lambda d: d.update(target_fpr=1.5)),
+        ("ee", lambda d: d.update(seed=-1)),
     ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
             "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
             "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
             "ae-weight-nan", "if-trees-0", "threshold-nan",
             "osvm-sv-narrow", "lof-train-narrow", "ee-narrow",
             "ee-manifest-wider", "ae-narrow", "ae-output-narrow",
-            "if-splits-past-manifest"])
+            "if-splits-past-manifest", "if-trees-fraction", "target-fpr-1.5",
+            "seed-negative"])
     def test_malformed_file_refused(self, tmp_path, kind, edit):
         X = np.random.default_rng(12).normal(size=(60, 3))
         model, _ = self.roundtrip(tmp_path, kind, X)

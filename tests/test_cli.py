@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import pathlib
 import re
@@ -14,7 +15,9 @@ from netwarden.errors import ConfigInvalid
 from netwarden.features import FeatureMatrix, read_matrix_csv, \
     write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
-from netwarden.cli import _scenario_from_dict
+from netwarden.cli import _SETTINGS, _scenario_from_dict
+from netwarden.detectors import DETECTOR_CLASSES
+from netwarden.settings import settings_of
 
 from conftest import build_global_header, build_record, golden_syn_frame
 
@@ -386,6 +389,24 @@ class TestConfigAndErrors:
         ("train", "--config", '{"budget": -1}'),
         ("extract", "--config", '["mode"]'),
         ("extract", "--config", '5'),
+        ("sweep", "--params", '{"nu": 2}'),
+        ("sweep", "--params", '{"bogus": 1}'),
+        ("sweep", "--config", '{"detector": "xyz"}'),
+        ("train", "--config", '{"params": {"nu": 0.1}}'),
+        ("extract", "--config", '{"tw": [1]}'),
+        ("extract", "--config", '{"tw": true}'),
+        ("select", "--config", '{"sigma": "x"}'),
+        ("select", "--sigma", "nan"),
+        ("select", "--sigma", "-1"),
+        ("train", "--detector", "if", "--params", '{"seed": -1}'),
+        ("train", "--detector", "ae", "--params", '{"seed": -1}'),
+        ("train", "--detector", "ae", "--params", '{"layer_sizes": [11, 3]}'),
+        ("train", "--detector", "ae", "--params",
+         '{"layer_sizes": [20, 30, 20]}'),
+        ("train", "--detector", "if", "--params", '{"n_trees": 2.7}'),
+        ("train", "--detector", "if", "--params", '{"n_trees": "7"}'),
+        ("train", "--detector", "osvm", "--params", '{"gamma": true}'),
+        ("train", "--params", '[]'),
     ], ids=["extract-tw-abc", "extract-tw-inf", "extract-idle-nan",
             "sweep-tw-0", "sweep-tw-abc", "select-keep-abc",
             "select-keep-500", "train-nu-2", "train-lof-k-0",
@@ -397,7 +418,14 @@ class TestConfigAndErrors:
             "synth-seed-neg", "sweep-seed-neg", "train-fpr-1.5",
             "train-fpr-nan", "sweep-mode-packet", "config-mode-foo",
             "config-aggregate-foo", "config-budget-str",
-            "config-budget-neg", "config-list", "config-number"])
+            "config-budget-neg", "config-list", "config-number",
+            "sweep-nu-2", "sweep-param-unknown", "sweep-detector-xyz",
+            "config-params-object", "config-tw-list", "config-tw-bool",
+            "config-sigma-str", "select-sigma-nan", "select-sigma-neg",
+            "train-if-seed-neg", "train-ae-seed-neg", "train-ae-layers-2",
+            "train-ae-layers-wide", "train-if-trees-fraction",
+            "train-if-trees-str", "train-osvm-gamma-bool",
+            "train-params-list"])
     def test_bad_values_are_config_invalid(self, workdir, tmp_path, capsys,
                                            argv):
         argv = list(argv)
@@ -417,6 +445,19 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
+    @pytest.mark.parametrize("key", ["in", "labels", "out", "model",
+                                     "scenario", "manifest", "flows_out"])
+    def test_path_keys_must_be_strings(self, workdir, tmp_path, capsys, key):
+        # 987 names no open file descriptor: where an int was taken as a
+        # path, open() read or wrote that descriptor
+        out = tmp_path / "x.csv"
+        cfg = {"in": str(workdir / "corpus.pcap"), "out": str(out), key: 987}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run("extract", "--config", str(tmp_path / "cfg.json")) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+        assert not out.exists()
 
     @pytest.mark.parametrize("manifest", ['{"mode": "packet"}', '[]'])
     def test_manifest_without_names_is_config_invalid(self, tmp_path, capsys,
@@ -504,17 +545,40 @@ class TestConfigAndErrors:
         spec = _scenario_from_dict(json.loads(block))
         spec.validate()
         assert spec.c2.bots == 2 and spec.ddos.rate == 800.0
-        # the key table lists exactly the keys the scenario accepts
-        table = readme.split("| scenario key |")[1].split("\n\n")[0]
-        listed = set(re.findall(r"`([a-z0-9_.]+)`", "\n".join(
-            line.split("|")[1] for line in table.splitlines()[2:])))
-        accepted = set()
+        # the scenario, CLI-key and hyperparameter tables list exactly the
+        # declared settings, each with its declared default and accepted
+        # values
+        scenario = {}
         for f in dataclasses.fields(spec):
             stage = getattr(spec, f.name)
-            accepted |= ({f.name + "." + g.name
-                          for g in dataclasses.fields(stage)}
-                         if dataclasses.is_dataclass(stage) else {f.name})
-        assert listed == accepted
+            scenario.update(
+                {(f.name + "." + name,): s for name, s in
+                 settings_of(type(stage)).items()}
+                if dataclasses.is_dataclass(stage)
+                else {(f.name,): f.metadata["setting"]})
+        hyper = {(kind, name): s for kind, cls in DETECTOR_CLASSES.items()
+                 for name, s in cls.PARAMS.items()}
+        for head, declared, keys, shown in (
+                ("| scenario key |", scenario, 1, {("seed",): "`--seed`"}),
+                ("| CLI key |", {(k,): s for k, s in _SETTINGS.items()}, 1,
+                 {("tw",): "`default`"}),
+                ("| kind | hyperparameter |", hyper, 2, {})):
+            table = readme.split(head)[1].split("\n\n")[0]
+            listed = {}
+            for line in table.splitlines()[2:]:
+                cells = [c.strip() for c in line.split("|")[1:-1]]
+                names = [re.findall(r"`([a-z0-9_.]+)`", c)
+                         for c in cells[:keys]]
+                for key in itertools.product(*names):
+                    listed[key] = cells[keys:]
+            assert set(listed) == set(declared)
+            for key, (default, accepted) in listed.items():
+                s = declared[key]
+                assert default == shown.get(key, "`%s`" % s.default
+                                            if isinstance(s.default, str)
+                                            else json.dumps(s.default))
+                assert accepted.startswith(s.describe()) \
+                    or accepted.startswith('"default" or ' + s.describe())
 
     def test_error_lines_are_json(self, capsys, tmp_path):
         err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')
