@@ -93,6 +93,9 @@ def _merge(args: argparse.Namespace) -> dict:
             keep = float(keep) if "." in keep else int(keep)
         except ValueError:
             pass  # refused below, with keep's name
+        if type(keep) is int and keep < 1:  # too few for any column count
+            raise ValueError("keep must count at least 1 feature, got %r"
+                             % keep)
         cfg["keep"] = (keep if type(keep) is int
                        else _SETTINGS["keep"].check("keep", keep))
         cfg["params"] = json.loads(cfg["params"] or "null")

@@ -383,77 +383,99 @@ def iter_raw_frames(path: str):
         yield ts, frame, reader.link_type
 
 
-def _checksum16(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+# The writer's headers: the record header in the file's byte order, the
+# rest in network order. Each frame gets fixed MACs (dst, then src).
+_RECORD = struct.Struct("<IIII")
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_IPV6 = struct.Struct("!IHBB16s16s")
+_TCP = struct.Struct("!HHIIBBHHH")
+_UDP = struct.Struct("!HHHH")
+_ICMP = struct.pack("!BBHI", 8, 0, 0, 0)  # echo request, zero fields
+_MACS = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
+_ETHERNET = {4: _MACS + struct.pack("!H", ETHERTYPE_IPV4),
+             6: _MACS + struct.pack("!H", ETHERTYPE_IPV6)}
+_WRITE_BLOCK = 1 << 20  # bytes joined before each write
 
 
-def encode_frame(rec: PacketRecord) -> bytes:
-    """Rebuild wire bytes for a PacketRecord; payload is zero-filled."""
-    src = ipaddress.ip_address(rec.src_ip)
-    dst = ipaddress.ip_address(rec.dst_ip)
-    if rec.protocol == PROTO_TCP:
-        l4 = struct.pack(
-            "!HHIIBBHHH",
-            rec.src_port, rec.dst_port, 0, 0,
-            (rec.l4_header_len // 4) << 4,
-            rec.tcp_flags or 0,
-            rec.tcp_window or 0,
-            0, 0,
-        )
-        l4 += b"\x00" * (rec.l4_header_len - 20)
-    elif rec.protocol == PROTO_UDP:
-        l4 = struct.pack("!HHHH", rec.src_port, rec.dst_port,
-                         8 + rec.payload_len, 0)
-    elif rec.protocol in (PROTO_ICMP, PROTO_ICMPV6):
-        l4 = struct.pack("!BBHI", 8, 0, 0, 0)
-    else:
-        l4 = b""
-    body = l4 + b"\x00" * rec.payload_len
-
-    if src.version == 4:
-        ip_total = rec.ip_header_len + len(body)
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-             0x40 | (rec.ip_header_len // 4), 0, ip_total, 0, 0x4000,
-            rec.ttl, rec.protocol, 0, src.packed, dst.packed,
-        )
-        header += b"\x00" * (rec.ip_header_len - 20)
-        header = header[:10] + struct.pack("!H", _checksum16(header)) \
-            + header[12:]
-        ip_pkt = header + body
-        ethertype = ETHERTYPE_IPV4
-    else:
-        payload_length = len(body) + rec.ip_header_len - 40
-        header = struct.pack(
-            "!IHBB16s16s",
-            0x60000000, payload_length, rec.protocol, rec.ttl,
-            src.packed, dst.packed,
-        )
-        ip_pkt = header + b"\x00" * (rec.ip_header_len - 40) + body
-        ethertype = ETHERTYPE_IPV6
-
-    if rec.link_header_len == 0:
-        return ip_pkt
-    eth = (b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
-           + struct.pack("!H", ethertype))
-    return eth + ip_pkt
+def _resolve(text: str) -> tuple[int, bytes, int]:
+    """An address's version and packed bytes, and the sum of the 16-bit
+    words of its first four bytes (an IPv4 header's share of them).
+    ValueError unless `ipaddress` accepts it."""
+    address = ipaddress.ip_address(text)
+    packed = address.packed
+    return (address.version, packed,
+            (packed[0] << 8 | packed[1]) + (packed[2] << 8 | packed[3]))
 
 
 def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
-    """Write PacketRecords as a standard microsecond PCAP. Returns count."""
-    count = 0
+    """Write PacketRecords as a standard microsecond PCAP. Returns count.
+
+    Each record is rebuilt as wire bytes with zero-filled payload: an
+    Ethernet header unless link_header_len is 0, then an IP header whose
+    version is the source address's (IPv4 with DF set and a valid header
+    checksum), then a TCP, UDP or ICMP header with checksum 0.
+    """
+    addresses: dict = {}  # this call's addresses, each parsed once
+    parts: list = []
+    pending = count = 0
     with open(path, "wb") as fh:
         fh.write(struct.pack("<IHHiIII", MAGIC_US_BE, 2, 4, 0, 0,
                              65535, link_type))
-        for rec in records:
-            frame = encode_frame(rec)
-            sec, usec = _split_us(rec.ts)
-            fh.write(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
-            fh.write(frame)
-            count += 1
+        try:
+            for rec in records:
+                src = addresses.get(rec.src_ip)
+                if src is None:
+                    src = addresses[rec.src_ip] = _resolve(rec.src_ip)
+                dst = addresses.get(rec.dst_ip)
+                if dst is None:
+                    dst = addresses[rec.dst_ip] = _resolve(rec.dst_ip)
+                protocol = rec.protocol
+                payload = rec.payload_len if rec.payload_len > 0 else 0
+                if protocol == PROTO_TCP:
+                    l4 = _TCP.pack(rec.src_port, rec.dst_port, 0, 0,
+                                   (rec.l4_header_len // 4) << 4,
+                                   rec.tcp_flags or 0, rec.tcp_window or 0,
+                                   0, 0)
+                    if rec.l4_header_len > 20:
+                        l4 += bytes(rec.l4_header_len - 20)
+                elif protocol == PROTO_UDP:
+                    l4 = _UDP.pack(rec.src_port, rec.dst_port,
+                                   8 + rec.payload_len, 0)
+                elif protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
+                    l4 = _ICMP
+                else:
+                    l4 = b""
+                ip_len = rec.ip_header_len
+                if src[0] == 4:
+                    ver_ihl = 0x40 | ip_len // 4
+                    ip_total = ip_len + len(l4) + payload
+                    # one's-complement sum of the header's 16-bit words;
+                    # options are zeros and add nothing
+                    total = (ver_ihl << 8) + ip_total + 0x4000 \
+                        + (rec.ttl << 8 | protocol) + src[2] + dst[2]
+                    total = (total & 0xFFFF) + (total >> 16)
+                    total = (total & 0xFFFF) + (total >> 16)
+                    ip = _IPV4.pack(ver_ihl, 0, ip_total, 0, 0x4000, rec.ttl,
+                                    protocol, ~total & 0xFFFF, src[1], dst[1])
+                    options = ip_len - 20
+                else:
+                    ip = _IPV6.pack(0x60000000,
+                                    ip_len - 40 + len(l4) + payload,
+                                    protocol, rec.ttl, src[1], dst[1])
+                    options = ip_len - 40
+                if options > 0:
+                    ip += bytes(options)
+                eth = b"" if rec.link_header_len == 0 else _ETHERNET[src[0]]
+                size = len(eth) + len(ip) + len(l4) + payload
+                sec, usec = _split_us(rec.ts)
+                parts += (_RECORD.pack(sec, usec, size, size), eth, ip, l4,
+                          bytes(payload))
+                pending += 16 + size
+                count += 1
+                if pending >= _WRITE_BLOCK:
+                    fh.write(b"".join(parts))
+                    parts.clear()
+                    pending = 0
+        finally:  # a bad record still leaves every record before it
+            fh.write(b"".join(parts))
     return count

@@ -7,7 +7,9 @@ with the implementations under test.
 
 from __future__ import annotations
 
+import ipaddress
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -764,3 +766,70 @@ def packet_row_oracle(p, ctx: PacketContextOracle, entries) -> np.ndarray:
     """One packet's row, one feature function at a time over its view."""
     v = ctx.view(p)
     return np.array([e.fn(v) for e in entries], dtype=np.float64)
+
+
+# --- capture frames --------------------------------------------------------
+#
+# One record's wire bytes, built field by field and concatenated, the IPv4
+# header checksum summed over the whole packed header. pcap.write_pcap must
+# write these bytes for every record.
+
+def _checksum16(data: bytes) -> int:
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def encode_frame_oracle(rec) -> bytes:
+    """Wire bytes of a PacketRecord; payload is zero-filled."""
+    src = ipaddress.ip_address(rec.src_ip)
+    dst = ipaddress.ip_address(rec.dst_ip)
+    if rec.protocol == PROTO_TCP:
+        l4 = struct.pack(
+            "!HHIIBBHHH",
+            rec.src_port, rec.dst_port, 0, 0,
+            (rec.l4_header_len // 4) << 4,
+            rec.tcp_flags or 0,
+            rec.tcp_window or 0,
+            0, 0,
+        )
+        l4 += b"\x00" * (rec.l4_header_len - 20)
+    elif rec.protocol == PROTO_UDP:
+        l4 = struct.pack("!HHHH", rec.src_port, rec.dst_port,
+                         8 + rec.payload_len, 0)
+    elif rec.protocol in (PROTO_ICMP, PROTO_ICMPV6):
+        l4 = struct.pack("!BBHI", 8, 0, 0, 0)
+    else:
+        l4 = b""
+    body = l4 + b"\x00" * rec.payload_len
+
+    if src.version == 4:
+        ip_total = rec.ip_header_len + len(body)
+        header = struct.pack(
+            "!BBHHHBBH4s4s",
+            0x40 | (rec.ip_header_len // 4), 0, ip_total, 0, 0x4000,
+            rec.ttl, rec.protocol, 0, src.packed, dst.packed,
+        )
+        header += b"\x00" * (rec.ip_header_len - 20)
+        header = header[:10] + struct.pack("!H", _checksum16(header)) \
+            + header[12:]
+        ip_pkt = header + body
+        ethertype = 0x0800
+    else:
+        payload_length = len(body) + rec.ip_header_len - 40
+        header = struct.pack(
+            "!IHBB16s16s",
+            0x60000000, payload_length, rec.protocol, rec.ttl,
+            src.packed, dst.packed,
+        )
+        ip_pkt = header + b"\x00" * (rec.ip_header_len - 40) + body
+        ethertype = 0x86DD
+
+    if rec.link_header_len == 0:
+        return ip_pkt
+    eth = (b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
+           + struct.pack("!H", ethertype))
+    return eth + ip_pkt

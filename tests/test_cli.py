@@ -446,6 +446,22 @@ class TestConfigAndErrors:
         assert err.startswith("error: ")
         assert json.loads(err[len("error: "):])["code"] == "config_invalid"
 
+    @pytest.mark.parametrize("argv", [
+        ("--keep", "0"), ("--keep", "-3"), ("--config", '{"keep": -3}'),
+        ("--config", '{"keep": 0}')])
+    def test_keep_below_one_refused_before_input(self, tmp_path, capsys,
+                                                 argv):
+        # --in names no file: reading it first would give io_error
+        argv = list(argv)
+        if argv[0] == "--config":
+            (tmp_path / "cfg.json").write_text(argv[1])
+            argv[1] = str(tmp_path / "cfg.json")
+        assert run("select", *argv, "--in", str(tmp_path / "missing.csv"),
+                   "--out", str(tmp_path / "rank.csv")) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+        assert not (tmp_path / "rank.csv").exists()
+
     @pytest.mark.parametrize("key", ["in", "labels", "out", "model",
                                      "scenario", "manifest", "flows_out"])
     def test_path_keys_must_be_strings(self, workdir, tmp_path, capsys, key):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import sys
 
@@ -24,6 +25,7 @@ from conftest import (
     tcp_header,
     udp_header,
 )
+from oracles import encode_frame_oracle
 
 
 class TestDecodeFrame:
@@ -328,6 +330,84 @@ class TestWriteReadRoundTrip:
         path = tmp_path / "v6.pcap"
         pcap.write_pcap([rec], str(path))
         assert list(pcap.open_capture(str(path))) == [rec]
+
+
+def _record(ts, src="192.0.2.1", dst="198.51.100.7", protocol=6,
+            link=14, ip=20, l4=20, payload=12, flags=0x18, window=512):
+    ports = protocol in (6, 17)
+    return pcap.PacketRecord(
+        ts=ts, src_ip=src, dst_ip=dst, src_port=40000 if ports else 0,
+        dst_port=8883 if ports else 0, protocol=protocol,
+        link_header_len=link, ip_header_len=ip, l4_header_len=l4,
+        total_len=link + ip + l4 + payload, ttl=61, payload_len=payload,
+        tcp_flags=flags if protocol == 6 else None,
+        tcp_window=window if protocol == 6 else None)
+
+
+# one record per branch of the writer, with the (sec, usec) it is stored at
+BRANCH_RECORDS = (
+    (_record(10.25, l4=32), (10, 250000)),                # TCP options
+    (_record(11.5, protocol=17, l4=8, payload=30), (11, 500000)),
+    (_record(12.0, protocol=1, l4=8, payload=56), (12, 0)),
+    (_record(13.000001, protocol=47, l4=0, payload=24), (13, 1)),
+    (_record(14.75, ip=24, payload=5), (14, 750000)),     # IPv4 options
+    (_record(15.5, src="2001:db8::1", dst="2001:db8::2", protocol=58,
+             ip=40, l4=8, payload=40), (15, 500000)),
+    (_record(16.5, src="2001:db8::2", dst="2001:db8::1", ip=40,
+             payload=100), (16, 500000)),                 # IPv6 TCP
+    (_record(17.5, link=0, protocol=17, l4=8, payload=9), (17, 500000)),
+    (_record(18.5, payload=0, flags=0x02), (18, 500000)), # zero payload
+    (_record(19.9999996, dst="203.0.113.66"), (20, 0)),   # usec carries
+    (_record(21.5, src="198.51.100.7", dst="192.0.2.1", protocol=17,
+             l4=8, payload=0), (21, 500000)),
+)
+
+
+def _oracle_file(records_and_times) -> bytes:
+    out = [build_global_header()]
+    for rec, (sec, usec) in records_and_times:
+        out.append(build_record(sec, usec, encode_frame_oracle(rec)))
+    return b"".join(out)
+
+
+class TestWriteMatchesOracle:
+    def test_every_branch_byte_identical(self, tmp_path):
+        path = tmp_path / "b.pcap"
+        assert pcap.write_pcap([r for r, _ in BRANCH_RECORDS],
+                               str(path)) == len(BRANCH_RECORDS)
+        assert path.read_bytes() == _oracle_file(BRANCH_RECORDS)
+
+    def test_raw_ip_link_type_in_header(self, tmp_path):
+        path = tmp_path / "raw.pcap"
+        rec, t = BRANCH_RECORDS[7]
+        pcap.write_pcap([rec], str(path), link_type=pcap.LINKTYPE_RAW_IP)
+        assert path.read_bytes() == build_global_header(link_type=101) \
+            + build_record(*t, encode_frame_oracle(rec))
+        assert list(pcap.open_capture(str(path))) == [rec]
+
+    def test_many_write_blocks_byte_identical(self, tmp_path):
+        # about 2.3 MB: the writer flushes more than one block
+        big = [(dataclasses.replace(rec, payload_len=1000 + i % 7,
+                                    total_len=rec.total_len + 1000 + i % 7),
+                t) for i, (rec, t) in enumerate(BRANCH_RECORDS * 200)]
+        path = tmp_path / "big.pcap"
+        assert pcap.write_pcap((r for r, _ in big), str(path)) == len(big)
+        data = path.read_bytes()
+        assert len(data) > 2 << 20
+        assert data == _oracle_file(big)
+
+    @pytest.mark.parametrize("field", ["src_ip", "dst_ip"])
+    @pytest.mark.parametrize("address", ["192.0.2.300", "01.2.3.4",
+                                         "2001:db8::g", ""])
+    def test_invalid_address_raises_value_error(self, tmp_path, field,
+                                                address):
+        rec = dataclasses.replace(BRANCH_RECORDS[0][0], **{field: address})
+        with pytest.raises(ValueError):
+            pcap.write_pcap([BRANCH_RECORDS[1][0], rec],
+                            str(tmp_path / "bad.pcap"))
+        # the records before the bad one are still written
+        assert (tmp_path / "bad.pcap").read_bytes() == \
+            _oracle_file(BRANCH_RECORDS[1:2])
 
 
 def test_quantize_us_carry():

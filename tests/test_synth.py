@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -222,6 +223,20 @@ class TestCorpusFiles:
         labels = set(summary["packets_by_label"])
         assert labels == {"Normal", "Scan", "Download", "C&C", "HeartBeat",
                           "DDoS"}
+
+    def test_corpus_bytes_pinned(self, tmp_path):
+        # the capture and label bytes are a contract (README, "What a synth
+        # capture holds"); a change to either shows here first
+        synth.generate_corpus(small_mixed(seed=8), str(tmp_path / "x.pcap"),
+                              str(tmp_path / "x.labels.csv"))
+        digest = {ext: hashlib.sha256(
+            (tmp_path / ("x." + ext)).read_bytes()).hexdigest()
+            for ext in ("pcap", "labels.csv")}
+        assert digest == {
+            "pcap": "cbc73493180bebd8bb9b2897a254967401e0a66255d066ca8c4b52"
+                    "cbde3ccff5",
+            "labels.csv": "90c265dd6fdbdb6f872037b546f1ead70a02ef8a58f1c9532a"
+                          "25e385233f258f"}
 
     def test_label_join_round_trip(self, tmp_path):
         spec = small_mixed(seed=9)
