@@ -16,7 +16,8 @@ import sys
 from . import synth as synth_mod
 from .detectors import KIND, TARGET_FPR, TrainedModel, make_detector
 from .errors import ConfigInvalid, InputOutputError, NetwardenError
-from .evaluation import evaluate, format_metric_table, tw_sweep
+from .evaluation import (LABEL_NORMAL, evaluate, format_metric_table,
+                         tw_sweep)
 from .features import (MODE_TO_DIRECTION, MODES, FeatureMatrix,
                        apply_normalizer, fit_normalizer, manifest_hash,
                        read_matrix_csv, write_matrix_csv)
@@ -183,7 +184,7 @@ def cmd_select(cfg: dict) -> int:
     _require(cfg, "in", "out")
     X = _read_matrix(cfg)
     if X.labels is not None:
-        benign = [i for i, lbl in enumerate(X.labels) if lbl == "Normal"]
+        benign = [i for i, lbl in enumerate(X.labels) if lbl == LABEL_NORMAL]
         X = FeatureMatrix(values=X.values[benign], names=X.names,
                           mode=X.mode)
     stats = fit_normalizer(X)

@@ -197,12 +197,15 @@ class TrainedModel:
     target_fpr: float
     manifest_mode: str
     manifest_names: tuple[str, ...]
-    manifest_hash: str
-    norm_stats: NormalizationStats | None = None
+    norm_stats: NormalizationStats
     seed: int = 0
     # the last input columns seen, as (mode, names), and their projection
     _projection: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    @property
+    def manifest_hash(self) -> str:
+        return manifest_hash(self.manifest_mode, self.manifest_names)
 
     def input_projection(self, names: tuple[str, ...], mode: str) -> tuple:
         """(raw column indices, mean, std) of the model's features in a
@@ -210,17 +213,13 @@ class TrainedModel:
         checked, only when the columns differ from the last call's."""
         key = (mode, names)
         if self._projection is None or self._projection[0] != key:
-            stats, own = self.norm_stats, self.manifest_names
-            if stats is None and names == own:  # nothing to z-score
-                compiled = (np.arange(len(own)), 0.0, 1.0)
-            elif (stats is not None
-                  and manifest_hash(mode, names) == stats.input_hash):
-                compiled = stats.projection(names, own)
-            else:
+            stats = self.norm_stats
+            if manifest_hash(mode, names) != stats.input_hash:
                 raise ManifestMismatch(
                     "matrix columns (hash %s) do not match the model's "
                     "normalizer input" % manifest_hash(mode, names))
-            self._projection = (key, compiled)
+            self._projection = (key, stats.projection(names,
+                                                      self.manifest_names))
         return self._projection[1]
 
     def score(self, X: np.ndarray) -> np.ndarray:
@@ -239,8 +238,7 @@ class TrainedModel:
                 "names": list(self.manifest_names),
                 "hash": self.manifest_hash,
             },
-            "normalization": (self.norm_stats.to_dict()
-                              if self.norm_stats else None),
+            "normalization": self.norm_stats.to_dict(),
             "seed": self.seed,
         }
 
@@ -253,9 +251,10 @@ class TrainedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModel":
         """The model a file holds. An unknown kind, a missing key, a
-        non-finite threshold, or hyperparameters or state that the detector
-        refuses, or a state whose input width differs from the manifest's,
-        raise MalformedModel."""
+        non-finite threshold, a manifest hash that is not its mode's and
+        names', hyperparameters or state that the detector refuses, or a
+        state whose input width differs from the manifest's, raise
+        MalformedModel."""
         # unknown top-level fields are tolerated for forward compatibility
         try:
             kind = KIND.check("kind", d["kind"])
@@ -270,20 +269,20 @@ class TrainedModel:
                 raise MalformedModel(
                     "%s state reads %d input columns, the manifest names %d"
                     % (kind, width, len(names)))
-            stats = d.get("normalization")
-            return cls(
+            model = cls(
                 kind=kind,
                 detector=det,
                 threshold=threshold,
-                target_fpr=TARGET_FPR.check("target_fpr",
-                                            d.get("target_fpr", 0.0)),
+                target_fpr=TARGET_FPR.check("target_fpr", d["target_fpr"]),
                 manifest_mode=d["manifest"]["mode"],
                 manifest_names=names,
-                manifest_hash=d["manifest"]["hash"],
-                norm_stats=(NormalizationStats.from_dict(stats) if stats
-                            else None),
-                seed=SEED.check("seed", d.get("seed", 0)),
+                norm_stats=NormalizationStats.from_dict(d["normalization"]),
+                seed=SEED.check("seed", d["seed"]),
             )
+            if d["manifest"]["hash"] != model.manifest_hash:
+                raise MalformedModel("manifest hash %r is not its mode's "
+                                     "and names'" % (d["manifest"]["hash"],))
+            return model
         except KeyError as exc:
             raise MalformedModel("model file lacks the key %s" % exc) from None
         except (ValueError, TypeError) as exc:  # LinAlgError is a ValueError

@@ -14,11 +14,11 @@ import numpy as np
 
 from .detectors import TARGET_FPR
 from .errors import LabelVocabularyMismatch, SingleClass
-from .flows import MeterConfig
+from .flows import BIDIRECTIONAL, MeterConfig
 
 LABEL_NORMAL = "Normal"
-LABEL_VOCABULARY = ("Normal", "DDoS", "Scan", "Attack", "C&C", "Download",
-                    "HeartBeat")
+LABEL_VOCABULARY = (LABEL_NORMAL, "DDoS", "Scan", "Attack", "C&C",
+                    "Download", "HeartBeat")
 
 
 def binary_metrics(tp: int, fp: int, tn: int, fn: int) -> dict:
@@ -215,12 +215,9 @@ class LabelIndex:
             self._by_key.setdefault(key, []).append(r)
         self.unmatched = 0
 
-    def _candidates(self, key: tuple):
-        return self._by_key.get(key, ())
-
     def label_for_packet(self, p) -> str:
         key = (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
-        for r in self._candidates(key):
+        for r in self._by_key.get(key, ()):
             if r.window_start <= p.ts <= r.window_end:
                 return r.label
         self.unmatched += 1
@@ -229,13 +226,13 @@ class LabelIndex:
     def label_for_flow(self, rec) -> str:
         k = rec.key  # a FlowKey is the label file's directed 5-tuple
         keys = [k]
-        if rec.mode == "bi":
+        if rec.mode == BIDIRECTIONAL:
             keys.append((k.dst_ip, k.src_ip, k.dst_port, k.src_port,
                          k.protocol))
         best = None
         best_overlap = 0.0
         for key in keys:
-            for r in self._candidates(key):
+            for r in self._by_key.get(key, ()):
                 overlap = (min(r.window_end, rec.last_ts)
                            - max(r.window_start, rec.first_ts))
                 if overlap >= 0 and (best is None or overlap > best_overlap):
@@ -312,26 +309,28 @@ def _percentiles_ms(samples_s: list[float]) -> tuple[float, float, float]:
 
 
 def delay_benchmark_packets(capture_path: str, model) -> LatencyReport:
-    """Per-packet admit+featurize+score latency, one frame at a time in
-    arrival order, plus the throughput of the batch job (`extract_matrix`
-    then `score_matrix`) over the same capture. Frames the capture
-    reader skips (non-IP, malformed, fragment continuations, and frames
-    more than REORDER_HORIZON behind the newest admitted one) are counted
-    in `skipped` and not scored."""
+    """Per-packet latency on the batch job's own record stream, and the
+    throughput of the batch job (`extract_matrix` then `score_matrix`).
+
+    A sample times one record of the capture reader's iterator, from
+    asking for it to its verdict: reading and decoding the frames the
+    reader needs before it releases the record, `packet_features` and a
+    one-row `score_matrix`. Frames the reader skips are counted in
+    `skipped` and not scored."""
     from .features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
                            PacketContext, packet_features)
     from .pcap import CaptureReader
     from .pipeline import extract_matrix, score_matrix
 
     reader = CaptureReader(capture_path)
-    admit, ctx, names = reader.admit, PacketContext(), PACKET_MANIFEST.names
+    records, ctx, names = iter(reader), PacketContext(), PACKET_MANIFEST.names
     samples = []
     perf = time.perf_counter
-    for ts, frame in reader.frames():
+    while True:
         t0 = perf()
-        rec = admit(ts, frame)
+        rec = next(records, None)
         if rec is None:
-            continue
+            break
         score_matrix(model, FeatureMatrix(packet_features(rec, ctx)[None, :],
                                           names, MODE_PACKET))
         samples.append(perf() - t0)

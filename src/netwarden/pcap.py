@@ -260,10 +260,12 @@ def decode_frame(raw: bytes | memoryview, link_type: int,
 class CaptureReader:
     """Iterator over decoded PacketRecords of one PCAP file.
 
-    Records are yielded in non-decreasing timestamp order; frames arriving
-    more than REORDER_HORIZON behind the newest timestamp are dropped and
-    counted. `admit` is the per-frame rule, `__iter__` adds the reorder
-    buffer. `summary` is complete once iteration finishes.
+    Records are yielded in non-decreasing timestamp order, each once a
+    frame stamped at least REORDER_HORIZON later, or the file's end, is
+    read. Skipped frames are counted in `summary`: fragment
+    continuations, non-IP and malformed frames, and frames more than
+    REORDER_HORIZON behind the newest kept one. `summary` is complete
+    once iteration ends.
     """
 
     def __init__(self, path: str):
@@ -281,7 +283,6 @@ class CaptureReader:
             raise UnsupportedLinkType("link type %d" % network)
         self.link_type = network
         self.summary.link_type = network
-        self._newest = float("-inf")  # newest admitted timestamp
 
     def _parse_magic(self) -> tuple[str, bool]:
         magic_be = struct.unpack_from(">I", self._data, 0)[0]
@@ -316,59 +317,44 @@ class CaptureReader:
             yield ts, data[offset:offset + caplen]
             offset += caplen
 
-    def admit(self, ts: float, frame: bytes | memoryview
-              ) -> PacketRecord | None:
-        """Decode one captured frame and count it in `summary`. Returns
-        None for a frame the reader skips: a fragment continuation, a
-        non-IP or malformed frame, or one more than REORDER_HORIZON
-        behind the newest admitted timestamp."""
-        s = self.summary
-        s.frames_read += 1
-        try:
-            rec = decode_frame(frame, self.link_type, ts=ts)
-        except FragmentContinuation as frag:
-            s.fragment_frames += 1
-            s.fragment_bytes += frag.byte_count
-            return None
-        except NonIP:
-            s.skipped_non_ip += 1
-            return None
-        except MalformedHeader:
-            s.skipped_malformed += 1
-            return None
-        if ts < self._newest - REORDER_HORIZON:
-            s.dropped_late += 1
-            return None
-        if ts > self._newest:
-            self._newest = ts
-        return rec
-
     def __iter__(self) -> Iterator[PacketRecord]:
         heap: list[tuple[float, int, PacketRecord]] = []
-        seq = 0
-        admit, s = self.admit, self.summary
-        self._newest = float("-inf")  # each pass restarts the horizon
+        s, link_type = self.summary, self.link_type
+        newest = float("-inf")  # each pass restarts the horizon
+        cut = None
         try:
             for ts, frame in self.frames():
-                rec = admit(ts, frame)
-                if rec is None:
+                s.frames_read += 1
+                try:
+                    rec = decode_frame(frame, link_type, ts=ts)
+                except FragmentContinuation as frag:
+                    s.fragment_frames += 1
+                    s.fragment_bytes += frag.byte_count
                     continue
-                heapq.heappush(heap, (ts, seq, rec))
-                seq += 1
-                ready = self._newest - REORDER_HORIZON
+                except NonIP:
+                    s.skipped_non_ip += 1
+                    continue
+                except MalformedHeader:
+                    s.skipped_malformed += 1
+                    continue
+                if ts < newest - REORDER_HORIZON:
+                    s.dropped_late += 1
+                    continue
+                if ts > newest:
+                    newest = ts
+                # ties leave in arrival order
+                heapq.heappush(heap, (ts, s.frames_read, rec))
+                ready = newest - REORDER_HORIZON
                 while heap and heap[0][0] <= ready:
                     s.decoded += 1
                     yield heapq.heappop(heap)[2]
-        except TruncatedHeader:
-            # the records before the cut are still delivered
-            yield from self._flush(heap)
-            raise
-        yield from self._flush(heap)
-
-    def _flush(self, heap: list) -> Iterator[PacketRecord]:
+        except TruncatedHeader as exc:
+            cut = exc  # the records before the cut are still delivered
         while heap:
-            self.summary.decoded += 1
+            s.decoded += 1
             yield heapq.heappop(heap)[2]
+        if cut is not None:
+            raise cut
 
 
 def open_capture(path: str) -> CaptureReader:
@@ -394,6 +380,7 @@ _ICMP = struct.pack("!BBHI", 8, 0, 0, 0)  # echo request, zero fields
 _MACS = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
 _ETHERNET = {4: _MACS + struct.pack("!H", ETHERTYPE_IPV4),
              6: _MACS + struct.pack("!H", ETHERTYPE_IPV6)}
+_TCP_HEADER_LENS = range(20, 61, 4)
 _WRITE_BLOCK = 1 << 20  # bytes joined before each write
 
 
@@ -411,10 +398,18 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
     """Write PacketRecords as a standard microsecond PCAP. Returns count.
 
     Each record is rebuilt as wire bytes with zero-filled payload: an
-    Ethernet header unless link_header_len is 0, then an IP header whose
-    version is the source address's (IPv4 with DF set and a valid header
-    checksum), then a TCP, UDP or ICMP header with checksum 0.
+    Ethernet header in an Ethernet file, then an IP header of the
+    addresses' version (IPv4 with DF set and a valid header checksum),
+    then a TCP, UDP or ICMP header with checksum 0.
+
+    ValueError, with the records before it written, at a record the reader
+    would not read back as written: an address `ipaddress` refuses, two IP
+    versions, a link_header_len other than the file's (14 for Ethernet, 0
+    for raw IP), or a TCP l4_header_len outside 20, 24, .., 60.
     """
+    if link_type not in SUPPORTED_LINK_TYPES:
+        raise ValueError("link type %r is not supported" % (link_type,))
+    link_len = 14 if link_type == LINKTYPE_ETHERNET else 0
     addresses: dict = {}  # this call's addresses, each parsed once
     parts: list = []
     pending = count = 0
@@ -429,15 +424,22 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                 dst = addresses.get(rec.dst_ip)
                 if dst is None:
                     dst = addresses[rec.dst_ip] = _resolve(rec.dst_ip)
+                if src[0] != dst[0]:
+                    raise ValueError("%s and %s are of two IP versions"
+                                     % (rec.src_ip, rec.dst_ip))
+                if rec.link_header_len != link_len:
+                    raise ValueError("link_header_len %r, not the file's %d"
+                                     % (rec.link_header_len, link_len))
                 protocol = rec.protocol
                 payload = rec.payload_len if rec.payload_len > 0 else 0
                 if protocol == PROTO_TCP:
+                    if rec.l4_header_len not in _TCP_HEADER_LENS:
+                        raise ValueError("TCP l4_header_len %r is not 20, "
+                                         "24, .., 60" % (rec.l4_header_len,))
                     l4 = _TCP.pack(rec.src_port, rec.dst_port, 0, 0,
                                    (rec.l4_header_len // 4) << 4,
                                    rec.tcp_flags or 0, rec.tcp_window or 0,
-                                   0, 0)
-                    if rec.l4_header_len > 20:
-                        l4 += bytes(rec.l4_header_len - 20)
+                                   0, 0) + bytes(rec.l4_header_len - 20)
                 elif protocol == PROTO_UDP:
                     l4 = _UDP.pack(rec.src_port, rec.dst_port,
                                    8 + rec.payload_len, 0)
@@ -465,7 +467,7 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                     options = ip_len - 40
                 if options > 0:
                     ip += bytes(options)
-                eth = b"" if rec.link_header_len == 0 else _ETHERNET[src[0]]
+                eth = _ETHERNET[src[0]] if link_len else b""
                 size = len(eth) + len(ip) + len(l4) + payload
                 sec, usec = _split_us(rec.ts)
                 parts += (_RECORD.pack(sec, usec, size, size), eth, ip, l4,

@@ -27,7 +27,6 @@ from .features import (
     PacketContext,
     fit_normalizer,
     flow_row,
-    manifest_hash,
     packet_row,
 )
 from .flows import FlowMeter, MeterConfig
@@ -154,7 +153,6 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
         target_fpr=target_fpr,
         manifest_mode=matrix.mode,
         manifest_names=names,
-        manifest_hash=manifest_hash(matrix.mode, names),
         norm_stats=stats,
         seed=seed,
     )

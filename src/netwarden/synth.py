@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidSpec
-from .evaluation import LabelRow, write_label_file
+from .evaluation import (LABEL_NORMAL, LABEL_VOCABULARY, LabelRow,
+                         write_label_file)
 from .pcap import (
     PROTO_TCP,
     PROTO_UDP,
@@ -54,12 +55,9 @@ WIN_C2 = 16384
 WIN_DOWNLOAD = 28960
 WIN_SCAN_PROBE = 14600
 
-LBL_NORMAL = "Normal"
-LBL_SCAN = "Scan"
-LBL_DOWNLOAD = "Download"
-LBL_C2 = "C&C"
-LBL_HEARTBEAT = "HeartBeat"
-LBL_DDOS = "DDoS"
+# the attack stages' labels, in vocabulary order ("Attack" is unused)
+_, LBL_DDOS, LBL_SCAN, _, LBL_C2, LBL_DOWNLOAD, LBL_HEARTBEAT = \
+    LABEL_VOCABULARY
 
 
 _SWITCH = Setting(None, False, choices=(True, False))
@@ -319,8 +317,8 @@ _MAX_PACKETS = {
 MAX_PACKETS = 2_000_000  # about 1 GB of PacketRecords, at 0.5 kB each
 
 _STAGES = (
-    ("telemetry", _telemetry, LBL_NORMAL),
-    ("media", _media, LBL_NORMAL),
+    ("telemetry", _telemetry, LABEL_NORMAL),
+    ("media", _media, LABEL_NORMAL),
     ("scan", _scan, LBL_SCAN),
     ("download", _download, LBL_DOWNLOAD),
     ("c2", _c2, LBL_C2),

@@ -11,6 +11,7 @@ from netwarden.detectors import (
     random_search,
 )
 from netwarden.errors import EmptySpace, MalformedModel, TooFewScores
+from netwarden.features import FeatureMatrix, fit_normalizer, manifest_hash
 
 
 class TestCalibrateThreshold:
@@ -119,16 +120,25 @@ class TestDeclaredHyperparameters:
         assert make_detector("osvm").gamma == "scale"
 
 
+def rehash(d, **manifest):
+    """Edit a model dict's manifest and store the edited manifest's hash."""
+    m = d["manifest"]
+    m.update(manifest)
+    m["hash"] = manifest_hash(m["mode"], m["names"])
+
+
 class TestModelFile:
     def roundtrip(self, tmp_path, kind, X):
         det = make_detector(kind, {"seed": 0} if kind in ("if", "ae") else {})
         det.fit(X)
         scores = det.score(X)
+        names = ("a", "b", "c")
         model = TrainedModel(
             kind=kind, detector=det,
             threshold=calibrate_threshold(scores, 0.05), target_fpr=0.05,
-            manifest_mode="packet", manifest_names=("a", "b", "c"),
-            manifest_hash="abc123", seed=0)
+            manifest_mode="packet", manifest_names=names,
+            norm_stats=fit_normalizer(FeatureMatrix(X, names, "packet")),
+            seed=0)
         path = str(tmp_path / ("%s.json" % kind))
         model.save(path)
         return model, TrainedModel.load(path)
@@ -163,6 +173,7 @@ class TestModelFile:
         model, _ = self.roundtrip(tmp_path, "if", X)
         d = model.to_dict()
         d["manifest"]["names"].append("d")
+        rehash(d)
         back = TrainedModel.from_dict(d)
         wide = np.hstack([X, np.zeros((60, 1))])
         assert np.array_equal(back.score(wide), model.score(X))
@@ -191,7 +202,7 @@ class TestModelFile:
         ("ee", lambda d: d["state"].update(
             mu=d["state"]["mu"][:2],
             cov=[row[:2] for row in d["state"]["cov"][:2]])),
-        ("ee", lambda d: d["manifest"]["names"].append("d")),
+        ("ee", lambda d: rehash(d, names=["a", "b", "c", "d"])),
         ("ae", lambda d: d["state"].update(
             weights=[d["state"]["weights"][0][:2]]
             + d["state"]["weights"][1:-1]
@@ -203,10 +214,16 @@ class TestModelFile:
             + [[row[:2] for row in d["state"]["weights"][-1]]],
             biases=d["state"]["biases"][:-1]
             + [d["state"]["biases"][-1][:2]])),
-        ("if", lambda d: d["manifest"].update(names=["a", "b"])),
+        ("if", lambda d: rehash(d, names=["a", "b"])),
         ("if", lambda d: d["hyperparams"].update(n_trees=2.7)),
         ("ee", lambda d: d.update(target_fpr=1.5)),
         ("ee", lambda d: d.update(seed=-1)),
+        ("ee", lambda d: d.pop("normalization")),
+        ("ee", lambda d: d.update(normalization=None)),
+        ("ee", lambda d: d.pop("target_fpr")),
+        ("ee", lambda d: d.pop("seed")),
+        ("ee", lambda d: d["manifest"].update(hash="abc123")),
+        ("ee", lambda d: d["manifest"].update(mode="uni_flow")),
     ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
             "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
             "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
@@ -214,7 +231,9 @@ class TestModelFile:
             "osvm-sv-narrow", "lof-train-narrow", "ee-narrow",
             "ee-manifest-wider", "ae-narrow", "ae-output-narrow",
             "if-splits-past-manifest", "if-trees-fraction", "target-fpr-1.5",
-            "seed-negative"])
+            "seed-negative", "no-normalization", "normalization-null",
+            "no-target-fpr", "no-seed", "hash-differs",
+            "mode-not-hashed"])
     def test_malformed_file_refused(self, tmp_path, kind, edit):
         X = np.random.default_rng(12).normal(size=(60, 3))
         model, _ = self.roundtrip(tmp_path, kind, X)

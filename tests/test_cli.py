@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -595,6 +596,27 @@ class TestConfigAndErrors:
                                             else json.dumps(s.default))
                 assert accepted.startswith(s.describe()) \
                     or accepted.startswith('"default" or ' + s.describe())
+
+    def test_readme_walkthrough_runs(self, tmp_path, monkeypatch, capsys):
+        # every line of the walkthrough block, in order, from an empty
+        # directory: the heredoc is written as its file, and each
+        # netwarden line must exit 0
+        readme = (pathlib.Path(__file__).parent.parent / "README.md") \
+            .read_text()
+        block = readme.split("## CLI walkthrough")[1] \
+            .split("```sh\n")[1].split("```")[0]
+        heredoc = re.search(r"cat > (\S+) <<'JSON'\n(.*?\n)JSON\n", block,
+                            re.S)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / heredoc.group(1)).write_text(heredoc.group(2))
+        lines = block.replace(heredoc.group(0), "").replace("\\\n", " ")
+        commands = [argv for argv in (shlex.split(line, comments=True)
+                                      for line in lines.splitlines()) if argv]
+        assert len(commands) == 9
+        for argv in commands:
+            assert argv[0] == "netwarden", argv
+            assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        assert (tmp_path / "sweep.csv").exists()
 
     def test_error_lines_are_json(self, capsys, tmp_path):
         err = ConfigInvalid('say "hi" to C:\\tmp\'s \u00e9 end')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netwarden import evaluation as ev, synth
+from netwarden import evaluation as ev, pcap, synth
 from netwarden.errors import LabelVocabularyMismatch, SingleClass
 from netwarden.pcap import open_capture
 from netwarden.pipeline import extract_matrix, train_model
@@ -291,6 +291,54 @@ def test_delay_benchmark_with_nothing_to_score(packet_capture, tmp_path):
     rep = ev.delay_benchmark_packets(str(path), model)
     assert (rep.n, rep.skipped) == (0, 1)
     assert rep.p50_ms is rep.p95_ms is rep.p99_ms is None
+
+
+def scored_rows(monkeypatch, path, model):
+    """The rows `delay_benchmark_packets` scores one at a time, stacked,
+    and its report."""
+    import netwarden.pipeline as pipeline
+
+    calls = []
+    real = pipeline.score_matrix
+
+    def recording(m, matrix):
+        calls.append(matrix.values.copy())
+        return real(m, matrix)
+
+    monkeypatch.setattr(pipeline, "score_matrix", recording)
+    rep = ev.delay_benchmark_packets(str(path), model)
+    *one_row, batch = calls  # the last call scores the batch job
+    assert all(v.shape[0] == 1 for v in one_row)
+    return np.vstack(one_row), rep
+
+
+def test_delay_benchmark_scores_batch_rows_out_of_order(
+        packet_capture, tmp_path, monkeypatch):
+    """One 5-tuple stamped 10.0, 10.6, 10.3, 11.0 s: the per-packet rows
+    are the batch rows, re-sequenced within the reorder horizon."""
+    _, _, model = packet_capture
+    path = tmp_path / "ooo.pcap"
+    records = [pcap.PacketRecord(
+        ts=ts, src_ip="192.0.2.1", dst_ip="198.51.100.7", src_port=40000,
+        dst_port=8883, protocol=17, link_header_len=14, ip_header_len=20,
+        l4_header_len=8, total_len=14 + 20 + 8 + 30, ttl=61, payload_len=30)
+        for ts in (10.0, 10.6, 10.3, 11.0)]
+    pcap.write_pcap(records, str(path))
+    rows, rep = scored_rows(monkeypatch, path, model)
+    batch = extract_matrix(str(path), "packet")
+    assert rows.tobytes() == batch.values.tobytes()
+    iat = batch.values[:, batch.names.index("iat_prev")]
+    assert np.allclose(iat, [0.0, 0.3, 0.3, 0.4])
+    assert (rep.n, rep.skipped) == (4, 0)
+
+
+def test_delay_benchmark_scores_batch_rows_in_order(
+        packet_capture, monkeypatch):
+    path, n, model = packet_capture
+    rows, rep = scored_rows(monkeypatch, path, model)
+    assert rows.tobytes() == extract_matrix(str(path), "packet") \
+        .values.tobytes()
+    assert rep.n == n
 
 
 def test_format_metric_table_alignment():

@@ -355,16 +355,22 @@ BRANCH_RECORDS = (
              ip=40, l4=8, payload=40), (15, 500000)),
     (_record(16.5, src="2001:db8::2", dst="2001:db8::1", ip=40,
              payload=100), (16, 500000)),                 # IPv6 TCP
-    (_record(17.5, link=0, protocol=17, l4=8, payload=9), (17, 500000)),
     (_record(18.5, payload=0, flags=0x02), (18, 500000)), # zero payload
     (_record(19.9999996, dst="203.0.113.66"), (20, 0)),   # usec carries
     (_record(21.5, src="198.51.100.7", dst="192.0.2.1", protocol=17,
              l4=8, payload=0), (21, 500000)),
 )
 
+# records of a raw-IP file, framed without a link header
+RAW_IP_RECORDS = (
+    (_record(17.5, link=0, protocol=17, l4=8, payload=9), (17, 500000)),
+    (_record(18.25, link=0, src="2001:db8::2", dst="2001:db8::1", ip=40,
+             payload=3), (18, 250000)),
+)
 
-def _oracle_file(records_and_times) -> bytes:
-    out = [build_global_header()]
+
+def _oracle_file(records_and_times, link_type=1) -> bytes:
+    out = [build_global_header(link_type=link_type)]
     for rec, (sec, usec) in records_and_times:
         out.append(build_record(sec, usec, encode_frame_oracle(rec)))
     return b"".join(out)
@@ -379,11 +385,10 @@ class TestWriteMatchesOracle:
 
     def test_raw_ip_link_type_in_header(self, tmp_path):
         path = tmp_path / "raw.pcap"
-        rec, t = BRANCH_RECORDS[7]
-        pcap.write_pcap([rec], str(path), link_type=pcap.LINKTYPE_RAW_IP)
-        assert path.read_bytes() == build_global_header(link_type=101) \
-            + build_record(*t, encode_frame_oracle(rec))
-        assert list(pcap.open_capture(str(path))) == [rec]
+        records = [r for r, _ in RAW_IP_RECORDS]
+        pcap.write_pcap(records, str(path), link_type=pcap.LINKTYPE_RAW_IP)
+        assert path.read_bytes() == _oracle_file(RAW_IP_RECORDS, 101)
+        assert list(pcap.open_capture(str(path))) == records
 
     def test_many_write_blocks_byte_identical(self, tmp_path):
         # about 2.3 MB: the writer flushes more than one block
@@ -408,6 +413,49 @@ class TestWriteMatchesOracle:
         # the records before the bad one are still written
         assert (tmp_path / "bad.pcap").read_bytes() == \
             _oracle_file(BRANCH_RECORDS[1:2])
+
+
+class TestWriteRefusesWhatWouldNotReadBack:
+    """A record the reader would read back otherwise raises ValueError;
+    the records before it stay written."""
+
+    @pytest.mark.parametrize("link_type, bad", [
+        # an IPv6 destination was written as the IPv4 32.1.13.184
+        (1, _record(30.0, dst="2001:db8::5")),
+        (1, _record(30.0, src="2001:db8::5", dst="192.0.2.1", ip=40)),
+        # Ethernet framing in a raw-IP file: the reader skips it as non-IP
+        (101, _record(30.0)),
+        # no link header in an Ethernet file
+        (1, _record(30.0, link=0)),
+        # an 802.1Q length: read back as 14, with total_len 4 shorter
+        (1, _record(30.0, link=18)),
+        # TCP lengths the data offset cannot carry: read back as
+        # malformed (12), as 20 (22), or not packed at all (64)
+        (1, _record(30.0, l4=12)),
+        (1, _record(30.0, l4=22)),
+        (1, _record(30.0, l4=64)),
+    ], ids=["ipv4-to-ipv6", "ipv6-to-ipv4", "ethernet-in-raw-ip-file",
+            "raw-ip-in-ethernet-file", "link-header-18", "tcp-header-12",
+            "tcp-header-22", "tcp-header-64"])
+    def test_refused_after_the_good_records(self, tmp_path, link_type, bad):
+        good = BRANCH_RECORDS[1] if link_type == 1 else RAW_IP_RECORDS[0]
+        path = tmp_path / "bad.pcap"
+        with pytest.raises(ValueError):
+            pcap.write_pcap([good[0], bad], str(path), link_type=link_type)
+        assert path.read_bytes() == _oracle_file([good], link_type)
+
+    def test_unsupported_link_type_writes_nothing(self, tmp_path):
+        path = tmp_path / "llc.pcap"
+        with pytest.raises(ValueError):
+            pcap.write_pcap([], str(path), link_type=105)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("l4", [20, 24, 40, 60])
+    def test_tcp_header_lengths_read_back(self, tmp_path, l4):
+        rec = _record(30.0, l4=l4)
+        path = tmp_path / "tcp.pcap"
+        pcap.write_pcap([rec], str(path))
+        assert list(pcap.open_capture(str(path))) == [rec]
 
 
 def test_quantize_us_carry():

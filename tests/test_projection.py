@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from netwarden.detectors import KINDS, TrainedModel, make_detector
+from netwarden.detectors import KINDS, TrainedModel
 from netwarden.errors import ManifestMismatch, NonFiniteFeature
 from netwarden.features import FeatureMatrix, apply_normalizer
 from netwarden.pipeline import project_for_model, score_matrix, train_model
@@ -100,19 +100,6 @@ class TestManifestMismatch:
         with pytest.raises(ManifestMismatch):
             score_matrix(model, FeatureMatrix(probes.values[:, cols],
                                               model.manifest_names, MODE))
-
-    def test_model_without_stats_scores_its_own_columns(self):
-        X = np.random.default_rng(4).normal(size=(80, 3))
-        det = make_detector("ee").fit(X)
-        model = TrainedModel(kind="ee", detector=det, threshold=1.0,
-                             target_fpr=0.05, manifest_mode=MODE,
-                             manifest_names=("a", "b", "c"),
-                             manifest_hash="abc123")
-        scores, _ = score_matrix(model, FeatureMatrix(X, ("a", "b", "c"),
-                                                      MODE))
-        assert np.array_equal(scores, det.score(X))
-        with pytest.raises(ManifestMismatch):
-            score_matrix(model, FeatureMatrix(X, ("a", "c", "b"), MODE))
 
 
 class TestRawInputIsNormalized:
