@@ -252,9 +252,10 @@ class TrainedModel:
     def from_dict(cls, d: dict) -> "TrainedModel":
         """The model a file holds. An unknown kind, a missing key, a
         non-finite threshold, a manifest hash that is not its mode's and
-        names', hyperparameters or state that the detector refuses, or a
-        state whose input width differs from the manifest's, raise
-        MalformedModel."""
+        names', hyperparameters or state that the detector refuses, a
+        state whose input width differs from the manifest's, a manifest
+        name the normalization does not keep, or a normalization mean or
+        std without one value per kept name raise MalformedModel."""
         # unknown top-level fields are tolerated for forward compatibility
         try:
             kind = KIND.check("kind", d["kind"])
@@ -269,6 +270,19 @@ class TrainedModel:
                 raise MalformedModel(
                     "%s state reads %d input columns, the manifest names %d"
                     % (kind, width, len(names)))
+            norm = NormalizationStats.from_dict(d["normalization"])
+            for name in names:
+                if name not in norm.kept_names:
+                    raise MalformedModel(
+                        "the manifest names %r, which normalization "
+                        "kept_names lacks" % (name,))
+            for stat in ("mean", "std"):
+                shape = getattr(norm, stat).shape
+                if shape != (len(norm.kept_names),):
+                    raise MalformedModel(
+                        "normalization %s has shape %s, not one value for "
+                        "each of %d kept names"
+                        % (stat, shape, len(norm.kept_names)))
             model = cls(
                 kind=kind,
                 detector=det,
@@ -276,7 +290,7 @@ class TrainedModel:
                 target_fpr=TARGET_FPR.check("target_fpr", d["target_fpr"]),
                 manifest_mode=d["manifest"]["mode"],
                 manifest_names=names,
-                norm_stats=NormalizationStats.from_dict(d["normalization"]),
+                norm_stats=norm,
                 seed=SEED.check("seed", d["seed"]),
             )
             if d["manifest"]["hash"] != model.manifest_hash:

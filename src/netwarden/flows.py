@@ -44,15 +44,9 @@ class FlowKey(NamedTuple):
     protocol: int
 
 
-def flow_key_of(p: PacketRecord, mode: str) -> FlowKey:
-    """Pure 5-tuple key; bidirectional keys order endpoints lexicographically."""
-    if mode == UNIDIRECTIONAL:
-        return FlowKey(p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
-    a = (p.src_ip, p.src_port)
-    b = (p.dst_ip, p.dst_port)
-    if a <= b:
-        return FlowKey(a[0], b[0], a[1], b[1], p.protocol)
-    return FlowKey(b[0], a[0], b[1], a[1], p.protocol)
+# the indices of the set bits of each flag byte, lowest first
+_FLAG_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
+                   for byte in range(256))
 
 
 class DirStats:
@@ -103,15 +97,18 @@ class DirStats:
         n = self.pkt_count
         total = p.total_len
         payload = p.payload_len
+        ip_hlen = p.ip_header_len
+        l4_hlen = p.l4_header_len
+        ttl = p.ttl
         self.pkt_count = n + 1
         self.byte_count += total
         self.payload_byte_count += payload
         if n == 0:
             self.pkt_len_min = self.pkt_len_max = total
             self.payload_len_min = self.payload_len_max = payload
-            self.ip_hdr_max = p.ip_header_len
-            self.l4_hdr_max = p.l4_header_len
-            self.ttl_min = self.ttl_max = p.ttl
+            self.ip_hdr_max = ip_hlen
+            self.l4_hdr_max = l4_hlen
+            self.ttl_min = self.ttl_max = ttl
         else:
             if total < self.pkt_len_min:
                 self.pkt_len_min = total
@@ -121,25 +118,26 @@ class DirStats:
                 self.payload_len_min = payload
             elif payload > self.payload_len_max:
                 self.payload_len_max = payload
-            if p.ip_header_len > self.ip_hdr_max:
-                self.ip_hdr_max = p.ip_header_len
-            if p.l4_header_len > self.l4_hdr_max:
-                self.l4_hdr_max = p.l4_header_len
-            if p.ttl < self.ttl_min:
-                self.ttl_min = p.ttl
-            elif p.ttl > self.ttl_max:
-                self.ttl_max = p.ttl
+            if ip_hlen > self.ip_hdr_max:
+                self.ip_hdr_max = ip_hlen
+            if l4_hlen > self.l4_hdr_max:
+                self.l4_hdr_max = l4_hlen
+            if ttl < self.ttl_min:
+                self.ttl_min = ttl
+            elif ttl > self.ttl_max:
+                self.ttl_max = ttl
         self.pkt_len_sumsq += total * total
         self.payload_len_sumsq += payload * payload
-        self.ip_hdr_sum += p.ip_header_len
-        self.l4_hdr_sum += p.l4_header_len
-        self.ttl_sum += p.ttl
+        self.ip_hdr_sum += ip_hlen
+        self.l4_hdr_sum += l4_hlen
+        self.ttl_sum += ttl
         if payload < SMALL_PAYLOAD:
             self.small_pkt_count += 1
         if payload >= LARGE_PAYLOAD:
             self.large_pkt_count += 1
+        ts = p.ts
         if self.last_ts is not None:
-            iat = p.ts - self.last_ts
+            iat = ts - self.last_ts
             if self.iat_count == 0:
                 self.iat_min = self.iat_max = iat
             else:
@@ -150,13 +148,12 @@ class DirStats:
             self.iat_sum += iat
             self.iat_sumsq += iat * iat
             self.iat_count += 1
-        self.last_ts = p.ts
-        if p.tcp_flags is not None:
-            flags = p.tcp_flags
+        self.last_ts = ts
+        flags = p.tcp_flags
+        if flags is not None:
             counts = self.flag_counts
-            for bit in range(8):
-                if flags & (1 << bit):
-                    counts[bit] += 1
+            for bit in _FLAG_BITS[flags & 0xFF]:
+                counts[bit] += 1
             if self.init_window is None:
                 self.init_window = p.tcp_window
 
@@ -293,43 +290,53 @@ class FlowMeter:
 
     def feed(self, p: PacketRecord) -> list[FlowRecord]:
         """Account one packet; returns any FlowRecords cut by its arrival."""
-        if p.ts < self._max_ts - 1e-9:
+        ts = p.ts
+        if ts < self._max_ts - 1e-9:
             self.stats.clock_skew_dropped += 1
             return []
-        self._max_ts = max(self._max_ts, p.ts)
+        if ts > self._max_ts:
+            self._max_ts = ts
         cfg = self.cfg
         out: list[FlowRecord] = []
-        key = flow_key_of(p, cfg.direction_mode)
-        rec = self._table.get(key)
+        # the 5-tuple; a bidirectional key puts the lower (address, port)
+        # endpoint first
+        src, dst, sport, dport = p.src_ip, p.dst_ip, p.src_port, p.dst_port
+        if (cfg.direction_mode == UNIDIRECTIONAL or src < dst
+                or (src == dst and sport <= dport)):
+            key = (src, dst, sport, dport, p.protocol)
+        else:
+            key = (dst, src, dport, sport, p.protocol)
+        table = self._table
+        rec = table.get(key)
         if rec is not None:
-            if (cfg.tw_seconds is not None
-                    and p.ts >= rec.window_start + cfg.tw_seconds):
-                out.append(rec.close(TERM_WINDOW,
-                                     rec.window_start + cfg.tw_seconds))
+            tw = cfg.tw_seconds
+            if tw is not None and ts >= rec.window_start + tw:
+                out.append(rec.close(TERM_WINDOW, rec.window_start + tw))
                 rec = None
-            elif p.ts - rec.last_ts > cfg.idle_timeout:
+            elif ts - rec.last_ts > cfg.idle_timeout:
                 out.append(rec.close(TERM_IDLE, rec.last_ts))
                 rec = None
         if rec is None:
-            rec = FlowRecord(key, p, cfg.direction_mode)
-            self._table[key] = rec
+            rec = FlowRecord(FlowKey._make(key), p, cfg.direction_mode)
+            table[rec.key] = rec
         else:
             rec.update(p)
         self.stats.packets_metered += 1
 
-        if p.protocol == PROTO_TCP and p.tcp_flags is not None:
-            if p.tcp_flags & TCP_RST:
-                out.append(rec.close(TERM_RST, p.ts))
-                del self._table[key]
+        flags = p.tcp_flags
+        if flags is not None and p.protocol == PROTO_TCP:
+            if flags & TCP_RST:
+                out.append(rec.close(TERM_RST, ts))
+                del table[key]
             elif rec.fin_complete():
-                out.append(rec.close(TERM_FIN, p.ts))
-                del self._table[key]
+                out.append(rec.close(TERM_FIN, ts))
+                del table[key]
 
         if self._next_sweep is None:
-            self._next_sweep = p.ts + cfg.idle_timeout
-        elif p.ts >= self._next_sweep:
-            out.extend(self._sweep(p.ts))
-            self._next_sweep = p.ts + cfg.idle_timeout
+            self._next_sweep = ts + cfg.idle_timeout
+        elif ts >= self._next_sweep:
+            out.extend(self._sweep(ts))
+            self._next_sweep = ts + cfg.idle_timeout
         self.stats.flows_emitted += len(out)
         return out
 

@@ -12,6 +12,7 @@ import heapq
 import ipaddress
 import struct
 from dataclasses import dataclass
+from socket import inet_ntoa
 from typing import Iterator
 
 from .errors import (
@@ -109,30 +110,18 @@ class CaptureSummary:
     link_type: int | None = None
 
 
-def _decode_ipv4(buf: memoryview) -> tuple:
-    if len(buf) < 20:
-        raise MalformedHeader("IPv4 header shorter than 20 bytes")
-    ver_ihl = buf[0]
-    if ver_ihl >> 4 != 4:
-        raise MalformedHeader("IP version field is not 4")
-    ihl = (ver_ihl & 0x0F) * 4
-    if ihl < 20 or len(buf) < ihl:
-        raise MalformedHeader("inconsistent IPv4 header length")
-    total_length = (buf[2] << 8) | buf[3]
-    if total_length < ihl:
-        raise MalformedHeader("IPv4 total length smaller than header")
-    frag_field = (buf[6] << 8) | buf[7]
-    frag_offset = frag_field & 0x1FFF
-    if frag_offset > 0:
-        raise FragmentContinuation(total_length - ihl)
-    ttl = buf[8]
-    protocol = buf[9]
-    src = "%d.%d.%d.%d" % (buf[12], buf[13], buf[14], buf[15])
-    dst = "%d.%d.%d.%d" % (buf[16], buf[17], buf[18], buf[19])
-    return (protocol, ihl, total_length, ttl, src, dst, buf[ihl:])
+# The reader's headers, read in place at an offset into the frame: the
+# IPv4 fixed header (version/IHL, total length, flags/fragment offset, TTL,
+# protocol, addresses), the TCP header up to the window (ports, data
+# offset, flags, window) and the UDP ports.
+_IPV4_FIXED = struct.Struct("!BxHxxHBB2x4s4s")
+_TCP_FIXED = struct.Struct("!HH8xBBH")
+_PORTS = struct.Struct("!HH")
 
 
 def _decode_ipv6(buf: memoryview) -> tuple:
+    """(next header, header length with extensions, total length, hop
+    limit, source, destination) of the IPv6 packet at the start of buf."""
     if len(buf) < 40:
         raise MalformedHeader("IPv6 header shorter than 40 bytes")
     if buf[0] >> 4 != 6:
@@ -163,7 +152,7 @@ def _decode_ipv6(buf: memoryview) -> tuple:
     total_length = 40 + payload_length
     if total_length < offset:
         raise MalformedHeader("IPv6 payload length smaller than extensions")
-    return (next_header, offset, total_length, ttl, src, dst, buf[offset:])
+    return (next_header, offset, total_length, ttl, src, dst)
 
 
 def decode_frame(raw: bytes | memoryview, link_type: int,
@@ -172,89 +161,94 @@ def decode_frame(raw: bytes | memoryview, link_type: int,
 
     Raises NonIP for frames without an IP packet (callers count and skip),
     FragmentContinuation for non-first IP fragments, and MalformedHeader
-    when length fields are inconsistent with the bytes present.
+    when length fields are inconsistent with the bytes present. Headers
+    are read in place, at offsets into `raw`.
     """
-    buf = memoryview(raw)
+    size = len(raw)
     if link_type == LINKTYPE_ETHERNET:
-        if len(buf) < 14:
+        if size < 14:
             raise MalformedHeader("frame shorter than Ethernet header")
-        ethertype = (buf[12] << 8) | buf[13]
+        ethertype = (raw[12] << 8) | raw[13]
         link_len = 14
         if ethertype == ETHERTYPE_VLAN:
             # one 802.1Q level; deeper nesting is skipped as non-IP
-            if len(buf) < 18:
+            if size < 18:
                 raise MalformedHeader("truncated 802.1Q tag")
-            ethertype = (buf[16] << 8) | buf[17]
+            ethertype = (raw[16] << 8) | raw[17]
             link_len = 18
             if ethertype == ETHERTYPE_VLAN:
                 raise NonIP("nested 802.1Q tags")
-        ip_buf = buf[link_len:]
         if ethertype == ETHERTYPE_IPV4:
-            fields = _decode_ipv4(ip_buf)
+            ipv4 = True
         elif ethertype == ETHERTYPE_IPV6:
-            fields = _decode_ipv6(ip_buf)
+            ipv4 = False
         else:
             raise NonIP("ethertype 0x%04x" % ethertype)
     elif link_type == LINKTYPE_RAW_IP:
         link_len = 0
-        if len(buf) < 1:
+        if size < 1:
             raise MalformedHeader("empty raw-IP frame")
-        version = buf[0] >> 4
+        version = raw[0] >> 4
         if version == 4:
-            fields = _decode_ipv4(buf)
+            ipv4 = True
         elif version == 6:
-            fields = _decode_ipv6(buf)
+            ipv4 = False
         else:
             raise NonIP("raw frame with IP version %d" % version)
     else:
         raise UnsupportedLinkType("link type %d" % link_type)
 
-    protocol, ip_hlen, ip_total, ttl, src, dst, l4 = fields
-    src_port = dst_port = 0
-    tcp_flags = None
-    tcp_window = None
-    if protocol == PROTO_TCP:
-        if len(l4) < 20:
-            raise MalformedHeader("truncated TCP header")
-        l4_hlen = (l4[12] >> 4) * 4
-        if l4_hlen < 20 or len(l4) < l4_hlen:
-            raise MalformedHeader("inconsistent TCP data offset")
-        src_port = (l4[0] << 8) | l4[1]
-        dst_port = (l4[2] << 8) | l4[3]
-        tcp_flags = l4[13]
-        tcp_window = (l4[14] << 8) | l4[15]
-    elif protocol == PROTO_UDP:
-        if len(l4) < 8:
-            raise MalformedHeader("truncated UDP header")
-        src_port = (l4[0] << 8) | l4[1]
-        dst_port = (l4[2] << 8) | l4[3]
-        l4_hlen = 8
-    elif protocol in (PROTO_ICMP, PROTO_ICMPV6):
-        if len(l4) < 8:
-            raise MalformedHeader("truncated ICMP header")
-        l4_hlen = 8
+    if ipv4:
+        if size - link_len < 20:
+            raise MalformedHeader("IPv4 header shorter than 20 bytes")
+        ver_ihl, ip_total, frag_field, ttl, protocol, src, dst = \
+            _IPV4_FIXED.unpack_from(raw, link_len)
+        if ver_ihl >> 4 != 4:
+            raise MalformedHeader("IP version field is not 4")
+        ip_hlen = (ver_ihl & 0x0F) * 4
+        if ip_hlen < 20 or size - link_len < ip_hlen:
+            raise MalformedHeader("inconsistent IPv4 header length")
+        if ip_total < ip_hlen:
+            raise MalformedHeader("IPv4 total length smaller than header")
+        if frag_field & 0x1FFF:
+            raise FragmentContinuation(ip_total - ip_hlen)
+        src = inet_ntoa(src)
+        dst = inet_ntoa(dst)
     else:
-        l4_hlen = 0
+        protocol, ip_hlen, ip_total, ttl, src, dst = \
+            _decode_ipv6(memoryview(raw)[link_len:])
+
+    l4 = link_len + ip_hlen  # the L4 header's offset in the frame
+    if protocol == PROTO_TCP:
+        if size - l4 < 20:
+            raise MalformedHeader("truncated TCP header")
+        src_port, dst_port, data_offset, tcp_flags, tcp_window = \
+            _TCP_FIXED.unpack_from(raw, l4)
+        l4_hlen = (data_offset >> 4) * 4
+        if l4_hlen < 20 or size - l4 < l4_hlen:
+            raise MalformedHeader("inconsistent TCP data offset")
+    else:
+        tcp_flags = tcp_window = None
+        if protocol == PROTO_UDP:
+            if size - l4 < 8:
+                raise MalformedHeader("truncated UDP header")
+            src_port, dst_port = _PORTS.unpack_from(raw, l4)
+            l4_hlen = 8
+        else:
+            src_port = dst_port = 0
+            if protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
+                if size - l4 < 8:
+                    raise MalformedHeader("truncated ICMP header")
+                l4_hlen = 8
+            else:
+                l4_hlen = 0
 
     payload_len = ip_total - ip_hlen - l4_hlen
     if payload_len < 0:
         raise MalformedHeader("negative payload length")
-    return PacketRecord(
-        ts=ts,
-        src_ip=src,
-        dst_ip=dst,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        link_header_len=link_len,
-        ip_header_len=ip_hlen,
-        l4_header_len=l4_hlen,
-        total_len=link_len + ip_total,
-        ttl=ttl,
-        payload_len=payload_len,
-        tcp_flags=tcp_flags,
-        tcp_window=tcp_window,
-    )
+    return PacketRecord(ts, src, dst, src_port, dst_port, protocol, link_len,
+                        ip_hlen, l4_hlen, link_len + ip_total, ttl,
+                        payload_len, tcp_flags, tcp_window)
 
 
 class CaptureReader:
@@ -380,7 +374,8 @@ _ICMP = struct.pack("!BBHI", 8, 0, 0, 0)  # echo request, zero fields
 _MACS = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
 _ETHERNET = {4: _MACS + struct.pack("!H", ETHERTYPE_IPV4),
              6: _MACS + struct.pack("!H", ETHERTYPE_IPV6)}
-_TCP_HEADER_LENS = range(20, 61, 4)
+# the lengths a 4-bit count of 32-bit words gives an IPv4 or TCP header
+_WORD_HEADER_LENS = range(20, 61, 4)
 _WRITE_BLOCK = 1 << 20  # bytes joined before each write
 
 
@@ -405,7 +400,10 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
     ValueError, with the records before it written, at a record the reader
     would not read back as written: an address `ipaddress` refuses, two IP
     versions, a link_header_len other than the file's (14 for Ethernet, 0
-    for raw IP), or a TCP l4_header_len outside 20, 24, .., 60.
+    for raw IP), an IPv4 ip_header_len outside 20, 24, .., 60 or an IPv6
+    one other than 40, or an l4_header_len other than the one the reader
+    gives the protocol: 20, 24, .., 60 for TCP, 8 for UDP and ICMP, 0 for
+    any other protocol.
     """
     if link_type not in SUPPORTED_LINK_TYPES:
         raise ValueError("link type %r is not supported" % (link_type,))
@@ -433,7 +431,7 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                 protocol = rec.protocol
                 payload = rec.payload_len if rec.payload_len > 0 else 0
                 if protocol == PROTO_TCP:
-                    if rec.l4_header_len not in _TCP_HEADER_LENS:
+                    if rec.l4_header_len not in _WORD_HEADER_LENS:
                         raise ValueError("TCP l4_header_len %r is not 20, "
                                          "24, .., 60" % (rec.l4_header_len,))
                     l4 = _TCP.pack(rec.src_port, rec.dst_port, 0, 0,
@@ -441,14 +439,27 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                                    rec.tcp_flags or 0, rec.tcp_window or 0,
                                    0, 0) + bytes(rec.l4_header_len - 20)
                 elif protocol == PROTO_UDP:
+                    if rec.l4_header_len != 8:
+                        raise ValueError("UDP l4_header_len %r is not 8"
+                                         % (rec.l4_header_len,))
                     l4 = _UDP.pack(rec.src_port, rec.dst_port,
                                    8 + rec.payload_len, 0)
                 elif protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
+                    if rec.l4_header_len != 8:
+                        raise ValueError("ICMP l4_header_len %r is not 8"
+                                         % (rec.l4_header_len,))
                     l4 = _ICMP
                 else:
+                    if rec.l4_header_len != 0:
+                        raise ValueError("protocol %r l4_header_len %r is "
+                                         "not 0" % (protocol,
+                                                    rec.l4_header_len))
                     l4 = b""
                 ip_len = rec.ip_header_len
                 if src[0] == 4:
+                    if ip_len not in _WORD_HEADER_LENS:
+                        raise ValueError("IPv4 ip_header_len %r is not 20, "
+                                         "24, .., 60" % (ip_len,))
                     ver_ihl = 0x40 | ip_len // 4
                     ip_total = ip_len + len(l4) + payload
                     # one's-complement sum of the header's 16-bit words;
@@ -459,14 +470,14 @@ def write_pcap(records, path: str, link_type: int = LINKTYPE_ETHERNET) -> int:
                     total = (total & 0xFFFF) + (total >> 16)
                     ip = _IPV4.pack(ver_ihl, 0, ip_total, 0, 0x4000, rec.ttl,
                                     protocol, ~total & 0xFFFF, src[1], dst[1])
-                    options = ip_len - 20
+                    if ip_len > 20:
+                        ip += bytes(ip_len - 20)
                 else:
-                    ip = _IPV6.pack(0x60000000,
-                                    ip_len - 40 + len(l4) + payload,
-                                    protocol, rec.ttl, src[1], dst[1])
-                    options = ip_len - 40
-                if options > 0:
-                    ip += bytes(options)
+                    if ip_len != 40:
+                        raise ValueError("IPv6 ip_header_len %r is not 40"
+                                         % (ip_len,))
+                    ip = _IPV6.pack(0x60000000, len(l4) + payload, protocol,
+                                    rec.ttl, src[1], dst[1])
                 eth = _ETHERNET[src[0]] if link_len else b""
                 size = len(eth) + len(ip) + len(l4) + payload
                 sec, usec = _split_us(rec.ts)

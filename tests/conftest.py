@@ -87,6 +87,23 @@ def mixed_scenario(duration=300.0, devices=6, seed=202) -> ScenarioSpec:
     return spec
 
 
+def small_mixed(seed=0) -> ScenarioSpec:
+    """A one-minute, four-device capture with every attack stage on."""
+    spec = ScenarioSpec(duration=60.0, devices=4, seed=seed)
+    spec.scan.enabled = True
+    spec.scan.start = 5.0
+    spec.scan.targets = 100
+    spec.download.enabled = True
+    spec.download.start = 20.0
+    spec.c2.enabled = True
+    spec.heartbeat.enabled = True
+    spec.ddos.enabled = True
+    spec.ddos.start = 40.0
+    spec.ddos.duration = 1.0
+    spec.ddos.rate = 500.0
+    return spec
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     """Shared train (benign-only) and test (mixed) corpora."""

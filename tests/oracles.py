@@ -15,6 +15,14 @@ from typing import Callable
 
 import numpy as np
 
+from netwarden.errors import (
+    FragmentContinuation,
+    MalformedHeader,
+    NonIP,
+    UnsupportedLinkType,
+)
+from netwarden.pcap import PacketRecord
+
 LRD_FLOOR = 1e-10
 
 
@@ -833,3 +841,152 @@ def encode_frame_oracle(rec) -> bytes:
     eth = (b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"
            + struct.pack("!H", ethertype))
     return eth + ip_pkt
+
+
+# --- frame decoding --------------------------------------------------------
+#
+# The decoder as first written: byte-by-byte reads through memoryview
+# slices, dotted-quad formatting and a keyword-built record.
+# pcap.decode_frame must give an equal record, or raise the same exception
+# class with the same message (and byte_count), for every input.
+
+def _decode_ipv4_oracle(buf: memoryview) -> tuple:
+    if len(buf) < 20:
+        raise MalformedHeader("IPv4 header shorter than 20 bytes")
+    ver_ihl = buf[0]
+    if ver_ihl >> 4 != 4:
+        raise MalformedHeader("IP version field is not 4")
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < 20 or len(buf) < ihl:
+        raise MalformedHeader("inconsistent IPv4 header length")
+    total_length = (buf[2] << 8) | buf[3]
+    if total_length < ihl:
+        raise MalformedHeader("IPv4 total length smaller than header")
+    frag_field = (buf[6] << 8) | buf[7]
+    frag_offset = frag_field & 0x1FFF
+    if frag_offset > 0:
+        raise FragmentContinuation(total_length - ihl)
+    ttl = buf[8]
+    protocol = buf[9]
+    src = "%d.%d.%d.%d" % (buf[12], buf[13], buf[14], buf[15])
+    dst = "%d.%d.%d.%d" % (buf[16], buf[17], buf[18], buf[19])
+    return (protocol, ihl, total_length, ttl, src, dst, buf[ihl:])
+
+
+def _decode_ipv6_oracle(buf: memoryview) -> tuple:
+    if len(buf) < 40:
+        raise MalformedHeader("IPv6 header shorter than 40 bytes")
+    if buf[0] >> 4 != 6:
+        raise MalformedHeader("IP version field is not 6")
+    payload_length = (buf[4] << 8) | buf[5]
+    next_header = buf[6]
+    ttl = buf[7]
+    src = str(ipaddress.IPv6Address(bytes(buf[8:24])))
+    dst = str(ipaddress.IPv6Address(bytes(buf[24:40])))
+    offset = 40
+    while next_header in (0, 43, 60) or next_header == 44:
+        if len(buf) < offset + 8:
+            raise MalformedHeader("truncated IPv6 extension header")
+        if next_header == 44:  # fragment header
+            frag_off = ((buf[offset + 2] << 8) | buf[offset + 3]) >> 3
+            nh = buf[offset]
+            if frag_off > 0:
+                raise FragmentContinuation(payload_length)
+            next_header = nh
+            offset += 8
+            continue
+        ext_len = (buf[offset + 1] + 1) * 8
+        next_header = buf[offset]
+        offset += ext_len
+        if offset > len(buf):
+            raise MalformedHeader("IPv6 extension header exceeds frame")
+    total_length = 40 + payload_length
+    if total_length < offset:
+        raise MalformedHeader("IPv6 payload length smaller than extensions")
+    return (next_header, offset, total_length, ttl, src, dst, buf[offset:])
+
+
+def decode_frame_oracle(raw, link_type: int, ts: float = 0.0):
+    buf = memoryview(raw)
+    if link_type == 1:  # Ethernet
+        if len(buf) < 14:
+            raise MalformedHeader("frame shorter than Ethernet header")
+        ethertype = (buf[12] << 8) | buf[13]
+        link_len = 14
+        if ethertype == 0x8100:
+            if len(buf) < 18:
+                raise MalformedHeader("truncated 802.1Q tag")
+            ethertype = (buf[16] << 8) | buf[17]
+            link_len = 18
+            if ethertype == 0x8100:
+                raise NonIP("nested 802.1Q tags")
+        ip_buf = buf[link_len:]
+        if ethertype == 0x0800:
+            fields = _decode_ipv4_oracle(ip_buf)
+        elif ethertype == 0x86DD:
+            fields = _decode_ipv6_oracle(ip_buf)
+        else:
+            raise NonIP("ethertype 0x%04x" % ethertype)
+    elif link_type == 101:  # raw IP
+        link_len = 0
+        if len(buf) < 1:
+            raise MalformedHeader("empty raw-IP frame")
+        version = buf[0] >> 4
+        if version == 4:
+            fields = _decode_ipv4_oracle(buf)
+        elif version == 6:
+            fields = _decode_ipv6_oracle(buf)
+        else:
+            raise NonIP("raw frame with IP version %d" % version)
+    else:
+        raise UnsupportedLinkType("link type %d" % link_type)
+
+    protocol, ip_hlen, ip_total, ttl, src, dst, l4 = fields
+    src_port = dst_port = 0
+    tcp_flags = None
+    tcp_window = None
+    if protocol == PROTO_TCP:
+        if len(l4) < 20:
+            raise MalformedHeader("truncated TCP header")
+        l4_hlen = (l4[12] >> 4) * 4
+        if l4_hlen < 20 or len(l4) < l4_hlen:
+            raise MalformedHeader("inconsistent TCP data offset")
+        src_port = (l4[0] << 8) | l4[1]
+        dst_port = (l4[2] << 8) | l4[3]
+        tcp_flags = l4[13]
+        tcp_window = (l4[14] << 8) | l4[15]
+    elif protocol == PROTO_UDP:
+        if len(l4) < 8:
+            raise MalformedHeader("truncated UDP header")
+        src_port = (l4[0] << 8) | l4[1]
+        dst_port = (l4[2] << 8) | l4[3]
+        l4_hlen = 8
+    elif protocol in (PROTO_ICMP, PROTO_ICMPV6):
+        if len(l4) < 8:
+            raise MalformedHeader("truncated ICMP header")
+        l4_hlen = 8
+    else:
+        l4_hlen = 0
+
+    payload_len = ip_total - ip_hlen - l4_hlen
+    if payload_len < 0:
+        raise MalformedHeader("negative payload length")
+    return PacketRecord(
+        ts=ts, src_ip=src, dst_ip=dst, src_port=src_port, dst_port=dst_port,
+        protocol=protocol, link_header_len=link_len, ip_header_len=ip_hlen,
+        l4_header_len=l4_hlen, total_len=link_len + ip_total, ttl=ttl,
+        payload_len=payload_len, tcp_flags=tcp_flags, tcp_window=tcp_window)
+
+
+# --- flow keys -------------------------------------------------------------
+
+def flow_key_of_oracle(p, mode: str) -> tuple:
+    """A packet's 5-tuple flow key; a bidirectional key orders its two
+    (address, port) endpoints as tuples, the lower first."""
+    if mode == "uni":
+        return (p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol)
+    a = (p.src_ip, p.src_port)
+    b = (p.dst_ip, p.dst_port)
+    if a <= b:
+        return (a[0], b[0], a[1], b[1], p.protocol)
+    return (b[0], a[0], b[1], a[1], p.protocol)

@@ -174,6 +174,11 @@ class TestModelFile:
         d = model.to_dict()
         d["manifest"]["names"].append("d")
         rehash(d)
+        # the normalization keeps every column the manifest names
+        norm = d["normalization"]
+        norm["kept_names"].append("d")
+        norm["mean"].append(0.0)
+        norm["std"].append(1.0)
         back = TrainedModel.from_dict(d)
         wide = np.hstack([X, np.zeros((60, 1))])
         assert np.array_equal(back.score(wide), model.score(X))
@@ -224,6 +229,13 @@ class TestModelFile:
         ("ee", lambda d: d.pop("seed")),
         ("ee", lambda d: d["manifest"].update(hash="abc123")),
         ("ee", lambda d: d["manifest"].update(mode="uni_flow")),
+        ("ee", lambda d: rehash(d, names=["a", "b", "z"])),
+        ("ee", lambda d: d["normalization"].update(
+            mean=d["normalization"]["mean"][:-1])),
+        ("ee", lambda d: d["normalization"].update(
+            std=d["normalization"]["std"] + [1.0])),
+        ("ee", lambda d: d["normalization"].update(
+            mean=[d["normalization"]["mean"]])),
     ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
             "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
             "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
@@ -233,7 +245,8 @@ class TestModelFile:
             "if-splits-past-manifest", "if-trees-fraction", "target-fpr-1.5",
             "seed-negative", "no-normalization", "normalization-null",
             "no-target-fpr", "no-seed", "hash-differs",
-            "mode-not-hashed"])
+            "mode-not-hashed", "name-not-kept", "mean-short", "std-long",
+            "mean-2d"])
     def test_malformed_file_refused(self, tmp_path, kind, edit):
         X = np.random.default_rng(12).normal(size=(60, 3))
         model, _ = self.roundtrip(tmp_path, kind, X)

@@ -13,8 +13,8 @@ import pytest
 from netwarden import pcap
 from netwarden.cli import main
 from netwarden.errors import ConfigInvalid
-from netwarden.features import FeatureMatrix, read_matrix_csv, \
-    write_matrix_csv
+from netwarden.features import FeatureMatrix, manifest_hash, \
+    read_matrix_csv, write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
 from netwarden.cli import _SETTINGS, _scenario_from_dict
 from netwarden.detectors import DETECTOR_CLASSES
@@ -526,6 +526,25 @@ class TestConfigAndErrors:
                    "--out", str(tmp_path / "scores.csv")) == 2
         err = capsys.readouterr().err
         assert json.loads(err[len("error: "):])["code"] == "malformed_model"
+
+    def test_manifest_name_the_normalization_lacks(self, tmp_path, capsys):
+        # regression: a manifest naming a column the normalization does not
+        # keep (hash re-computed) loaded, and scoring died with a
+        # "tuple.index(x): x not in tuple" ValueError traceback
+        X = FeatureMatrix(np.random.default_rng(3).normal(size=(80, 3)),
+                          ("a", "b", "c"), "packet")
+        write_matrix_csv(X, str(tmp_path / "x.csv"))
+        d = train_model(X, kind="ee").to_dict()
+        d["manifest"]["names"] = ["a", "b", "z"]
+        d["manifest"]["hash"] = manifest_hash("packet", ["a", "b", "z"])
+        (tmp_path / "renamed.json").write_text(json.dumps(d))
+        assert run("score", "--model", str(tmp_path / "renamed.json"),
+                   "--in", str(tmp_path / "x.csv"),
+                   "--out", str(tmp_path / "scores.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert json.loads(err[len("error: "):])["code"] == "malformed_model"
+        assert not (tmp_path / "scores.csv").exists()
 
     @pytest.mark.parametrize("scenario, code", [
         ('{"duration": NaN}', "invalid_spec"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from netwarden.flows import (
     FlowMeter,
     MeterConfig,
     UNIDIRECTIONAL,
-    flow_key_of,
     meter,
 )
 from netwarden.pipeline import extract_matrix
 
 from conftest import build_global_header, build_record, golden_syn_frame
+from oracles import flow_key_of_oracle
 
 
 def pkt(ts, src="10.0.0.1", dst="10.0.0.2", sport=5000, dport=80, proto=6,
@@ -60,27 +62,56 @@ class TestMeterSettings:
         assert X.n == 1
 
 
+def metered_key(p, mode):
+    """The key of the one flow that metering p alone gives."""
+    rec, = meter([p], MeterConfig(direction_mode=mode))
+    return rec.key
+
+
 class TestFlowKey:
     def test_bidirectional_direction_insensitive(self):
         a = pkt(0.0)
         b = rev(a, ts=0.1)
-        assert flow_key_of(a, BIDIRECTIONAL) == flow_key_of(b, BIDIRECTIONAL)
+        assert metered_key(a, BIDIRECTIONAL) == metered_key(b, BIDIRECTIONAL)
 
     def test_unidirectional_distinct(self):
         a = pkt(0.0)
         b = rev(a, ts=0.1)
-        assert flow_key_of(a, UNIDIRECTIONAL) != flow_key_of(b,
+        assert metered_key(a, UNIDIRECTIONAL) != metered_key(b,
                                                              UNIDIRECTIONAL)
 
     def test_icmp_ports_zero(self):
         p = pkt(0.0, proto=1, sport=0, dport=0)
-        key = flow_key_of(p, UNIDIRECTIONAL)
+        key = metered_key(p, UNIDIRECTIONAL)
         assert key.src_port == 0 and key.dst_port == 0
         assert key.protocol == 1
 
     def test_pure_function(self):
         p = pkt(0.0)
-        assert flow_key_of(p, BIDIRECTIONAL) == flow_key_of(p, BIDIRECTIONAL)
+        assert metered_key(p, BIDIRECTIONAL) == metered_key(p, BIDIRECTIONAL)
+
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    @pytest.mark.parametrize("tw", [None, 1.0])
+    def test_every_key_is_its_first_packets(self, mode, tw):
+        """Each emitted record's key is the oracle's key of the packet that
+        opened it, on the fuzzed streams; in half of them every third
+        packet goes from a host to itself (the bidirectional tie, broken
+        on ports)."""
+        for seed in range(30):
+            ps = random_stream(np.random.default_rng(seed))
+            if seed % 2:
+                ps = [dataclasses.replace(p, dst_ip=p.src_ip) if i % 3 == 0
+                      else p for i, p in enumerate(ps)]
+            first = {p.ts: p for p in ps}
+            assert len(first) == len(ps)  # a record's first_ts names it
+            recs = list(meter(ps, MeterConfig(direction_mode=mode,
+                                              tw_seconds=tw,
+                                              idle_timeout=5.0)))
+            assert recs
+            for rec in recs:
+                assert type(rec.key) is flows.FlowKey
+                assert rec.key == flow_key_of_oracle(first[rec.first_ts],
+                                                     mode)
 
 
 class TestMeterBasics:
@@ -290,6 +321,12 @@ class TestAccumulators:
         assert counts[1] == 2  # syn
         assert counts[4] == 5  # ack
         assert counts[0] == 1  # fin
+
+    def test_flag_counts_of_every_flag_byte(self):
+        for flags in range(256):
+            rec, = meter([pkt(0.0, flags=flags)], MeterConfig())
+            assert rec.fwd.flag_counts == [flags >> bit & 1
+                                           for bit in range(8)], flags
 
     def test_init_window_first_seen(self):
         ps = [pkt(0.0, window=100), pkt(0.1, window=999)]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from netwarden import pcap
+from netwarden import pcap, synth
 from netwarden.errors import (
     BadMagic,
     FragmentContinuation,
@@ -22,10 +22,18 @@ from conftest import (
     golden_syn_frame,
     golden_udp_frame,
     ipv4_header,
+    small_mixed,
     tcp_header,
     udp_header,
 )
-from oracles import encode_frame_oracle
+from oracles import decode_frame_oracle, encode_frame_oracle
+
+
+def _ipv6_header(payload_length, next_header, hop_limit=61) -> bytes:
+    return struct.pack("!IHBB16s16s", 0x60000000, payload_length,
+                       next_header, hop_limit,
+                       b"\x20\x01\x0d\xb8" + b"\x00" * 12,
+                       b"\x20\x01\x0d\xb8" + b"\x00" * 11 + b"\x01")
 
 
 class TestDecodeFrame:
@@ -89,8 +97,9 @@ class TestDecodeFrame:
     def test_fragment_continuation(self):
         frame = eth_header() + ipv4_header(100, 17, frag_field=0x0005) \
             + b"\x00" * 80
-        with pytest.raises(FragmentContinuation):
+        with pytest.raises(FragmentContinuation) as exc:
             pcap.decode_frame(frame, pcap.LINKTYPE_ETHERNET)
+        assert exc.value.byte_count == 80
 
     def test_first_fragment_decodes(self):
         # MF set, offset 0: the L4 header is present
@@ -130,10 +139,8 @@ class TestDecodeFrame:
 
     def test_ipv6_tcp(self):
         payload = tcp_header()
-        hdr = struct.pack("!IHBB16s16s", 0x60000000, len(payload), 6, 61,
-                          b"\x20\x01\x0d\xb8" + b"\x00" * 12,
-                          b"\x20\x01\x0d\xb8" + b"\x00" * 11 + b"\x01")
-        rec = pcap.decode_frame(eth_header(0x86DD) + hdr + payload,
+        rec = pcap.decode_frame(eth_header(0x86DD)
+                                + _ipv6_header(len(payload), 6) + payload,
                                 pcap.LINKTYPE_ETHERNET)
         assert rec.protocol == 6
         assert rec.ip_header_len == 40
@@ -153,6 +160,102 @@ class TestDecodeFrame:
         with pytest.raises(MalformedHeader):
             pcap.decode_frame(memoryview(syn_frame)[:40],
                               pcap.LINKTYPE_ETHERNET)
+
+
+def _ipv6_extension_frame() -> bytes:
+    """Hop-by-hop, then destination options, then a first fragment, then
+    UDP."""
+    exts = struct.pack("!BB6x", 60, 0) + struct.pack("!BB6x", 44, 0) \
+        + struct.pack("!BxHI", 17, 0x0001, 7)
+    return eth_header(0x86DD) + _ipv6_header(len(exts) + 8, 0) + exts \
+        + udp_header()
+
+
+# (name, frame, link type): one frame of each header layout the decoder
+# reads
+GOLDEN_FRAMES = (
+    ("syn", golden_syn_frame(), pcap.LINKTYPE_ETHERNET),
+    ("udp", golden_udp_frame(), pcap.LINKTYPE_ETHERNET),
+    ("vlan", eth_header(0x8100) + struct.pack("!HH", 0, 0x0800)
+     + ipv4_header(40, 6) + tcp_header(), pcap.LINKTYPE_ETHERNET),
+    ("ipv4-options", eth_header() + ipv4_header(44, 6, ihl=6)
+     + tcp_header(), pcap.LINKTYPE_ETHERNET),
+    ("ipv6", eth_header(0x86DD) + _ipv6_header(20, 6) + tcp_header(),
+     pcap.LINKTYPE_ETHERNET),
+    ("ipv6-extensions", _ipv6_extension_frame(), pcap.LINKTYPE_ETHERNET),
+    ("raw-ip", ipv4_header(28, 17) + udp_header(), pcap.LINKTYPE_RAW_IP),
+)
+
+
+def _outcome(decode, raw, link_type):
+    """The record decoding gives, or the class, message and byte_count of
+    what it raises."""
+    try:
+        return decode(raw, link_type, ts=7.25)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "byte_count", None)
+
+
+def _assert_decodes_as_oracle(raw, link_type):
+    """Returns the outcome of decoding raw."""
+    for frame in (memoryview(raw), raw):  # the reader passes memoryviews
+        outcome = _outcome(pcap.decode_frame, frame, link_type)
+        assert outcome == _outcome(decode_frame_oracle, frame, link_type), \
+            bytes(raw).hex()
+    return outcome
+
+
+class TestDecodeMatchesOracle:
+    """decode_frame gives the record the byte-by-byte decoder gives, or
+    raises the same exception class with the same message and
+    byte_count."""
+
+    def test_every_corpus_frame(self, tmp_path):
+        synth.generate_corpus(small_mixed(seed=8), str(tmp_path / "c.pcap"),
+                              str(tmp_path / "c.labels.csv"))
+        frames = [bytes(raw) for _, raw, _ in
+                  pcap.iter_raw_frames(str(tmp_path / "c.pcap"))]
+        assert len(frames) > 1000
+        for raw in frames:
+            _assert_decodes_as_oracle(raw, pcap.LINKTYPE_ETHERNET)
+            # the same packet without its Ethernet header
+            _assert_decodes_as_oracle(raw[14:], pcap.LINKTYPE_RAW_IP)
+
+    @pytest.mark.parametrize("name, raw, link_type", GOLDEN_FRAMES,
+                             ids=[g[0] for g in GOLDEN_FRAMES])
+    def test_every_truncation(self, name, raw, link_type):
+        assert isinstance(pcap.decode_frame(raw, link_type), pcap.PacketRecord)
+        for n in range(len(raw) + 1):
+            _assert_decodes_as_oracle(raw[:n], link_type)
+
+    @pytest.mark.parametrize("name, raw, link_type", GOLDEN_FRAMES,
+                             ids=[g[0] for g in GOLDEN_FRAMES])
+    def test_random_header_mutations(self, name, raw, link_type):
+        # 1,500 a frame, 10,500 in all; every golden frame is all header
+        rng = np.random.default_rng(sum(raw))
+        outcomes = set()
+        for _ in range(1500):
+            frame = bytearray(raw)
+            for pos in rng.integers(0, len(raw), size=rng.integers(1, 4)):
+                frame[pos] = int(rng.integers(0, 256))
+            if rng.random() < 0.2:
+                frame += bytes(int(rng.integers(1, 40)))
+            outcome = _assert_decodes_as_oracle(bytes(frame), link_type)
+            outcomes.add(outcome[0] if isinstance(outcome, tuple)
+                         else pcap.PacketRecord)
+        # the mutations reach records and more than one refusal
+        assert pcap.PacketRecord in outcomes and len(outcomes) >= 3
+
+    @pytest.mark.parametrize("position", range(8))
+    def test_every_address_octet(self, position):
+        # each value of each source and destination octet
+        base = bytearray(golden_udp_frame())
+        for value in range(256):
+            base[26 + position] = value
+            rec = pcap.decode_frame(bytes(base), pcap.LINKTYPE_ETHERNET)
+            assert rec.src_ip == "%d.%d.%d.%d" % tuple(base[26:30])
+            assert rec.dst_ip == "%d.%d.%d.%d" % tuple(base[30:34])
+            _assert_decodes_as_oracle(bytes(base), pcap.LINKTYPE_ETHERNET)
 
 
 class TestCaptureReader:
@@ -434,9 +537,30 @@ class TestWriteRefusesWhatWouldNotReadBack:
         (1, _record(30.0, l4=12)),
         (1, _record(30.0, l4=22)),
         (1, _record(30.0, l4=64)),
+        # a UDP header is always written with 8 bytes: 20 read back as 8
+        # with total_len 12 shorter
+        (1, _record(30.0, protocol=17, l4=20)),
+        (1, _record(30.0, protocol=1, l4=0, payload=56)),
+        (1, _record(30.0, src="2001:db8::1", dst="2001:db8::2",
+                    protocol=58, ip=40, l4=16)),
+        # no L4 header is written for other protocols
+        (1, _record(30.0, protocol=47, l4=8)),
+        # IPv4 lengths the IHL cannot carry
+        (1, _record(30.0, ip=16)),
+        (1, _record(30.0, ip=22)),
+        (1, _record(30.0, ip=64)),
+        # IPv6 padding: 48 read back as 40, with ports 0 and 8 more
+        # payload bytes
+        (1, _record(30.0, src="2001:db8::1", dst="2001:db8::2",
+                    protocol=17, ip=48, l4=8)),
+        (101, _record(30.0, link=0, src="2001:db8::1", dst="2001:db8::2",
+                      ip=20)),
     ], ids=["ipv4-to-ipv6", "ipv6-to-ipv4", "ethernet-in-raw-ip-file",
             "raw-ip-in-ethernet-file", "link-header-18", "tcp-header-12",
-            "tcp-header-22", "tcp-header-64"])
+            "tcp-header-22", "tcp-header-64", "udp-header-20",
+            "icmp-header-0", "icmpv6-header-16", "gre-header-8",
+            "ipv4-header-16", "ipv4-header-22", "ipv4-header-64",
+            "ipv6-header-48", "ipv6-header-20"])
     def test_refused_after_the_good_records(self, tmp_path, link_type, bad):
         good = BRANCH_RECORDS[1] if link_type == 1 else RAW_IP_RECORDS[0]
         path = tmp_path / "bad.pcap"
@@ -454,6 +578,13 @@ class TestWriteRefusesWhatWouldNotReadBack:
     def test_tcp_header_lengths_read_back(self, tmp_path, l4):
         rec = _record(30.0, l4=l4)
         path = tmp_path / "tcp.pcap"
+        pcap.write_pcap([rec], str(path))
+        assert list(pcap.open_capture(str(path))) == [rec]
+
+    @pytest.mark.parametrize("ip", [20, 24, 40, 60])
+    def test_ipv4_header_lengths_read_back(self, tmp_path, ip):
+        rec = _record(30.0, protocol=17, ip=ip, l4=8)
+        path = tmp_path / "ipv4.pcap"
         pcap.write_pcap([rec], str(path))
         assert list(pcap.open_capture(str(path))) == [rec]
 

@@ -11,21 +11,7 @@ from netwarden.evaluation import LabelIndex, read_label_file
 from netwarden.flows import MeterConfig, meter
 from netwarden.synth import ScenarioSpec
 
-
-def small_mixed(seed=0):
-    spec = ScenarioSpec(duration=60.0, devices=4, seed=seed)
-    spec.scan.enabled = True
-    spec.scan.start = 5.0
-    spec.scan.targets = 100
-    spec.download.enabled = True
-    spec.download.start = 20.0
-    spec.c2.enabled = True
-    spec.heartbeat.enabled = True
-    spec.ddos.enabled = True
-    spec.ddos.start = 40.0
-    spec.ddos.duration = 1.0
-    spec.ddos.rate = 500.0
-    return spec
+from conftest import small_mixed
 
 
 class TestGenerate:
