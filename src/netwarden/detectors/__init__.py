@@ -91,8 +91,8 @@ def default_search_space(kind: str, d: int) -> dict:
         return {"nu": ("uniform", 0.02, 0.3),
                 "gamma": ("loguniform", 0.1 / max(d, 1), 10.0 / max(d, 1))}
     if kind == "ae":
-        return {"learning_rate": ("loguniform", 8e-4, 8e-2),
-                "epochs": ("choice", [50, 100]),
+        return {"learning_rate": ("loguniform", 3e-4, 5e-3),
+                "epochs": ("choice", [20, 30, 50]),
                 "batch_size": ("choice", [256, 512])}
     raise ValueError("unknown detector kind %r" % kind)
 

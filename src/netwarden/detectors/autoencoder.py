@@ -1,11 +1,11 @@
 """Symmetric MLP autoencoder scored by squared reconstruction error.
 
-tanh hidden layers, linear output, trained with seeded mini-batch
-gradient descent on mean squared reconstruction. The default step is the
-one tuned for 32-row batches scaled linearly to 256-row batches (Goyal
-et al., "Accurate, Large Minibatch SGD", 2017). Anomaly score is
-E(x) = ||x - x_hat||^2. Backpropagation is implemented directly so the
-analytic gradients can be checked against central finite differences.
+tanh hidden layers, linear output, trained on mean squared reconstruction
+with seeded mini-batch Adam (Kingma & Ba, "Adam: A Method for Stochastic
+Optimization", ICLR 2015): 30 epochs of it reach a lower loss than 100 of
+plain gradient descent did. Anomaly score is E(x) = ||x - x_hat||^2.
+Backpropagation is implemented directly so the analytic gradients can be
+checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from ..errors import DivergedLoss, EmptyTraining, MalformedModel
 from ..settings import SEED, Declared, Setting
 
 _WIDTH = Setting(int, 1, "[1, inf)")  # one layer's width
+# Adam's moment decay rates and denominator floor, as in Kingma & Ba
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def default_layer_sizes(d: int) -> list[int]:
@@ -41,8 +43,8 @@ def _checked_layers(sizes) -> list[int] | None:
 
 class Autoencoder(Declared):
     kind = "ae"
-    PARAMS = {"epochs": Setting(int, 100, "[0, inf)"),
-              "learning_rate": Setting(float, 8e-3, "(0, inf)"),
+    PARAMS = {"epochs": Setting(int, 30, "[0, inf)"),
+              "learning_rate": Setting(float, 1.5e-3, "(0, inf)"),
               "batch_size": Setting(int, 256, "[1, inf)"),
               "seed": SEED}
 
@@ -118,11 +120,13 @@ class Autoencoder(Declared):
         self._init_params(sizes, rng)
         P = self.params
         G = np.empty_like(P)
+        m, v = np.zeros_like(P), np.zeros_like(P)  # Adam's moments
         grads_w, grads_b = self._gradient_views(G)
         n = X.shape[0]
         bs = min(self.batch_size, n)
         lr = self.learning_rate
         self.loss_history = []
+        t = 0
         for epoch in range(self.epochs):
             shuffled = X[rng.permutation(n)]
             epoch_loss = 0.0
@@ -133,7 +137,13 @@ class Autoencoder(Declared):
                     raise DivergedLoss(
                         "non-finite loss %r at epoch %d (lr=%g); reduce the "
                         "learning rate" % (loss, epoch, lr))
-                P -= lr * G
+                t += 1
+                m *= BETA1
+                m += (1.0 - BETA1) * G
+                v *= BETA2
+                v += (1.0 - BETA2) * (G * G)
+                P -= lr * (m / (1.0 - BETA1 ** t)) / (
+                    np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
                 epoch_loss += loss * batch.shape[0]
             self.loss_history.append(epoch_loss / n)
         return self
@@ -145,8 +155,10 @@ class Autoencoder(Declared):
                                                       dtype=np.float64)))[-1]
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """Squared reconstruction error per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        """Squared reconstruction error per row. A row scores the same
+        whatever its memory layout: BLAS may round a strided row
+        differently, so the input is copied to C order first."""
+        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         diff = self.reconstruct(X) - X
         return np.einsum("ij,ij->i", diff, diff)
 

@@ -318,10 +318,11 @@ def mahalanobis_oracle(x, mu, cov) -> float:
 
 
 # --- autoencoder training ---------------------------------------------------
-# The loop the autoencoder was first trained with: separate weight and bias
+# The autoencoder's training written out plainly: separate weight and bias
 # arrays, each batch gathered from the shuffled order on its own, and one
-# update per array. Autoencoder.fit must give the same weights, biases and
-# loss history bit for bit at the same hyperparameters.
+# bias-corrected Adam update per array with that array's own moments.
+# Autoencoder.fit must give the same weights, biases and loss history bit
+# for bit at the same hyperparameters.
 
 def _ae_loss_and_grads(weights, biases, X):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +348,8 @@ def _ae_loss_and_grads(weights, biases, X):
 
 def autoencoder_fit_oracle(X, sizes, epochs, learning_rate, batch_size,
                            seed):
-    """(weights, biases, loss_history) of per-batch mini-batch descent."""
+    """(weights, biases, loss_history) of per-batch, per-array Adam
+    (beta1 0.9, beta2 0.999, eps 1e-8; Kingma & Ba, Algorithm 1)."""
     X = np.asarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -355,9 +357,13 @@ def autoencoder_fit_oracle(X, sizes, epochs, learning_rate, batch_size,
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
+    arrays = weights + biases
+    first = [np.zeros_like(a) for a in arrays]
+    second = [np.zeros_like(a) for a in arrays]
     n = X.shape[0]
     bs = min(batch_size, n)
     history = []
+    t = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -365,9 +371,13 @@ def autoencoder_fit_oracle(X, sizes, epochs, learning_rate, batch_size,
         for s in range(0, n, bs):
             batch = X[order[s:s + bs]]
             loss, gw, gb = _ae_loss_and_grads(weights, biases, batch)
-            for li in range(len(weights)):
-                weights[li] -= learning_rate * gw[li]
-                biases[li] -= learning_rate * gb[li]
+            t += 1
+            for a, g, m, v in zip(arrays, gw + gb, first, second):
+                m[...] = 0.9 * m + (1.0 - 0.9) * g
+                v[...] = 0.999 * v + (1.0 - 0.999) * (g * g)
+                m_hat = m / (1.0 - 0.9 ** t)
+                v_hat = v / (1.0 - 0.999 ** t)
+                a -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             epoch_loss += loss * batch.shape[0]
             seen += batch.shape[0]
         history.append(epoch_loss / seen)

@@ -96,9 +96,11 @@ class TestTraining:
             assert np.array_equal(wa, wb)
 
     def test_diverged_loss_raises(self):
+        # Adam moves each weight by about the step at most, so only a step
+        # that overflows the reconstruction makes the loss non-finite
         X = rank1_manifold(n=50) * 100.0
         with pytest.raises(DivergedLoss):
-            Autoencoder(epochs=500, learning_rate=50.0, seed=0).fit(X)
+            Autoencoder(epochs=5, learning_rate=1e200, seed=0).fit(X)
 
     def test_empty_training(self):
         with pytest.raises(EmptyTraining):
@@ -119,16 +121,17 @@ def as_bits(arrays):
 
 class TestFitOracle:
     """fit gathers each epoch's order once and updates one flat parameter
-    vector; the per-batch, per-array loop must give the same bits."""
+    vector and one flat vector per Adam moment; the per-batch, per-array
+    loop must give the same bits."""
 
     @pytest.mark.parametrize("n,batch_size,learning_rate,order", [
-        (512, 32, 1e-3, "C"),     # the former defaults, whole batches
-        (1024, 256, 8e-3, "C"),   # the defaults, whole batches
-        (1000, 256, 8e-3, "C"),   # ragged last batch of 232 rows
-        (601, 32, 1e-3, "C"),     # ragged last batch of 25 rows
-        (100, 256, 8e-3, "C"),    # fewer rows than one batch
+        (1024, 256, 1.5e-3, "C"),  # the defaults, whole batches
+        (1000, 256, 1.5e-3, "C"),  # ragged last batch of 232 rows
+        (512, 32, 1e-3, "C"),      # 32-row batches
+        (601, 32, 1e-3, "C"),      # ragged last batch of 25 rows
+        (100, 256, 8e-3, "C"),     # fewer rows than one batch, large step
         # a projected matrix (values[:, cols]) comes out Fortran-ordered
-        (300, 256, 8e-3, "F"),
+        (300, 256, 1.5e-3, "F"),
     ])
     def test_matches_per_batch_loop(self, n, batch_size, learning_rate,
                                     order):
@@ -152,21 +155,41 @@ class TestFitOracle:
                                                       [14, 15, 16]]
 
 
+class TestScoreLayout:
+    def test_strided_row_scores_as_its_contiguous_copy(self):
+        # the projection's column gather returns a Fortran-ordered matrix,
+        # so each of its rows is strided; scored as such, 35 of these 200
+        # rows differed from their copies in the last bits
+        X = rank1_manifold(n=200, d=10, seed=6)
+        model = Autoencoder(epochs=3, seed=2).fit(X)
+        F = np.asfortranarray(X)
+        for i in range(F.shape[0]):
+            want = model.score(F[i:i + 1].copy())
+            for row in (F[i:i + 1], F[i]):
+                assert not row.flags.c_contiguous
+                assert np.array_equal(*as_bits([model.score(row), want]))
+
+
+# The SGD default (100 epochs, step 8e-3) measured on `corpus_dir`, before
+# the optimizer became Adam: AUC 0.9917, benign FPR 0.0148, recall 1.0 on
+# C&C, Download, HeartBeat and Scan, 0.915 on DDoS.
+SGD_CORPUS_AUC = 0.9917
+SGD_CORPUS_RECALL = {"C&C": 1.0, "HeartBeat": 1.0, "Scan": 1.0}
+
+
 def test_default_quality_on_packet_corpus(corpus_dir):
-    """The 256-row default keeps the 32-row setting's detection quality
-    on the synthetic corpus: AUC within 0.005, benign FPR at most 0.03."""
+    """The Adam default keeps the SGD default's detection quality on the
+    synthetic corpus: AUC within 0.005, no lower recall on C&C, HeartBeat
+    and Scan, and benign FPR at most 0.03."""
     Xtr = extract_matrix(str(corpus_dir / "train.pcap"), mode="packet")
     Xte = extract_matrix(str(corpus_dir / "test.pcap"), mode="packet",
                          labels_path=str(corpus_dir / "test.labels.csv"))
-    attack = np.asarray(Xte.labels) != "Normal"
-
-    def quality(params):
-        model = train_model(Xtr, kind="ae", params=params, seed=0)
-        scores = model.score(project_for_model(model, Xte))
-        fpr = float((scores[~attack] > model.threshold).mean())
-        return auc(scores, attack.astype(float)), fpr
-
-    default_auc, default_fpr = quality(None)
-    small_batch_auc, _ = quality({"batch_size": 32, "learning_rate": 1e-3})
-    assert default_auc >= small_batch_auc - 0.005
-    assert default_fpr <= 0.03
+    labels = np.asarray(Xte.labels)
+    attack = labels != "Normal"
+    model = train_model(Xtr, kind="ae", seed=0)
+    scores = model.score(project_for_model(model, Xte))
+    flagged = scores > model.threshold
+    assert auc(scores, attack.astype(float)) >= SGD_CORPUS_AUC - 0.005
+    for label, recall in SGD_CORPUS_RECALL.items():
+        assert flagged[labels == label].mean() >= recall, label
+    assert flagged[~attack].mean() <= 0.03
