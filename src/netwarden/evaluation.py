@@ -187,6 +187,10 @@ def write_label_file(rows: list[LabelRow], path: str) -> None:
 
 
 def read_label_file(path: str) -> list[LabelRow]:
+    """The rows of a label sidecar file, in file order. A header other
+    than LABEL_FILE_COLUMNS, or a line without eight fields or with a
+    port, protocol or window that is not a number, raises
+    LabelVocabularyMismatch naming the 1-based line."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -194,13 +198,22 @@ def read_label_file(path: str) -> list[LabelRow]:
             raise LabelVocabularyMismatch(
                 "label file columns %r do not match %r"
                 % (header, list(LABEL_FILE_COLUMNS)))
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             p = line.split(",")
-            rows.append(LabelRow(p[0], p[1], int(p[2]), int(p[3]), int(p[4]),
-                                 float(p[5]), float(p[6]), p[7]))
+            if len(p) != len(LABEL_FILE_COLUMNS):
+                raise LabelVocabularyMismatch(
+                    "label file line %d has %d fields, not %d"
+                    % (number, len(p), len(LABEL_FILE_COLUMNS)))
+            try:
+                rows.append(LabelRow(p[0], p[1], int(p[2]), int(p[3]),
+                                     int(p[4]), float(p[5]), float(p[6]),
+                                     p[7]))
+            except ValueError as exc:
+                raise LabelVocabularyMismatch(
+                    "label file line %d: %s" % (number, exc)) from None
     return rows
 
 

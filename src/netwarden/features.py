@@ -6,7 +6,9 @@ finished flow's accumulators, or one packet's header lengths, TTL,
 protocol, flags and window plus its per-flow gap and index, and returns
 the row in manifest order. No builder reads an IP address, a port
 number, an absolute timestamp or payload content; `audit_feature_access`
-records what each builder reads, so privacy is assertable.
+records what each builder reads, so privacy is assertable. The packet
+batch job builds the same packet rows column-wise (`packet_columns`),
+from the same fields only.
 """
 
 from __future__ import annotations
@@ -291,6 +293,28 @@ def _packet_row(p: PacketRecord, iat_prev: float, pkt_index: int) -> list:
     ]
 
 
+def packet_columns(total_len, pkt_index, payload_len, ip_header_len,
+                   l4_header_len, iat_prev, protocol, tcp_flags, tcp_window,
+                   ttl) -> np.ndarray:
+    """The rows `_packet_row` gives, for arrays of packets at once (flags
+    and window 0 where the packet has none)."""
+    out = np.empty((len(PACKET_MANIFEST), len(total_len)))
+    out[0] = total_len
+    out[1] = pkt_index
+    out[2] = payload_len
+    out[3] = ip_header_len
+    out[4] = l4_header_len
+    out[5] = iat_prev
+    out[6] = protocol == PROTO_TCP
+    out[7] = protocol == PROTO_UDP
+    out[8] = np.isin(protocol, _ICMP)
+    out[9] = ~np.isin(protocol, _NAMED_PROTOS)
+    out[10:18] = tcp_flags >> np.arange(8)[:, None] & 1
+    out[18] = tcp_window
+    out[19] = ttl
+    return np.ascontiguousarray(out.T)
+
+
 _ROW_BUILDERS = {
     MODE_UNI_FLOW: _uni_flow_row,
     MODE_BI_FLOW: _bi_flow_row,
@@ -327,8 +351,9 @@ class PacketContext:
     """Per-flow running state for packet-mode features.
 
     Tracks, per unidirectional 5-tuple, the previous packet timestamp and
-    the packet index within the flow. It is the only packet-mode code that
-    reads addresses, ports or timestamps.
+    the packet index within the flow. It and the 5-tuple sort of the
+    columnar batch job (`columnar.packet_matrix`) are the only
+    packet-mode code that reads addresses, ports or timestamps.
     """
 
     __slots__ = ("_state",)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from socket import inet_ntoa
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     BadMagic,
     FragmentContinuation,
@@ -259,7 +261,9 @@ class CaptureReader:
     read. Skipped frames are counted in `summary`: fragment
     continuations, non-IP and malformed frames, and frames more than
     REORDER_HORIZON behind the newest kept one. `summary` is complete
-    once iteration ends.
+    once iteration ends. The file is read, and its record headers walked,
+    once, at open; a record cut short raises TruncatedHeader only when
+    reading reaches it.
     """
 
     def __init__(self, path: str):
@@ -277,6 +281,7 @@ class CaptureReader:
             raise UnsupportedLinkType("link type %d" % network)
         self.link_type = network
         self.summary.link_type = network
+        self._table = self._walk()
 
     def _parse_magic(self) -> tuple[str, bool]:
         magic_be = struct.unpack_from(">I", self._data, 0)[0]
@@ -291,25 +296,61 @@ class CaptureReader:
             return "<", True
         raise BadMagic("0x%08x is not a PCAP magic" % magic_be)
 
+    def _walk(self) -> tuple:
+        """(timestamps, frame offsets, frame lengths) of the complete
+        records in file order, as arrays, and the TruncatedHeader of a
+        record cut short after them, or None. One pass over the record
+        headers reads each length; numpy gathers the timestamps."""
+        data = self._data
+        end = len(data)
+        caplen_at = struct.Struct(self._endian + "I").unpack_from
+        starts: list[int] = []
+        offset = GLOBAL_HEADER_LEN
+        try:
+            while offset < end:
+                starts.append(offset)
+                offset += RECORD_HEADER_LEN + caplen_at(data, offset + 8)[0]
+        except struct.error:  # the length field itself is past the end
+            pass
+        cut = None
+        if starts and starts[-1] + RECORD_HEADER_LEN > end:
+            cut = TruncatedHeader("record header past end of file")
+        elif offset > end:
+            cut = TruncatedHeader("record body past end of file")
+        if cut is not None:
+            starts.pop()
+        head = np.array(starts, dtype=np.int64)
+        words = np.frombuffer(data, dtype=np.uint8)[
+            head[:, None] + np.arange(12)].view(self._endian + "u4")
+        ts_sub = words[:, 1] // 1000 if self._ns else words[:, 1]
+        ts = words[:, 0] + ts_sub / 1e6  # as sec + sub / 1e6 in Python
+        return ts, head + RECORD_HEADER_LEN, words[:, 2].astype(np.int64), cut
+
+    def records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(timestamps, frame offsets into `data`, frame lengths) of every
+        record in file order. Raises TruncatedHeader at a record cut
+        short."""
+        ts, start, size, cut = self._table
+        if cut is not None:
+            raise cut
+        return ts, start, size
+
+    @property
+    def data(self) -> bytes:
+        """The whole file, as read once at open."""
+        return self._data
+
     def frames(self) -> Iterator[tuple[float, memoryview]]:
         """(timestamp, frame bytes) of every record in file order, not
-        decoded. Raises TruncatedHeader at a record cut short."""
+        decoded. Raises TruncatedHeader at a record cut short, after the
+        records before it."""
+        ts, start, size, cut = self._table
         data = memoryview(self._data)
-        offset = GLOBAL_HEADER_LEN
-        rec_fmt = self._endian + "IIII"
-        while offset < len(data):
-            if offset + RECORD_HEADER_LEN > len(data):
-                raise TruncatedHeader("record header past end of file")
-            ts_sec, ts_sub, caplen, _orig = struct.unpack_from(
-                rec_fmt, data, offset)
-            offset += RECORD_HEADER_LEN
-            if offset + caplen > len(data):
-                raise TruncatedHeader("record body past end of file")
-            if self._ns:
-                ts_sub //= 1000  # truncate to microseconds
-            ts = ts_sec + ts_sub / 1e6
-            yield ts, data[offset:offset + caplen]
-            offset += caplen
+        for t, a, b in zip(ts.tolist(), start.tolist(),
+                           (start + size).tolist()):
+            yield t, data[a:b]
+        if cut is not None:
+            raise cut
 
     def __iter__(self) -> Iterator[PacketRecord]:
         heap: list[tuple[float, int, PacketRecord]] = []

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+from .columnar import packet_matrix
 from .detectors import (
     TARGET_FPR,
     TrainedModel,
@@ -24,10 +25,8 @@ from .features import (
     FeatureMatrix,
     MODE_PACKET,
     MODE_TO_DIRECTION,
-    PacketContext,
     fit_normalizer,
     flow_row,
-    packet_row,
 )
 from .flows import FlowMeter, MeterConfig
 from .pcap import open_capture
@@ -47,48 +46,45 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
                    labels_path: str | None = None,
                    flow_sink=None) -> FeatureMatrix:
     """PCAP -> FeatureMatrix in the requested traffic mode, with labels
-    joined from a sidecar file when given.
+    joined from a sidecar file when given. Packet mode is built column
+    by column (`columnar.packet_matrix`); the flow modes meter the
+    capture reader's records.
 
     `flow_sink`, if set, additionally receives every raw FlowRecord (used
     for the CLI flow dump)."""
     from .evaluation import LabelIndex, read_label_file
 
     manifest = DEFAULT_MANIFESTS[mode]
-    index = LabelIndex(read_label_file(labels_path)) if labels_path else None
+    label_rows = read_label_file(labels_path) if labels_path else None
+    if mode == MODE_PACKET:
+        return packet_matrix(capture_path, label_rows)
+    index = LabelIndex(label_rows) if label_rows is not None else None
     rows = []
     labels: list[str] | None = [] if index is not None else None
     reader = open_capture(capture_path)
-    accounting = {"capture": reader.summary}
-    if mode == MODE_PACKET:
-        ctx = PacketContext()
-        for p in reader:
-            rows.append(packet_row(p, ctx, manifest))
-            if index is not None:
-                labels.append(index.label_for_packet(p))
-    else:
-        meter = FlowMeter(MeterConfig(
-            direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
-            idle_timeout=idle_timeout))
-        accounting["meter"] = meter.stats
+    meter = FlowMeter(MeterConfig(
+        direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
+        idle_timeout=idle_timeout))
 
-        def handle(rec):
-            rows.append(flow_row(rec, manifest))
-            if index is not None:
-                labels.append(index.label_for_flow(rec))
-            if flow_sink is not None:
-                flow_sink(rec)
+    def handle(rec):
+        rows.append(flow_row(rec, manifest))
+        if index is not None:
+            labels.append(index.label_for_flow(rec))
+        if flow_sink is not None:
+            flow_sink(rec)
 
-        for p in reader:
-            for rec in meter.feed(p):
-                handle(rec)
-        for rec in meter.finish():
+    for p in reader:
+        for rec in meter.feed(p):
             handle(rec)
+    for rec in meter.finish():
+        handle(rec)
     values = (np.array(rows, dtype=np.float64) if rows
               else np.empty((0, len(manifest))))
     return FeatureMatrix(values=values, names=manifest.names, mode=mode,
                          labels=labels, unmatched_labels=(
                              index.unmatched if index is not None else 0),
-                         accounting=accounting)
+                         accounting={"capture": reader.summary,
+                                     "meter": meter.stats})
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

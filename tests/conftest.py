@@ -1,13 +1,20 @@
+import os
 import struct
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from netwarden import synth
 from netwarden.synth import ScenarioSpec
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a
+# property-test failure in CI reproduces locally with the same setting
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def build_global_header(magic=0xA1B2C3D4, endian="<", link_type=1) -> bytes:

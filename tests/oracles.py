@@ -21,7 +21,10 @@ from netwarden.errors import (
     NonIP,
     UnsupportedLinkType,
 )
-from netwarden.pcap import PacketRecord
+from netwarden.evaluation import LabelIndex, read_label_file
+from netwarden.features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
+                                PacketContext, packet_row)
+from netwarden.pcap import CaptureReader, PacketRecord
 
 LRD_FLOOR = 1e-10
 
@@ -1000,3 +1003,32 @@ def flow_key_of_oracle(p, mode: str) -> tuple:
     if a <= b:
         return (a[0], b[0], a[1], b[1], p.protocol)
     return (b[0], a[0], b[1], a[1], p.protocol)
+
+
+# --- packet-mode batch job -------------------------------------------------
+#
+# The packet-mode batch job as first written: the capture reader's records
+# one at a time, each through packet_row with one PacketContext and, with
+# labels, LabelIndex.label_for_packet. It shares the one-packet path with
+# the library, which the oracles above check; the columnar
+# extract_matrix(.., "packet") must give the same values bit for bit, the
+# same labels and unmatched count and the same CaptureSummary, or raise
+# the same exception.
+
+def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
+    index = LabelIndex(read_label_file(labels_path)) if labels_path else None
+    rows = []
+    labels = [] if index is not None else None
+    reader = CaptureReader(capture_path)
+    ctx = PacketContext()
+    for p in reader:
+        rows.append(packet_row(p, ctx, PACKET_MANIFEST))
+        if index is not None:
+            labels.append(index.label_for_packet(p))
+    values = (np.array(rows, dtype=np.float64) if rows
+              else np.empty((0, len(PACKET_MANIFEST))))
+    return FeatureMatrix(values=values, names=PACKET_MANIFEST.names,
+                         mode=MODE_PACKET, labels=labels,
+                         unmatched_labels=(index.unmatched
+                                           if index is not None else 0),
+                         accounting={"capture": reader.summary})

@@ -13,6 +13,7 @@ import pytest
 from netwarden import pcap
 from netwarden.cli import main
 from netwarden.errors import ConfigInvalid
+from netwarden.evaluation import LABEL_FILE_COLUMNS
 from netwarden.features import FeatureMatrix, manifest_hash, \
     read_matrix_csv, write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
@@ -355,6 +356,22 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "bad_magic" in err
+
+    @pytest.mark.parametrize("line", ["10.0.0.1,10.0.0.2,5",
+                                      "10.0.0.1,10.0.0.2,x,6,6,0,1,Scan"])
+    def test_bad_label_line_is_machine_readable(self, capsys, tmp_path,
+                                                workdir, line):
+        labels = tmp_path / "bad.labels.csv"
+        labels.write_text(",".join(LABEL_FILE_COLUMNS) + "\n" + line + "\n")
+        code = run("extract", "--in", str(workdir / "corpus.pcap"),
+                   "--mode", "packet", "--labels", str(labels),
+                   "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        line = json.loads(err[len("error: "):])
+        assert line["code"] == "label_vocabulary_mismatch"
+        assert "line 2" in line["message"]
 
     @pytest.mark.parametrize("argv", [
         ("extract", "--tw", "abc"),

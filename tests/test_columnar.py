@@ -1,0 +1,365 @@
+"""The columnar packet-mode batch job (`extract_matrix(.., "packet")`)
+against the record-by-record job it replaces (`packet_matrix_oracle`):
+the same values bit for bit, labels, unmatched count and CaptureSummary,
+or the same exception."""
+
+import dataclasses
+import ipaddress
+import os
+import socket
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netwarden import pcap
+from netwarden.errors import TruncatedHeader
+from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
+                                  read_label_file, write_label_file)
+from netwarden.pipeline import extract_matrix
+
+from conftest import (build_global_header, eth_header, ipv4_header,
+                      tcp_header, udp_header)
+from oracles import packet_matrix_oracle
+from test_pcap import GOLDEN_FRAMES
+
+MAGICS = {(endian, ns): magic for endian in "<>" for ns, magic in
+          ((False, pcap.MAGIC_US_BE), (True, pcap.MAGIC_NS_BE))}
+V4 = (b"\x0a\x00\x00\x01", b"\x0a\x00\x00\x02", b"\xc0\x00\x02\x07")
+V6 = (b"\x20\x01\x0d\xb8" + bytes(11) + b"\x01",
+      b"\x20\x01\x0d\xb8" + bytes(11) + b"\x02")
+PORTS = (80, 5000)
+BASE_SEC = 100
+
+
+def _outcome(run):
+    try:
+        X = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return X
+
+
+def assert_same_as_oracle(capture: str, labels: str | None = None):
+    """Returns the columnar matrix, or the exception both raised."""
+    got = _outcome(lambda: extract_matrix(capture, "packet",
+                                          labels_path=labels))
+    want = _outcome(lambda: packet_matrix_oracle(capture, labels))
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert not isinstance(got, tuple), got
+    assert got.values.shape == want.values.shape
+    assert got.values.flags.c_contiguous
+    assert np.array_equal(got.values.view(np.uint64),
+                          want.values.view(np.uint64))
+    assert got.names == want.names and got.mode == want.mode
+    assert got.labels == want.labels
+    assert got.unmatched_labels == want.unmatched_labels
+    assert dataclasses.asdict(got.accounting["capture"]) \
+        == dataclasses.asdict(want.accounting["capture"])
+    return got
+
+
+def write_capture(path, frames, link_type=pcap.LINKTYPE_ETHERNET,
+                  endian="<", ns=False, tail=b""):
+    """frames: (seconds, microseconds, frame bytes); a nanosecond file
+    stores each microsecond count times 1000 plus 999."""
+    body = [build_global_header(MAGICS[endian, ns], endian, link_type)]
+    for sec, usec, frame in frames:
+        sub = usec * 1000 + 999 if ns else usec
+        body.append(struct.pack(endian + "IIII", sec, sub, len(frame),
+                                len(frame)) + frame)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(body) + tail)
+
+
+# --- generated captures -----------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Flow:
+    """A 5-tuple packets of a generated capture share; IPv6 packets use
+    the IPv6 pair."""
+    src: bytes
+    dst: bytes
+    src6: bytes
+    dst6: bytes
+    sport: int
+    dport: int
+    proto: int
+
+    def label_key(self, v6: bool) -> tuple:
+        if v6:
+            src, dst = (str(ipaddress.IPv6Address(a))
+                        for a in (self.src6, self.dst6))
+        else:
+            src, dst = socket.inet_ntoa(self.src), socket.inet_ntoa(self.dst)
+        if self.proto not in (pcap.PROTO_TCP, pcap.PROTO_UDP):
+            return src, dst, 0, 0, self.proto
+        return src, dst, self.sport, self.dport, self.proto
+
+
+FLOWS = st.builds(Flow, st.sampled_from(V4), st.sampled_from(V4),
+                  st.sampled_from(V6), st.sampled_from(V6),
+                  st.sampled_from(PORTS), st.sampled_from(PORTS),
+                  st.sampled_from([6, 6, 17, 17, 1, 58, 47]))
+
+
+@st.composite
+def l4_segments(draw, flow):
+    payload = bytes(draw(st.sampled_from([0, 0, 7, 100])))
+    if flow.proto == pcap.PROTO_TCP:
+        return tcp_header(flow.sport, flow.dport,
+                          flags=draw(st.integers(0, 255)),
+                          window=draw(st.sampled_from([0, 1, 14600, 65535])),
+                          offset_words=draw(st.sampled_from([5, 5, 6, 8]))) \
+            + payload
+    if flow.proto == pcap.PROTO_UDP:
+        return udp_header(flow.sport, flow.dport, len(payload)) + payload
+    if flow.proto in (pcap.PROTO_ICMP, pcap.PROTO_ICMPV6):
+        return struct.pack("!BBHI", 8, 0, 0, 0) + payload
+    return payload
+
+
+@st.composite
+def ip_packets(draw, flow):
+    """(IP packet bytes, its ethertype): IPv4 with or without options,
+    first or continuation fragments, or IPv6 with or without extension
+    headers and fragment headers."""
+    l4 = draw(l4_segments(flow))
+    kind = draw(st.sampled_from(["v4"] * 5 + ["v6", "v6-ext"]))
+    if kind == "v4":
+        ihl = draw(st.sampled_from([5, 5, 5, 6, 7]))
+        frag = draw(st.sampled_from([0, 0, 0, 0x4000, 0x2000, 0x2000 | 3, 1]))
+        header = ipv4_header(ihl * 4 + len(l4), flow.proto, flow.src,
+                             flow.dst, ttl=draw(st.integers(1, 255)),
+                             ihl=ihl, frag_field=frag)
+        return header + l4, pcap.ETHERTYPE_IPV4
+    next_header, ext = flow.proto, b""
+    if kind == "v6-ext":
+        offset = draw(st.sampled_from([0, 0, 5]))
+        ext = struct.pack("!BB6x", 44, 0) \
+            + struct.pack("!BxHI", flow.proto, offset << 3, 7)
+        next_header = 0  # hop-by-hop, then the fragment header
+    header = struct.pack("!IHBB16s16s", 0x60000000, len(ext) + len(l4),
+                         next_header, draw(st.integers(1, 255)), flow.src6,
+                         flow.dst6)
+    return header + ext + l4, pcap.ETHERTYPE_IPV6
+
+
+@st.composite
+def frames(draw, link_type, flows):
+    golden = [raw for _, raw, link in GOLDEN_FRAMES if link == link_type]
+    if draw(st.integers(0, 5)) == 0:
+        frame = draw(st.sampled_from(golden))
+    else:
+        packet, ethertype = draw(ip_packets(draw(st.sampled_from(flows))))
+        frame = packet
+        if link_type == pcap.LINKTYPE_ETHERNET:
+            wrap = draw(st.sampled_from(["plain"] * 4
+                                        + ["vlan", "vlan-vlan", "arp"]))
+            tag = struct.pack("!HH", 0, ethertype)
+            frame = {
+                "plain": eth_header(ethertype),
+                "vlan": eth_header(0x8100) + tag,
+                "vlan-vlan": eth_header(0x8100) + struct.pack("!HH", 0,
+                                                              0x8100) + tag,
+                "arp": eth_header(0x0806),
+            }[wrap] + packet
+    damage = draw(st.sampled_from(["none"] * 5
+                                  + ["mutate", "truncate", "pad"]))
+    if damage == "mutate":  # the header mutations of test_pcap
+        frame = bytearray(frame)
+        for _ in range(draw(st.integers(1, 3))):
+            frame[draw(st.integers(0, min(len(frame), 80) - 1))] = \
+                draw(st.integers(0, 255))
+        frame = bytes(frame)
+    elif damage == "truncate":
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    elif damage == "pad":
+        frame += bytes(draw(st.integers(1, 40)))
+    return frame
+
+
+# steps between consecutive timestamps, in microseconds: ties, steps back
+# within the 1 s reorder horizon, onto it and beyond it
+STEPS = st.one_of(
+    st.sampled_from([0, 0, 1, 250_000, 999_999, 1_000_000, 1_000_001,
+                     -1, -400_000, -999_999, -1_000_000, -1_000_001,
+                     -3_000_000]),
+    st.integers(-2_000_000, 3_000_000))
+
+# strings no decoded packet carries: non-canonical spellings, an invalid
+# address, an IPv4-mapped IPv6 address
+ODD_ADDRESSES = ("010.0.0.1", "2001:db8:0:0::1", "10.0.0.300",
+                 "::ffff:10.0.0.1")
+
+
+@st.composite
+def label_rows(draw, flows):
+    """Rows mostly of the capture's flows, some with an odd address or
+    with a port or protocol out of a header field's range, windows
+    overlapping, empty or inverted."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        key = list(draw(st.sampled_from(flows)).label_key(draw(st.booleans())))
+        if draw(st.integers(0, 5)) == 0:
+            field = draw(st.integers(0, 4))
+            key[field] = draw(st.sampled_from(
+                ODD_ADDRESSES if field < 2 else (-1, 70000, 300)))
+        start = BASE_SEC + draw(st.floats(-1.0, 12.0))
+        rows.append(LabelRow(*key, start, start + draw(st.floats(-1.0, 6.0)),
+                             draw(st.sampled_from(LABEL_VOCABULARY))))
+    return rows
+
+
+@st.composite
+def captures(draw):
+    """(frames, link type, endian, nanosecond file, cut last record,
+    label rows or None)."""
+    link_type = draw(st.sampled_from(pcap.SUPPORTED_LINK_TYPES))
+    flows = draw(st.lists(FLOWS, min_size=1, max_size=4))
+    us = BASE_SEC * 1_000_000
+    records = []
+    for _ in range(draw(st.integers(0, 40))):
+        us = max(us + draw(STEPS), 0)
+        records.append((us // 1_000_000, us % 1_000_000,
+                        draw(frames(link_type, flows))))
+    tail = draw(st.sampled_from([b""] * 8 + [
+        b"\x01\x02\x03", struct.pack("<IIII", BASE_SEC, 0, 60, 60)
+        + bytes(20)]))
+    labels = draw(st.one_of(st.none(), label_rows(flows)))
+    return (records, link_type, draw(st.sampled_from("<>")),
+            draw(st.booleans()), tail, labels)
+
+
+class TestMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(captures())
+    def test_generated_captures(self, capture):
+        records, link_type, endian, ns, tail, rows = capture
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.pcap")
+            write_capture(path, records, link_type, endian, ns, tail)
+            labels = None
+            if rows is not None:
+                labels = os.path.join(d, "c.labels.csv")
+                write_label_file(rows, labels)
+            assert_same_as_oracle(path, labels)
+
+    @pytest.mark.parametrize("capture", ["train", "test"])
+    def test_corpus(self, corpus_dir, capture):
+        X = assert_same_as_oracle(str(corpus_dir / (capture + ".pcap")),
+                                  str(corpus_dir / (capture
+                                                    + ".labels.csv")))
+        assert X.n > 1000 and X.unmatched_labels == 0
+
+    def test_every_golden_frame_layout(self, tmp_path):
+        for name, raw, link_type in GOLDEN_FRAMES:
+            path = str(tmp_path / ("%s.pcap" % name))
+            write_capture(path, [(BASE_SEC, i, raw) for i in range(3)],
+                          link_type)
+            X = assert_same_as_oracle(path)
+            assert X.n == 3 and list(X.values[:, 1]) == [1, 2, 3], name
+
+    @pytest.mark.parametrize("endian", "<>")
+    @pytest.mark.parametrize("ns", [False, True])
+    def test_all_four_magics(self, tmp_path, endian, ns):
+        raw = GOLDEN_FRAMES[0][1]
+        path = str(tmp_path / "m.pcap")
+        write_capture(path, [(7, 123456, raw), (7, 123457, raw)],
+                      endian=endian, ns=ns)
+        X = assert_same_as_oracle(path)
+        assert X.values[1, 5] == (7 + 123457 / 1e6) - (7 + 123456 / 1e6)
+
+    def test_reorder_horizon(self, tmp_path):
+        raw = GOLDEN_FRAMES[0][1]
+        # 10.0 kept; 9.5 kept (re-sequenced); 9.0 on the horizon, kept;
+        # 8.9 beyond it, dropped; 10.0 again ties the first
+        stamps = [(10, 0), (9, 500_000), (9, 0), (8, 900_000), (10, 0)]
+        path = str(tmp_path / "r.pcap")
+        write_capture(path, [(s, u, raw) for s, u in stamps])
+        X = assert_same_as_oracle(path)
+        assert X.accounting["capture"].dropped_late == 1
+        assert list(X.values[:, 5]) == [0.0, 0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("tail", [b"\x00" * 15,
+                                      struct.pack("<IIII", 1, 0, 99, 99)])
+    def test_cut_record_raises_as_the_oracle(self, tmp_path, tail):
+        path = str(tmp_path / "t.pcap")
+        write_capture(path, [(1, 0, GOLDEN_FRAMES[0][1])], tail=tail)
+        assert assert_same_as_oracle(path)[0] is TruncatedHeader
+
+    def test_empty_capture(self, tmp_path):
+        path = str(tmp_path / "e.pcap")
+        write_capture(path, [])
+        X = assert_same_as_oracle(path)
+        assert X.values.shape == (0, len(X.names))
+
+    def test_label_rows_of_one_key_in_file_order(self, tmp_path):
+        raw = GOLDEN_FRAMES[0][1]  # 10.0.0.1:5000 -> 10.0.0.2:80, TCP
+        path = str(tmp_path / "l.pcap")
+        write_capture(path, [(BASE_SEC, 0, raw), (BASE_SEC + 3, 0, raw),
+                             (BASE_SEC + 9, 0, raw)])
+        key = ("10.0.0.1", "10.0.0.2", 5000, 80, 6)
+        rows = [LabelRow(*key, BASE_SEC + 2, BASE_SEC + 4, "Scan"),
+                LabelRow(*key, BASE_SEC - 1, BASE_SEC + 5, "DDoS"),
+                LabelRow(*key, BASE_SEC + 2, BASE_SEC + 4, "C&C"),
+                LabelRow("010.0.0.1", *key[1:], BASE_SEC, BASE_SEC + 10,
+                         "Attack")]
+        labels = str(tmp_path / "l.labels.csv")
+        write_label_file(rows, labels)
+        X = assert_same_as_oracle(path, labels)
+        assert X.labels == ["DDoS", "Scan", "Normal"]
+        assert X.unmatched_labels == 1
+
+
+# --- privacy ----------------------------------------------------------------
+
+def _remapped_capture(data: bytes, address, port) -> bytes:
+    """The capture with every IPv4 address and TCP / UDP port of its
+    Ethernet frames mapped through `address` and `port`."""
+    out = bytearray(data)
+    offset = pcap.GLOBAL_HEADER_LEN
+    while offset < len(out):
+        caplen = struct.unpack_from("<I", out, offset + 8)[0]
+        ip = offset + pcap.RECORD_HEADER_LEN + 14
+        for at in (ip + 12, ip + 16):
+            out[at:at + 4] = address(bytes(out[at:at + 4]))
+        if out[ip + 9] in (pcap.PROTO_TCP, pcap.PROTO_UDP):
+            l4 = ip + (out[ip] & 0x0F) * 4
+            for at in (l4, l4 + 2):
+                value = struct.unpack_from("!H", out, at)[0]
+                struct.pack_into("!H", out, at, port(value))
+        offset += pcap.RECORD_HEADER_LEN + caplen
+    return bytes(out)
+
+
+def test_bijective_remap_of_addresses_and_ports(corpus_dir, tmp_path):
+    """The columnar job reads addresses and ports only to tell flows
+    apart: renaming every one by a bijection leaves the matrix and the
+    labels bit-identical."""
+    address = lambda b: bytes(x ^ 0x5A for x in b)
+    port = lambda p: (p * 40503 + 7) & 0xFFFF  # odd factor: a bijection
+    dotted = lambda text: ".".join(str(int(x) ^ 0x5A)
+                                   for x in text.split("."))
+    source = corpus_dir / "test.pcap"
+    renamed = tmp_path / "renamed.pcap"
+    renamed.write_bytes(_remapped_capture(source.read_bytes(), address,
+                                          port))
+    assert renamed.read_bytes() != source.read_bytes()
+    rows = read_label_file(str(corpus_dir / "test.labels.csv"))
+    remap = lambda r: dataclasses.replace(
+        r, src_ip=dotted(r.src_ip), dst_ip=dotted(r.dst_ip),
+        src_port=port(r.src_port) if r.protocol in (6, 17) else r.src_port,
+        dst_port=port(r.dst_port) if r.protocol in (6, 17) else r.dst_port)
+    write_label_file([remap(r) for r in rows], str(tmp_path / "r.csv"))
+    before = extract_matrix(str(source), "packet",
+                            labels_path=str(corpus_dir / "test.labels.csv"))
+    after = extract_matrix(str(renamed), "packet",
+                           labels_path=str(tmp_path / "r.csv"))
+    assert before.values.tobytes() == after.values.tobytes()
+    assert before.labels == after.labels and after.unmatched_labels == 0
+    assert len(set(before.labels)) > 3

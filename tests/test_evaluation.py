@@ -203,6 +203,24 @@ class TestLabelFiles:
         with pytest.raises(LabelVocabularyMismatch):
             ev.read_label_file(str(path))
 
+    @pytest.mark.parametrize("line, problem", [
+        ("10.0.0.1,10.0.0.2,5,6,6,0.0,10.0", "has 7 fields, not 8"),
+        ("10.0.0.1,10.0.0.2,5,6,6,0.0,10.0,Scan,x", "has 9 fields, not 8"),
+        ("10.0.0.1", "has 1 fields, not 8"),
+        ("10.0.0.1,10.0.0.2,http,6,6,0.0,10.0,Scan", "invalid literal"),
+        ("10.0.0.1,10.0.0.2,5,6,tcp,0.0,10.0,Scan", "invalid literal"),
+        ("10.0.0.1,10.0.0.2,5,6,6,0.0,later,Scan", "could not convert"),
+    ])
+    def test_bad_line_names_it(self, tmp_path, line, problem):
+        path = tmp_path / "bad.csv"
+        good = "10.0.0.1,10.0.0.2,5,6,6,0.0,10.0,Scan"
+        path.write_text(",".join(ev.LABEL_FILE_COLUMNS) + "\n" + good
+                        + "\n\n" + line + "\n")
+        with pytest.raises(LabelVocabularyMismatch) as exc:
+            ev.read_label_file(str(path))
+        assert str(exc.value).startswith("label file line 4")  # blank is 3
+        assert problem in str(exc.value)
+
     def test_packet_join(self):
         from test_flows import pkt
         idx = ev.LabelIndex(self.rows())
