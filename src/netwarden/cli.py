@@ -37,7 +37,6 @@ _SETTINGS = {  # the keys with a default, each checked in _merge
     "detector": KIND,
     "target_fpr": TARGET_FPR,
     "seed": SEED,
-    "budget": Setting(int, 0, "[0, inf)"),  # random-search trials
 }
 _PATHS = {"in": "input file", "labels": "label sidecar CSV",
           "out": "output path (or prefix)", "model": "model file path",
@@ -246,7 +245,7 @@ def cmd_train(cfg: dict) -> int:
         selected = tuple(manifest["names"])
     model = train_model(X, kind=cfg["detector"], params=cfg["params"],
                         target_fpr=cfg["target_fpr"], seed=cfg["seed"],
-                        budget=cfg["budget"], selected_names=selected)
+                        selected_names=selected)
     model.save(cfg["out"])
     print(json.dumps({"kind": model.kind, "threshold": model.threshold,
                       "features": len(model.manifest_names)},
@@ -314,8 +313,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one JSON line on stderr, as for any error
+        raise ConfigInvalid("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netwarden",
         description="Model benign IoT traffic and flag botnet activity "
                     "from packet headers only.")
@@ -334,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merge(args)
         return _COMMANDS[args.command](cfg)
     except NetwardenError as e:

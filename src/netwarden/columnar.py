@@ -132,19 +132,14 @@ def _decode_columns(buf: np.ndarray, start: np.ndarray, size: np.ndarray,
 
 
 def _label_keys(rows, address_id) -> tuple:
-    """(indices, k1, k2) of the label rows a packet can match, with the
-    keys `_keys` gives packets. A port or protocol out of its header
-    field's range matches nothing."""
-    keep = [i for i, r in enumerate(rows)
-            if 0 <= r.src_port <= 0xFFFF and 0 <= r.dst_port <= 0xFFFF
-            and 0 <= r.protocol <= 0xFF]
-    f = np.zeros((_N_FIELDS, len(keep)), dtype=np.int64)
-    f[_SRC] = [address_id(rows[i].src_ip) for i in keep]
-    f[_DST] = [address_id(rows[i].dst_ip) for i in keep]
-    f[_SPORT] = [rows[i].src_port for i in keep]
-    f[_DPORT] = [rows[i].dst_port for i in keep]
-    f[_PROTO] = [rows[i].protocol for i in keep]
-    return (np.array(keep, dtype=np.intp), *_keys(f))
+    """The label rows' keys, as `_keys` gives the packets'."""
+    f = np.zeros((_N_FIELDS, len(rows)), dtype=np.int64)
+    f[_SRC] = [address_id(r.src_ip) for r in rows]
+    f[_DST] = [address_id(r.dst_ip) for r in rows]
+    f[_SPORT] = [r.src_port for r in rows]
+    f[_DPORT] = [r.dst_port for r in rows]
+    f[_PROTO] = [r.protocol for r in rows]
+    return _keys(f)
 
 
 def _keys(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +200,8 @@ def _resequence(ts: np.ndarray, ok: np.ndarray, s) -> np.ndarray:
 
 def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
     """The packet-mode FeatureMatrix of a capture, with labels joined
-    from `label_rows` (LabelRows, in file order) when given. Raises
-    TruncatedHeader at a record cut short."""
+    from `label_rows` (as `read_label_file` gives them) when given.
+    Raises TruncatedHeader at a record cut short."""
     reader = CaptureReader(capture_path)
     ts, fields, ok, address_id = _decode(reader)
     order = _resequence(ts, ok, reader.summary)
@@ -217,7 +212,7 @@ def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
     # its label rows in file order
     k1, k2 = _keys(f)
     if label_rows is not None:
-        label_at, l1, l2 = _label_keys(label_rows, address_id)
+        l1, l2 = _label_keys(label_rows, address_id)
         k1, k2 = np.concatenate((k1, l1)), np.concatenate((k2, l2))
     perm = np.lexsort((k2, k1))
     a, b = k1[perm], k2[perm]
@@ -237,17 +232,15 @@ def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
         iat_prev, f[_PROTO], f[_FLAGS], f[_WINDOW], f[_TTL])
     labels, unmatched = None, 0
     if label_rows is not None:
-        labels, unmatched = _join_labels(label_rows, label_at, perm, n, j,
-                                         first, t)
+        labels, unmatched = _join_labels(label_rows, perm, n, j, first, t)
     return FeatureMatrix(values=values, names=PACKET_MANIFEST.names,
                          mode=MODE_PACKET, labels=labels,
                          unmatched_labels=unmatched,
                          accounting={"capture": reader.summary})
 
 
-def _join_labels(rows, label_at: np.ndarray, perm: np.ndarray, n: int,
-                 j: np.ndarray, first: np.ndarray,
-                 t: np.ndarray) -> tuple[list[str], int]:
+def _join_labels(rows, perm: np.ndarray, n: int, j: np.ndarray,
+                 first: np.ndarray, t: np.ndarray) -> tuple[list[str], int]:
     """Each packet's label: that of the first label row of its key, in
     file order, whose window holds its timestamp, else Normal (counted
     as unmatched). `perm` sorts packets (indices below n) and label rows
@@ -265,7 +258,7 @@ def _join_labels(rows, label_at: np.ndarray, perm: np.ndarray, n: int,
     pending = np.flatnonzero(count[g] > 0)
     rank = 0
     while pending.size:  # the key's rank-th label row, for each packet
-        row = label_at[perm[row_start[g[pending]] + rank] - n]
+        row = perm[row_start[g[pending]] + rank] - n
         pkt = perm[j[pending]]
         hit = (window_start[row] <= t[pkt]) & (t[pkt] <= window_end[row])
         match[pkt[hit]] = row[hit]

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (EmptySpace, MalformedModel, ManifestMismatch,
-                      TooFewScores)
+from ..errors import MalformedModel, ManifestMismatch, TooFewScores
 from ..features import NormalizationStats, manifest_hash
 from ..settings import SEED, Setting
 from .autoencoder import Autoencoder
@@ -37,8 +36,6 @@ DETECTOR_CLASSES = {
 
 MODEL_FORMAT_VERSION = 1
 
-SEARCH_FOLDS = 5  # cross-validation folds of random_search
-
 KIND = Setting(None, "osvm", choices=KINDS)  # the CLI's default is osvm
 # benign rows flagged at the calibrated threshold
 TARGET_FPR = Setting(float, 0.02, "[0, 1)")
@@ -54,8 +51,7 @@ __all__ = [
     "KINDS", "KIND", "DETECTOR_CLASSES", "TARGET_FPR", "IsolationForest",
     "EllipticEnvelope", "LocalOutlierFactor", "OneClassSVM", "Autoencoder",
     "anomaly_score_from_mean_path", "average_path_normalizer", "harmonic",
-    "calibrate_threshold", "make_detector", "default_search_space",
-    "random_search", "SearchResult", "TrainedModel",
+    "calibrate_threshold", "make_detector", "TrainedModel",
 ]
 
 
@@ -76,114 +72,6 @@ def calibrate_threshold(scores: np.ndarray, target_fpr: float) -> float:
                            % scores.size)
     target_fpr = TARGET_FPR.check("target_fpr", target_fpr)
     return float(np.quantile(scores, 1.0 - target_fpr))
-
-
-def default_search_space(kind: str, d: int) -> dict:
-    """Per-kind hyperparameter ranges for random search."""
-    if kind == "if":
-        return {"n_trees": ("choice", [50, 100, 200]),
-                "subsample_size": ("choice", [128, 256, 512])}
-    if kind == "ee":
-        return {"ridge": ("loguniform", 1e-8, 1e-2)}
-    if kind == "lof":
-        return {"k": ("randint", 5, 51)}
-    if kind == "osvm":
-        return {"nu": ("uniform", 0.02, 0.3),
-                "gamma": ("loguniform", 0.1 / max(d, 1), 10.0 / max(d, 1))}
-    if kind == "ae":
-        return {"learning_rate": ("loguniform", 3e-4, 5e-3),
-                "epochs": ("choice", [20, 30, 50]),
-                "batch_size": ("choice", [256, 512])}
-    raise ValueError("unknown detector kind %r" % kind)
-
-
-def _sample_params(space: dict, rng: np.random.Generator) -> dict:
-    params = {}
-    for name, spec in space.items():
-        tag = spec[0]
-        if tag == "uniform":
-            params[name] = float(rng.uniform(spec[1], spec[2]))
-        elif tag == "loguniform":
-            params[name] = float(np.exp(rng.uniform(np.log(spec[1]),
-                                                    np.log(spec[2]))))
-        elif tag == "randint":
-            params[name] = int(rng.integers(spec[1], spec[2]))
-        elif tag == "choice":
-            params[name] = spec[1][int(rng.integers(len(spec[1])))]
-        elif tag == "fixed":
-            params[name] = spec[1]
-        else:
-            raise ValueError("unknown space entry %r" % (spec,))
-    return params
-
-
-def _kfold_indices(n: int, seed: int):
-    order = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(SEARCH_FOLDS, n // SEARCH_FOLDS)
-    sizes[: n % SEARCH_FOLDS] += 1
-    start = 0
-    for size in sizes:
-        val = order[start:start + size]
-        train = np.concatenate([order[:start], order[start + size:]])
-        yield train, val
-        start += size
-
-
-@dataclass
-class SearchTrial:
-    params: dict
-    fold_fpr: list[float]
-    score_variance: float
-
-    @property
-    def mean_fpr(self) -> float:
-        return float(np.mean(self.fold_fpr))
-
-
-@dataclass
-class SearchResult:
-    kind: str
-    best_params: dict
-    trials: list[SearchTrial]
-
-
-def random_search(kind: str, space: dict, X: np.ndarray, budget: int = 20,
-                  seed: int = 0, target_fpr: float = TARGET_FPR.default
-                  ) -> SearchResult:
-    """Sample `budget` configurations and cross-validate each on benign
-    data over `SEARCH_FOLDS` folds.
-
-    Selection minimizes the mean held-out false-positive rate at the
-    quantile-calibrated threshold, tie-broken by lower pooled score
-    variance. No labelled anomaly is read: training is benign-only.
-    """
-    if not space:
-        raise EmptySpace("empty hyperparameter space")
-    X = np.asarray(X, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    n = X.shape[0]
-    trials: list[SearchTrial] = []
-    for _ in range(budget):
-        params = _sample_params(space, rng)
-        fold_fpr: list[float] = []
-        pooled: list[np.ndarray] = []
-        for train_idx, val_idx in _kfold_indices(n, seed):
-            det = make_detector(kind, params)
-            det.fit(X[train_idx])
-            train_scores = det.score(X[train_idx])
-            theta = float(np.quantile(train_scores, 1.0 - target_fpr))
-            val_scores = det.score(X[val_idx])
-            fold_fpr.append(float((val_scores > theta).mean()))
-            pooled.append(val_scores)
-        trials.append(SearchTrial(
-            params=params,
-            fold_fpr=fold_fpr,
-            score_variance=float(np.var(np.concatenate(pooled))),
-        ))
-    best = min(range(len(trials)),
-               key=lambda t: (trials[t].mean_fpr, trials[t].score_variance))
-    return SearchResult(kind=kind, best_params=trials[best].params,
-                        trials=trials)
 
 
 @dataclass

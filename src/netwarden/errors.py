@@ -52,10 +52,6 @@ class ManifestMismatch(NetwardenError):
     code = "manifest_mismatch"
 
 
-class EmptyTrainingSet(NetwardenError):
-    code = "empty_training_set"
-
-
 class NonFiniteFeature(NetwardenError):
     code = "non_finite_feature"
 
@@ -114,10 +110,6 @@ class DivergedLoss(NetwardenError):
 
 class TooFewScores(NetwardenError):
     code = "too_few_scores"
-
-
-class EmptySpace(NetwardenError):
-    code = "empty_space"
 
 
 # --- evaluation ---

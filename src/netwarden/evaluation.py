@@ -7,6 +7,8 @@ cases are reported as None (undefined), never as 0.
 
 from __future__ import annotations
 
+import functools
+import ipaddress
 import time
 from dataclasses import dataclass, field
 
@@ -187,10 +189,18 @@ def write_label_file(rows: list[LabelRow], path: str) -> None:
 
 
 def read_label_file(path: str) -> list[LabelRow]:
-    """The rows of a label sidecar file, in file order. A header other
-    than LABEL_FILE_COLUMNS, or a line without eight fields or with a
-    port, protocol or window that is not a number, raises
-    LabelVocabularyMismatch naming the 1-based line."""
+    """The rows of a label sidecar file, in file order, each address
+    spelled as the decoder spells it (`2001:DB8:0::1` as `2001:db8::1`).
+    A header other than LABEL_FILE_COLUMNS, or a line without eight
+    fields, with an address `ipaddress` refuses, or with a port, protocol
+    or window that is not a number or a port or protocol out of its
+    header field's range, raises LabelVocabularyMismatch naming the
+    1-based line."""
+
+    @functools.cache  # a file names few addresses in many rows
+    def address(text: str) -> str:
+        return str(ipaddress.ip_address(text))
+
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -208,13 +218,23 @@ def read_label_file(path: str) -> list[LabelRow]:
                     "label file line %d has %d fields, not %d"
                     % (number, len(p), len(LABEL_FILE_COLUMNS)))
             try:
-                rows.append(LabelRow(p[0], p[1], int(p[2]), int(p[3]),
-                                     int(p[4]), float(p[5]), float(p[6]),
-                                     p[7]))
+                rows.append(LabelRow(
+                    address(p[0]), address(p[1]), _header_field(p, 2, 0xFFFF),
+                    _header_field(p, 3, 0xFFFF), _header_field(p, 4, 0xFF),
+                    float(p[5]), float(p[6]), p[7]))
             except ValueError as exc:
                 raise LabelVocabularyMismatch(
                     "label file line %d: %s" % (number, exc)) from None
     return rows
+
+
+def _header_field(p: list[str], i: int, top: int) -> int:
+    """Field i of a label line: an integer a header field holds, 0..top."""
+    value = int(p[i])
+    if not 0 <= value <= top:
+        raise ValueError("%s %d is outside 0-%d"
+                         % (LABEL_FILE_COLUMNS[i], value, top))
+    return value
 
 
 class LabelIndex:

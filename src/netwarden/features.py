@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, ManifestMismatch, NonFiniteFeature
+from .errors import EmptyTraining, ManifestMismatch, NonFiniteFeature
 from .flows import BIDIRECTIONAL, DirStats, FlowRecord, UNIDIRECTIONAL
 from .pcap import (PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP,
                    TCP_FLAG_NAMES as FLAG_NAMES, PacketRecord)
@@ -493,7 +493,7 @@ def fit_normalizer(X: FeatureMatrix) -> NormalizationStats:
     and the column would otherwise be dropped as constant.
     """
     if X.n == 0:
-        raise EmptyTrainingSet("cannot fit a normalizer on zero rows")
+        raise EmptyTraining("cannot fit a normalizer on zero rows")
     with np.errstate(invalid="ignore"):  # inf - inf; checked below
         mean = X.values.mean(axis=0)
         std = X.values.std(axis=0)
@@ -548,7 +548,10 @@ def write_matrix_csv(X: FeatureMatrix, path: str) -> None:
 
 
 def read_matrix_csv(path: str) -> FeatureMatrix:
-    """Read the CSV interchange format written by write_matrix_csv."""
+    """Read the CSV interchange format written by write_matrix_csv. A row
+    with another number of fields than the header raises ManifestMismatch,
+    and a feature that is not a number NonFiniteFeature, each naming the
+    1-based line."""
     with open(path) as fh:
         first = fh.readline()
         mode = None
@@ -559,24 +562,37 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
                     declared_hash = tok.split("=", 1)[1]
                 elif tok.startswith("mode="):
                     mode = tok.split("=", 1)[1]
-            header = fh.readline()
+            header, header_line = fh.readline(), 2
         else:
-            header = first
+            header, header_line = first, 1
         names = [h.strip() for h in header.strip().split(",")]
-        has_labels = names and names[-1] == "label"
+        width = len(names)
+        has_labels = names[-1] == "label"
         if has_labels:
             names = names[:-1]
         rows = []
         labels: list[str] | None = [] if has_labels else None
-        for line in fh:
+        for number, line in enumerate(fh, start=header_line + 1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != width:
+                raise ManifestMismatch(
+                    "matrix CSV line %d has %d fields, the header %d"
+                    % (number, len(parts), width))
             if has_labels:
-                labels.append(parts[-1])
-                parts = parts[:-1]
-            rows.append([float(x) for x in parts])
+                labels.append(parts.pop())
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError:
+                for name, x in zip(names, parts):
+                    try:
+                        float(x)
+                    except ValueError:
+                        raise NonFiniteFeature(
+                            "matrix CSV line %d, column %s: %r is not a "
+                            "number" % (number, name, x)) from None
     values = np.asarray(rows, dtype=np.float64)
     if values.size == 0:
         values = values.reshape(0, len(names))

@@ -11,14 +11,8 @@ import hashlib
 import numpy as np
 
 from .columnar import packet_matrix
-from .detectors import (
-    TARGET_FPR,
-    TrainedModel,
-    calibrate_threshold,
-    default_search_space,
-    make_detector,
-    random_search,
-)
+from .detectors import (TARGET_FPR, TrainedModel, calibrate_threshold,
+                        make_detector)
 from .errors import ManifestMismatch, NonFiniteFeature
 from .features import (
     DEFAULT_MANIFESTS,
@@ -89,7 +83,6 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
                 target_fpr: float = TARGET_FPR.default, seed: int = 0,
-                budget: int = 0,
                 selected_names: tuple[str, ...] | None = None
                 ) -> TrainedModel:
     """Fit a one-class detector on a benign feature matrix.
@@ -119,9 +112,9 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     vals = (X.values[:, cols] - mean) / std
     n = vals.shape[0]
 
-    merged = dict(params or {})
-    if kind in ("if", "ae") and "seed" not in merged:
-        merged["seed"] = derive_seed(seed, "fit-" + kind)
+    params = dict(params or {})
+    if kind in ("if", "ae"):
+        params.setdefault("seed", derive_seed(seed, "fit-" + kind))
 
     cap = MAX_TRAIN_DEFAULT.get(kind)
     if cap is not None and n > cap:
@@ -131,14 +124,7 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
     else:
         fit_vals = vals
 
-    if budget > 0:
-        space = default_search_space(kind, vals.shape[1])
-        result = random_search(kind, space, fit_vals, budget=budget,
-                               seed=derive_seed(seed, "search"),
-                               target_fpr=target_fpr)
-        merged.update(result.best_params)
-
-    det = make_detector(kind, merged)
+    det = make_detector(kind, params)
     det.fit(fit_vals)
     scores = det.score(vals)
     theta = calibrate_threshold(scores, target_fpr)

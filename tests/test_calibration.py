@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from netwarden.detectors import (
-    DETECTOR_CLASSES,
-    KINDS,
-    TrainedModel,
-    calibrate_threshold,
-    default_search_space,
-    make_detector,
-    random_search,
-)
-from netwarden.errors import EmptySpace, MalformedModel, TooFewScores
+from netwarden.detectors import (TrainedModel, calibrate_threshold,
+                                 make_detector)
+from netwarden.errors import MalformedModel, TooFewScores
 from netwarden.features import FeatureMatrix, fit_normalizer, manifest_hash
 
 
@@ -35,67 +28,6 @@ class TestCalibrateThreshold:
     def test_too_few_scores(self):
         with pytest.raises(TooFewScores):
             calibrate_threshold(np.arange(49.0), 0.05)
-
-
-class TestRandomSearch:
-    def benign(self, n=150, d=4, seed=0):
-        return np.random.default_rng(seed).normal(size=(n, d))
-
-    def test_budget_one_returns_that_config(self):
-        X = self.benign()
-        res = random_search("ee", {"ridge": ("fixed", 1e-5)}, X, budget=1,
-                            seed=1)
-        assert len(res.trials) == 1
-        assert res.best_params == {"ridge": 1e-5}
-        assert len(res.trials[0].fold_fpr) == 5
-
-    def test_duplicate_configs_identical_metrics(self):
-        X = self.benign()
-        res = random_search("ee", {"ridge": ("choice", [1e-6])}, X,
-                            budget=3, seed=2)
-        first = res.trials[0]
-        for trial in res.trials[1:]:
-            assert trial.params == first.params
-            assert trial.fold_fpr == first.fold_fpr
-            assert trial.score_variance == first.score_variance
-
-    def test_empty_space(self):
-        with pytest.raises(EmptySpace):
-            random_search("ee", {}, self.benign(), budget=1)
-
-    def test_degenerate_vs_good_gamma_on_separable_data(self):
-        # two tight clusters; a sane gamma generalizes, a huge one
-        # memorizes training rows and flags everything else
-        rng = np.random.default_rng(3)
-        X = np.vstack([rng.normal(size=(100, 3)) * 0.1,
-                       rng.normal(size=(100, 3)) * 0.1 + 3.0])
-        space = {"nu": ("fixed", 0.1),
-                 "gamma": ("choice", [0.5, 1e6])}
-        res = random_search("osvm", space, X, budget=8, seed=4,
-                            target_fpr=0.05)
-        assert res.best_params["gamma"] == 0.5
-
-    def test_default_spaces_sample(self):
-        rng_X = self.benign(n=80)
-        for kind in ("if", "ee", "lof", "osvm"):
-            space = default_search_space(kind, rng_X.shape[1])
-            res = random_search(kind, space, rng_X, budget=2, seed=7,
-                                target_fpr=0.05)
-            assert len(res.trials) == 2
-            det = make_detector(kind, res.best_params)
-            det.fit(rng_X)
-
-    @pytest.mark.parametrize("d", [1, 11, 51])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_default_space_inside_declared_ranges(self, kind, d):
-        declared = DETECTOR_CLASSES[kind].PARAMS
-        for name, (tag, *spec) in default_search_space(kind, d).items():
-            # every choice, or each end of a range (randint's excludes
-            # its upper end)
-            values = (spec[0] if tag == "choice" else
-                      [spec[0], spec[1] - 1] if tag == "randint" else spec)
-            for value in values:
-                assert declared[name].check(name, value) == value
 
 
 class TestDeclaredHyperparameters:

@@ -14,14 +14,16 @@ from netwarden import pcap
 from netwarden.cli import main
 from netwarden.errors import ConfigInvalid
 from netwarden.evaluation import LABEL_FILE_COLUMNS
-from netwarden.features import FeatureMatrix, manifest_hash, \
-    read_matrix_csv, write_matrix_csv
+from netwarden.features import PACKET_MANIFEST, FeatureMatrix, \
+    manifest_hash, read_matrix_csv, write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
 from netwarden.cli import _SETTINGS, _scenario_from_dict
 from netwarden.detectors import DETECTOR_CLASSES
 from netwarden.settings import settings_of
 
 from conftest import build_global_header, build_record, golden_syn_frame
+
+LABEL_HEADER = ",".join(LABEL_FILE_COLUMNS) + "\n"
 
 
 def run(*argv):
@@ -403,8 +405,7 @@ class TestConfigAndErrors:
         ("sweep", "--mode", "packet"),
         ("extract", "--config", '{"mode": "foo"}'),
         ("select", "--config", '{"aggregate": "foo"}'),
-        ("train", "--config", '{"budget": "x"}'),
-        ("train", "--config", '{"budget": -1}'),
+        ("train", "--config", '{"budget": 0}'),
         ("extract", "--config", '["mode"]'),
         ("extract", "--config", '5'),
         ("sweep", "--params", '{"nu": 2}'),
@@ -435,8 +436,8 @@ class TestConfigAndErrors:
             "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan",
             "synth-seed-neg", "sweep-seed-neg", "train-fpr-1.5",
             "train-fpr-nan", "sweep-mode-packet", "config-mode-foo",
-            "config-aggregate-foo", "config-budget-str",
-            "config-budget-neg", "config-list", "config-number",
+            "config-aggregate-foo", "config-budget", "config-list",
+            "config-number",
             "sweep-nu-2", "sweep-param-unknown", "sweep-detector-xyz",
             "config-params-object", "config-tw-list", "config-tw-bool",
             "config-sigma-str", "select-sigma-nan", "select-sigma-neg",
@@ -463,6 +464,63 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err[len("error: "):])["code"] == "config_invalid"
+
+    @pytest.mark.parametrize("argv, content, code, problem", [
+        (("train", "--in", "{file}"), "f0,f1\n1,2\n3\n",
+         "manifest_mismatch", "line 3 has 1 fields"),
+        (("train", "--in", "{file}"), "f0,f1\n1,2\n3,4,5\n",
+         "manifest_mismatch", "line 3 has 3 fields"),
+        (("train", "--in", "{file}"), "f0,f1\n1,2\n3,x\n",
+         "non_finite_feature", "line 3, column f1"),
+        (("train", "--in", "{file}"), "f0,f1,f2\n" + "1,2\n" * 60,
+         "manifest_mismatch", "line 2 has 2 fields"),
+        (("score", "--in", "{file}", "--model", "{model}"),
+         "# mode=packet\n%s\n%s\n" % (",".join(PACKET_MANIFEST.names),
+                                        ",".join("0" * 19)),
+         "manifest_mismatch", "line 3 has 19 fields"),
+        (("train", "--in", "{file}"), "f0,f1\n", "empty_training",
+         "zero rows"),
+        (("train", "--in", "{file}", "--detector", "osvm"), "f0,f1\n1,2\n",
+         "empty_training", "at least 2 rows"),
+        (("extract", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "010.0.0.1,10.0.0.2,5,6,6,0,1,Scan\n",
+         "label_vocabulary_mismatch", "line 2: '010.0.0.1'"),
+        (("extract", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "10.0.0.1,10.0.0.300,5,6,6,0,1,Scan\n",
+         "label_vocabulary_mismatch", "line 2: '10.0.0.300'"),
+        (("extract", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "10.0.0.1,10.0.0.2,70000,6,6,0,1,Scan\n",
+         "label_vocabulary_mismatch", "line 2: src_port 70000"),
+        (("extract", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "10.0.0.1,10.0.0.2,5,6,300,0,1,Scan\n",
+         "label_vocabulary_mismatch", "line 2: protocol 300"),
+        (("train", "--in", "{file}", "--budget", "3"), "f0\n1\n",
+         "config_invalid", "unrecognized arguments: --budget 3"),
+        (("train", "--config", "{file}"), '{"budget": 1}', "config_invalid",
+         "unknown config keys: ['budget']"),
+        (("train", "--seed", "x"), "", "config_invalid",
+         "argument --seed: invalid int value"),
+        (("trian",), "", "config_invalid", "invalid choice: 'trian'"),
+    ], ids=["csv-field-missing", "csv-field-extra", "csv-not-a-number",
+            "csv-rows-short-train", "csv-rows-short-score",
+            "csv-header-only", "csv-one-row-osvm", "labels-leading-zero",
+            "labels-octet-300", "labels-port-70000", "labels-protocol-300",
+            "flag-budget", "config-budget", "flag-ill-typed",
+            "unknown-command"])
+    def test_error_is_one_json_line(self, workdir, packet_model, tmp_path,
+                                    capsys, argv, content, code, problem):
+        given = tmp_path / "given"
+        given.write_text(content)
+        paths = {"{file}": str(given), "{model}": packet_model,
+                 "{pcap}": str(workdir / "corpus.pcap")}
+        argv = [paths.get(a, a) for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n")
+        line = json.loads(err[len("error: "):])
+        assert sorted(line) == ["code", "message"] and line["code"] == code
+        assert problem in line["message"]
 
     @pytest.mark.parametrize("argv", [
         ("--keep", "0"), ("--keep", "-3"), ("--config", '{"keep": -3}'),

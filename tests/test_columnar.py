@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netwarden import pcap
-from netwarden.errors import TruncatedHeader
+from netwarden.errors import LabelVocabularyMismatch, TruncatedHeader
 from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
                                   read_label_file, write_label_file)
 from netwarden.pipeline import extract_matrix
@@ -191,24 +191,33 @@ STEPS = st.one_of(
                      -3_000_000]),
     st.integers(-2_000_000, 3_000_000))
 
-# strings no decoded packet carries: non-canonical spellings, an invalid
-# address, an IPv4-mapped IPv6 address
-ODD_ADDRESSES = ("010.0.0.1", "2001:db8:0:0::1", "10.0.0.300",
-                 "::ffff:10.0.0.1")
+# addresses no generated packet carries, an IPv4-mapped IPv6 one among
+# them, and ports and a protocol no generated packet carries
+UNSEEN_ADDRESSES = ("10.0.0.9", "2001:db8::99", "::ffff:10.0.0.1")
+UNSEEN_NUMBERS = (1, 65535, 255)
+
+
+def spellings(address: str) -> tuple[str, ...]:
+    """An address as the decoder writes it, then the other spellings
+    `read_label_file` reads as that address."""
+    if ipaddress.ip_address(address).version == 4:
+        return (address,)  # ipaddress refuses leading zeros
+    return (address, address.upper(), ipaddress.ip_address(address).exploded)
 
 
 @st.composite
 def label_rows(draw, flows):
-    """Rows mostly of the capture's flows, some with an odd address or
-    with a port or protocol out of a header field's range, windows
-    overlapping, empty or inverted."""
+    """Rows mostly of the capture's flows, in any spelling the reader
+    reads, some with an address, a port or a protocol no packet carries,
+    windows overlapping, empty or inverted."""
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         key = list(draw(st.sampled_from(flows)).label_key(draw(st.booleans())))
+        key[:2] = [draw(st.sampled_from(spellings(a))) for a in key[:2]]
         if draw(st.integers(0, 5)) == 0:
             field = draw(st.integers(0, 4))
             key[field] = draw(st.sampled_from(
-                ODD_ADDRESSES if field < 2 else (-1, 70000, 300)))
+                UNSEEN_ADDRESSES if field < 2 else UNSEEN_NUMBERS))
         start = BASE_SEC + draw(st.floats(-1.0, 12.0))
         rows.append(LabelRow(*key, start, start + draw(st.floats(-1.0, 6.0)),
                              draw(st.sampled_from(LABEL_VOCABULARY))))
@@ -307,13 +316,43 @@ class TestMatchesOracle:
         rows = [LabelRow(*key, BASE_SEC + 2, BASE_SEC + 4, "Scan"),
                 LabelRow(*key, BASE_SEC - 1, BASE_SEC + 5, "DDoS"),
                 LabelRow(*key, BASE_SEC + 2, BASE_SEC + 4, "C&C"),
-                LabelRow("010.0.0.1", *key[1:], BASE_SEC, BASE_SEC + 10,
+                LabelRow("10.0.0.9", *key[1:], BASE_SEC, BASE_SEC + 10,
                          "Attack")]
         labels = str(tmp_path / "l.labels.csv")
         write_label_file(rows, labels)
         X = assert_same_as_oracle(path, labels)
         assert X.labels == ["DDoS", "Scan", "Normal"]
         assert X.unmatched_labels == 1
+
+    def test_other_spellings_join_their_packets(self, tmp_path):
+        raw = {name: raw for name, raw, _ in GOLDEN_FRAMES}["ipv6"]
+        path = str(tmp_path / "s.pcap")  # 2001:db8:: -> 2001:db8::1, TCP
+        write_capture(path, [(BASE_SEC, 0, raw)])
+        p = next(iter(pcap.CaptureReader(path)))
+        labels = str(tmp_path / "s.labels.csv")
+        write_label_file([LabelRow(
+            "2001:0db8:0000:0000:0000:0000:0000:0000", "2001:DB8:0:0::1",
+            p.src_port, p.dst_port, p.protocol, BASE_SEC, BASE_SEC,
+            "Scan")], labels)
+        X = assert_same_as_oracle(path, labels)
+        assert X.labels == ["Scan"] and X.unmatched_labels == 0
+
+    @pytest.mark.parametrize("field, value", [
+        (0, "010.0.0.1"), (1, "10.0.0.300"), (0, "2001:db8::1::2"),
+        (2, -1), (3, 70000), (4, 300)])
+    def test_refused_label_rows(self, tmp_path, field, value):
+        path = str(tmp_path / "r.pcap")
+        write_capture(path, [(BASE_SEC, 0, GOLDEN_FRAMES[0][1])])
+        key = ["10.0.0.1", "10.0.0.2", 5000, 80, 6]
+        bad = list(key)
+        bad[field] = value
+        labels = str(tmp_path / "r.labels.csv")
+        write_label_file([LabelRow(*key, BASE_SEC, BASE_SEC + 1, "Scan"),
+                          LabelRow(*bad, BASE_SEC, BASE_SEC + 1, "Scan")],
+                         labels)
+        error, message = assert_same_as_oracle(path, labels)
+        assert error is LabelVocabularyMismatch
+        assert message.startswith("label file line 3: ")
 
 
 # --- privacy ----------------------------------------------------------------

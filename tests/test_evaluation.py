@@ -210,6 +210,15 @@ class TestLabelFiles:
         ("10.0.0.1,10.0.0.2,http,6,6,0.0,10.0,Scan", "invalid literal"),
         ("10.0.0.1,10.0.0.2,5,6,tcp,0.0,10.0,Scan", "invalid literal"),
         ("10.0.0.1,10.0.0.2,5,6,6,0.0,later,Scan", "could not convert"),
+        ("010.0.0.1,10.0.0.2,5,6,6,0.0,10.0,Scan", "does not appear"),
+        ("10.0.0.1,10.0.0.300,5,6,6,0.0,10.0,Scan", "does not appear"),
+        ("10.0.0.1,host,5,6,6,0.0,10.0,Scan", "does not appear"),
+        ("10.0.0.1,10.0.0.2,-1,6,6,0.0,10.0,Scan",
+         "src_port -1 is outside 0-65535"),
+        ("10.0.0.1,10.0.0.2,5,65536,6,0.0,10.0,Scan",
+         "dst_port 65536 is outside 0-65535"),
+        ("10.0.0.1,10.0.0.2,5,6,256,0.0,10.0,Scan",
+         "protocol 256 is outside 0-255"),
     ])
     def test_bad_line_names_it(self, tmp_path, line, problem):
         path = tmp_path / "bad.csv"
@@ -220,6 +229,17 @@ class TestLabelFiles:
             ev.read_label_file(str(path))
         assert str(exc.value).startswith("label file line 4")  # blank is 3
         assert problem in str(exc.value)
+
+    def test_addresses_read_in_the_decoders_spelling(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(",".join(ev.LABEL_FILE_COLUMNS) + "\n"
+                        "2001:DB8:0:0::1,2001:0db8::0002,0,65535,255,0,1,"
+                        "Scan\n10.0.0.1,2001:DB8:0:0::1,5,6,6,0,1,DDoS\n")
+        rows = ev.read_label_file(str(path))
+        assert [(r.src_ip, r.dst_ip) for r in rows] == [
+            ("2001:db8::1", "2001:db8::2"), ("10.0.0.1", "2001:db8::1")]
+        assert (rows[0].src_port, rows[0].dst_port, rows[0].protocol) \
+            == (0, 65535, 255)
 
     def test_packet_join(self):
         from test_flows import pkt

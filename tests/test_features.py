@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from netwarden import features as ft
 from netwarden import flows, pcap
-from netwarden.errors import EmptyTrainingSet, ManifestMismatch, \
+from netwarden.errors import EmptyTraining, ManifestMismatch, \
     NonFiniteFeature
 from netwarden.flows import DirStats, FlowRecord, MeterConfig, meter
 from netwarden.pipeline import extract_matrix
@@ -485,7 +485,7 @@ class TestNormalizer:
 
     def test_empty_training(self):
         X = matrix(np.empty((0, 2)))
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(EmptyTraining):
             ft.fit_normalizer(X)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -538,6 +538,29 @@ class TestMatrixCsv:
         back = ft.read_matrix_csv(path)
         assert back.labels == ["Normal", "Scan"]
         assert np.array_equal(back.values, X.values)
+
+    @pytest.mark.parametrize("body, error, problem", [
+        ("1,2\n3\n", ManifestMismatch, "line 4 has 1 fields, the header 2"),
+        ("1,2\n3,4,5\n", ManifestMismatch, "line 4 has 3 fields"),
+        ("1\n3\n", ManifestMismatch, "line 3 has 1 fields"),
+        ("1,2\n\n3,x\n", NonFiniteFeature, "line 5, column f1: 'x' is not"),
+        ("1,2\n,4\n", NonFiniteFeature, "line 4, column f0: '' is not"),
+    ], ids=["field-missing", "field-extra", "every-row-short",
+            "not-a-number", "empty-cell"])
+    def test_bad_row_names_its_line(self, tmp_path, body, error, problem):
+        path = tmp_path / "m.csv"
+        ft.write_matrix_csv(matrix(np.empty((0, 2))), str(path))
+        path.write_text(path.read_text() + body)
+        with pytest.raises(error) as exc:
+            ft.read_matrix_csv(str(path))
+        assert "matrix CSV " + problem in str(exc.value)
+
+    def test_label_column_counts_as_a_field(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("f0,f1,label\n1,2,Scan\n1,2\n")
+        with pytest.raises(ManifestMismatch, match="line 3 has 2 fields, "
+                                                   "the header 3"):
+            ft.read_matrix_csv(str(path))
 
     def test_tampered_header_detected(self, tmp_path):
         X = matrix([[1.0, 2.0]])
