@@ -405,7 +405,8 @@ class TestConfigAndErrors:
         ("sweep", "--mode", "packet"),
         ("extract", "--config", '{"mode": "foo"}'),
         ("select", "--config", '{"aggregate": "foo"}'),
-        ("train", "--config", '{"budget": 0}'),
+        ("train", "--config", '{"budget": "x"}'),
+        ("train", "--config", '{"budget": -1}'),
         ("extract", "--config", '["mode"]'),
         ("extract", "--config", '5'),
         ("sweep", "--params", '{"nu": 2}'),
@@ -436,8 +437,8 @@ class TestConfigAndErrors:
             "train-ae-lr-neg", "train-ae-epochs-neg", "train-ee-ridge-nan",
             "synth-seed-neg", "sweep-seed-neg", "train-fpr-1.5",
             "train-fpr-nan", "sweep-mode-packet", "config-mode-foo",
-            "config-aggregate-foo", "config-budget", "config-list",
-            "config-number",
+            "config-aggregate-foo", "config-budget-str",
+            "config-budget-neg", "config-list", "config-number",
             "sweep-nu-2", "sweep-param-unknown", "sweep-detector-xyz",
             "config-params-object", "config-tw-list", "config-tw-bool",
             "config-sigma-str", "select-sigma-nan", "select-sigma-neg",
