@@ -1,9 +1,10 @@
-"""The packet-mode batch job, column by column.
+"""The batch jobs' capture decode, column by column.
 
 `packet_matrix` gives the matrix, labels and capture accounting that
 reading the capture record by record gives (the reader's records,
 `packet_row` with one PacketContext, `LabelIndex.label_for_packet`), bit
-for bit, with the headers read by numpy:
+for bit, and `packet_records` gives the reader's records themselves, for
+the flow modes' meter. Both read the headers with numpy:
 
 - one pass over the record headers finds every frame;
 - the fixed-offset fields of Ethernet or raw-IP IPv4 frames (any header
@@ -15,8 +16,10 @@ for bit, with the headers read by numpy:
   which decodes it or raises what the reader counts it as;
 - the reorder horizon drops what the reader drops, and a stable sort by
   timestamp gives the reader's (timestamp, arrival) order;
-- one stable sort on the 5-tuple gives each packet its gap and index in
-  its flow and the label rows of its key.
+- in packet mode, one stable sort on the 5-tuple gives each packet its
+  gap and index in its flow and the label rows of its key;
+- for the flow modes, each distinct address is spelled once and the
+  records are built from the columns.
 
 Like PacketContext, the sort reads addresses and ports, and only for
 equality; timestamps order the packets and give the gaps.
@@ -25,6 +28,7 @@ equality; timestamps order the packets and give the gaps.
 from __future__ import annotations
 
 from socket import inet_aton, inet_ntoa
+from typing import Iterator
 
 import numpy as np
 
@@ -41,14 +45,17 @@ from .pcap import (
     PROTO_UDP,
     REORDER_HORIZON,
     CaptureReader,
+    CaptureSummary,
+    PacketRecord,
     decode_frame,
 )
 
 # the int64 columns of decoded packets, in this order
 _SRC, _DST, _SPORT, _DPORT, _PROTO, _TOTAL, _PAYLOAD, _IP_HLEN, _L4_HLEN, \
-    _FLAGS, _WINDOW, _TTL = range(12)
-_N_FIELDS = _TTL + 1
+    _FLAGS, _WINDOW, _TTL, _LINK = range(13)
+_N_FIELDS = _LINK + 1
 _V6_BASE = 1 << 32  # ids of addresses that are not dotted quads start here
+_BLOCK = 8192  # records built from one slice of the columns at a time
 
 
 class _AddressIds:
@@ -75,6 +82,16 @@ class _AddressIds:
             self._others += 1
         self._ids[text] = known
         return known
+
+    def text(self, ids: np.ndarray) -> np.ndarray:
+        """The address each id stands for, as an object array of the
+        shape of `ids`: a dotted quad spelled by `inet_ntoa` once per
+        distinct address, any other the text it was recorded from."""
+        distinct, where = np.unique(ids, return_inverse=True)
+        others = {v: k for k, v in self._ids.items() if v >= _V6_BASE}
+        spelled = [inet_ntoa(i.to_bytes(4, "big")) if i < _V6_BASE
+                   else others[i] for i in distinct.tolist()]
+        return np.array(spelled, dtype=object)[where.reshape(ids.shape)]
 
 
 def _gather(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
@@ -128,6 +145,7 @@ def _decode_columns(buf: np.ndarray, start: np.ndarray, size: np.ndarray,
     fields[_FLAGS] = np.where(tcp, tail[1], 0)
     fields[_WINDOW] = np.where(tcp, tail[2] << 8 | tail[3], 0)
     fields[_TTL] = h[8]
+    fields[_LINK] = link
     return fields, ok
 
 
@@ -151,10 +169,12 @@ def _keys(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _decode(reader: CaptureReader) -> tuple:
     """(timestamps, fields, decoded, address ids) of every frame in file
-    order; the frames `decode_frame` refuses are counted in the reader's
-    summary. The ids are those the fields hold, for the label join."""
-    s, link_type = reader.summary, reader.link_type
+    order; the frames `decode_frame` refuses are counted in a new reader
+    summary, so it counts this pass only. The ids are those the fields
+    hold, for the label join and the records' addresses."""
+    link_type = reader.link_type
     ts, start, size = reader.records()
+    s = reader.summary = CaptureSummary(link_type=link_type)
     s.frames_read = ts.size
     fields, ok = _decode_columns(np.frombuffer(reader.data, dtype=np.uint8),
                                  start, size, link_type)
@@ -178,7 +198,8 @@ def _decode(reader: CaptureReader) -> tuple:
         fields[:, k] = (address_id(p.src_ip), address_id(p.dst_ip),
                         p.src_port, p.dst_port, p.protocol, p.total_len,
                         p.payload_len, p.ip_header_len, p.l4_header_len,
-                        p.tcp_flags or 0, p.tcp_window or 0, p.ttl)
+                        p.tcp_flags or 0, p.tcp_window or 0, p.ttl,
+                        p.link_header_len)
     return ts, fields, ok, address_id
 
 
@@ -196,6 +217,32 @@ def _resequence(ts: np.ndarray, ok: np.ndarray, s) -> np.ndarray:
     order = kept[np.argsort(ts[kept], kind="stable")]
     s.decoded = order.size
     return order
+
+
+def packet_records(reader: CaptureReader) -> Iterator[PacketRecord]:
+    """The records iterating `reader` gives, equal field for field and in
+    its order, built from the decoded columns as they are asked for;
+    `reader.summary` counts the pass as iterating it does. A record cut
+    short raises TruncatedHeader before any record is given (the reader
+    gives the records before it first)."""
+    ts, fields, ok, address_id = _decode(reader)
+    order = _resequence(ts, ok, reader.summary)
+    t = ts[order]
+    src, dst = address_id.text(fields[_SRC:_DST + 1, order])
+    # every field but the addresses, spelled above, fits in 32 bits; only
+    # these columns are held while the records are asked for
+    f = fields[:, order].astype(np.int32)
+    del ts, fields, ok, order
+    for lo in range(0, t.size, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        c = f[:, b].tolist()
+        tcp = f[_PROTO, b] == PROTO_TCP
+        yield from map(
+            PacketRecord, t[b].tolist(), src[b].tolist(), dst[b].tolist(),
+            c[_SPORT], c[_DPORT], c[_PROTO], c[_LINK], c[_IP_HLEN],
+            c[_L4_HLEN], c[_TOTAL], c[_TTL], c[_PAYLOAD],
+            np.where(tcp, f[_FLAGS, b], None).tolist(),
+            np.where(tcp, f[_WINDOW, b], None).tolist())
 
 
 def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:

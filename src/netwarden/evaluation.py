@@ -192,10 +192,12 @@ def read_label_file(path: str) -> list[LabelRow]:
     """The rows of a label sidecar file, in file order, each address
     spelled as the decoder spells it (`2001:DB8:0::1` as `2001:db8::1`).
     A header other than LABEL_FILE_COLUMNS, or a line without eight
-    fields, with an address `ipaddress` refuses, or with a port, protocol
-    or window that is not a number or a port or protocol out of its
-    header field's range, raises LabelVocabularyMismatch naming the
-    1-based line."""
+    fields, with an address `ipaddress` refuses, with a port, protocol
+    or window bound that is not a number, a NaN bound, or a port or
+    protocol out of its header field's range, raises
+    LabelVocabularyMismatch naming the 1-based line. Infinite bounds are
+    read as they are, and a window ending before it starts holds no
+    timestamp."""
 
     @functools.cache  # a file names few addresses in many rows
     def address(text: str) -> str:
@@ -218,10 +220,14 @@ def read_label_file(path: str) -> list[LabelRow]:
                     "label file line %d has %d fields, not %d"
                     % (number, len(p), len(LABEL_FILE_COLUMNS)))
             try:
+                start, end = float(p[5]), float(p[6])
+                if start != start or end != end:
+                    raise ValueError("window %s,%s has a NaN bound"
+                                     % (p[5], p[6]))
                 rows.append(LabelRow(
                     address(p[0]), address(p[1]), _header_field(p, 2, 0xFFFF),
                     _header_field(p, 3, 0xFFFF), _header_field(p, 4, 0xFF),
-                    float(p[5]), float(p[6]), p[7]))
+                    start, end, p[7]))
             except ValueError as exc:
                 raise LabelVocabularyMismatch(
                     "label file line %d: %s" % (number, exc)) from None

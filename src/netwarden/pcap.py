@@ -260,10 +260,10 @@ class CaptureReader:
     frame stamped at least REORDER_HORIZON later, or the file's end, is
     read. Skipped frames are counted in `summary`: fragment
     continuations, non-IP and malformed frames, and frames more than
-    REORDER_HORIZON behind the newest kept one. `summary` is complete
-    once iteration ends. The file is read, and its record headers walked,
-    once, at open; a record cut short raises TruncatedHeader only when
-    reading reaches it.
+    REORDER_HORIZON behind the newest kept one. Each pass starts a new
+    `summary`, complete once iteration ends, so it counts one pass. The
+    file is read, and its record headers walked, once, at open; a record
+    cut short raises TruncatedHeader only when reading reaches it.
     """
 
     def __init__(self, path: str):
@@ -354,8 +354,10 @@ class CaptureReader:
 
     def __iter__(self) -> Iterator[PacketRecord]:
         heap: list[tuple[float, int, PacketRecord]] = []
-        s, link_type = self.summary, self.link_type
-        newest = float("-inf")  # each pass restarts the horizon
+        link_type = self.link_type
+        # each pass restarts the horizon and the counts
+        s = self.summary = CaptureSummary(link_type=link_type)
+        newest = float("-inf")
         cut = None
         try:
             for ts, frame in self.frames():

@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .columnar import packet_matrix
+from .columnar import packet_matrix, packet_records
 from .detectors import (TARGET_FPR, TrainedModel, calibrate_threshold,
                         make_detector)
 from .errors import ManifestMismatch, NonFiniteFeature
@@ -40,9 +40,10 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
                    labels_path: str | None = None,
                    flow_sink=None) -> FeatureMatrix:
     """PCAP -> FeatureMatrix in the requested traffic mode, with labels
-    joined from a sidecar file when given. Packet mode is built column
-    by column (`columnar.packet_matrix`); the flow modes meter the
-    capture reader's records.
+    joined from a sidecar file when given. Every mode decodes the headers
+    column by column: packet mode builds its matrix from the columns
+    (`columnar.packet_matrix`), and the flow modes meter the capture
+    reader's records, built from the columns (`columnar.packet_records`).
 
     `flow_sink`, if set, additionally receives every raw FlowRecord (used
     for the CLI flow dump)."""
@@ -67,7 +68,7 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
         if flow_sink is not None:
             flow_sink(rec)
 
-    for p in reader:
+    for p in packet_records(reader):
         for rec in meter.feed(p):
             handle(rec)
     for rec in meter.finish():

@@ -22,8 +22,11 @@ from netwarden.errors import (
     UnsupportedLinkType,
 )
 from netwarden.evaluation import LabelIndex, read_label_file
-from netwarden.features import (FeatureMatrix, MODE_PACKET, PACKET_MANIFEST,
-                                PacketContext, packet_row)
+from netwarden.features import (DEFAULT_MANIFESTS, FeatureMatrix,
+                                MODE_PACKET, MODE_TO_DIRECTION,
+                                PACKET_MANIFEST, PacketContext, flow_row,
+                                packet_row)
+from netwarden.flows import FlowMeter, MeterConfig
 from netwarden.pcap import CaptureReader, PacketRecord
 
 LRD_FLOOR = 1e-10
@@ -1032,3 +1035,47 @@ def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
                          unmatched_labels=(index.unmatched
                                            if index is not None else 0),
                          accounting={"capture": reader.summary})
+
+
+# --- flow-mode batch job ---------------------------------------------------
+#
+# The flow-mode batch job as first written: the capture reader's records
+# one at a time through one FlowMeter, each flow it emits through
+# flow_row and, with labels, LabelIndex.label_for_flow. The meter, the
+# row builder and the label join are the library's; only where the
+# records come from differs. extract_matrix(.., "uni_flow" | "bi_flow")
+# must give the same values bit for bit, the same labels, unmatched
+# count, CaptureSummary and MeterStats, and pass `flow_sink` the same
+# flows in the same order, or raise the same exception.
+
+def flow_matrix_oracle(capture_path: str, mode: str, tw: float | None = None,
+                       idle_timeout: float = MeterConfig.idle_timeout,
+                       labels_path: str | None = None, flow_sink=None):
+    manifest = DEFAULT_MANIFESTS[mode]
+    index = LabelIndex(read_label_file(labels_path)) if labels_path else None
+    rows = []
+    labels = [] if index is not None else None
+    reader = CaptureReader(capture_path)
+    meter = FlowMeter(MeterConfig(
+        direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
+        idle_timeout=idle_timeout))
+
+    def handle(rec):
+        rows.append(flow_row(rec, manifest))
+        if index is not None:
+            labels.append(index.label_for_flow(rec))
+        if flow_sink is not None:
+            flow_sink(rec)
+
+    for p in reader:
+        for rec in meter.feed(p):
+            handle(rec)
+    for rec in meter.finish():
+        handle(rec)
+    values = (np.array(rows, dtype=np.float64) if rows
+              else np.empty((0, len(manifest))))
+    return FeatureMatrix(values=values, names=manifest.names, mode=mode,
+                         labels=labels, unmatched_labels=(
+                             index.unmatched if index is not None else 0),
+                         accounting={"capture": reader.summary,
+                                     "meter": meter.stats})

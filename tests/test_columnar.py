@@ -1,10 +1,13 @@
-"""The columnar packet-mode batch job (`extract_matrix(.., "packet")`)
-against the record-by-record job it replaces (`packet_matrix_oracle`):
-the same values bit for bit, labels, unmatched count and CaptureSummary,
-or the same exception."""
+"""The columnar batch jobs against the record-by-record jobs they
+replace: `extract_matrix(.., "packet")` against `packet_matrix_oracle`,
+and the flow modes against `flow_matrix_oracle` (the same values bit for
+bit, labels, unmatched count and CaptureSummary, for the flow modes the
+same MeterStats and flow dump too, or the same exception), and the
+records `packet_records` builds against the capture reader's."""
 
 import dataclasses
 import ipaddress
+import math
 import os
 import socket
 import struct
@@ -15,14 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netwarden import pcap
+from netwarden.columnar import packet_records
 from netwarden.errors import LabelVocabularyMismatch, TruncatedHeader
 from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
                                   read_label_file, write_label_file)
+from netwarden.features import FeatureMatrix, MODE_TO_DIRECTION
+from netwarden.flows import write_flow_csv
 from netwarden.pipeline import extract_matrix
 
 from conftest import (build_global_header, eth_header, ipv4_header,
                       tcp_header, udp_header)
-from oracles import packet_matrix_oracle
+from oracles import flow_matrix_oracle, packet_matrix_oracle
 from test_pcap import GOLDEN_FRAMES
 
 MAGICS = {(endian, ns): magic for endian in "<>" for ns, magic in
@@ -32,6 +38,9 @@ V6 = (b"\x20\x01\x0d\xb8" + bytes(11) + b"\x01",
       b"\x20\x01\x0d\xb8" + bytes(11) + b"\x02")
 PORTS = (80, 5000)
 BASE_SEC = 100
+# (mode, time window) of each flow-mode batch job checked
+FLOW_JOBS = [("uni_flow", None), ("uni_flow", 1.0), ("bi_flow", None),
+             ("bi_flow", 1.0)]
 
 
 def _outcome(run):
@@ -51,6 +60,43 @@ def assert_same_as_oracle(capture: str, labels: str | None = None):
         assert got == want
         return got
     assert not isinstance(got, tuple), got
+    _assert_same_matrix(got, want)
+    return got
+
+
+def _flow_outcome(run, mode: str):
+    """(matrix, bytes of the flow dump of the flows passed to flow_sink)
+    of run(flow_sink), or the class and message of what it raised."""
+    flows = []
+    try:
+        X = run(flows.append)
+    except Exception as exc:
+        return type(exc), str(exc)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "flows.csv")
+        write_flow_csv(flows, path, MODE_TO_DIRECTION[mode])
+        with open(path, "rb") as fh:
+            return X, fh.read()
+
+
+def assert_flows_same_as_oracle(capture: str, mode: str, tw: float | None,
+                                labels: str | None = None):
+    """Returns the flow-mode matrix, or the exception both raised."""
+    got = _flow_outcome(lambda sink: extract_matrix(
+        capture, mode, tw=tw, labels_path=labels, flow_sink=sink), mode)
+    want = _flow_outcome(lambda sink: flow_matrix_oracle(
+        capture, mode, tw=tw, labels_path=labels, flow_sink=sink), mode)
+    if not isinstance(want[0], FeatureMatrix):
+        assert got == want
+        return got
+    assert isinstance(got[0], FeatureMatrix), got
+    _assert_same_matrix(got[0], want[0])
+    assert got[0].accounting["meter"] == want[0].accounting["meter"]
+    assert got[1] == want[1]
+    return got[0]
+
+
+def _assert_same_matrix(got: FeatureMatrix, want: FeatureMatrix):
     assert got.values.shape == want.values.shape
     assert got.values.flags.c_contiguous
     assert np.array_equal(got.values.view(np.uint64),
@@ -60,7 +106,29 @@ def assert_same_as_oracle(capture: str, labels: str | None = None):
     assert got.unmatched_labels == want.unmatched_labels
     assert dataclasses.asdict(got.accounting["capture"]) \
         == dataclasses.asdict(want.accounting["capture"])
-    return got
+
+
+def _typed(record) -> tuple:
+    """A record's fields with their types, so 1 and True or 0 and None
+    tell apart."""
+    return tuple((type(v), v) for v in dataclasses.astuple(record))
+
+
+def assert_records_same_as_reader(capture: str):
+    """`packet_records` over a reader gives the records iterating a
+    reader gives, field for field, and the same summary, or the same
+    exception. Returns the records, or the exception."""
+    def run(records):
+        try:
+            reader = pcap.CaptureReader(capture)
+            out = [_typed(r) for r in records(reader)]
+        except Exception as exc:
+            return type(exc), str(exc)
+        return out, dataclasses.asdict(reader.summary)
+
+    got = run(packet_records)
+    assert got == run(iter)
+    return got[0]
 
 
 def write_capture(path, frames, link_type=pcap.LINKTYPE_ETHERNET,
@@ -339,20 +407,186 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("field, value", [
         (0, "010.0.0.1"), (1, "10.0.0.300"), (0, "2001:db8::1::2"),
-        (2, -1), (3, 70000), (4, 300)])
+        (2, -1), (3, 70000), (4, 300), (5, math.nan), (6, math.nan)])
     def test_refused_label_rows(self, tmp_path, field, value):
         path = str(tmp_path / "r.pcap")
         write_capture(path, [(BASE_SEC, 0, GOLDEN_FRAMES[0][1])])
-        key = ["10.0.0.1", "10.0.0.2", 5000, 80, 6]
-        bad = list(key)
+        row = ["10.0.0.1", "10.0.0.2", 5000, 80, 6, BASE_SEC, BASE_SEC + 1]
+        bad = list(row)
         bad[field] = value
         labels = str(tmp_path / "r.labels.csv")
-        write_label_file([LabelRow(*key, BASE_SEC, BASE_SEC + 1, "Scan"),
-                          LabelRow(*bad, BASE_SEC, BASE_SEC + 1, "Scan")],
+        write_label_file([LabelRow(*row, "Scan"), LabelRow(*bad, "Scan")],
                          labels)
         error, message = assert_same_as_oracle(path, labels)
         assert error is LabelVocabularyMismatch
         assert message.startswith("label file line 3: ")
+
+    def test_infinite_and_inverted_windows_are_read(self, tmp_path):
+        """An infinite bound is read as is; an inverted window is empty."""
+        path = str(tmp_path / "w.pcap")
+        write_capture(path, [(BASE_SEC, 0, GOLDEN_FRAMES[0][1])])
+        key = ("10.0.0.1", "10.0.0.2", 5000, 80, 6)
+        labels = str(tmp_path / "w.labels.csv")
+        write_label_file([LabelRow(*key, BASE_SEC + 1, BASE_SEC - 1, "Scan"),
+                          LabelRow(*key, -math.inf, math.inf, "DDoS")],
+                         labels)
+        X = assert_same_as_oracle(path, labels)
+        assert X.labels == ["DDoS"] and X.unmatched_labels == 0
+        rows = read_label_file(labels)
+        assert (rows[1].window_start, rows[1].window_end) \
+            == (-math.inf, math.inf)
+
+
+class TestFlowModesMatchOracle:
+    """The flow modes of extract_matrix, which meter `packet_records`,
+    against the job that meters the capture reader's records."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(captures(), st.sampled_from(FLOW_JOBS))
+    def test_generated_captures(self, capture, job):
+        records, link_type, endian, ns, tail, rows = capture
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.pcap")
+            write_capture(path, records, link_type, endian, ns, tail)
+            labels = None
+            if rows is not None:
+                labels = os.path.join(d, "c.labels.csv")
+                write_label_file(rows, labels)
+            assert_flows_same_as_oracle(path, *job, labels)
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_corpus(self, corpus_dir, mode, tw):
+        X = assert_flows_same_as_oracle(
+            str(corpus_dir / "test.pcap"), mode, tw,
+            str(corpus_dir / "test.labels.csv"))
+        assert X.n > 100 and X.unmatched_labels == 0
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_every_golden_frame_layout(self, tmp_path, mode, tw):
+        for name, raw, link_type in GOLDEN_FRAMES:
+            path = str(tmp_path / ("%s.pcap" % name))
+            write_capture(path, [(BASE_SEC, i, raw) for i in range(3)],
+                          link_type)
+            X = assert_flows_same_as_oracle(path, mode, tw)
+            assert X.accounting["meter"].packets_metered == 3, name
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    @pytest.mark.parametrize("endian", "<>")
+    @pytest.mark.parametrize("ns", [False, True])
+    def test_all_four_magics(self, tmp_path, endian, ns, mode, tw):
+        raw = GOLDEN_FRAMES[0][1]
+        path = str(tmp_path / "m.pcap")
+        write_capture(path, [(7, 123456, raw), (7, 123457, raw)],
+                      endian=endian, ns=ns)
+        assert assert_flows_same_as_oracle(path, mode, tw).n == 1
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_reorder_horizon(self, tmp_path, mode, tw):
+        raw = GOLDEN_FRAMES[0][1]
+        stamps = [(10, 0), (9, 500_000), (9, 0), (8, 900_000), (10, 0)]
+        path = str(tmp_path / "r.pcap")
+        write_capture(path, [(s, u, raw) for s, u in stamps])
+        X = assert_flows_same_as_oracle(path, mode, tw)
+        assert X.accounting["capture"].dropped_late == 1
+        assert X.accounting["meter"].packets_metered == 4
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    @pytest.mark.parametrize("tail", [b"\x00" * 15,
+                                      struct.pack("<IIII", 1, 0, 99, 99)])
+    def test_cut_record_raises_as_the_oracle(self, tmp_path, tail, mode, tw):
+        path = str(tmp_path / "t.pcap")
+        write_capture(path, [(1, 0, GOLDEN_FRAMES[0][1])], tail=tail)
+        assert assert_flows_same_as_oracle(path, mode, tw)[0] \
+            is TruncatedHeader
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_empty_capture(self, tmp_path, mode, tw):
+        path = str(tmp_path / "e.pcap")
+        write_capture(path, [])
+        X = assert_flows_same_as_oracle(path, mode, tw)
+        assert X.values.shape == (0, len(X.names))
+
+
+class TestPacketRecords:
+    """`packet_records` gives the capture reader's records and summary."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(captures())
+    def test_generated_captures(self, capture):
+        records, link_type, endian, ns, tail, _ = capture
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.pcap")
+            write_capture(path, records, link_type, endian, ns, tail)
+            assert_records_same_as_reader(path)
+
+    def test_every_golden_frame_layout(self, tmp_path):
+        for name, raw, link_type in GOLDEN_FRAMES:
+            path = str(tmp_path / ("%s.pcap" % name))
+            write_capture(path, [(BASE_SEC, i, raw) for i in range(3)],
+                          link_type)
+            assert len(assert_records_same_as_reader(path)) == 3, name
+
+    def test_link_header_len_and_flags(self, tmp_path):
+        """A tagged frame keeps its 18-byte link header; a frame not of
+        TCP has no flags or window."""
+        golden = {name: raw for name, raw, _ in GOLDEN_FRAMES}
+        path = str(tmp_path / "l.pcap")
+        write_capture(path, [(BASE_SEC, 0, golden["vlan"]),
+                             (BASE_SEC, 1, golden["udp"]),
+                             (BASE_SEC, 2, golden["syn"])])
+        got = list(packet_records(pcap.CaptureReader(path)))
+        assert [p.link_header_len for p in got] == [18, 14, 14]
+        assert (got[1].tcp_flags, got[1].tcp_window) == (None, None)
+        assert got[2].tcp_flags == pcap.TCP_SYN
+        assert_records_same_as_reader(path)
+
+    @pytest.mark.parametrize("endian", "<>")
+    @pytest.mark.parametrize("ns", [False, True])
+    def test_all_four_magics(self, tmp_path, endian, ns):
+        raw = GOLDEN_FRAMES[0][1]
+        path = str(tmp_path / "m.pcap")
+        write_capture(path, [(7, 123456, raw), (7, 123457, raw)],
+                      endian=endian, ns=ns)
+        assert len(assert_records_same_as_reader(path)) == 2
+
+    def test_reorder_horizon(self, tmp_path):
+        raw = GOLDEN_FRAMES[0][1]
+        stamps = [(10, 0), (9, 500_000), (9, 0), (8, 900_000), (10, 0)]
+        path = str(tmp_path / "r.pcap")
+        write_capture(path, [(s, u, raw) for s, u in stamps])
+        got = assert_records_same_as_reader(path)
+        assert [r[0][1] for r in got] == [9.0, 9.5, 10.0, 10.0]
+
+    @pytest.mark.parametrize("tail", [b"\x00" * 15,
+                                      struct.pack("<IIII", 1, 0, 99, 99)])
+    def test_cut_record_raises_as_the_reader(self, tmp_path, tail):
+        path = str(tmp_path / "t.pcap")
+        write_capture(path, [(1, 0, GOLDEN_FRAMES[0][1])], tail=tail)
+        assert assert_records_same_as_reader(path) is TruncatedHeader
+
+    def test_a_second_pass_counts_one_pass(self, tmp_path):
+        """Regression: the columnar decode set frames_read but added to
+        the skip counters, so a second pass over one reader doubled
+        them."""
+        golden = {name: raw for name, raw, _ in GOLDEN_FRAMES}
+        arp = eth_header(0x0806) + bytes(28)
+        fragment = eth_header() + ipv4_header(100, 17, frag_field=5) \
+            + bytes(80)
+        path = str(tmp_path / "p.pcap")
+        write_capture(path, [(BASE_SEC, 0, golden["syn"]),
+                             (BASE_SEC, 1, arp), (BASE_SEC, 2, fragment),
+                             (BASE_SEC, 3, arp[:10]),
+                             (BASE_SEC - 2, 0, golden["udp"])])
+        reader = pcap.CaptureReader(path)
+        first = list(packet_records(reader))
+        once = dataclasses.asdict(reader.summary)
+        assert once == dict(frames_read=5, decoded=1, skipped_non_ip=1,
+                            skipped_malformed=1, fragment_frames=1,
+                            fragment_bytes=80, dropped_late=1,
+                            link_type=pcap.LINKTYPE_ETHERNET)
+        for records in (packet_records, iter, packet_records):
+            assert list(records(reader)) == first
+            assert dataclasses.asdict(reader.summary) == once
 
 
 # --- privacy ----------------------------------------------------------------

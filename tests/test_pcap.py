@@ -359,6 +359,24 @@ class TestCaptureReader:
         assert list(reader) == list(reader)
         assert reader.summary.dropped_late == 0
 
+    def test_second_pass_counts_one_pass(self, tmp_path, syn_frame,
+                                         udp_frame):
+        """Regression: each pass restarted the horizon but added to the
+        summary, so a second pass doubled every count."""
+        arp = eth_header(0x0806) + b"\x00" * 28
+        body = build_record(10, 0, syn_frame) + build_record(11, 0, arp) \
+            + build_record(12, 0, b"\x00" * 10) \
+            + build_record(8, 0, udp_frame)
+        reader = pcap.open_capture(self.write(tmp_path, body))
+        list(reader)
+        once = dataclasses.asdict(reader.summary)
+        assert once == dict(frames_read=4, decoded=1, skipped_non_ip=1,
+                            skipped_malformed=1, fragment_frames=0,
+                            fragment_bytes=0, dropped_late=1,
+                            link_type=pcap.LINKTYPE_ETHERNET)
+        list(reader)
+        assert dataclasses.asdict(reader.summary) == once
+
     def test_non_ip_counted(self, tmp_path, syn_frame):
         arp = eth_header(0x0806) + b"\x00" * 28
         body = build_record(1, 0, arp) + build_record(2, 0, syn_frame)
