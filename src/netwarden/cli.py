@@ -42,7 +42,7 @@ _PATHS = {"in": "input file", "labels": "label sidecar CSV",
           "out": "output path (or prefix)", "model": "model file path",
           "scenario": "scenario JSON for synth",
           "manifest": "reduced-manifest JSON from select",
-          "flows_out": "extract only: also dump raw FlowRecords as CSV"}
+          "flows_out": "extract, flow modes: dump raw FlowRecords as CSV"}
 _CONFIG_KEYS = set(_SETTINGS) | set(_PATHS) | {"params"}
 _TEXT_HELP = {  # settings whose flags take text, parsed in _merge
     "tw": 'seconds, or "default" (timeout-only cuts); sweep: a list a,b,c',
@@ -164,7 +164,10 @@ def cmd_extract(cfg: dict) -> int:
     _require(cfg, "in", "out")
     flow_sink = None
     dumped: list = []
-    if cfg["flows_out"] and cfg["mode"] != "packet":
+    if cfg["flows_out"]:
+        if cfg["mode"] == "packet":
+            raise ConfigInvalid("flows_out dumps metered flows: mode must "
+                                "be uni_flow or bi_flow")
         flow_sink = dumped.append
     X = extract_matrix(cfg["in"], mode=cfg["mode"],
                        tw=cfg["tw"][0], idle_timeout=cfg["idle_timeout"],

@@ -2,9 +2,10 @@
 
 `packet_matrix` gives the matrix, labels and capture accounting that
 reading the capture record by record gives (the reader's records,
-`packet_row` with one PacketContext, `LabelIndex.label_for_packet`), bit
-for bit, and `packet_records` gives the reader's records themselves, for
-the flow modes' meter. Both read the headers with numpy:
+`packet_features` with one PacketContext,
+`LabelIndex.label_for_packet`), bit for bit, and `packet_records` gives
+the reader's records themselves, for the flow modes' meter. Both read
+the headers with numpy:
 
 - one pass over the record headers finds every frame;
 - the fixed-offset fields of Ethernet or raw-IP IPv4 frames (any header

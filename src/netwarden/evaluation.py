@@ -273,7 +273,7 @@ class LabelIndex:
         for key in keys:
             for r in self._by_key.get(key, ()):
                 overlap = (min(r.window_end, rec.last_ts)
-                           - max(r.window_start, rec.first_ts))
+                           - max(r.window_start, rec.window_start))
                 if overlap >= 0 and (best is None or overlap > best_overlap):
                     best = r
                     best_overlap = overlap

@@ -374,21 +374,14 @@ class PacketContext:
         return iat_prev, pkt_index
 
 
-def packet_row(p: PacketRecord, ctx: PacketContext,
-               manifest: Manifest = PACKET_MANIFEST) -> list:
-    """One packet's row (with flow context), as a list in `manifest`
-    order."""
+def packet_features(p: PacketRecord, ctx: PacketContext,
+                    manifest: Manifest = PACKET_MANIFEST) -> np.ndarray:
+    """Evaluate one packet (with flow context) against a packet manifest."""
     if manifest.mode != MODE_PACKET:
         raise ManifestMismatch("manifest mode %r is not packet"
                                % manifest.mode)
     _require_default(manifest)
-    return _packet_row(p, *ctx.advance(p))
-
-
-def packet_features(p: PacketRecord, ctx: PacketContext,
-                    manifest: Manifest = PACKET_MANIFEST) -> np.ndarray:
-    """Evaluate one packet (with flow context) against a packet manifest."""
-    return np.array(packet_row(p, ctx, manifest), dtype=np.float64)
+    return np.array(_packet_row(p, *ctx.advance(p)), dtype=np.float64)
 
 
 class _Recorder:

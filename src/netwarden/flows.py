@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .pcap import (
     PROTO_TCP,
     PacketRecord,
-    TCP_FIN,
     TCP_FLAG_NAMES,
     TCP_RST,
 )
@@ -161,26 +160,25 @@ class DirStats:
 class FlowRecord:
     """One flow. The meter builds it on the flow's first packet, updates it
     in place and emits it once `close` has set `duration`, `termination`
-    and `window_end`."""
+    and `window_end`. The meter passes each packet's `low`: whether the
+    key's lower endpoint sent it."""
 
     __slots__ = (
         "key", "mode", "fwd_is_low", "window_start", "window_end",
-        "first_ts", "last_ts", "duration", "protocol", "fwd", "bwd",
+        "last_ts", "duration", "protocol", "fwd", "bwd",
         # combined-arrival gap statistics across both directions
         "iat_min", "iat_max", "iat_sum", "iat_sumsq", "iat_count",
         "active_start", "active_total", "active_max", "active_count",
-        "idle_total", "idle_max", "idle_count",
-        "fin_fwd", "fin_bwd", "termination",
+        "idle_total", "idle_max", "idle_count", "termination",
     )
 
-    def __init__(self, key: FlowKey, p: PacketRecord, mode: str) -> None:
+    def __init__(self, key: FlowKey, p: PacketRecord, mode: str,
+                 low: bool) -> None:
         self.key = key
         self.mode = mode
         # whether the forward side is the key's lower endpoint
-        self.fwd_is_low = (p.src_ip == key.src_ip
-                           and p.src_port == key.src_port)
+        self.fwd_is_low = low
         self.window_start = p.ts
-        self.first_ts = p.ts
         self.last_ts = p.ts
         self.protocol = key.protocol
         self.fwd = DirStats()
@@ -197,15 +195,13 @@ class FlowRecord:
         self.idle_total = 0.0
         self.idle_max = 0.0
         self.idle_count = 0
-        self.fin_fwd = False
-        self.fin_bwd = False
-        self._add(p)
+        self.fwd.add(p)
 
     @property
     def pkt_count(self) -> int:
         return self.fwd.pkt_count + (self.bwd.pkt_count if self.bwd else 0)
 
-    def update(self, p: PacketRecord) -> None:
+    def update(self, p: PacketRecord, low: bool) -> None:
         gap = p.ts - self.last_ts
         if self.iat_count == 0:
             self.iat_min = self.iat_max = gap
@@ -228,25 +224,14 @@ class FlowRecord:
                 self.idle_max = gap
             self.idle_count += 1
             self.active_start = p.ts
-        self._add(p)
-
-    def _add(self, p: PacketRecord) -> None:
-        key = self.key
-        is_fwd = (self.bwd is None
-                  or (p.src_ip == key.src_ip and p.src_port == key.src_port)
-                  == self.fwd_is_low)
-        (self.fwd if is_fwd else self.bwd).add(p)
+        (self.fwd if low == self.fwd_is_low else self.bwd).add(p)
         self.last_ts = p.ts
-        if p.tcp_flags is not None and p.tcp_flags & TCP_FIN:
-            if is_fwd:
-                self.fin_fwd = True
-            else:
-                self.fin_bwd = True
 
     def fin_complete(self) -> bool:
+        """Whether each side (uni: its one side) has sent a FIN (bit 0)."""
         if self.mode == BIDIRECTIONAL:
-            return self.fin_fwd and self.fin_bwd
-        return self.fin_fwd
+            return bool(self.fwd.flag_counts[0] and self.bwd.flag_counts[0])
+        return bool(self.fwd.flag_counts[0])
 
     def close(self, termination: str, window_end: float) -> FlowRecord:
         """Close the last activity run and mark the flow finished."""
@@ -254,7 +239,7 @@ class FlowRecord:
         self.active_total += run
         self.active_max = max(self.active_max, run)
         self.active_count += 1
-        self.duration = self.last_ts - self.first_ts
+        self.duration = self.last_ts - self.window_start
         self.termination = termination
         self.window_end = window_end
         return self
@@ -299,10 +284,12 @@ class FlowMeter:
         cfg = self.cfg
         out: list[FlowRecord] = []
         # the 5-tuple; a bidirectional key puts the lower (address, port)
-        # endpoint first
+        # endpoint first, and low says whether that endpoint sent p (a
+        # unidirectional key's first endpoint always did)
         src, dst, sport, dport = p.src_ip, p.dst_ip, p.src_port, p.dst_port
-        if (cfg.direction_mode == UNIDIRECTIONAL or src < dst
-                or (src == dst and sport <= dport)):
+        low = (cfg.direction_mode == UNIDIRECTIONAL or src < dst
+               or (src == dst and sport <= dport))
+        if low:
             key = (src, dst, sport, dport, p.protocol)
         else:
             key = (dst, src, dport, sport, p.protocol)
@@ -317,10 +304,10 @@ class FlowMeter:
                 out.append(rec.close(TERM_IDLE, rec.last_ts))
                 rec = None
         if rec is None:
-            rec = FlowRecord(FlowKey._make(key), p, cfg.direction_mode)
+            rec = FlowRecord(FlowKey._make(key), p, cfg.direction_mode, low)
             table[rec.key] = rec
         else:
-            rec.update(p)
+            rec.update(p, low)
         self.stats.packets_metered += 1
 
         flags = p.tcp_flags
@@ -358,7 +345,7 @@ class FlowMeter:
 
 
 def _age(rec: FlowRecord) -> tuple:
-    return rec.first_ts, rec.key
+    return rec.window_start, rec.key
 
 
 def meter(packets: Iterable[PacketRecord],

@@ -25,7 +25,7 @@ from netwarden.evaluation import LabelIndex, read_label_file
 from netwarden.features import (DEFAULT_MANIFESTS, FeatureMatrix,
                                 MODE_PACKET, MODE_TO_DIRECTION,
                                 PACKET_MANIFEST, PacketContext, flow_row,
-                                packet_row)
+                                packet_features)
 from netwarden.flows import FlowMeter, MeterConfig
 from netwarden.pcap import CaptureReader, PacketRecord
 
@@ -1008,12 +1008,48 @@ def flow_key_of_oracle(p, mode: str) -> tuple:
     return (b[0], a[0], b[1], a[1], p.protocol)
 
 
+# --- flow sides and TCP cuts -----------------------------------------------
+
+def meter_sides_oracle(packets, mode: str) -> list:
+    """(key, forward count, backward count, termination) of each flow a
+    meter with no time window and no idle cut gives. A flow's first
+    sender is its forward side and every other sender its backward side.
+    A TCP packet with RST closes its flow; so does a TCP packet after
+    which each side (a unidirectional flow: its one side) has sent a FIN.
+    What is left is flushed at capture end."""
+    live: dict = {}
+    out = []
+    for p in packets:
+        key = flow_key_of_oracle(p, mode)
+        sender = (p.src_ip, p.src_port)
+        if key not in live:
+            live[key] = {"first": sender, "counts": [0, 0], "fins": [0, 0]}
+        flow = live[key]
+        side = 0 if sender == flow["first"] else 1
+        flow["counts"][side] += 1
+        if p.protocol != 6 or p.tcp_flags is None:
+            continue
+        if p.tcp_flags & 0x01:
+            flow["fins"][side] += 1
+        if p.tcp_flags & 0x04:
+            ended = "tcp_rst"
+        elif flow["fins"][0] and (mode == "uni" or flow["fins"][1]):
+            ended = "tcp_fin"
+        else:
+            continue
+        out.append((key, *flow["counts"], ended))
+        del live[key]
+    out += [(key, *flow["counts"], "capture_end")
+            for key, flow in live.items()]
+    return out
+
+
 # --- packet-mode batch job -------------------------------------------------
 #
 # The packet-mode batch job as first written: the capture reader's records
-# one at a time, each through packet_row with one PacketContext and, with
-# labels, LabelIndex.label_for_packet. It shares the one-packet path with
-# the library, which the oracles above check; the columnar
+# one at a time, each through packet_features with one PacketContext and,
+# with labels, LabelIndex.label_for_packet. It shares the one-packet path
+# with the library, which the oracles above check; the columnar
 # extract_matrix(.., "packet") must give the same values bit for bit, the
 # same labels and unmatched count and the same CaptureSummary, or raise
 # the same exception.
@@ -1025,7 +1061,7 @@ def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
     reader = CaptureReader(capture_path)
     ctx = PacketContext()
     for p in reader:
-        rows.append(packet_row(p, ctx, PACKET_MANIFEST))
+        rows.append(packet_features(p, ctx, PACKET_MANIFEST))
         if index is not None:
             labels.append(index.label_for_packet(p))
     values = (np.array(rows, dtype=np.float64) if rows

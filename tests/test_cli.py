@@ -104,10 +104,10 @@ class TestSynthExtract:
     def test_extract_accounts_for_its_input(self, workdir, tmp_path,
                                             capsys, mode):
         flows_csv = tmp_path / "raw_flows.csv"
+        dump = [] if mode == "packet" else ["--flows-out", str(flows_csv)]
         capsys.readouterr()
         assert run("extract", "--in", str(workdir / "corpus.pcap"),
-                   "--mode", mode, "--tw", "1",
-                   "--flows-out", str(flows_csv),
+                   "--mode", mode, "--tw", "1", *dump,
                    "--out", str(tmp_path / "feats.csv")) == 0
         line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         cap = line["capture"]
@@ -128,6 +128,28 @@ class TestSynthExtract:
             int(f["%s_pkt_count" % s]) for f in flows for s in sides)
         assert metered["packets_metered"] + metered["clock_skew_dropped"] \
             == cap["decoded"]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_flows_out_refused_in_packet_mode(self, tmp_path, capsys, via):
+        # packet mode meters no flows, so it has no dump to write; --in
+        # names no file: reading it first would give io_error
+        flows_csv = tmp_path / "raw_flows.csv"
+        argv = ["--mode", "packet", "--in", str(tmp_path / "missing.pcap"),
+                "--out", str(tmp_path / "feats.csv")]
+        if via == "flag":
+            argv += ["--flows-out", str(flows_csv)]
+        else:
+            (tmp_path / "cfg.json").write_text(
+                json.dumps({"flows_out": str(flows_csv)}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        capsys.readouterr()
+        assert run("extract", *argv) == 2
+        err = capsys.readouterr().err
+        line = json.loads(err[len("error: "):])
+        assert line["code"] == "config_invalid"
+        assert "flows_out" in line["message"]
+        assert not flows_csv.exists()
+        assert not (tmp_path / "feats.csv").exists()
 
     # SHA-256 of the raw flow dump on the shared corpus, taken with the
     # code that kept a flow's live state and its emitted record apart

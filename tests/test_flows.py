@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from netwarden.flows import (
 from netwarden.pipeline import extract_matrix
 
 from conftest import build_global_header, build_record, golden_syn_frame
-from oracles import flow_key_of_oracle
+from oracles import flow_key_of_oracle, meter_sides_oracle
 
 
 def pkt(ts, src="10.0.0.1", dst="10.0.0.2", sport=5000, dport=80, proto=6,
@@ -103,14 +104,14 @@ class TestFlowKey:
                 ps = [dataclasses.replace(p, dst_ip=p.src_ip) if i % 3 == 0
                       else p for i, p in enumerate(ps)]
             first = {p.ts: p for p in ps}
-            assert len(first) == len(ps)  # a record's first_ts names it
+            assert len(first) == len(ps)  # a record's window_start names it
             recs = list(meter(ps, MeterConfig(direction_mode=mode,
                                               tw_seconds=tw,
                                               idle_timeout=5.0)))
             assert recs
             for rec in recs:
                 assert type(rec.key) is flows.FlowKey
-                assert rec.key == flow_key_of_oracle(first[rec.first_ts],
+                assert rec.key == flow_key_of_oracle(first[rec.window_start],
                                                      mode)
 
 
@@ -230,6 +231,37 @@ def random_stream(rng, n=120):
                        payload=int(rng.integers(0, 300)),
                        flags=int(rng.integers(0, 64)) if proto == 6 else 0))
     return out
+
+
+def metered_sides(ps, mode):
+    """The multiset of (key, forward count, backward count, termination)
+    that metering ps gives with no time window and no idle cut."""
+    recs = meter(ps, MeterConfig(direction_mode=mode, idle_timeout=np.inf))
+    return Counter((tuple(r.key), r.fwd.pkt_count,
+                    r.bwd.pkt_count if r.bwd else 0, r.termination)
+                   for r in recs)
+
+
+class TestMeterMatchesOracle:
+    """The meter's sides and TCP cuts against plain per-key bookkeeping."""
+
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_fuzzed_streams(self, mode):
+        for seed in range(30):
+            ps = random_stream(np.random.default_rng(seed))
+            assert metered_sides(ps, mode) \
+                == Counter(meter_sides_oracle(ps, mode)), seed
+
+    @pytest.mark.parametrize("mode", [UNIDIRECTIONAL, BIDIRECTIONAL])
+    def test_one_side_sending_fin_twice(self, mode):
+        fin = pcap.TCP_FIN | pcap.TCP_ACK
+        a = pkt(0.0, flags=fin)
+        ps = [a, pkt(0.1, flags=fin), rev(a, ts=0.2, flags=pcap.TCP_ACK)]
+        got = metered_sides(ps, mode)
+        assert got == Counter(meter_sides_oracle(ps, mode))
+        if mode == BIDIRECTIONAL:  # the other side sent no FIN: still open
+            key = flow_key_of_oracle(a, "bi")
+            assert got == Counter([(key, 2, 1, flows.TERM_CAPTURE_END)])
 
 
 def _leaves(value):
