@@ -243,9 +243,11 @@ def cmd_train(cfg: dict) -> int:
     if cfg["manifest"]:
         with open(cfg["manifest"]) as fh:
             manifest = json.load(fh)
-        if not isinstance(manifest, dict) or "names" not in manifest:
-            raise ConfigInvalid("manifest has no names list")
-        selected = tuple(manifest["names"])
+        names = manifest.get("names") if isinstance(manifest, dict) else None
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise ConfigInvalid("manifest has no names list of strings")
+        selected = tuple(names)
     model = train_model(X, kind=cfg["detector"], params=cfg["params"],
                         target_fpr=cfg["target_fpr"], seed=cfg["seed"],
                         selected_names=selected)
@@ -347,7 +349,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except NetwardenError as e:
         error = e
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # undecodable text input
         error = InputOutputError(str(e))
     except json.JSONDecodeError as e:
         error = ConfigInvalid(str(e))

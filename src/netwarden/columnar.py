@@ -13,8 +13,9 @@ the headers with numpy:
   columns, and every check `decode_frame` makes of such a frame is made
   on the columns;
 - a frame those checks do not pass (802.1Q tags, IPv6, fragments, short
-  or inconsistent headers, other ethertypes) goes through `decode_frame`,
-  which decodes it or raises what the reader counts it as;
+  or inconsistent headers, other ethertypes) goes through
+  `CaptureSummary.decode`, which decodes it or counts it as the reader
+  does;
 - the reorder horizon drops what the reader drops, and a stable sort by
   timestamp gives the reader's (timestamp, arrival) order;
 - in packet mode, one stable sort on the 5-tuple gives each packet its
@@ -33,7 +34,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FragmentContinuation, MalformedHeader, NonIP
 from .evaluation import LABEL_NORMAL
 from .features import FeatureMatrix, MODE_PACKET, PACKET_MANIFEST, \
     packet_columns
@@ -48,7 +48,6 @@ from .pcap import (
     CaptureReader,
     CaptureSummary,
     PacketRecord,
-    decode_frame,
 )
 
 # the int64 columns of decoded packets, in this order
@@ -183,17 +182,8 @@ def _decode(reader: CaptureReader) -> tuple:
     data = memoryview(reader.data)
     for k in np.flatnonzero(~ok).tolist():
         at = int(start[k])
-        try:
-            p = decode_frame(data[at:at + int(size[k])], link_type)
-        except FragmentContinuation as frag:
-            s.fragment_frames += 1
-            s.fragment_bytes += frag.byte_count
-            continue
-        except NonIP:
-            s.skipped_non_ip += 1
-            continue
-        except MalformedHeader:
-            s.skipped_malformed += 1
+        p = s.decode(data[at:at + int(size[k])])
+        if p is None:
             continue
         ok[k] = True
         fields[:, k] = (address_id(p.src_ip), address_id(p.dst_ip),

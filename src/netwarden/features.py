@@ -199,9 +199,10 @@ def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
     byte_count = a.byte_count + b.byte_count  # the sum of packet lengths
     payload_bytes = a.payload_byte_count + b.payload_byte_count
     header_bytes = byte_count - payload_bytes
-    k = rec.iat_count
+    k = n - 1  # the gaps
     iat_min = rec.iat_min if k else 0.0
     iat_max = rec.iat_max if k else 0.0
+    idles = rec.idle_count
     f0, f1, f2, f3, f4, f5, f6, f7 = map(add, a.flag_counts, b.flag_counts)
     proto = rec.protocol
     return [
@@ -224,11 +225,9 @@ def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
         _pop_std(rec.iat_sum, rec.iat_sumsq, k),
         iat_max - iat_min,
         rec.active_total, rec.active_max,
-        rec.active_total / rec.active_count if rec.active_count else 0.0,
-        rec.active_count,
-        rec.idle_total, rec.idle_max,
-        rec.idle_total / rec.idle_count if rec.idle_count else 0.0,
-        rec.idle_count,
+        rec.active_total / (idles + 1), idles + 1,
+        rec.idle_total, iat_max if idles else 0.0,
+        rec.idle_total / idles if idles else 0.0, idles,
         rec.idle_total / span,
         # protocol-based: header semantics
         proto == PROTO_TCP, proto == PROTO_UDP, proto in _ICMP,
@@ -247,7 +246,7 @@ def _flow_row(rec: FlowRecord, a: DirStats, b: DirStats) -> list:
 def _side_row(s: DirStats) -> list:
     """One direction's own columns in a bi_flow row."""
     n = s.pkt_count
-    k = s.iat_count
+    k = n - 1 if n else 0  # the gaps
     return [
         n,
         s.byte_count / n if n else 0.0,

@@ -52,14 +52,15 @@ class DirStats:
     """Per-direction accumulators; all derivable without IPs, ports or
     absolute timestamps. Each quantity is kept once: the sum of packet
     lengths is `byte_count`, that of payload lengths `payload_byte_count`,
-    and the header bytes are their difference."""
+    the header bytes are their difference, and the gap count is
+    `pkt_count - 1` (0 with no packets)."""
 
     __slots__ = (
         "pkt_count", "byte_count", "payload_byte_count",
         "pkt_len_min", "pkt_len_max", "pkt_len_sumsq",
         "payload_len_min", "payload_len_max", "payload_len_sumsq",
         "ip_hdr_max", "ip_hdr_sum", "l4_hdr_max", "l4_hdr_sum",
-        "iat_min", "iat_max", "iat_sum", "iat_sumsq", "iat_count", "last_ts",
+        "iat_min", "iat_max", "iat_sum", "iat_sumsq", "last_ts",
         "flag_counts", "ttl_min", "ttl_max", "ttl_sum",
         "init_window", "small_pkt_count", "large_pkt_count",
     )
@@ -82,7 +83,6 @@ class DirStats:
         self.iat_max = 0.0
         self.iat_sum = 0.0
         self.iat_sumsq = 0.0
-        self.iat_count = 0
         self.last_ts = None
         self.flag_counts = [0] * 8
         self.ttl_min = 0
@@ -135,18 +135,16 @@ class DirStats:
         if payload >= LARGE_PAYLOAD:
             self.large_pkt_count += 1
         ts = p.ts
-        if self.last_ts is not None:
+        if n:
             iat = ts - self.last_ts
-            if self.iat_count == 0:
+            if n == 1:
                 self.iat_min = self.iat_max = iat
-            else:
-                if iat < self.iat_min:
-                    self.iat_min = iat
-                elif iat > self.iat_max:
-                    self.iat_max = iat
+            elif iat < self.iat_min:
+                self.iat_min = iat
+            elif iat > self.iat_max:
+                self.iat_max = iat
             self.iat_sum += iat
             self.iat_sumsq += iat * iat
-            self.iat_count += 1
         self.last_ts = ts
         flags = p.tcp_flags
         if flags is not None:
@@ -161,15 +159,18 @@ class FlowRecord:
     """One flow. The meter builds it on the flow's first packet, updates it
     in place and emits it once `close` has set `duration`, `termination`
     and `window_end`. The meter passes each packet's `low`: whether the
-    key's lower endpoint sent it."""
+    key's lower endpoint sent it. A flow has `pkt_count - 1` gaps (with
+    none, `iat_min` is +inf and `iat_max` -inf) and, once closed,
+    `idle_count + 1` activity runs; its longest idle gap, if any, is
+    `iat_max`."""
 
     __slots__ = (
         "key", "mode", "fwd_is_low", "window_start", "window_end",
         "last_ts", "duration", "protocol", "fwd", "bwd",
         # combined-arrival gap statistics across both directions
-        "iat_min", "iat_max", "iat_sum", "iat_sumsq", "iat_count",
-        "active_start", "active_total", "active_max", "active_count",
-        "idle_total", "idle_max", "idle_count", "termination",
+        "iat_min", "iat_max", "iat_sum", "iat_sumsq",
+        "active_start", "active_total", "active_max",
+        "idle_total", "idle_count", "termination",
     )
 
     def __init__(self, key: FlowKey, p: PacketRecord, mode: str,
@@ -183,17 +184,14 @@ class FlowRecord:
         self.protocol = key.protocol
         self.fwd = DirStats()
         self.bwd = DirStats() if mode == BIDIRECTIONAL else None
-        self.iat_min = 0.0
-        self.iat_max = 0.0
+        self.iat_min = float("inf")
+        self.iat_max = float("-inf")
         self.iat_sum = 0.0
         self.iat_sumsq = 0.0
-        self.iat_count = 0
         self.active_start = p.ts
         self.active_total = 0.0
         self.active_max = 0.0
-        self.active_count = 0
         self.idle_total = 0.0
-        self.idle_max = 0.0
         self.idle_count = 0
         self.fwd.add(p)
 
@@ -203,25 +201,18 @@ class FlowRecord:
 
     def update(self, p: PacketRecord, low: bool) -> None:
         gap = p.ts - self.last_ts
-        if self.iat_count == 0:
-            self.iat_min = self.iat_max = gap
-        else:
-            if gap < self.iat_min:
-                self.iat_min = gap
-            elif gap > self.iat_max:
-                self.iat_max = gap
+        if gap < self.iat_min:
+            self.iat_min = gap
+        if gap > self.iat_max:
+            self.iat_max = gap
         self.iat_sum += gap
         self.iat_sumsq += gap * gap
-        self.iat_count += 1
         if gap > ACTIVE_GAP:
             run = self.last_ts - self.active_start
             self.active_total += run
             if run > self.active_max:
                 self.active_max = run
-            self.active_count += 1
             self.idle_total += gap
-            if gap > self.idle_max:
-                self.idle_max = gap
             self.idle_count += 1
             self.active_start = p.ts
         (self.fwd if low == self.fwd_is_low else self.bwd).add(p)
@@ -238,7 +229,6 @@ class FlowRecord:
         run = self.last_ts - self.active_start
         self.active_total += run
         self.active_max = max(self.active_max, run)
-        self.active_count += 1
         self.duration = self.last_ts - self.window_start
         self.termination = termination
         self.window_end = window_end
@@ -378,7 +368,8 @@ def flow_csv_header(mode: str) -> list[str]:
 
 def _dir_csv_values(s: DirStats) -> list[str]:
     derived = {"pkt_len_sum": s.byte_count,
-               "header_byte_count": s.byte_count - s.payload_byte_count}
+               "header_byte_count": s.byte_count - s.payload_byte_count,
+               "iat_count": max(s.pkt_count - 1, 0)}
     vals = []
     for f in _DIR_CSV_FIELDS:
         v = derived[f] if f in derived else getattr(s, f)

@@ -111,6 +111,21 @@ class CaptureSummary:
     dropped_late: int = 0
     link_type: int | None = None
 
+    def decode(self, raw: bytes | memoryview,
+               ts: float = 0.0) -> PacketRecord | None:
+        """`decode_frame`'s record of a frame, or None for a frame it
+        refuses, counted here as a fragment, non-IP or malformed."""
+        try:
+            return decode_frame(raw, self.link_type, ts)
+        except FragmentContinuation as frag:
+            self.fragment_frames += 1
+            self.fragment_bytes += frag.byte_count
+        except NonIP:
+            self.skipped_non_ip += 1
+        except MalformedHeader:
+            self.skipped_malformed += 1
+        return None
+
 
 # The reader's headers, read in place at an offset into the frame: the
 # IPv4 fixed header (version/IHL, total length, flags/fragment offset, TTL,
@@ -362,17 +377,8 @@ class CaptureReader:
         try:
             for ts, frame in self.frames():
                 s.frames_read += 1
-                try:
-                    rec = decode_frame(frame, link_type, ts=ts)
-                except FragmentContinuation as frag:
-                    s.fragment_frames += 1
-                    s.fragment_bytes += frag.byte_count
-                    continue
-                except NonIP:
-                    s.skipped_non_ip += 1
-                    continue
-                except MalformedHeader:
-                    s.skipped_malformed += 1
+                rec = s.decode(frame, ts)
+                if rec is None:
                     continue
                 if ts < newest - REORDER_HORIZON:
                     s.dropped_late += 1

@@ -46,10 +46,13 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
     reader's records, built from the columns (`columnar.packet_records`).
 
     `flow_sink`, if set, additionally receives every raw FlowRecord (used
-    for the CLI flow dump)."""
+    for the CLI flow dump). An unknown `mode` raises ManifestMismatch."""
     from .evaluation import LabelIndex, read_label_file
 
-    manifest = DEFAULT_MANIFESTS[mode]
+    manifest = DEFAULT_MANIFESTS.get(mode)
+    if manifest is None:
+        raise ManifestMismatch("no traffic mode %r: extract in one of %s"
+                               % (mode, ", ".join(DEFAULT_MANIFESTS)))
     label_rows = read_label_file(labels_path) if labels_path else None
     if mode == MODE_PACKET:
         return packet_matrix(capture_path, label_rows)

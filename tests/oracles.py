@@ -459,10 +459,11 @@ def _dir_view(s) -> DirView:
     v.ip_hdr_mean = _mean(s.ip_hdr_sum, n)
     v.l4_hdr_max = float(s.l4_hdr_max)
     v.l4_hdr_mean = _mean(s.l4_hdr_sum, n)
-    v.iat_min = s.iat_min if s.iat_count else 0.0
-    v.iat_max = s.iat_max if s.iat_count else 0.0
-    v.iat_mean = _mean(s.iat_sum, s.iat_count)
-    v.iat_std = _pop_std(s.iat_sum, s.iat_sumsq, s.iat_count)
+    gaps = max(n - 1, 0)
+    v.iat_min = s.iat_min if gaps else 0.0
+    v.iat_max = s.iat_max if gaps else 0.0
+    v.iat_mean = _mean(s.iat_sum, gaps)
+    v.iat_std = _pop_std(s.iat_sum, s.iat_sumsq, gaps)
     v.flag_counts = tuple(s.flag_counts)
     v.ttl_min = float(s.ttl_min)
     v.ttl_max = float(s.ttl_max)
@@ -509,8 +510,8 @@ def _merged_dir_view(a, b) -> DirView:
     v.ip_hdr_mean = _mean(a.ip_hdr_sum + b.ip_hdr_sum, n)
     v.l4_hdr_max = mx(a.l4_hdr_max, b.l4_hdr_max)
     v.l4_hdr_mean = _mean(a.l4_hdr_sum + b.l4_hdr_sum, n)
-    iat_n = a.iat_count + b.iat_count
-    ia, ib = a.iat_count > 0, b.iat_count > 0
+    ia, ib = a.pkt_count > 1, b.pkt_count > 1
+    iat_n = max(a.pkt_count - 1, 0) + max(b.pkt_count - 1, 0)
     v.iat_min = mn(a.iat_min, b.iat_min, ia, ib) if iat_n else 0.0
     v.iat_max = mx(a.iat_max, b.iat_max, ia, ib) if iat_n else 0.0
     v.iat_mean = _mean(a.iat_sum + b.iat_sum, iat_n)
@@ -551,16 +552,22 @@ def flow_view(rec) -> FlowView:
         v.fwd = _dir_view(rec.fwd)
         v.bwd = _dir_view(rec.bwd)
         v.all = _merged_dir_view(rec.fwd, rec.bwd)
-    v.iat_min = rec.iat_min if rec.iat_count else 0.0
-    v.iat_max = rec.iat_max if rec.iat_count else 0.0
-    v.iat_mean = _mean(rec.iat_sum, rec.iat_count)
-    v.iat_std = _pop_std(rec.iat_sum, rec.iat_sumsq, rec.iat_count)
+    # a closed record keeps no gap or run count and no longest idle gap:
+    # it has pkt_count - 1 gaps and idle_count + 1 runs, and an idle gap
+    # is above ACTIVE_GAP, so the longest gap is the longest idle one
+    # (meter_times_oracle checks these from the packets)
+    gaps = rec.pkt_count - 1
+    active_count = rec.idle_count + 1
+    v.iat_min = rec.iat_min if gaps else 0.0
+    v.iat_max = rec.iat_max if gaps else 0.0
+    v.iat_mean = _mean(rec.iat_sum, gaps)
+    v.iat_std = _pop_std(rec.iat_sum, rec.iat_sumsq, gaps)
     v.active_total = rec.active_total
     v.active_max = rec.active_max
-    v.active_mean = _mean(rec.active_total, rec.active_count)
-    v.active_count = float(rec.active_count)
+    v.active_mean = _mean(rec.active_total, active_count)
+    v.active_count = float(active_count)
     v.idle_total = rec.idle_total
-    v.idle_max = rec.idle_max
+    v.idle_max = v.iat_max if rec.idle_count else 0.0
     v.idle_mean = _mean(rec.idle_total, rec.idle_count)
     v.idle_count = float(rec.idle_count)
     return v
@@ -1008,11 +1015,12 @@ def flow_key_of_oracle(p, mode: str) -> tuple:
     return (b[0], a[0], b[1], a[1], p.protocol)
 
 
-# --- flow sides and TCP cuts -----------------------------------------------
+# --- flow sides, TCP cuts and time statistics -----------------------------
 
-def meter_sides_oracle(packets, mode: str) -> list:
-    """(key, forward count, backward count, termination) of each flow a
-    meter with no time window and no idle cut gives. A flow's first
+def _oracle_flows(packets, mode: str) -> list:
+    """(key, packets, sides, termination) of each flow a meter with no time
+    window and no idle cut gives, `sides` holding 0 for each packet of the
+    forward side and 1 for each of the backward side. A flow's first
     sender is its forward side and every other sender its backward side.
     A TCP packet with RST closes its flow; so does a TCP packet after
     which each side (a unidirectional flow: its one side) has sent a FIN.
@@ -1023,10 +1031,12 @@ def meter_sides_oracle(packets, mode: str) -> list:
         key = flow_key_of_oracle(p, mode)
         sender = (p.src_ip, p.src_port)
         if key not in live:
-            live[key] = {"first": sender, "counts": [0, 0], "fins": [0, 0]}
+            live[key] = {"first": sender, "packets": [], "sides": [],
+                         "fins": [0, 0]}
         flow = live[key]
         side = 0 if sender == flow["first"] else 1
-        flow["counts"][side] += 1
+        flow["packets"].append(p)
+        flow["sides"].append(side)
         if p.protocol != 6 or p.tcp_flags is None:
             continue
         if p.tcp_flags & 0x01:
@@ -1037,10 +1047,66 @@ def meter_sides_oracle(packets, mode: str) -> list:
             ended = "tcp_fin"
         else:
             continue
-        out.append((key, *flow["counts"], ended))
+        out.append((key, flow["packets"], flow["sides"], ended))
         del live[key]
-    out += [(key, *flow["counts"], "capture_end")
+    out += [(key, flow["packets"], flow["sides"], "capture_end")
             for key, flow in live.items()]
+    return out
+
+
+def meter_sides_oracle(packets, mode: str) -> list:
+    """(key, forward count, backward count, termination) of each flow
+    `_oracle_flows` gives."""
+    return [(key, sides.count(0), sides.count(1), ended)
+            for key, _, sides, ended in _oracle_flows(packets, mode)]
+
+
+def _left_sums(values) -> tuple[float, float]:
+    """The sum and the sum of squares of `values`, added left to right."""
+    total = sumsq = 0.0
+    for v in values:
+        total += v
+        sumsq += v * v
+    return total, sumsq
+
+
+def _gap_stats(times) -> dict:
+    """min, max, sum, sumsq and count of the gaps between `times`; 0.0
+    for the min and max of no gap."""
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    total, sumsq = _left_sums(gaps)
+    return {"min": min(gaps, default=0.0), "max": max(gaps, default=0.0),
+            "sum": total, "sumsq": sumsq, "count": len(gaps)}
+
+
+def meter_times_oracle(packets, mode: str) -> list:
+    """(key, first timestamp, time statistics) of each flow `_oracle_flows`
+    gives, from the timestamps of its own packets: its duration; the gap
+    statistics of all its packets ("gaps") and of each side's ("sides",
+    forward then backward); and its activity runs ("active") and idle gaps
+    ("idle"), each with its total, longest and count. A gap above 1.0 s is
+    idle and ends the run before it; the last packet ends the last run."""
+    out = []
+    for key, flow, sides, _ in _oracle_flows(packets, mode):
+        times = [p.ts for p in flow]
+        runs, idles = [], []
+        start = times[0]
+        for a, b in zip(times, times[1:]):
+            if b - a > 1.0:
+                runs.append(a - start)
+                idles.append(b - a)
+                start = b
+        runs.append(times[-1] - start)
+        out.append((key, times[0], {
+            "duration": times[-1] - times[0],
+            "gaps": _gap_stats(times),
+            "sides": tuple(_gap_stats([t for t, s in zip(times, sides)
+                                       if s == side]) for side in (0, 1)),
+            "active": {"total": _left_sums(runs)[0], "max": max(runs),
+                       "count": len(runs)},
+            "idle": {"total": _left_sums(idles)[0],
+                     "max": max(idles, default=0.0), "count": len(idles)},
+        }))
     return out
 
 

