@@ -9,6 +9,7 @@ one machine-readable line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -18,10 +19,10 @@ from .detectors import KIND, TARGET_FPR, TrainedModel, make_detector
 from .errors import ConfigInvalid, InputOutputError, NetwardenError
 from .evaluation import (LABEL_NORMAL, evaluate, format_metric_table,
                          tw_sweep)
-from .features import (MODE_TO_DIRECTION, MODES, FeatureMatrix,
-                       apply_normalizer, fit_normalizer, manifest_hash,
-                       read_matrix_csv, write_matrix_csv)
-from .flows import MeterConfig, write_flow_csv
+from .features import (MODES, FeatureMatrix, apply_normalizer,
+                       fit_normalizer, manifest_hash, read_matrix_csv,
+                       write_matrix_csv)
+from .flows import MeterConfig
 from .pcap import MAGIC_NS_BE, MAGIC_NS_LE, MAGIC_US_BE, MAGIC_US_LE
 from .pipeline import extract_matrix, score_matrix, train_model
 from .selection import SelectionConfig, rank_features
@@ -49,6 +50,16 @@ _TEXT_HELP = {  # settings whose flags take text, parsed in _merge
     "keep": 'features to keep: a count, or a fraction written with a "."'}
 
 
+@contextlib.contextmanager
+def _text_input(path: str | None):
+    """Report a text input that is not UTF-8 as io_error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise InputOutputError("%s is not UTF-8 text: %s" % (path, e)) \
+            from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the flags")
     p.add_argument("--params", help="JSON dict of detector hyperparameters")
@@ -67,7 +78,7 @@ def _merge(args: argparse.Namespace) -> dict:
     cfg.update((key, s.default) for key, s in _SETTINGS.items())
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config) as fh, _text_input(args.config):
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigInvalid("cannot read config: %s" % e) from None
@@ -149,7 +160,7 @@ def cmd_synth(cfg: dict) -> int:
     _require(cfg, "out")
     scenario = {}
     if cfg["scenario"]:
-        with open(cfg["scenario"]) as fh:
+        with open(cfg["scenario"]) as fh, _text_input(cfg["scenario"]):
             scenario = json.load(fh)
     spec = _scenario_from_dict(scenario)
     if "seed" not in scenario:
@@ -162,20 +173,12 @@ def cmd_synth(cfg: dict) -> int:
 
 def cmd_extract(cfg: dict) -> int:
     _require(cfg, "in", "out")
-    flow_sink = None
-    dumped: list = []
-    if cfg["flows_out"]:
-        if cfg["mode"] == "packet":
-            raise ConfigInvalid("flows_out dumps metered flows: mode must "
-                                "be uni_flow or bi_flow")
-        flow_sink = dumped.append
-    X = extract_matrix(cfg["in"], mode=cfg["mode"],
-                       tw=cfg["tw"][0], idle_timeout=cfg["idle_timeout"],
-                       labels_path=cfg["labels"], flow_sink=flow_sink)
+    with _text_input(cfg["labels"]):
+        X = extract_matrix(cfg["in"], mode=cfg["mode"],
+                           tw=cfg["tw"][0], idle_timeout=cfg["idle_timeout"],
+                           labels_path=cfg["labels"],
+                           flows_out=cfg["flows_out"] or None)
     write_matrix_csv(X, cfg["out"])
-    if flow_sink is not None:
-        write_flow_csv(dumped, cfg["flows_out"],
-                       MODE_TO_DIRECTION[cfg["mode"]])
     line = {"rows": X.n, "features": len(X.names), "mode": X.mode}
     line.update((k, dataclasses.asdict(v)) for k, v in X.accounting.items())
     print(json.dumps(line, sort_keys=True))
@@ -221,18 +224,21 @@ def _read_matrix(cfg: dict, mode: str | None = None) -> FeatureMatrix:
     with open(path, "rb") as fh:
         magic = int.from_bytes(fh.read(4), "big")
     if magic not in (MAGIC_US_BE, MAGIC_US_LE, MAGIC_NS_BE, MAGIC_NS_LE):
-        return read_matrix_csv(path)
+        with _text_input(path):
+            return read_matrix_csv(path)
     if mode is None:
         raise ConfigInvalid("%s is a PCAP capture; this command reads a "
                             "matrix CSV written by extract" % path)
-    return extract_matrix(path, mode=mode, tw=cfg["tw"][0],
-                          idle_timeout=cfg["idle_timeout"],
-                          labels_path=cfg["labels"])
+    with _text_input(cfg["labels"]):
+        return extract_matrix(path, mode=mode, tw=cfg["tw"][0],
+                              idle_timeout=cfg["idle_timeout"],
+                              labels_path=cfg["labels"])
 
 
 def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
     _require(cfg, "in", "model", "out")
-    model = TrainedModel.load(cfg["model"])
+    with _text_input(cfg["model"]):
+        model = TrainedModel.load(cfg["model"])
     return model, _read_matrix(cfg, model.manifest_mode)
 
 
@@ -241,7 +247,7 @@ def cmd_train(cfg: dict) -> int:
     X = _read_matrix(cfg)
     selected = None
     if cfg["manifest"]:
-        with open(cfg["manifest"]) as fh:
+        with open(cfg["manifest"]) as fh, _text_input(cfg["manifest"]):
             manifest = json.load(fh)
         names = manifest.get("names") if isinstance(manifest, dict) else None
         if not (isinstance(names, list)
@@ -294,11 +300,14 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["mode"] == "packet":
         raise ConfigInvalid("sweep meters flows: mode must be uni_flow or "
                             "bi_flow")
-    rows = [("default" if tw is None else tw, rep) for tw, rep in tw_sweep(
-        cfg["in"], cfg["labels"], kind=cfg["detector"], tw_list=cfg["tw"],
-        mode=cfg["mode"], idle_timeout=cfg["idle_timeout"],
-        target_fpr=cfg["target_fpr"], seed=cfg["seed"],
-        params=cfg["params"])]
+    with _text_input(cfg["labels"]):
+        rows = [("default" if tw is None else tw, rep)
+                for tw, rep in tw_sweep(
+                    cfg["in"], cfg["labels"], kind=cfg["detector"],
+                    tw_list=cfg["tw"], mode=cfg["mode"],
+                    idle_timeout=cfg["idle_timeout"],
+                    target_fpr=cfg["target_fpr"], seed=cfg["seed"],
+                    params=cfg["params"])]
     with open(cfg["out"], "w") as fh:
         fh.write("tw,precision,accuracy,recall,fpr,f1,auc\n")
         for tw, rep in rows:
@@ -349,7 +358,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except NetwardenError as e:
         error = e
-    except (OSError, UnicodeDecodeError) as e:  # undecodable text input
+    except OSError as e:
         error = InputOutputError(str(e))
     except json.JSONDecodeError as e:
         error = ConfigInvalid(str(e))

@@ -6,8 +6,8 @@ finished flow's accumulators, or one packet's header lengths, TTL,
 protocol, flags and window plus its per-flow gap and index, and returns
 the row in manifest order. No builder reads an IP address, a port
 number, an absolute timestamp or payload content; `audit_feature_access`
-records what each builder reads, so privacy is assertable. The packet
-batch job builds the same packet rows column-wise (`packet_columns`),
+records what each builder reads, so privacy is assertable. The batch
+jobs build the same rows column-wise (`packet_columns`, `flow_columns`),
 from the same fields only.
 """
 
@@ -17,6 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from operator import add
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -278,6 +279,129 @@ def _bi_flow_row(rec: FlowRecord) -> list:
     return row
 
 
+# Column builders: the rows the flow builders above give, for columns of
+# flows at once (`columnar.flow_matrix`). `rec` holds one array per
+# FlowRecord accumulator and `rec.fwd`, `rec.bwd` one per DirStats slot,
+# with 0 for an absent initial window; each column is computed with its
+# row builder's operations, so the values are the same doubles.
+
+
+def _pop_std_columns(total, sumsq, n):
+    """`_pop_std` of columns: its `** 2` is libm's pow, which
+    `np.float_power` calls (x * x can differ in the last bit)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # n == 0: NaN
+        var = sumsq / n - np.float_power(total / n, 2.0)
+    return np.where(var > 0, np.sqrt(np.where(var > 0, var, 0.0)), 0.0)
+
+
+def _per(x, n):
+    """x / n where n is nonzero, else 0.0."""
+    return np.where(n != 0, x / np.where(n != 0, n, 1), 0.0)
+
+
+def _flow_columns(rec, a, b) -> list:
+    """`_flow_row`'s columns."""
+    span = np.where(rec.duration < RATE_FLOOR, RATE_FLOOR, rec.duration)
+    n = a.pkt_count + b.pkt_count
+    both = b.pkt_count != 0
+    len_min = np.where(both, np.minimum(a.pkt_len_min, b.pkt_len_min),
+                       a.pkt_len_min)
+    len_max = np.where(both, np.maximum(a.pkt_len_max, b.pkt_len_max),
+                       a.pkt_len_max)
+    pay_min = np.where(both, np.minimum(a.payload_len_min,
+                                        b.payload_len_min), a.payload_len_min)
+    pay_max = np.where(both, np.maximum(a.payload_len_max,
+                                        b.payload_len_max), a.payload_len_max)
+    ttl_min = np.where(both, np.minimum(a.ttl_min, b.ttl_min), a.ttl_min)
+    ttl_max = np.where(both, np.maximum(a.ttl_max, b.ttl_max), a.ttl_max)
+    ip_max = np.where(both, np.maximum(a.ip_hdr_max, b.ip_hdr_max),
+                      a.ip_hdr_max)
+    l4_max = np.where(both, np.maximum(a.l4_hdr_max, b.l4_hdr_max),
+                      a.l4_hdr_max)
+    byte_count = a.byte_count + b.byte_count
+    payload_bytes = a.payload_byte_count + b.payload_byte_count
+    header_bytes = byte_count - payload_bytes
+    k = n - 1
+    iat_min = np.where(k != 0, rec.iat_min, 0.0)
+    iat_max = np.where(k != 0, rec.iat_max, 0.0)
+    idles = rec.idle_count
+    flags = list(map(add, a.flag_counts, b.flag_counts))
+    proto = rec.protocol
+    return [
+        n, n / span, len_min, len_max, byte_count / n,
+        _pop_std_columns(byte_count, a.pkt_len_sumsq + b.pkt_len_sumsq, n),
+        len_max - len_min,
+        (a.small_pkt_count + b.small_pkt_count) / n,
+        (a.large_pkt_count + b.large_pkt_count) / n,
+        byte_count, byte_count / span, header_bytes, payload_bytes,
+        payload_bytes / np.where(byte_count != 0, byte_count, 1.0),
+        pay_min, pay_max, payload_bytes / n,
+        _pop_std_columns(payload_bytes,
+                         a.payload_len_sumsq + b.payload_len_sumsq, n),
+        header_bytes / n,
+        rec.duration, iat_min, iat_max, _per(rec.iat_sum, k),
+        _pop_std_columns(rec.iat_sum, rec.iat_sumsq, k),
+        iat_max - iat_min,
+        rec.active_total, rec.active_max,
+        rec.active_total / (idles + 1), idles + 1,
+        rec.idle_total, np.where(idles != 0, iat_max, 0.0),
+        _per(rec.idle_total, idles), idles,
+        rec.idle_total / span,
+        proto == PROTO_TCP, proto == PROTO_UDP, np.isin(proto, _ICMP),
+        ~np.isin(proto, _NAMED_PROTOS),
+        *flags, *(f / span for f in flags), sum(flags),
+        ttl_min, ttl_max, (a.ttl_sum + b.ttl_sum) / n, ttl_max - ttl_min,
+        np.where(a.init_window != 0, a.init_window, b.init_window),
+        (a.ip_hdr_sum + b.ip_hdr_sum) / n, ip_max,
+        (a.l4_hdr_sum + b.l4_hdr_sum) / n, l4_max,
+    ]
+
+
+def _side_columns(s) -> list:
+    """`_side_row`'s columns."""
+    n = s.pkt_count
+    k = np.maximum(n - 1, 0)
+    return [
+        n, _per(s.byte_count, n),
+        _pop_std_columns(s.byte_count, s.pkt_len_sumsq, n),
+        s.pkt_len_max, s.byte_count, s.payload_byte_count,
+        _per(s.payload_byte_count, n),
+        _pop_std_columns(s.payload_byte_count, s.payload_len_sumsq, n),
+        _per(s.iat_sum, k), _pop_std_columns(s.iat_sum, s.iat_sumsq, k),
+        np.where(k != 0, s.iat_max, 0.0), _per(s.ttl_sum, n),
+        s.init_window, *s.flag_counts,
+    ]
+
+
+# the absent backward side of uni flows: every column 0
+_NO_PACKET_COLUMNS = SimpleNamespace(**dict.fromkeys(DirStats.__slots__, 0))
+_NO_PACKET_COLUMNS.flag_counts = (0,) * 8
+
+
+def _uni_flow_columns(rec) -> list:
+    return _flow_columns(rec, rec.fwd, _NO_PACKET_COLUMNS)
+
+
+def _bi_flow_columns(rec) -> list:
+    a, b = rec.fwd, rec.bwd
+    return _flow_columns(rec, a, b) + _side_columns(a) + _side_columns(b) + [
+        a.pkt_count / np.where(b.pkt_count != 0, b.pkt_count, 1.0),
+        a.byte_count / np.where(b.byte_count != 0, b.byte_count, 1.0),
+        a.payload_byte_count / np.where(b.payload_byte_count != 0,
+                                        b.payload_byte_count, 1.0)]
+
+
+_COLUMN_BUILDERS = {MODE_UNI_FLOW: _uni_flow_columns,
+                    MODE_BI_FLOW: _bi_flow_columns}
+
+
+def flow_columns(rec, mode: str) -> np.ndarray:
+    """The flow rows of `mode`'s default manifest for flows given as
+    columns, one row each: what `flow_row` gives for each FlowRecord."""
+    return np.column_stack(_COLUMN_BUILDERS[mode](rec)).astype(np.float64,
+                                                               copy=False)
+
+
 def _packet_row(p: PacketRecord, iat_prev: float, pkt_index: int) -> list:
     proto = p.protocol
     f = p.tcp_flags or 0
@@ -401,14 +525,16 @@ class _Recorder:
         return 2
 
 
-def audit_feature_access(mode: str, build=None) -> set[str]:
+def audit_feature_access(mode: str, build=None,
+                         columns: bool = False) -> set[str]:
     """Run the row builder of `mode` against recording stand-ins and
     return the attribute paths it read (`fwd.pkt_count`, `ttl`, ...).
 
-    `build`, if given, is audited in place of the mode's builder and is
-    called the same way."""
+    With `columns`, a flow mode's column builder (the batch job's) is
+    audited instead; `build`, if given, is audited in place of the
+    mode's builder and is called the same way."""
     read: set = set()
-    build = build or _ROW_BUILDERS[mode]
+    build = build or (_COLUMN_BUILDERS if columns else _ROW_BUILDERS)[mode]
     if mode == MODE_PACKET:
         build(_Recorder(read), 0.5, 2)
     else:

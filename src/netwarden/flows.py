@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .pcap import (
     PROTO_TCP,
     PacketRecord,
@@ -366,34 +368,32 @@ def flow_csv_header(mode: str) -> list[str]:
     return cols
 
 
-def _dir_csv_values(s: DirStats) -> list[str]:
-    derived = {"pkt_len_sum": s.byte_count,
-               "header_byte_count": s.byte_count - s.payload_byte_count,
-               "iat_count": max(s.pkt_count - 1, 0)}
-    vals = []
-    for f in _DIR_CSV_FIELDS:
-        v = derived[f] if f in derived else getattr(s, f)
-        if v is None:
-            v = 0
-        vals.append(repr(float(v)) if isinstance(v, float) else str(v))
-    vals += [str(c) for c in s.flag_counts]
-    return vals
+def _csv_text(column) -> list[str]:
+    """A dump column as text: a float by `repr`, an integer by `str`."""
+    column = np.asarray(column)
+    return list(map(repr if column.dtype.kind == "f" else str,
+                    column.tolist()))
 
 
-def write_flow_csv(records: Iterable[FlowRecord], path: str,
-                   mode: str) -> int:
-    """Dump FlowRecords one row each; returns the row count."""
-    count = 0
+def write_flow_csv(flows, path: str) -> int:
+    """Dump emitted flows, given as columns in emission order (as
+    `columnar.flow_matrix` gives them), one row each, in
+    `flow_csv_header` order; returns the row count. A side's absent
+    initial window is 0."""
+    cols = [flows.src_ip.tolist(), _csv_text(flows.src_port),
+            flows.dst_ip.tolist(), _csv_text(flows.dst_port),
+            _csv_text(flows.protocol), _csv_text(flows.window_start),
+            _csv_text(flows.window_end), _csv_text(flows.duration),
+            flows.termination.tolist()]
+    for s in (flows.fwd, flows.bwd) if flows.mode == BIDIRECTIONAL \
+            else (flows.fwd,):
+        derived = {"pkt_len_sum": s.byte_count,
+                   "header_byte_count": s.byte_count - s.payload_byte_count,
+                   "iat_count": np.maximum(s.pkt_count - 1, 0)}
+        cols += [_csv_text(derived[f] if f in derived else getattr(s, f))
+                 for f in _DIR_CSV_FIELDS]
+        cols += [_csv_text(c) for c in s.flag_counts]
     with open(path, "w") as fh:
-        fh.write(",".join(flow_csv_header(mode)) + "\n")
-        for rec in records:
-            row = [rec.key.src_ip, str(rec.key.src_port), rec.key.dst_ip,
-                   str(rec.key.dst_port), str(rec.key.protocol),
-                   repr(rec.window_start), repr(rec.window_end),
-                   repr(rec.duration), rec.termination]
-            row += _dir_csv_values(rec.fwd)
-            if mode == BIDIRECTIONAL:
-                row += _dir_csv_values(rec.bwd)
-            fh.write(",".join(row) + "\n")
-            count += 1
-    return count
+        fh.write(",".join(flow_csv_header(flows.mode)) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+    return len(cols[0])

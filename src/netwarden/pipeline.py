@@ -10,20 +10,13 @@ import hashlib
 
 import numpy as np
 
-from .columnar import packet_matrix, packet_records
+from .columnar import flow_matrix, packet_matrix
 from .detectors import (TARGET_FPR, TrainedModel, calibrate_threshold,
                         make_detector)
-from .errors import ManifestMismatch, NonFiniteFeature
-from .features import (
-    DEFAULT_MANIFESTS,
-    FeatureMatrix,
-    MODE_PACKET,
-    MODE_TO_DIRECTION,
-    fit_normalizer,
-    flow_row,
-)
-from .flows import FlowMeter, MeterConfig
-from .pcap import open_capture
+from .errors import ConfigInvalid, ManifestMismatch, NonFiniteFeature
+from .features import DEFAULT_MANIFESTS, FeatureMatrix, MODE_PACKET, \
+    fit_normalizer
+from .flows import MeterConfig, write_flow_csv
 
 # heavier kinds fit on a seeded subsample; thresholds still use all rows
 MAX_TRAIN_DEFAULT = {"osvm": 4096, "lof": 4096}
@@ -38,51 +31,32 @@ def derive_seed(master: int, stage: str) -> int:
 def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
                    idle_timeout: float = MeterConfig.idle_timeout,
                    labels_path: str | None = None,
-                   flow_sink=None) -> FeatureMatrix:
+                   flows_out: str | None = None) -> FeatureMatrix:
     """PCAP -> FeatureMatrix in the requested traffic mode, with labels
-    joined from a sidecar file when given. Every mode decodes the headers
-    column by column: packet mode builds its matrix from the columns
-    (`columnar.packet_matrix`), and the flow modes meter the capture
-    reader's records, built from the columns (`columnar.packet_records`).
+    joined from a sidecar file when given. Every mode works on the
+    headers decoded column by column: packet mode in
+    `columnar.packet_matrix`, the flow modes in `columnar.flow_matrix`,
+    which meters, builds the rows and joins the labels on the columns.
 
-    `flow_sink`, if set, additionally receives every raw FlowRecord (used
-    for the CLI flow dump). An unknown `mode` raises ManifestMismatch."""
-    from .evaluation import LabelIndex, read_label_file
+    `flows_out`, in a flow mode, names a CSV file the emitted flows are
+    dumped to (`flows.write_flow_csv`) once extraction has succeeded;
+    in packet mode it raises ConfigInvalid. An unknown `mode` raises
+    ManifestMismatch."""
+    from .evaluation import read_label_file
 
-    manifest = DEFAULT_MANIFESTS.get(mode)
-    if manifest is None:
+    if mode not in DEFAULT_MANIFESTS:
         raise ManifestMismatch("no traffic mode %r: extract in one of %s"
                                % (mode, ", ".join(DEFAULT_MANIFESTS)))
+    if flows_out is not None and mode == MODE_PACKET:
+        raise ConfigInvalid("flows_out dumps metered flows: mode must be "
+                            "uni_flow or bi_flow")
     label_rows = read_label_file(labels_path) if labels_path else None
     if mode == MODE_PACKET:
         return packet_matrix(capture_path, label_rows)
-    index = LabelIndex(label_rows) if label_rows is not None else None
-    rows = []
-    labels: list[str] | None = [] if index is not None else None
-    reader = open_capture(capture_path)
-    meter = FlowMeter(MeterConfig(
-        direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
-        idle_timeout=idle_timeout))
-
-    def handle(rec):
-        rows.append(flow_row(rec, manifest))
-        if index is not None:
-            labels.append(index.label_for_flow(rec))
-        if flow_sink is not None:
-            flow_sink(rec)
-
-    for p in packet_records(reader):
-        for rec in meter.feed(p):
-            handle(rec)
-    for rec in meter.finish():
-        handle(rec)
-    values = (np.array(rows, dtype=np.float64) if rows
-              else np.empty((0, len(manifest))))
-    return FeatureMatrix(values=values, names=manifest.names, mode=mode,
-                         labels=labels, unmatched_labels=(
-                             index.unmatched if index is not None else 0),
-                         accounting={"capture": reader.summary,
-                                     "meter": meter.stats})
+    X, flows = flow_matrix(capture_path, mode, tw, idle_timeout, label_rows)
+    if flows_out is not None:
+        write_flow_csv(flows, flows_out)
+    return X
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

@@ -26,7 +26,8 @@ from netwarden.features import (DEFAULT_MANIFESTS, FeatureMatrix,
                                 MODE_PACKET, MODE_TO_DIRECTION,
                                 PACKET_MANIFEST, PacketContext, flow_row,
                                 packet_features)
-from netwarden.flows import FlowMeter, MeterConfig
+from netwarden.flows import (_DIR_CSV_FIELDS, FlowMeter, MeterConfig,
+                             flow_csv_header)
 from netwarden.pcap import CaptureReader, PacketRecord
 
 LRD_FLOOR = 1e-10
@@ -1143,20 +1144,56 @@ def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
 #
 # The flow-mode batch job as first written: the capture reader's records
 # one at a time through one FlowMeter, each flow it emits through
-# flow_row and, with labels, LabelIndex.label_for_flow. The meter, the
-# row builder and the label join are the library's; only where the
-# records come from differs. extract_matrix(.., "uni_flow" | "bi_flow")
-# must give the same values bit for bit, the same labels, unmatched
-# count, CaptureSummary and MeterStats, and pass `flow_sink` the same
-# flows in the same order, or raise the same exception.
+# flow_row and, with labels, LabelIndex.label_for_flow, and the flows
+# dumped one record at a time. The meter, the row builder and the label
+# join are the library's; only where the records come from differs.
+# extract_matrix(.., "uni_flow" | "bi_flow") must give the same values
+# bit for bit, the same labels, unmatched count, CaptureSummary and
+# MeterStats, and write the same bytes to `flows_out`, or raise the same
+# exception.
+
+def _dir_csv_values(s) -> list[str]:
+    derived = {"pkt_len_sum": s.byte_count,
+               "header_byte_count": s.byte_count - s.payload_byte_count,
+               "iat_count": max(s.pkt_count - 1, 0)}
+    vals = []
+    for f in _DIR_CSV_FIELDS:
+        v = derived[f] if f in derived else getattr(s, f)
+        if v is None:
+            v = 0
+        vals.append(repr(float(v)) if isinstance(v, float) else str(v))
+    vals += [str(c) for c in s.flag_counts]
+    return vals
+
+
+def write_flow_csv_oracle(records, path: str, mode: str) -> int:
+    """The record-by-record twin of `flows.write_flow_csv`: FlowRecords
+    dumped one row each; returns the row count."""
+    count = 0
+    with open(path, "w") as fh:
+        fh.write(",".join(flow_csv_header(mode)) + "\n")
+        for rec in records:
+            row = [rec.key.src_ip, str(rec.key.src_port), rec.key.dst_ip,
+                   str(rec.key.dst_port), str(rec.key.protocol),
+                   repr(rec.window_start), repr(rec.window_end),
+                   repr(rec.duration), rec.termination]
+            row += _dir_csv_values(rec.fwd)
+            if mode == "bi":
+                row += _dir_csv_values(rec.bwd)
+            fh.write(",".join(row) + "\n")
+            count += 1
+    return count
+
 
 def flow_matrix_oracle(capture_path: str, mode: str, tw: float | None = None,
                        idle_timeout: float = MeterConfig.idle_timeout,
-                       labels_path: str | None = None, flow_sink=None):
+                       labels_path: str | None = None,
+                       flows_out: str | None = None):
     manifest = DEFAULT_MANIFESTS[mode]
     index = LabelIndex(read_label_file(labels_path)) if labels_path else None
     rows = []
     labels = [] if index is not None else None
+    emitted = []
     reader = CaptureReader(capture_path)
     meter = FlowMeter(MeterConfig(
         direction_mode=MODE_TO_DIRECTION[mode], tw_seconds=tw,
@@ -1166,8 +1203,7 @@ def flow_matrix_oracle(capture_path: str, mode: str, tw: float | None = None,
         rows.append(flow_row(rec, manifest))
         if index is not None:
             labels.append(index.label_for_flow(rec))
-        if flow_sink is not None:
-            flow_sink(rec)
+        emitted.append(rec)
 
     for p in reader:
         for rec in meter.feed(p):
@@ -1176,6 +1212,8 @@ def flow_matrix_oracle(capture_path: str, mode: str, tw: float | None = None,
         handle(rec)
     values = (np.array(rows, dtype=np.float64) if rows
               else np.empty((0, len(manifest))))
+    if flows_out is not None:
+        write_flow_csv_oracle(emitted, flows_out, MODE_TO_DIRECTION[mode])
     return FeatureMatrix(values=values, names=manifest.names, mode=mode,
                          labels=labels, unmatched_labels=(
                              index.unmatched if index is not None else 0),

@@ -595,6 +595,8 @@ class TestConfigAndErrors:
             and err.endswith("\n")
         line = json.loads(err[len("error: "):])
         assert sorted(line) == ["code", "message"] and line["code"] == code
+        if code == "io_error":  # the input that is not UTF-8 is named
+            assert refused_inputs["{binary}"] in line["message"]
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("argv", [

@@ -3,12 +3,14 @@ replace: `extract_matrix(.., "packet")` against `packet_matrix_oracle`,
 and the flow modes against `flow_matrix_oracle` (the same values bit for
 bit, labels, unmatched count and CaptureSummary, for the flow modes the
 same MeterStats and flow dump too, or the same exception), and the
-records `packet_records` builds against the capture reader's."""
+records the decoded columns stand for against the capture reader's."""
 
+import csv
 import dataclasses
 import ipaddress
 import math
 import os
+import random
 import socket
 import struct
 import tempfile
@@ -17,13 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netwarden import pcap
-from netwarden.columnar import packet_records
+from netwarden import columnar, pcap
 from netwarden.errors import LabelVocabularyMismatch, TruncatedHeader
 from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
                                   read_label_file, write_label_file)
-from netwarden.features import FeatureMatrix, MODE_TO_DIRECTION
-from netwarden.flows import write_flow_csv
+from netwarden.features import FeatureMatrix
 from netwarden.pipeline import extract_matrix
 
 from conftest import (build_global_header, eth_header, ipv4_header,
@@ -41,6 +41,11 @@ BASE_SEC = 100
 # (mode, time window) of each flow-mode batch job checked
 FLOW_JOBS = [("uni_flow", None), ("uni_flow", 1.0), ("bi_flow", None),
              ("bi_flow", 1.0)]
+# the generated captures' steps are at most 3 s: idle timeouts this short
+# cut flows by their own gaps and by the meter's sweeps, and put packets
+# on window and idle boundaries
+GENERATED_TW = (None, 0.5, 1.0, 2.0)
+GENERATED_IDLE = (0.5, 1.0, 2.0, 15.0)
 
 
 def _outcome(run):
@@ -64,28 +69,30 @@ def assert_same_as_oracle(capture: str, labels: str | None = None):
     return got
 
 
-def _flow_outcome(run, mode: str):
-    """(matrix, bytes of the flow dump of the flows passed to flow_sink)
-    of run(flow_sink), or the class and message of what it raised."""
-    flows = []
-    try:
-        X = run(flows.append)
-    except Exception as exc:
-        return type(exc), str(exc)
+def _flow_outcome(run):
+    """(matrix, bytes of the flow dump) of run(flows_out), or the class
+    and message of what it raised (and no dump was written)."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "flows.csv")
-        write_flow_csv(flows, path, MODE_TO_DIRECTION[mode])
+        try:
+            X = run(path)
+        except Exception as exc:
+            assert not os.path.exists(path)
+            return type(exc), str(exc)
         with open(path, "rb") as fh:
             return X, fh.read()
 
 
 def assert_flows_same_as_oracle(capture: str, mode: str, tw: float | None,
-                                labels: str | None = None):
+                                labels: str | None = None,
+                                idle_timeout: float = 15.0):
     """Returns the flow-mode matrix, or the exception both raised."""
-    got = _flow_outcome(lambda sink: extract_matrix(
-        capture, mode, tw=tw, labels_path=labels, flow_sink=sink), mode)
-    want = _flow_outcome(lambda sink: flow_matrix_oracle(
-        capture, mode, tw=tw, labels_path=labels, flow_sink=sink), mode)
+    got = _flow_outcome(lambda dump: extract_matrix(
+        capture, mode, tw=tw, idle_timeout=idle_timeout, labels_path=labels,
+        flows_out=dump))
+    want = _flow_outcome(lambda dump: flow_matrix_oracle(
+        capture, mode, tw=tw, idle_timeout=idle_timeout, labels_path=labels,
+        flows_out=dump))
     if not isinstance(want[0], FeatureMatrix):
         assert got == want
         return got
@@ -106,6 +113,25 @@ def _assert_same_matrix(got: FeatureMatrix, want: FeatureMatrix):
     assert got.unmatched_labels == want.unmatched_labels
     assert dataclasses.asdict(got.accounting["capture"]) \
         == dataclasses.asdict(want.accounting["capture"])
+
+
+def packet_records(reader: pcap.CaptureReader) -> list[pcap.PacketRecord]:
+    """The records the columnar decode's columns stand for (the columns
+    both batch jobs work on), in their order: flags and window None
+    unless TCP, each address spelled by `_AddressIds.text`."""
+    ts, fields, ok, address_id = columnar._decode(reader)
+    order = columnar._resequence(ts, ok, reader.summary)
+    f = fields[:, order]
+    src, dst = address_id.text(f[columnar._SRC:columnar._DST + 1])
+    tcp = f[columnar._PROTO] == pcap.PROTO_TCP
+    c = f.tolist()
+    return list(map(
+        pcap.PacketRecord, ts[order].tolist(), src.tolist(), dst.tolist(),
+        c[columnar._SPORT], c[columnar._DPORT], c[columnar._PROTO],
+        c[columnar._LINK], c[columnar._IP_HLEN], c[columnar._L4_HLEN],
+        c[columnar._TOTAL], c[columnar._TTL], c[columnar._PAYLOAD],
+        np.where(tcp, f[columnar._FLAGS], None).tolist(),
+        np.where(tcp, f[columnar._WINDOW], None).tolist()))
 
 
 def _typed(record) -> tuple:
@@ -438,12 +464,13 @@ class TestMatchesOracle:
 
 
 class TestFlowModesMatchOracle:
-    """The flow modes of extract_matrix, which meter `packet_records`,
+    """The flow modes of extract_matrix, which meter the decoded columns,
     against the job that meters the capture reader's records."""
 
     @settings(max_examples=300, deadline=None)
-    @given(captures(), st.sampled_from(FLOW_JOBS))
-    def test_generated_captures(self, capture, job):
+    @given(captures(), st.sampled_from(["uni_flow", "bi_flow"]),
+           st.sampled_from(GENERATED_TW), st.sampled_from(GENERATED_IDLE))
+    def test_generated_captures(self, capture, mode, tw, idle_timeout):
         records, link_type, endian, ns, tail, rows = capture
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "c.pcap")
@@ -452,7 +479,7 @@ class TestFlowModesMatchOracle:
             if rows is not None:
                 labels = os.path.join(d, "c.labels.csv")
                 write_label_file(rows, labels)
-            assert_flows_same_as_oracle(path, *job, labels)
+            assert_flows_same_as_oracle(path, mode, tw, labels, idle_timeout)
 
     @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
     def test_corpus(self, corpus_dir, mode, tw):
@@ -507,8 +534,156 @@ class TestFlowModesMatchOracle:
         assert X.values.shape == (0, len(X.names))
 
 
+def _udp(src: bytes, dst: bytes, sport: int = 5000, dport: int = 80):
+    return eth_header() + ipv4_header(28, pcap.PROTO_UDP, src, dst) \
+        + udp_header(sport, dport)
+
+
+def _tcp(src: bytes, dst: bytes, flags: int, sport: int = 5000,
+         dport: int = 80, window: int = 14600):
+    return eth_header() + ipv4_header(40, pcap.PROTO_TCP, src, dst) \
+        + tcp_header(sport, dport, flags=flags, window=window)
+
+
+def _udp6(src: str, dst: str, sport: int = 5000, dport: int = 80):
+    l4 = udp_header(sport, dport)
+    return eth_header(pcap.ETHERTYPE_IPV6) + struct.pack(
+        "!IHBB16s16s", 0x60000000, len(l4), pcap.PROTO_UDP, 64,
+        socket.inet_pton(socket.AF_INET6, src),
+        socket.inet_pton(socket.AF_INET6, dst)) + l4
+
+
+def _dump(capture: str, mode: str, tw, idle_timeout: float = 15.0):
+    """The flow dump's rows, as dicts."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "flows.csv")
+        extract_matrix(capture, mode, tw=tw, idle_timeout=idle_timeout,
+                       flows_out=path)
+        with open(path) as fh:
+            return list(csv.DictReader(fh))
+
+
+class TestFlowTraps:
+    """Cases the generated captures rarely draw, each against the oracle
+    as uint64: where the meter's float tests, its order of emission or
+    its arithmetic differ from the obvious column-wise shortcut."""
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_a_sweep_closes_what_the_gap_test_keeps(self, tmp_path, mode,
+                                                    tw):
+        """The sweep at S closes the flow last seen at L, since
+        L < S - idle, although S - L > idle does not hold."""
+        idle, last, now = 0.5, 997, 500_997  # microseconds after 0 s
+        assert now / 1e6 - idle > last / 1e6
+        assert not now / 1e6 - last / 1e6 > idle
+        path = str(tmp_path / "a.pcap")
+        write_capture(path, [(0, 0, _udp(V4[0], V4[1], 1)),
+                             (0, last, _udp(V4[0], V4[1], 2)),
+                             (0, now, _udp(V4[0], V4[1], 3)),
+                             (0, now, _udp(V4[0], V4[1], 2))])
+        X = assert_flows_same_as_oracle(path, mode, tw, idle_timeout=idle)
+        assert X.n == 4  # port 2's packets in two flows
+        rows = _dump(path, mode, tw, idle)
+        assert [r["src_port"] for r in rows][:2] == ["1", "2"]
+        assert rows[1]["termination"] == "idle_timeout"
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_b_addresses_order_as_text(self, tmp_path, mode, tw):
+        """Keys and `_age` compare addresses as text: 10.0.0.10 before
+        10.0.0.2, and IPv4 and IPv6 addresses by their characters."""
+        ten, two = socket.inet_aton("10.0.0.10"), socket.inet_aton("10.0.0.2")
+        web = socket.inet_aton("203.0.113.5")
+        batch = [_udp(two, ten), _udp(ten, two, 80, 5000), _udp(ten, two),
+                 _udp(web, two), _udp6("2001:db8::2", "2001:db8::1"),
+                 _udp6("2001:db8::1", "2001:db8::2", 80, 5000),
+                 _udp(two, web, 7, 7)]
+        path = str(tmp_path / "b.pcap")
+        # the first batch is swept at BASE_SEC + 2, the second flushed
+        write_capture(path, [(BASE_SEC, 0, f) for f in batch]
+                      + [(BASE_SEC + 2, 0, f) for f in reversed(batch)])
+        X = assert_flows_same_as_oracle(path, mode, tw, idle_timeout=1.0)
+        rows = _dump(path, mode, tw, 1.0)
+        keys = [(r["src_ip"], r["dst_ip"], int(r["src_port"]),
+                 int(r["dst_port"])) for r in rows]
+        assert X.n == len(rows) == 2 * len(set(keys))
+        # the second batch's first packet cuts its own key's flow, then
+        # sweeps the rest of the first batch
+        assert keys[0] == ("10.0.0.2", "203.0.113.5", 7, 7)
+        swept = keys[1:X.n // 2]
+        assert swept == sorted(swept) and swept[0][0] == "10.0.0.10"
+        assert any(k[0].startswith("2001:") for k in swept)
+
+    @pytest.mark.parametrize("mode", ["uni_flow", "bi_flow"])
+    def test_c_rst_on_a_window_cut_and_fin_across_one(self, tmp_path, mode):
+        """At the packet that cuts the window, the old flow is emitted,
+        then the new one, closed by that packet's RST; FINs on both sides
+        of a window cut do not complete the flow after it."""
+        a, b = V4[0], V4[1]
+        path = str(tmp_path / "c.pcap")
+        write_capture(path, [
+            (BASE_SEC, 0, _tcp(a, b, pcap.TCP_ACK)),
+            (BASE_SEC + 1, 500_000, _tcp(a, b, pcap.TCP_RST | pcap.TCP_ACK)),
+            (BASE_SEC + 3, 0, _tcp(a, b, pcap.TCP_FIN, 6000, 443)),
+            (BASE_SEC + 4, 500_000, _tcp(b, a, pcap.TCP_FIN, 443, 6000)),
+            (BASE_SEC + 4, 800_000, _tcp(a, b, pcap.TCP_FIN, 6000, 443))])
+        assert_flows_same_as_oracle(path, mode, 1.0)
+        ends = [r["termination"] for r in _dump(path, mode, 1.0)]
+        if mode == "bi_flow":
+            assert ends == ["window_close", "tcp_rst", "window_close",
+                            "tcp_fin"]
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_d_forward_initial_window_zero(self, tmp_path, mode, tw):
+        """A forward initial window of 0 falls through to the backward
+        side's (`a.init_window or b.init_window`)."""
+        path = str(tmp_path / "d.pcap")
+        write_capture(path, [
+            (BASE_SEC, 0, _tcp(V4[0], V4[1], pcap.TCP_SYN, window=0)),
+            (BASE_SEC, 1, _tcp(V4[1], V4[0], pcap.TCP_SYN | pcap.TCP_ACK,
+                               80, 5000))])
+        X = assert_flows_same_as_oracle(path, mode, tw)
+        column = X.values[:, X.names.index("init_window")]
+        assert list(column) == ([14600.0] if mode == "bi_flow"
+                                else [0.0, 14600.0])
+
+    @pytest.mark.parametrize("mode, tw", FLOW_JOBS)
+    def test_e_pow_and_left_to_right_sums(self, tmp_path, mode, tw):
+        """`_pop_std` squares the mean with libm's pow, which differs from
+        x * x on this flow's gaps; gap sums are added left to right, which
+        `np.add.reduce` does not do on the second flow's."""
+        short = [0, 899_201, 1_327_026]  # microseconds after BASE_SEC
+        rng = random.Random(0)
+        long = [0]
+        for _ in range(40):
+            long.append(long[-1] + rng.randint(1, 999_999))
+        stamps = lambda us: [BASE_SEC + u // 1_000_000 + u % 1_000_000 / 1e6
+                             for u in us]
+
+        def left_sums(times):
+            total = sumsq = 0.0
+            for x, y in zip(times, times[1:]):
+                total += y - x
+                sumsq += (y - x) * (y - x)
+            return total, sumsq
+
+        total, sumsq = left_sums(stamps(short))
+        mean = total / (len(short) - 1)
+        assert sumsq / 2 - mean ** 2 != sumsq / 2 - mean * mean
+        gaps = np.diff(stamps(long))
+        assert np.add.reduce(gaps * gaps) != left_sums(stamps(long))[1]
+        path = str(tmp_path / "e.pcap")
+        write_capture(path, sorted(
+            [(u // 1_000_000 + BASE_SEC, u % 1_000_000, _udp(V4[0], V4[1]))
+             for u in short]
+            + [(u // 1_000_000 + BASE_SEC, u % 1_000_000,
+                _udp(V4[0], V4[2], 7, 7)) for u in long],
+            key=lambda r: r[:2]))
+        assert_flows_same_as_oracle(path, mode, tw)
+
+
 class TestPacketRecords:
-    """`packet_records` gives the capture reader's records and summary."""
+    """The decoded columns stand for the capture reader's records, and
+    the decode counts as the reader does."""
 
     @settings(max_examples=300, deadline=None)
     @given(captures())
@@ -534,7 +709,7 @@ class TestPacketRecords:
         write_capture(path, [(BASE_SEC, 0, golden["vlan"]),
                              (BASE_SEC, 1, golden["udp"]),
                              (BASE_SEC, 2, golden["syn"])])
-        got = list(packet_records(pcap.CaptureReader(path)))
+        got = packet_records(pcap.CaptureReader(path))
         assert [p.link_header_len for p in got] == [18, 14, 14]
         assert (got[1].tcp_flags, got[1].tcp_window) == (None, None)
         assert got[2].tcp_flags == pcap.TCP_SYN
@@ -578,7 +753,7 @@ class TestPacketRecords:
                              (BASE_SEC, 3, arp[:10]),
                              (BASE_SEC - 2, 0, golden["udp"])])
         reader = pcap.CaptureReader(path)
-        first = list(packet_records(reader))
+        first = packet_records(reader)
         once = dataclasses.asdict(reader.summary)
         assert once == dict(frames_read=5, decoded=1, skipped_non_ip=1,
                             skipped_malformed=1, fragment_frames=1,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from netwarden import features as ft
-from netwarden import flows, pcap
+from netwarden import pcap
 from netwarden.errors import EmptyTraining, ManifestMismatch, \
     NonFiniteFeature
 from netwarden.flows import DirStats, FlowRecord, MeterConfig, meter
@@ -107,9 +107,17 @@ class TestPrivacyAudit:
             | ft.audit_feature_access(ft.MODE_BI_FLOW)
         used = {p.split(".")[1] for p in read if "." in p}
         dumped: set = set()
-        flows._dir_csv_values(ft._Recorder(dumped))
+        oracles._dir_csv_values(ft._Recorder(dumped))
         unused = set(DirStats.__slots__) - used - dumped - {"last_ts"}
         assert not unused
+
+    @pytest.mark.parametrize("mode", [ft.MODE_UNI_FLOW, ft.MODE_BI_FLOW])
+    def test_column_builders_read_what_the_row_builders_read(self, mode):
+        """The batch job's column builder reads accumulator columns only,
+        the ones the mode's row builder reads, never a key column."""
+        read = ft.audit_feature_access(mode, columns=True)
+        assert read == ft.audit_feature_access(mode)
+        assert not forbidden_reads(read)
 
     def test_bi_flow_reads_both_sides(self):
         read = ft.audit_feature_access(ft.MODE_BI_FLOW)
@@ -365,9 +373,10 @@ class TestRowOracle:
     @pytest.mark.parametrize("mode, tw", FLOW_CONFIGS)
     @pytest.mark.parametrize("capture", ["train.pcap", "test.pcap"])
     def test_synth_flow_matrix(self, corpus_dir, capture, mode, tw):
-        recs = []
-        X = extract_matrix(str(corpus_dir / capture), mode, tw=tw,
-                           flow_sink=recs.append)
+        path = str(corpus_dir / capture)
+        X = extract_matrix(path, mode, tw=tw)
+        recs = list(meter(pcap.open_capture(path), MeterConfig(
+            direction_mode=ft.MODE_TO_DIRECTION[mode], tw_seconds=tw)))
         assert X.n == len(recs) > 0
         assert_same_bits(X.values, oracle_flow_rows(recs, mode), X.names)
 
@@ -462,7 +471,7 @@ class TestTimeStatsMatchOracle:
             want = {(key, start): q for key, start, q
                     in oracles.meter_times_oracle(packets, direction)}
             assert len(want) == len(recs), stream
-            flows.write_flow_csv(recs, str(dump), direction)
+            oracles.write_flow_csv_oracle(recs, str(dump), direction)
             with open(dump) as fh:
                 rows = list(csv.DictReader(fh))
             for rec, row in zip(recs, rows):
