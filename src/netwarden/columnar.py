@@ -162,22 +162,28 @@ def _decode_columns(buf: np.ndarray, start: np.ndarray, size: np.ndarray,
 
 def _label_keys(rows, address_id) -> tuple:
     """The label rows' keys, as `_keys` gives the packets'."""
-    f = np.zeros((_N_FIELDS, len(rows)), dtype=np.int64)
     src, dst = [r.src_ip for r in rows], [r.dst_ip for r in rows]
     ids = {text: address_id(text) for text in dict.fromkeys(src + dst)}
-    f[_SRC] = [ids[text] for text in src]
-    f[_DST] = [ids[text] for text in dst]
-    f[_SPORT] = [r.src_port for r in rows]
-    f[_DPORT] = [r.dst_port for r in rows]
-    f[_PROTO] = [r.protocol for r in rows]
-    return _keys(f)
+    return _keys(*(np.array(c, dtype=np.int64) for c in (
+        [ids[text] for text in src], [ids[text] for text in dst],
+        [r.src_port for r in rows], [r.dst_port for r in rows],
+        [r.protocol for r in rows])))
 
 
-def _keys(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _keys(src, dst, sport, dport, proto) -> tuple[np.ndarray, np.ndarray]:
     """Two int64s equal exactly when the 5-tuples are: (source, source
     port, protocol) and (destination, destination port)."""
-    return (f[_SRC] << 24 | f[_SPORT] << 8 | f[_PROTO],
-            f[_DST] << 16 | f[_DPORT])
+    return src << 24 | sport << 8 | proto, dst << 16 | dport
+
+
+def _group(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, first): a stable sort by (k1, k2), and whether each place
+    in it starts a new key."""
+    perm = np.lexsort((k2, k1))
+    a, b = k1[perm], k2[perm]
+    first = np.ones(perm.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return perm, first
 
 
 def _decode(reader: CaptureReader) -> tuple:
@@ -235,15 +241,12 @@ def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
 
     # one stable sort by 5-tuple: each key's packets in time order, then
     # its label rows in file order
-    k1, k2 = _keys(f)
+    k1, k2 = _keys(*f[_SRC:_PROTO + 1])
     if label_rows is not None:
         l1, l2 = _label_keys(label_rows, address_id)
         k1, k2 = np.concatenate((k1, l1)), np.concatenate((k2, l2))
-    perm = np.lexsort((k2, k1))
-    a, b = k1[perm], k2[perm]
+    perm, first = _group(k1, k2)
     m = perm.size
-    first = np.ones(m, dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     group_start = np.maximum.accumulate(np.where(first, np.arange(m), 0))
     j = np.flatnonzero(perm < n)  # the packets' places in perm
     iat_prev = np.zeros(n)
@@ -339,14 +342,10 @@ def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
             np.where(low, rank[0], rank[1]), np.where(low, rank[1], rank[0]),
             np.where(low, sport, dport), np.where(low, dport, sport))
     a, b, a_rank, b_rank, a_port, b_port = ends
-    k1 = a << 24 | a_port << 8 | f[_PROTO]
-    k2 = b << 16 | b_port
+    k1, k2 = _keys(a, b, a_port, b_port, f[_PROTO])
 
     # packets by key, each key's in time order ("positions")
-    perm = np.lexsort((k2, k1))
-    k1, k2 = k1[perm], k2[perm]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+    perm, first = _group(k1, k2)
     group = np.cumsum(first) - 1
     group_end = np.append(np.flatnonzero(first)[1:], n)[group]
     tp = t[perm]
@@ -628,15 +627,13 @@ def _join_flow_labels(rows, address_id, key: list, direction: str,
     flow's [window_start, last_ts] most, the first on a tie; else Normal
     (counted as unmatched). `key` holds the flows' key columns."""
     a, b, _, _, a_port, b_port, proto = key
-    lookups = [(a << 24 | a_port << 8 | proto, b << 16 | b_port)]
+    lookups = [_keys(a, b, a_port, b_port, proto)]
     if direction == BIDIRECTIONAL:
-        lookups.append((b << 24 | b_port << 8 | proto, a << 16 | a_port))
+        lookups.append(_keys(b, a, b_port, a_port, proto))
     r1, r2 = _label_keys(rows, address_id)
     k1 = np.concatenate([r1] + [k for k, _ in lookups])
     k2 = np.concatenate([r2] + [k for _, k in lookups])
-    perm = np.lexsort((k2, k1))
-    new = np.ones(perm.size, dtype=bool)
-    new[1:] = (k1[perm[1:]] != k1[perm[:-1]]) | (k2[perm[1:]] != k2[perm[:-1]])
+    perm, new = _group(k1, k2)
     same = np.empty(perm.size, dtype=np.int64)  # one id per distinct key
     same[perm] = np.cumsum(new)
     m = len(rows)

@@ -294,9 +294,14 @@ def _pop_std_columns(total, sumsq, n):
     return np.where(var > 0, np.sqrt(np.where(var > 0, var, 0.0)), 0.0)
 
 
+def _or_one(x):
+    """`x or 1.0` of a column."""
+    return np.where(x != 0, x, 1.0)
+
+
 def _per(x, n):
-    """x / n where n is nonzero, else 0.0."""
-    return np.where(n != 0, x / np.where(n != 0, n, 1), 0.0)
+    """`x / n if n else 0.0` of columns."""
+    return np.where(n != 0, x / _or_one(n), 0.0)
 
 
 def _flow_columns(rec, a, b) -> list:
@@ -304,20 +309,19 @@ def _flow_columns(rec, a, b) -> list:
     span = np.where(rec.duration < RATE_FLOOR, RATE_FLOOR, rec.duration)
     n = a.pkt_count + b.pkt_count
     both = b.pkt_count != 0
-    len_min = np.where(both, np.minimum(a.pkt_len_min, b.pkt_len_min),
-                       a.pkt_len_min)
-    len_max = np.where(both, np.maximum(a.pkt_len_max, b.pkt_len_max),
-                       a.pkt_len_max)
-    pay_min = np.where(both, np.minimum(a.payload_len_min,
-                                        b.payload_len_min), a.payload_len_min)
-    pay_max = np.where(both, np.maximum(a.payload_len_max,
-                                        b.payload_len_max), a.payload_len_max)
-    ttl_min = np.where(both, np.minimum(a.ttl_min, b.ttl_min), a.ttl_min)
-    ttl_max = np.where(both, np.maximum(a.ttl_max, b.ttl_max), a.ttl_max)
-    ip_max = np.where(both, np.maximum(a.ip_hdr_max, b.ip_hdr_max),
-                      a.ip_hdr_max)
-    l4_max = np.where(both, np.maximum(a.l4_hdr_max, b.l4_hdr_max),
-                      a.l4_hdr_max)
+
+    def joint(f, name):  # of both sides where the backward one has packets
+        return np.where(both, f(getattr(a, name), getattr(b, name)),
+                        getattr(a, name))
+
+    len_min = joint(np.minimum, "pkt_len_min")
+    len_max = joint(np.maximum, "pkt_len_max")
+    pay_min = joint(np.minimum, "payload_len_min")
+    pay_max = joint(np.maximum, "payload_len_max")
+    ttl_min = joint(np.minimum, "ttl_min")
+    ttl_max = joint(np.maximum, "ttl_max")
+    ip_max = joint(np.maximum, "ip_hdr_max")
+    l4_max = joint(np.maximum, "l4_hdr_max")
     byte_count = a.byte_count + b.byte_count
     payload_bytes = a.payload_byte_count + b.payload_byte_count
     header_bytes = byte_count - payload_bytes
@@ -334,7 +338,7 @@ def _flow_columns(rec, a, b) -> list:
         (a.small_pkt_count + b.small_pkt_count) / n,
         (a.large_pkt_count + b.large_pkt_count) / n,
         byte_count, byte_count / span, header_bytes, payload_bytes,
-        payload_bytes / np.where(byte_count != 0, byte_count, 1.0),
+        payload_bytes / _or_one(byte_count),
         pay_min, pay_max, payload_bytes / n,
         _pop_std_columns(payload_bytes,
                          a.payload_len_sumsq + b.payload_len_sumsq, n),
@@ -385,10 +389,9 @@ def _uni_flow_columns(rec) -> list:
 def _bi_flow_columns(rec) -> list:
     a, b = rec.fwd, rec.bwd
     return _flow_columns(rec, a, b) + _side_columns(a) + _side_columns(b) + [
-        a.pkt_count / np.where(b.pkt_count != 0, b.pkt_count, 1.0),
-        a.byte_count / np.where(b.byte_count != 0, b.byte_count, 1.0),
-        a.payload_byte_count / np.where(b.payload_byte_count != 0,
-                                        b.payload_byte_count, 1.0)]
+        a.pkt_count / _or_one(b.pkt_count),
+        a.byte_count / _or_one(b.byte_count),
+        a.payload_byte_count / _or_one(b.payload_byte_count)]
 
 
 _COLUMN_BUILDERS = {MODE_UNI_FLOW: _uni_flow_columns,
@@ -398,8 +401,7 @@ _COLUMN_BUILDERS = {MODE_UNI_FLOW: _uni_flow_columns,
 def flow_columns(rec, mode: str) -> np.ndarray:
     """The flow rows of `mode`'s default manifest for flows given as
     columns, one row each: what `flow_row` gives for each FlowRecord."""
-    return np.column_stack(_COLUMN_BUILDERS[mode](rec)).astype(np.float64,
-                                                               copy=False)
+    return np.column_stack(_COLUMN_BUILDERS[mode](rec))
 
 
 def _packet_row(p: PacketRecord, iat_prev: float, pkt_index: int) -> list:

@@ -24,6 +24,7 @@ from netwarden.errors import LabelVocabularyMismatch, TruncatedHeader
 from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
                                   read_label_file, write_label_file)
 from netwarden.features import FeatureMatrix
+from netwarden.flows import MeterConfig
 from netwarden.pipeline import extract_matrix
 
 from conftest import (build_global_header, eth_header, ipv4_header,
@@ -85,7 +86,7 @@ def _flow_outcome(run):
 
 def assert_flows_same_as_oracle(capture: str, mode: str, tw: float | None,
                                 labels: str | None = None,
-                                idle_timeout: float = 15.0):
+                                idle_timeout=MeterConfig.idle_timeout):
     """Returns the flow-mode matrix, or the exception both raised."""
     got = _flow_outcome(lambda dump: extract_matrix(
         capture, mode, tw=tw, idle_timeout=idle_timeout, labels_path=labels,
@@ -553,7 +554,8 @@ def _udp6(src: str, dst: str, sport: int = 5000, dport: int = 80):
         socket.inet_pton(socket.AF_INET6, dst)) + l4
 
 
-def _dump(capture: str, mode: str, tw, idle_timeout: float = 15.0):
+def _dump(capture: str, mode: str, tw,
+          idle_timeout=MeterConfig.idle_timeout):
     """The flow dump's rows, as dicts."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "flows.csv")
