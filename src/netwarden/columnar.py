@@ -338,10 +338,12 @@ def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
         low = (rank[0] < rank[1]) | ((rank[0] == rank[1]) & (sport <= dport))
     else:
         low = np.ones(n, dtype=bool)
-    ends = (np.where(low, f[_SRC], f[_DST]), np.where(low, f[_DST], f[_SRC]),
-            np.where(low, rank[0], rank[1]), np.where(low, rank[1], rank[0]),
-            np.where(low, sport, dport), np.where(low, dport, sport))
-    a, b, a_rank, b_rank, a_port, b_port = ends
+    # (address ids, address text ranks, ports) of the key's two endpoints
+    endpoints = (
+        np.where(low, f[_SRC], f[_DST]), np.where(low, f[_DST], f[_SRC]),
+        np.where(low, rank[0], rank[1]), np.where(low, rank[1], rank[0]),
+        np.where(low, sport, dport), np.where(low, dport, sport))
+    a, b, _, _, a_port, b_port = endpoints
     k1, k2 = _keys(a, b, a_port, b_port, f[_PROTO])
 
     # packets by key, each key's in time order ("positions")
@@ -381,7 +383,7 @@ def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
                         [perm[last], swept[last], n], nxt[last])
     phase = np.select([how <= _BY_FIN, how >= _BY_WINDOW], [1, 0], 2)
     window_start = tp[start]
-    key = [c[perm[start]] for c in ends] + [f[_PROTO, perm[start]]]
+    key = [c[perm[start]] for c in endpoints] + [f[_PROTO, perm[start]]]
     emitted = np.lexsort((key[6], key[5], key[4], key[3], key[2],
                           window_start, phase, emit_at))
 
