@@ -22,9 +22,10 @@ from .evaluation import (LABEL_NORMAL, evaluate, format_metric_table,
 from .features import (MODES, FeatureMatrix, apply_normalizer,
                        fit_normalizer, manifest_hash, read_matrix_csv,
                        write_matrix_csv)
-from .flows import MeterConfig
+from .flows import MeterConfig, write_flow_csv
 from .pcap import MAGIC_NS_BE, MAGIC_NS_LE, MAGIC_US_BE, MAGIC_US_LE
-from .pipeline import extract_matrix, score_matrix, train_model
+from .pipeline import (extract_matrix, extract_with_flows, score_matrix,
+                       train_model)
 from .selection import SelectionConfig, rank_features
 from .settings import SEED, Setting, settings_of
 
@@ -174,11 +175,12 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_extract(cfg: dict) -> int:
     _require(cfg, "in", "out")
     with _text_input(cfg["labels"]):
-        X = extract_matrix(cfg["in"], mode=cfg["mode"],
-                           tw=cfg["tw"][0], idle_timeout=cfg["idle_timeout"],
-                           labels_path=cfg["labels"],
-                           flows_out=cfg["flows_out"] or None)
+        X, flows = extract_with_flows(cfg["in"], cfg["mode"], cfg["tw"][0],
+                                      cfg["idle_timeout"], cfg["labels"],
+                                      dump=bool(cfg["flows_out"]))
     write_matrix_csv(X, cfg["out"])
+    if flows is not None:  # the dump only once the matrix is written
+        write_flow_csv(flows, cfg["flows_out"])
     line = {"rows": X.n, "features": len(X.names), "mode": X.mode}
     line.update((k, dataclasses.asdict(v)) for k, v in X.accounting.items())
     print(json.dumps(line, sort_keys=True))

@@ -527,16 +527,14 @@ class _Recorder:
         return 2
 
 
-def audit_feature_access(mode: str, build=None,
-                         columns: bool = False) -> set[str]:
+def audit_feature_access(mode: str, build=None) -> set[str]:
     """Run the row builder of `mode` against recording stand-ins and
     return the attribute paths it read (`fwd.pkt_count`, `ttl`, ...).
 
-    With `columns`, a flow mode's column builder (the batch job's) is
-    audited instead; `build`, if given, is audited in place of the
-    mode's builder and is called the same way."""
+    `build`, if given, is audited in place of the mode's builder and is
+    called the same way (a flow mode's column builder is)."""
     read: set = set()
-    build = build or (_COLUMN_BUILDERS if columns else _ROW_BUILDERS)[mode]
+    build = build or _ROW_BUILDERS[mode]
     if mode == MODE_PACKET:
         build(_Recorder(read), 0.5, 2)
     else:

@@ -369,31 +369,36 @@ def flow_csv_header(mode: str) -> list[str]:
 
 
 def _csv_text(column) -> list[str]:
-    """A dump column as text: a float by `repr`, an integer by `str`."""
-    column = np.asarray(column)
+    """A dump column as text: a float by `repr`, anything else by `str`."""
     return list(map(repr if column.dtype.kind == "f" else str,
                     column.tolist()))
+
+
+_DUMP_BLOCK = 4096  # flows formatted as text at a time
 
 
 def write_flow_csv(flows, path: str) -> int:
     """Dump emitted flows, given as columns in emission order (as
     `columnar.flow_matrix` gives them), one row each, in
     `flow_csv_header` order; returns the row count. A side's absent
-    initial window is 0."""
-    cols = [flows.src_ip.tolist(), _csv_text(flows.src_port),
-            flows.dst_ip.tolist(), _csv_text(flows.dst_port),
-            _csv_text(flows.protocol), _csv_text(flows.window_start),
-            _csv_text(flows.window_end), _csv_text(flows.duration),
-            flows.termination.tolist()]
+    initial window is 0. Rows are formatted in blocks, so the text held
+    at once does not grow with the flow count."""
+    cols = [flows.src_ip, flows.src_port, flows.dst_ip, flows.dst_port,
+            flows.protocol, flows.window_start, flows.window_end,
+            flows.duration, flows.termination]
     for s in (flows.fwd, flows.bwd) if flows.mode == BIDIRECTIONAL \
             else (flows.fwd,):
         derived = {"pkt_len_sum": s.byte_count,
                    "header_byte_count": s.byte_count - s.payload_byte_count,
                    "iat_count": np.maximum(s.pkt_count - 1, 0)}
-        cols += [_csv_text(derived[f] if f in derived else getattr(s, f))
+        cols += [derived[f] if f in derived else getattr(s, f)
                  for f in _DIR_CSV_FIELDS]
-        cols += [_csv_text(c) for c in s.flag_counts]
+        cols += list(s.flag_counts)
+    cols = [np.asarray(c) for c in cols]
+    n = len(cols[0])
     with open(path, "w") as fh:
         fh.write(",".join(flow_csv_header(flows.mode)) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
-    return len(cols[0])
+        for lo in range(0, n, _DUMP_BLOCK):
+            text = [_csv_text(c[lo:lo + _DUMP_BLOCK]) for c in cols]
+            fh.writelines(",".join(row) + "\n" for row in zip(*text))
+    return n

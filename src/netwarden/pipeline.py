@@ -42,21 +42,32 @@ def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
     dumped to (`flows.write_flow_csv`) once extraction has succeeded;
     in packet mode it raises ConfigInvalid. An unknown `mode` raises
     ManifestMismatch."""
+    X, flows = extract_with_flows(capture_path, mode, tw, idle_timeout,
+                                  labels_path, dump=flows_out is not None)
+    if flows is not None:
+        write_flow_csv(flows, flows_out)
+    return X
+
+
+def extract_with_flows(capture_path: str, mode: str, tw: float | None,
+                       idle_timeout: float, labels_path: str | None,
+                       dump: bool = False):
+    """`extract_matrix`'s work, the dump left to the caller: (matrix,
+    emitted flows as the columns `flows.write_flow_csv` takes, or None
+    without `dump`). `dump` in packet mode raises ConfigInvalid."""
     from .evaluation import read_label_file
 
     if mode not in DEFAULT_MANIFESTS:
         raise ManifestMismatch("no traffic mode %r: extract in one of %s"
                                % (mode, ", ".join(DEFAULT_MANIFESTS)))
-    if flows_out is not None and mode == MODE_PACKET:
+    if dump and mode == MODE_PACKET:
         raise ConfigInvalid("flows_out dumps metered flows: mode must be "
                             "uni_flow or bi_flow")
     label_rows = read_label_file(labels_path) if labels_path else None
     if mode == MODE_PACKET:
-        return packet_matrix(capture_path, label_rows)
+        return packet_matrix(capture_path, label_rows), None
     X, flows = flow_matrix(capture_path, mode, tw, idle_timeout, label_rows)
-    if flows_out is not None:
-        write_flow_csv(flows, flows_out)
-    return X
+    return X, flows if dump else None
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

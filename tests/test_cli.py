@@ -599,6 +599,21 @@ class TestConfigAndErrors:
             assert refused_inputs["{binary}"] in line["message"]
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("mode", ["uni_flow", "bi_flow"])
+    def test_unwritable_out_leaves_no_flow_dump(self, workdir, tmp_path,
+                                                capsys, mode):
+        # the dump is written after the matrix CSV, so a run refused at
+        # writing --out leaves no dump behind
+        out = tmp_path / "missing" / "x.csv"
+        dump = tmp_path / "flows.csv"
+        assert run("extract", "--in", str(workdir / "corpus.pcap"),
+                   "--mode", mode, "--flows-out", str(dump),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        line = json.loads(err[len("error: "):])
+        assert line["code"] == "io_error" and str(out) in line["message"]
+        assert not dump.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--keep", "0"), ("--keep", "-3"), ("--config", '{"keep": -3}'),
         ("--config", '{"keep": 0}')])

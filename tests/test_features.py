@@ -115,7 +115,7 @@ class TestPrivacyAudit:
     def test_column_builders_read_what_the_row_builders_read(self, mode):
         """The batch job's column builder reads accumulator columns only,
         the ones the mode's row builder reads, never a key column."""
-        read = ft.audit_feature_access(mode, columns=True)
+        read = ft.audit_feature_access(mode, ft._COLUMN_BUILDERS[mode])
         assert read == ft.audit_feature_access(mode)
         assert not forbidden_reads(read)
 
