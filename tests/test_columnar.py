@@ -683,6 +683,95 @@ class TestFlowTraps:
         assert_flows_same_as_oracle(path, mode, tw)
 
 
+# the TCP key of the join tests, as its packets' directed 5-tuple, and
+# that of the packets the other way
+FORWARD = ("10.0.0.1", "10.0.0.2", 5000, 80, 6)
+BACKWARD = ("10.0.0.2", "10.0.0.1", 80, 5000, 6)
+
+
+class TestLabelJoinRounds:
+    """The label join walks each key's rows in file order, one row a
+    round: a key with about 300 rows of every window shape, and a key
+    with none, against the oracles as uint64 in every mode."""
+
+    @pytest.fixture(scope="class")
+    def many_rows(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("rounds")
+        rng = random.Random(28)
+        us = BASE_SEC * 1_000_000
+        frames = []
+        for i in range(80):
+            us += rng.choice([0, 1, 250_000, 700_000, 1_300_000])
+            us += 20_000_000 if i == 60 else 0  # past every finite window
+            frame = (_udp(V4[0], V4[1]) if i % 7 == 0  # the key without rows
+                     else _tcp(V4[0], V4[1], 0x10) if i % 3
+                     else _tcp(V4[1], V4[0], 0x10, 80, 5000))
+            frames.append((us // 1_000_000, us % 1_000_000, frame))
+        path = str(d / "many.pcap")
+        write_capture(path, frames)
+        stamps = [p.ts for p in pcap.CaptureReader(path)]
+        first, last = stamps[0], stamps[-1]
+        rows = []
+        for i in range(300):
+            key = FORWARD if rng.random() < 0.7 else BACKWARD
+            t = rng.choice(stamps[:60])
+            shape = rng.choice(["point", "point", "duplicate", "inverted",
+                                "before", "after", "short", "long"])
+            if i > 250 and rng.random() < 0.2:
+                shape = "infinite"  # late, so earlier rows still decide
+            if shape == "duplicate" and rows:
+                window = rows[-1].window_start, rows[-1].window_end
+            elif shape == "inverted":
+                window = (t + 0.5, t - 0.5)
+            elif shape == "before":
+                window = (first - 9.0, first - 1.0)
+            elif shape == "after":
+                window = (last + 1.0, last + 9.0)
+            elif shape == "short":
+                window = (t - 0.1, t + 0.3)
+            elif shape == "long":
+                window = (t - 2.0, t + rng.choice([0.0, 1.0, 4.0]))
+            elif shape == "infinite":  # the forward key's end before the gap
+                window = rng.choice([(-math.inf, t)] if key == FORWARD else
+                                    [(t, math.inf), (-math.inf, math.inf)])
+            else:  # exactly on a packet's timestamp
+                window = (t, t)
+            rows.append(LabelRow(*key, *window,
+                                 rng.choice(LABEL_VOCABULARY)))
+        labels = str(d / "many.labels.csv")
+        write_label_file(rows, labels)
+        return path, labels
+
+    @pytest.mark.parametrize("mode, tw", [("packet", None)] + FLOW_JOBS)
+    def test_many_rows_of_one_key(self, many_rows, mode, tw):
+        path, labels = many_rows
+        if mode == "packet":
+            X = assert_same_as_oracle(path, labels)
+        else:
+            X = assert_flows_same_as_oracle(path, mode, tw, labels)
+        assert 0 < X.unmatched_labels < X.n
+
+    @pytest.mark.parametrize("tw", [None, 1.0])
+    @pytest.mark.parametrize("backward, label", [
+        ((BASE_SEC + 0.2, BASE_SEC + 9), "Scan"),  # a tie: directed wins
+        ((BASE_SEC - 1, BASE_SEC + 3), "DDoS")])  # the reversed key's is larger
+    def test_reversed_key_in_bi_flow(self, tmp_path, tw, backward, label):
+        """A bi flow looks up its reversed key after its own: the reversed
+        key's row wins only by a larger overlap, even when it comes
+        first in the file."""
+        path = str(tmp_path / "bi.pcap")
+        write_capture(path, [
+            (BASE_SEC, 0, _tcp(V4[0], V4[1], 0x10)),
+            (BASE_SEC, 500_000, _tcp(V4[1], V4[0], 0x10, 80, 5000))])
+        labels = str(tmp_path / "bi.labels.csv")
+        write_label_file([
+            LabelRow(*BACKWARD, *backward, "DDoS"),
+            LabelRow(*FORWARD, BASE_SEC + 0.4, BASE_SEC + 2, "Attack"),
+            LabelRow(*FORWARD, BASE_SEC + 0.2, BASE_SEC + 2, "Scan")], labels)
+        X = assert_flows_same_as_oracle(path, "bi_flow", tw, labels)
+        assert X.labels == [label] and X.unmatched_labels == 0
+
+
 class TestPacketRecords:
     """The decoded columns stand for the capture reader's records, and
     the decode counts as the reader does."""
