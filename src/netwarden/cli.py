@@ -19,7 +19,7 @@ from .detectors import KIND, TARGET_FPR, TrainedModel, make_detector
 from .errors import ConfigInvalid, InputOutputError, NetwardenError
 from .evaluation import (LABEL_NORMAL, evaluate, format_metric_table,
                          tw_sweep)
-from .features import (MODES, FeatureMatrix, apply_normalizer,
+from .features import (MODE_PACKET, MODES, FeatureMatrix, apply_normalizer,
                        fit_normalizer, manifest_hash, read_matrix_csv,
                        write_matrix_csv)
 from .flows import MeterConfig, write_flow_csv
@@ -174,14 +174,18 @@ def cmd_synth(cfg: dict) -> int:
 
 def cmd_extract(cfg: dict) -> int:
     _require(cfg, "in", "out")
+    if cfg["flows_out"] and cfg["mode"] == MODE_PACKET:
+        raise ConfigInvalid("flows_out dumps metered flows: mode must be "
+                            "uni_flow or bi_flow")
     with _text_input(cfg["labels"]):
         X, flows = extract_with_flows(cfg["in"], cfg["mode"], cfg["tw"][0],
-                                      cfg["idle_timeout"], cfg["labels"],
-                                      dump=bool(cfg["flows_out"]))
+                                      cfg["idle_timeout"], cfg["labels"])
     write_matrix_csv(X, cfg["out"])
-    if flows is not None:  # the dump only once the matrix is written
+    if cfg["flows_out"]:  # the dump only once the matrix is written
         write_flow_csv(flows, cfg["flows_out"])
     line = {"rows": X.n, "features": len(X.names), "mode": X.mode}
+    if X.labels is not None:  # labelled rows = matched + unmatched
+        line["unmatched_labels"] = X.unmatched_labels
     line.update((k, dataclasses.asdict(v)) for k, v in X.accounting.items())
     print(json.dumps(line, sort_keys=True))
     return 0

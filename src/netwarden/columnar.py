@@ -21,11 +21,15 @@ with numpy:
 - the reorder horizon drops what the reader drops, and a stable sort by
   timestamp gives the reader's (timestamp, arrival) order;
 - in packet mode, one stable sort on the 5-tuple gives each packet its
-  gap and index in its flow and the label rows of its key;
+  gap and index in its flow;
 - in the flow modes, one stable sort on the flow key gives each key's
   packets in time order; the meter's cuts split them into flows (those
   that depend on where a flow began in rounds), each flow's accumulators
-  are reduced as columns and its row built by `features.flow_columns`.
+  are reduced as columns and its row built by `features.flow_columns`;
+- both join labels in `_join_labels`, one rule for both: a packet is the
+  instance [ts, ts], a flow [window_start, last_ts], and each takes the
+  row of its 5-tuple (a bidirectional flow's, then of the reversed one)
+  that overlaps it most, the first in the file on a tie.
 
 Like PacketContext, the packet sort reads addresses and ports, and only
 for equality; timestamps order the packets and give the gaps. Like
@@ -239,63 +243,27 @@ def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
     n = order.size
     f, t = fields[:, order], ts[order]
 
-    # one stable sort by 5-tuple: each key's packets in time order, then
-    # its label rows in file order
-    k1, k2 = _keys(*f[_SRC:_PROTO + 1])
-    if label_rows is not None:
-        l1, l2 = _label_keys(label_rows, address_id)
-        k1, k2 = np.concatenate((k1, l1)), np.concatenate((k2, l2))
-    perm, first = _group(k1, k2)
-    m = perm.size
-    group_start = np.maximum.accumulate(np.where(first, np.arange(m), 0))
-    j = np.flatnonzero(perm < n)  # the packets' places in perm
+    # one stable sort by 5-tuple: each key's packets in time order
+    perm, first = _group(*_keys(*f[_SRC:_PROTO + 1]))
+    place = np.arange(n)
+    group_start = np.maximum.accumulate(np.where(first, place, 0))
     iat_prev = np.zeros(n)
-    later = j[~first[j]]  # a packet of its key before it sits at j - 1
+    later = np.flatnonzero(~first)  # the packet before it is of its key
     iat_prev[perm[later]] = t[perm[later]] - t[perm[later - 1]]
     pkt_index = np.empty(n, dtype=np.int64)
-    pkt_index[perm[j]] = j - group_start[j] + 1
+    pkt_index[perm] = place - group_start + 1
 
     values = packet_columns(
         f[_TOTAL], pkt_index, f[_PAYLOAD], f[_IP_HLEN], f[_L4_HLEN],
         iat_prev, f[_PROTO], f[_FLAGS], f[_WINDOW], f[_TTL])
     labels, unmatched = None, 0
-    if label_rows is not None:
-        labels, unmatched = _join_labels(label_rows, perm, n, j, first, t)
+    if label_rows is not None:  # a packet is the instance [ts, ts]
+        labels, unmatched = _join_labels(label_rows, address_id,
+                                         f[_SRC:_PROTO + 1], t, t, False)
     return FeatureMatrix(values=values, names=PACKET_MANIFEST.names,
                          mode=MODE_PACKET, labels=labels,
                          unmatched_labels=unmatched,
                          accounting={"capture": reader.summary})
-
-
-def _join_labels(rows, perm: np.ndarray, n: int, j: np.ndarray,
-                 first: np.ndarray, t: np.ndarray) -> tuple[list[str], int]:
-    """Each packet's label: that of the first label row of its key, in
-    file order, whose window holds its timestamp, else Normal (counted
-    as unmatched). `perm` sorts packets (indices below n) and label rows
-    by key, each key's packets first; `j` are the packets' places in it."""
-    m = perm.size
-    group = np.cumsum(first) - 1
-    ends = np.append(np.flatnonzero(first)[1:], m)  # each key's end
-    is_row = np.flatnonzero(perm >= n)
-    count = np.bincount(group[is_row], minlength=ends.size)
-    row_start = ends - count  # the key's first label row in perm
-    window_start = np.array([r.window_start for r in rows], dtype=np.float64)
-    window_end = np.array([r.window_end for r in rows], dtype=np.float64)
-    g = group[j]
-    match = np.full(n, -1, dtype=np.intp)
-    pending = np.flatnonzero(count[g] > 0)
-    rank = 0
-    while pending.size:  # the key's rank-th label row, for each packet
-        row = perm[row_start[g[pending]] + rank] - n
-        pkt = perm[j[pending]]
-        hit = (window_start[row] <= t[pkt]) & (t[pkt] <= window_end[row])
-        match[pkt[hit]] = row[hit]
-        rank += 1
-        pending = pending[~hit & (count[g[pending]] > rank)]
-    names = np.array([r.label for r in rows] + [LABEL_NORMAL], dtype=object)
-    unmatched = int(np.count_nonzero(match < 0))
-    match[match < 0] = len(rows)
-    return names[match].tolist(), unmatched
 
 
 # --- flow modes -------------------------------------------------------------
@@ -408,9 +376,9 @@ def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
     flows.termination = _TERMINATIONS[how]
     labels, unmatched = None, 0
     if label_rows is not None:
-        labels, unmatched = _join_flow_labels(
-            label_rows, address_id, key, direction, window_start, last_ts)
-        labels = labels.tolist()
+        labels, unmatched = _join_labels(
+            label_rows, address_id, key[:2] + key[4:], window_start,
+            last_ts, direction == BIDIRECTIONAL)
     values = flow_columns(flows, mode)
     stats = MeterStats(packets_metered=n, flows_emitted=len(start))
     return FeatureMatrix(values=values, names=DEFAULT_MANIFESTS[mode].names,
@@ -620,45 +588,48 @@ def _take(side: SimpleNamespace, which) -> SimpleNamespace:
                               for name, value in vars(side).items()})
 
 
-def _join_flow_labels(rows, address_id, key: list, direction: str,
-                      window_start: np.ndarray,
-                      last_ts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each flow's label, as `LabelIndex.label_for_flow` gives it: that
-    of the label row of its directed key (a bidirectional flow's, then
-    of its reversed key), in file order, whose window overlaps the
-    flow's [window_start, last_ts] most, the first on a tie; else Normal
-    (counted as unmatched). `key` holds the flows' key columns."""
-    a, b, _, _, a_port, b_port, proto = key
-    lookups = [_keys(a, b, a_port, b_port, proto)]
-    if direction == BIDIRECTIONAL:
-        lookups.append(_keys(b, a, b_port, a_port, proto))
+def _join_labels(rows, address_id, tuples, lo: np.ndarray, hi: np.ndarray,
+                 both_ways: bool) -> tuple[list[str], int]:
+    """Each instance's label, as `LabelIndex` gives it: that of the label
+    row of its 5-tuple (`tuples`: source and destination address ids,
+    ports, protocol), and with `both_ways` then of the reversed 5-tuple,
+    in file order, whose window overlaps the instance's [lo, hi] most,
+    the first on a tie; else Normal (counted as unmatched). A packet is
+    the instance [ts, ts]: a window holding ts overlaps it by exactly 0,
+    one not holding it (inverted, or with an infinite bound, included)
+    by less, so the first window holding ts wins, as in
+    `label_for_packet`."""
+    src, dst, sport, dport, proto = tuples
+    lookups = [_keys(src, dst, sport, dport, proto)]
+    if both_ways:
+        lookups.append(_keys(dst, src, dport, sport, proto))
     r1, r2 = _label_keys(rows, address_id)
     k1 = np.concatenate([r1] + [k for k, _ in lookups])
     k2 = np.concatenate([r2] + [k for _, k in lookups])
     perm, new = _group(k1, k2)
     same = np.empty(perm.size, dtype=np.int64)  # one id per distinct key
     same[perm] = np.cumsum(new)
-    m = len(rows)
+    m, n = len(rows), lo.size
     by_key = np.argsort(same[:m], kind="stable")  # file order within a key
-    keyed = same[:m][by_key]
+    rows_of = np.bincount(same[:m], minlength=perm.size + 1)  # of each id
+    row_at = np.cumsum(rows_of) - rows_of  # a key id's first row in by_key
     row_start = np.array([r.window_start for r in rows], dtype=np.float64)
     row_end = np.array([r.window_end for r in rows], dtype=np.float64)
-    best = np.full(a.size, -1, dtype=np.intp)
-    best_overlap = np.full(a.size, -np.inf)
+    best = np.full(n, -1, dtype=np.intp)
+    best_overlap = np.full(n, -np.inf)
     for j in range(len(lookups)):
-        wanted = same[m + j * a.size:m + (j + 1) * a.size]
-        lo = np.searchsorted(keyed, wanted)
-        count = np.searchsorted(keyed, wanted, "right") - lo
+        wanted = same[m + j * n:m + (j + 1) * n]
+        first, count = row_at[wanted], rows_of[wanted]
         pending = np.flatnonzero(count)
         rank = 0
-        while pending.size:  # each flow's rank-th row of the key
-            row = by_key[lo[pending] + rank]
-            overlap = (np.minimum(row_end[row], last_ts[pending])
-                       - np.maximum(row_start[row], window_start[pending]))
+        while pending.size:  # each instance's rank-th row of the key
+            row = by_key[first[pending] + rank]
+            overlap = (np.minimum(row_end[row], hi[pending])
+                       - np.maximum(row_start[row], lo[pending]))
             better = (overlap >= 0) & (overlap > best_overlap[pending])
             best[pending[better]] = row[better]
             best_overlap[pending[better]] = overlap[better]
             rank += 1
             pending = pending[count[pending] > rank]
     names = np.array([r.label for r in rows] + [LABEL_NORMAL], dtype=object)
-    return names[best], int(np.count_nonzero(best < 0))
+    return names[best].tolist(), int(np.count_nonzero(best < 0))

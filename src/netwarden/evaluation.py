@@ -193,11 +193,11 @@ def read_label_file(path: str) -> list[LabelRow]:
     spelled as the decoder spells it (`2001:DB8:0::1` as `2001:db8::1`).
     A header other than LABEL_FILE_COLUMNS, or a line without eight
     fields, with an address `ipaddress` refuses, with a port, protocol
-    or window bound that is not a number, a NaN bound, or a port or
-    protocol out of its header field's range, raises
-    LabelVocabularyMismatch naming the 1-based line. Infinite bounds are
-    read as they are, and a window ending before it starts holds no
-    timestamp."""
+    or window bound that is not a number, a NaN bound, a port or
+    protocol out of its header field's range, or a label not in
+    LABEL_VOCABULARY, raises LabelVocabularyMismatch naming the 1-based
+    line. Infinite bounds are read as they are, and a window ending
+    before it starts holds no timestamp."""
 
     @functools.cache  # a file names few addresses in many rows
     def address(text: str) -> str:
@@ -224,6 +224,9 @@ def read_label_file(path: str) -> list[LabelRow]:
                 if start != start or end != end:
                     raise ValueError("window %s,%s has a NaN bound"
                                      % (p[5], p[6]))
+                if p[7] not in LABEL_VOCABULARY:
+                    raise ValueError("unknown label %r, not one of %s"
+                                     % (p[7], ", ".join(LABEL_VOCABULARY)))
                 rows.append(LabelRow(
                     address(p[0]), address(p[1]), _header_field(p, 2, 0xFFFF),
                     _header_field(p, 3, 0xFFFF), _header_field(p, 4, 0xFF),

@@ -13,10 +13,10 @@ import numpy as np
 from .columnar import flow_matrix, packet_matrix
 from .detectors import (TARGET_FPR, TrainedModel, calibrate_threshold,
                         make_detector)
-from .errors import ConfigInvalid, ManifestMismatch, NonFiniteFeature
+from .errors import ManifestMismatch, NonFiniteFeature
 from .features import DEFAULT_MANIFESTS, FeatureMatrix, MODE_PACKET, \
     fit_normalizer
-from .flows import MeterConfig, write_flow_csv
+from .flows import MeterConfig
 
 # heavier kinds fit on a seeded subsample; thresholds still use all rows
 MAX_TRAIN_DEFAULT = {"osvm": 4096, "lof": 4096}
@@ -30,44 +30,34 @@ def derive_seed(master: int, stage: str) -> int:
 
 def extract_matrix(capture_path: str, mode: str, tw: float | None = None,
                    idle_timeout: float = MeterConfig.idle_timeout,
-                   labels_path: str | None = None,
-                   flows_out: str | None = None) -> FeatureMatrix:
+                   labels_path: str | None = None) -> FeatureMatrix:
     """PCAP -> FeatureMatrix in the requested traffic mode, with labels
-    joined from a sidecar file when given. Every mode works on the
-    headers decoded column by column: packet mode in
-    `columnar.packet_matrix`, the flow modes in `columnar.flow_matrix`,
-    which meters, builds the rows and joins the labels on the columns.
+    joined from a sidecar file when given: the matrix of
+    `extract_with_flows`, without the flows."""
+    return extract_with_flows(capture_path, mode, tw, idle_timeout,
+                              labels_path)[0]
 
-    `flows_out`, in a flow mode, names a CSV file the emitted flows are
-    dumped to (`flows.write_flow_csv`) once extraction has succeeded;
-    in packet mode it raises ConfigInvalid. An unknown `mode` raises
+
+def extract_with_flows(capture_path: str, mode: str, tw: float | None = None,
+                       idle_timeout: float = MeterConfig.idle_timeout,
+                       labels_path: str | None = None):
+    """(matrix, flows): the FeatureMatrix of a capture in the requested
+    traffic mode, with labels joined from a sidecar file when given, and
+    in a flow mode the emitted flows as the columns `flows.write_flow_csv`
+    dumps (None in packet mode). Every mode works on the headers decoded
+    column by column: packet mode in `columnar.packet_matrix`, the flow
+    modes in `columnar.flow_matrix`, which meters, builds the rows and
+    joins the labels on the columns. An unknown `mode` raises
     ManifestMismatch."""
-    X, flows = extract_with_flows(capture_path, mode, tw, idle_timeout,
-                                  labels_path, dump=flows_out is not None)
-    if flows is not None:
-        write_flow_csv(flows, flows_out)
-    return X
-
-
-def extract_with_flows(capture_path: str, mode: str, tw: float | None,
-                       idle_timeout: float, labels_path: str | None,
-                       dump: bool = False):
-    """`extract_matrix`'s work, the dump left to the caller: (matrix,
-    emitted flows as the columns `flows.write_flow_csv` takes, or None
-    without `dump`). `dump` in packet mode raises ConfigInvalid."""
     from .evaluation import read_label_file
 
     if mode not in DEFAULT_MANIFESTS:
         raise ManifestMismatch("no traffic mode %r: extract in one of %s"
                                % (mode, ", ".join(DEFAULT_MANIFESTS)))
-    if dump and mode == MODE_PACKET:
-        raise ConfigInvalid("flows_out dumps metered flows: mode must be "
-                            "uni_flow or bi_flow")
     label_rows = read_label_file(labels_path) if labels_path else None
     if mode == MODE_PACKET:
         return packet_matrix(capture_path, label_rows), None
-    X, flows = flow_matrix(capture_path, mode, tw, idle_timeout, label_rows)
-    return X, flows if dump else None
+    return flow_matrix(capture_path, mode, tw, idle_timeout, label_rows)
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

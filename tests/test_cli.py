@@ -137,6 +137,7 @@ class TestSynthExtract:
         assert cap["frames_read"] == (
             cap["decoded"] + cap["skipped_non_ip"] + cap["skipped_malformed"]
             + cap["fragment_frames"] + cap["dropped_late"])
+        assert "unmatched_labels" not in line  # no --labels
         if mode == "packet":
             assert "meter" not in line
             assert line["rows"] == cap["decoded"]
@@ -150,6 +151,29 @@ class TestSynthExtract:
             int(f["%s_pkt_count" % s]) for f in flows for s in sides)
         assert metered["packets_metered"] + metered["clock_skew_dropped"] \
             == cap["decoded"]
+
+    @pytest.mark.parametrize("mode", ["packet", "uni_flow", "bi_flow"])
+    def test_extract_reports_unmatched_labels(self, workdir, tmp_path,
+                                              capsys, mode):
+        # labelled rows = matched + unmatched: the corpus' own label file
+        # matches every row; with every other label row dropped, some
+        # rows match none and are labelled Normal
+        lines = (workdir / "corpus.labels.csv").read_text().splitlines()
+        half = tmp_path / "half.labels.csv"
+        half.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+        out = tmp_path / "feats.csv"
+        unmatched = []
+        for labels in (workdir / "corpus.labels.csv", half):
+            capsys.readouterr()
+            assert run("extract", "--in", str(workdir / "corpus.pcap"),
+                       "--mode", mode, "--tw", "1", "--labels", str(labels),
+                       "--out", str(out)) == 0
+            line = json.loads(capsys.readouterr().out.strip()
+                              .splitlines()[-1])
+            X = read_matrix_csv(str(out))
+            assert line["unmatched_labels"] <= X.labels.count("Normal")
+            unmatched.append(line["unmatched_labels"])
+        assert unmatched[0] == 0 < unmatched[1]
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_flows_out_refused_in_packet_mode(self, tmp_path, capsys, via):
@@ -539,6 +563,12 @@ class TestConfigAndErrors:
         (("extract", "--in", "{pcap}", "--labels", "{file}"),
          LABEL_HEADER + "10.0.0.1,10.0.0.2,5,6,300,0,1,Scan\n",
          "label_vocabulary_mismatch", "line 2: protocol 300"),
+        (("extract", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "10.0.0.1,10.0.0.2,5,6,6,0,1,scan\n",
+         "label_vocabulary_mismatch", "line 2: unknown label 'scan'"),
+        (("sweep", "--in", "{pcap}", "--labels", "{file}"),
+         LABEL_HEADER + "10.0.0.1,10.0.0.2,5,6,6,0,1,scan\n",
+         "label_vocabulary_mismatch", "line 2: unknown label 'scan'"),
         (("train", "--in", "{file}", "--budget", "3"), "f0\n1\n",
          "config_invalid", "unrecognized arguments: --budget 3"),
         (("train", "--config", "{file}"), '{"budget": 1}', "config_invalid",
@@ -550,6 +580,7 @@ class TestConfigAndErrors:
             "csv-rows-short-train", "csv-rows-short-score",
             "csv-header-only", "csv-one-row-osvm", "labels-leading-zero",
             "labels-octet-300", "labels-port-70000", "labels-protocol-300",
+            "labels-unknown-label", "sweep-unknown-label",
             "flag-budget", "config-budget", "flag-ill-typed",
             "unknown-command"])
     def test_error_is_one_json_line(self, workdir, packet_model, tmp_path,
@@ -566,6 +597,7 @@ class TestConfigAndErrors:
         line = json.loads(err[len("error: "):])
         assert sorted(line) == ["code", "message"] and line["code"] == code
         assert problem in line["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, code", [
         (("score", "--in", "{pcap}", "--model", "{unknown}"),

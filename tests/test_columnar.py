@@ -24,8 +24,8 @@ from netwarden.errors import LabelVocabularyMismatch, TruncatedHeader
 from netwarden.evaluation import (LABEL_VOCABULARY, LabelRow,
                                   read_label_file, write_label_file)
 from netwarden.features import FeatureMatrix
-from netwarden.flows import MeterConfig
-from netwarden.pipeline import extract_matrix
+from netwarden.flows import MeterConfig, write_flow_csv
+from netwarden.pipeline import extract_matrix, extract_with_flows
 
 from conftest import (build_global_header, eth_header, ipv4_header,
                       tcp_header, udp_header)
@@ -71,7 +71,7 @@ def assert_same_as_oracle(capture: str, labels: str | None = None):
 
 
 def _flow_outcome(run):
-    """(matrix, bytes of the flow dump) of run(flows_out), or the class
+    """(matrix, bytes of the flow dump) of run(dump path), or the class
     and message of what it raised (and no dump was written)."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "flows.csv")
@@ -88,9 +88,13 @@ def assert_flows_same_as_oracle(capture: str, mode: str, tw: float | None,
                                 labels: str | None = None,
                                 idle_timeout=MeterConfig.idle_timeout):
     """Returns the flow-mode matrix, or the exception both raised."""
-    got = _flow_outcome(lambda dump: extract_matrix(
-        capture, mode, tw=tw, idle_timeout=idle_timeout, labels_path=labels,
-        flows_out=dump))
+    def batch(dump):
+        X, flows = extract_with_flows(capture, mode, tw, idle_timeout,
+                                      labels)
+        write_flow_csv(flows, dump)
+        return X
+
+    got = _flow_outcome(batch)
     want = _flow_outcome(lambda dump: flow_matrix_oracle(
         capture, mode, tw=tw, idle_timeout=idle_timeout, labels_path=labels,
         flows_out=dump))
@@ -434,16 +438,17 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("field, value", [
         (0, "010.0.0.1"), (1, "10.0.0.300"), (0, "2001:db8::1::2"),
-        (2, -1), (3, 70000), (4, 300), (5, math.nan), (6, math.nan)])
+        (2, -1), (3, 70000), (4, 300), (5, math.nan), (6, math.nan),
+        (7, "scan")])
     def test_refused_label_rows(self, tmp_path, field, value):
         path = str(tmp_path / "r.pcap")
         write_capture(path, [(BASE_SEC, 0, GOLDEN_FRAMES[0][1])])
-        row = ["10.0.0.1", "10.0.0.2", 5000, 80, 6, BASE_SEC, BASE_SEC + 1]
+        row = ["10.0.0.1", "10.0.0.2", 5000, 80, 6, BASE_SEC, BASE_SEC + 1,
+               "Scan"]
         bad = list(row)
         bad[field] = value
         labels = str(tmp_path / "r.labels.csv")
-        write_label_file([LabelRow(*row, "Scan"), LabelRow(*bad, "Scan")],
-                         labels)
+        write_label_file([LabelRow(*row), LabelRow(*bad)], labels)
         error, message = assert_same_as_oracle(path, labels)
         assert error is LabelVocabularyMismatch
         assert message.startswith("label file line 3: ")
@@ -465,7 +470,7 @@ class TestMatchesOracle:
 
 
 class TestFlowModesMatchOracle:
-    """The flow modes of extract_matrix, which meter the decoded columns,
+    """The flow modes of extract_with_flows, which meter the decoded columns,
     against the job that meters the capture reader's records."""
 
     @settings(max_examples=300, deadline=None)
@@ -559,8 +564,8 @@ def _dump(capture: str, mode: str, tw,
     """The flow dump's rows, as dicts."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "flows.csv")
-        extract_matrix(capture, mode, tw=tw, idle_timeout=idle_timeout,
-                       flows_out=path)
+        write_flow_csv(extract_with_flows(capture, mode, tw,
+                                          idle_timeout)[1], path)
         with open(path) as fh:
             return list(csv.DictReader(fh))
 

@@ -219,6 +219,7 @@ class TestLabelFiles:
          "dst_port 65536 is outside 0-65535"),
         ("10.0.0.1,10.0.0.2,5,6,256,0.0,10.0,Scan",
          "protocol 256 is outside 0-255"),
+        ("10.0.0.1,10.0.0.2,5,6,6,0.0,10.0,scan", "unknown label 'scan'"),
     ])
     def test_bad_line_names_it(self, tmp_path, line, problem):
         path = tmp_path / "bad.csv"
