@@ -29,7 +29,10 @@ with numpy:
 - both join labels in `_join_labels`, one rule for both: a packet is the
   instance [ts, ts], a flow [window_start, last_ts], and each takes the
   row of its 5-tuple (a bidirectional flow's, then of the reversed one)
-  that overlaps it most, the first in the file on a tie.
+  that overlaps it most, the first in the file on a tie. The rows come
+  as `evaluation.read_label_columns` gives them: each distinct address
+  gets its id once, and the rows' keys, windows and label codes are
+  gathered from the columns.
 
 Like PacketContext, the packet sort reads addresses and ports, and only
 for equality; timestamps order the packets and give the gaps. Like
@@ -43,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .evaluation import LABEL_NORMAL
+from .evaluation import LABEL_NORMAL, LABEL_VOCABULARY, LabelColumns
 from .features import (DEFAULT_MANIFESTS, FeatureMatrix, MODE_PACKET,
                        MODE_TO_DIRECTION, PACKET_MANIFEST, flow_columns,
                        packet_columns)
@@ -164,16 +167,6 @@ def _decode_columns(buf: np.ndarray, start: np.ndarray, size: np.ndarray,
     return fields, ok
 
 
-def _label_keys(rows, address_id) -> tuple:
-    """The label rows' keys, as `_keys` gives the packets'."""
-    src, dst = [r.src_ip for r in rows], [r.dst_ip for r in rows]
-    ids = {text: address_id(text) for text in dict.fromkeys(src + dst)}
-    return _keys(*(np.array(c, dtype=np.int64) for c in (
-        [ids[text] for text in src], [ids[text] for text in dst],
-        [r.src_port for r in rows], [r.dst_port for r in rows],
-        [r.protocol for r in rows])))
-
-
 def _keys(src, dst, sport, dport, proto) -> tuple[np.ndarray, np.ndarray]:
     """Two int64s equal exactly when the 5-tuples are: (source, source
     port, protocol) and (destination, destination port)."""
@@ -233,9 +226,10 @@ def _resequence(ts: np.ndarray, ok: np.ndarray, s) -> np.ndarray:
     return order
 
 
-def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
+def packet_matrix(capture_path: str,
+                  labels: LabelColumns | None = None) -> FeatureMatrix:
     """The packet-mode FeatureMatrix of a capture, with labels joined
-    from `label_rows` (as `read_label_file` gives them) when given.
+    from `labels` (as `read_label_columns` gives them) when given.
     Raises TruncatedHeader at a record cut short."""
     reader = CaptureReader(capture_path)
     ts, fields, ok, address_id = _decode(reader)
@@ -256,12 +250,12 @@ def packet_matrix(capture_path: str, label_rows=None) -> FeatureMatrix:
     values = packet_columns(
         f[_TOTAL], pkt_index, f[_PAYLOAD], f[_IP_HLEN], f[_L4_HLEN],
         iat_prev, f[_PROTO], f[_FLAGS], f[_WINDOW], f[_TTL])
-    labels, unmatched = None, 0
-    if label_rows is not None:  # a packet is the instance [ts, ts]
-        labels, unmatched = _join_labels(label_rows, address_id,
+    joined, unmatched = None, 0
+    if labels is not None:  # a packet is the instance [ts, ts]
+        joined, unmatched = _join_labels(labels, address_id,
                                          f[_SRC:_PROTO + 1], t, t, False)
     return FeatureMatrix(values=values, names=PACKET_MANIFEST.names,
-                         mode=MODE_PACKET, labels=labels,
+                         mode=MODE_PACKET, labels=joined,
                          unmatched_labels=unmatched,
                          accounting={"capture": reader.summary})
 
@@ -276,12 +270,14 @@ _TERMINATIONS = np.array([TERM_RST, TERM_FIN, TERM_IDLE, TERM_CAPTURE_END,
 
 def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
                 idle_timeout: float = MeterConfig.idle_timeout,
-                label_rows=None) -> tuple[FeatureMatrix, SimpleNamespace]:
+                labels: LabelColumns | None = None
+                ) -> tuple[FeatureMatrix, SimpleNamespace]:
     """The flow-mode FeatureMatrix of a capture and its flows as columns
     (what `flows.write_flow_csv` dumps), with labels joined from
-    `label_rows` when given: what metering the capture reader's records
-    with one FlowMeter gives, passing each flow it emits, in order, to
-    `flow_row` and `LabelIndex.label_for_flow`. Raises as FlowMeter's
+    `labels` (as `read_label_columns` gives them) when given: what
+    metering the capture reader's records with one FlowMeter gives,
+    passing each flow it emits, in order, to `flow_row` and
+    `LabelIndex.label_for_flow`. Raises as FlowMeter's
     config check does, or TruncatedHeader at a record cut short."""
     direction = MODE_TO_DIRECTION[mode]
     cfg = MeterConfig(direction_mode=direction, tw_seconds=tw,
@@ -374,15 +370,15 @@ def flow_matrix(capture_path: str, mode: str, tw: float | None = None,
     flows.window_end = last_ts if tw is None else np.where(
         how == _BY_WINDOW, window_start + tw, last_ts)
     flows.termination = _TERMINATIONS[how]
-    labels, unmatched = None, 0
-    if label_rows is not None:
-        labels, unmatched = _join_labels(
-            label_rows, address_id, key[:2] + key[4:], window_start,
-            last_ts, direction == BIDIRECTIONAL)
+    joined, unmatched = None, 0
+    if labels is not None:
+        joined, unmatched = _join_labels(
+            labels, address_id, key[:2] + key[4:], window_start, last_ts,
+            direction == BIDIRECTIONAL)
     values = flow_columns(flows, mode)
     stats = MeterStats(packets_metered=n, flows_emitted=len(start))
     return FeatureMatrix(values=values, names=DEFAULT_MANIFESTS[mode].names,
-                         mode=mode, labels=labels, unmatched_labels=unmatched,
+                         mode=mode, labels=joined, unmatched_labels=unmatched,
                          accounting={"capture": reader.summary,
                                      "meter": stats}), flows
 
@@ -588,8 +584,8 @@ def _take(side: SimpleNamespace, which) -> SimpleNamespace:
                               for name, value in vars(side).items()})
 
 
-def _join_labels(rows, address_id, tuples, lo: np.ndarray, hi: np.ndarray,
-                 both_ways: bool) -> tuple[list[str], int]:
+def _join_labels(labels: LabelColumns, address_id, tuples, lo: np.ndarray,
+                 hi: np.ndarray, both_ways: bool) -> tuple[list[str], int]:
     """Each instance's label, as `LabelIndex` gives it: that of the label
     row of its 5-tuple (`tuples`: source and destination address ids,
     ports, protocol), and with `both_ways` then of the reversed 5-tuple,
@@ -603,18 +599,20 @@ def _join_labels(rows, address_id, tuples, lo: np.ndarray, hi: np.ndarray,
     lookups = [_keys(src, dst, sport, dport, proto)]
     if both_ways:
         lookups.append(_keys(dst, src, dport, sport, proto))
-    r1, r2 = _label_keys(rows, address_id)
+    ids = np.fromiter(map(address_id, labels.addresses), np.int64,
+                      len(labels.addresses))
+    r1, r2 = _keys(ids[labels.src], ids[labels.dst], labels.src_port,
+                   labels.dst_port, labels.protocol)
     k1 = np.concatenate([r1] + [k for k, _ in lookups])
     k2 = np.concatenate([r2] + [k for _, k in lookups])
     perm, new = _group(k1, k2)
     same = np.empty(perm.size, dtype=np.int64)  # one id per distinct key
     same[perm] = np.cumsum(new)
-    m, n = len(rows), lo.size
+    m, n = labels.n, lo.size
     by_key = np.argsort(same[:m], kind="stable")  # file order within a key
     rows_of = np.bincount(same[:m], minlength=perm.size + 1)  # of each id
     row_at = np.cumsum(rows_of) - rows_of  # a key id's first row in by_key
-    row_start = np.array([r.window_start for r in rows], dtype=np.float64)
-    row_end = np.array([r.window_end for r in rows], dtype=np.float64)
+    row_start, row_end = labels.window_start, labels.window_end
     best = np.full(n, -1, dtype=np.intp)
     best_overlap = np.full(n, -np.inf)
     for j in range(len(lookups)):
@@ -631,5 +629,6 @@ def _join_labels(rows, address_id, tuples, lo: np.ndarray, hi: np.ndarray,
             best_overlap[pending[better]] = overlap[better]
             rank += 1
             pending = pending[count[pending] > rank]
-    names = np.array([r.label for r in rows] + [LABEL_NORMAL], dtype=object)
-    return names[best].tolist(), int(np.count_nonzero(best < 0))
+    code = np.append(labels.label, LABEL_VOCABULARY.index(LABEL_NORMAL))
+    return (np.array(LABEL_VOCABULARY, dtype=object)[code[best]].tolist(),
+            int(np.count_nonzero(best < 0)))

@@ -47,17 +47,19 @@ def extract_with_flows(capture_path: str, mode: str, tw: float | None = None,
     dumps (None in packet mode). Every mode works on the headers decoded
     column by column: packet mode in `columnar.packet_matrix`, the flow
     modes in `columnar.flow_matrix`, which meters, builds the rows and
-    joins the labels on the columns. An unknown `mode` raises
+    joins the labels on the columns. The sidecar is read as columns too,
+    by `evaluation.read_label_columns`, before the capture, so a refused
+    label file raises before any frame is read. An unknown `mode` raises
     ManifestMismatch."""
-    from .evaluation import read_label_file
+    from .evaluation import read_label_columns
 
     if mode not in DEFAULT_MANIFESTS:
         raise ManifestMismatch("no traffic mode %r: extract in one of %s"
                                % (mode, ", ".join(DEFAULT_MANIFESTS)))
-    label_rows = read_label_file(labels_path) if labels_path else None
+    labels = read_label_columns(labels_path) if labels_path else None
     if mode == MODE_PACKET:
-        return packet_matrix(capture_path, label_rows), None
-    return flow_matrix(capture_path, mode, tw, idle_timeout, label_rows)
+        return packet_matrix(capture_path, labels), None
+    return flow_matrix(capture_path, mode, tw, idle_timeout, labels)
 
 
 def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,

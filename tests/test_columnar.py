@@ -776,6 +776,16 @@ class TestLabelJoinRounds:
         X = assert_flows_same_as_oracle(path, "bi_flow", tw, labels)
         assert X.labels == [label] and X.unmatched_labels == 0
 
+    @pytest.mark.parametrize("mode", ["packet", "uni_flow", "bi_flow"])
+    def test_header_only_file_leaves_every_instance_unmatched(
+            self, corpus_dir, tmp_path, mode):
+        labels = tmp_path / "header.labels.csv"
+        write_label_file([], str(labels))
+        X = extract_matrix(str(corpus_dir / "test.pcap"), mode,
+                           labels_path=str(labels))
+        assert X.n > 100 and X.unmatched_labels == X.n
+        assert X.labels == ["Normal"] * X.n
+
 
 class TestPacketRecords:
     """The decoded columns stand for the capture reader's records, and
@@ -895,8 +905,8 @@ def test_bijective_remap_of_addresses_and_ports(corpus_dir, tmp_path):
                                           port))
     assert renamed.read_bytes() != source.read_bytes()
     rows = read_label_file(str(corpus_dir / "test.labels.csv"))
-    remap = lambda r: dataclasses.replace(
-        r, src_ip=dotted(r.src_ip), dst_ip=dotted(r.dst_ip),
+    remap = lambda r: r._replace(
+        src_ip=dotted(r.src_ip), dst_ip=dotted(r.dst_ip),
         src_port=port(r.src_port) if r.protocol in (6, 17) else r.src_port,
         dst_port=port(r.dst_port) if r.protocol in (6, 17) else r.dst_port)
     write_label_file([remap(r) for r in rows], str(tmp_path / "r.csv"))

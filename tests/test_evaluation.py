@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netwarden import evaluation as ev, pcap, synth
 from netwarden.errors import LabelVocabularyMismatch, SingleClass
@@ -9,7 +13,8 @@ from netwarden.synth import ScenarioSpec
 
 from conftest import (build_global_header, build_record, eth_header,
                       golden_syn_frame, ipv4_header)
-from oracles import auc_pair_oracle, auc_rank_loop_oracle, roc_loop_oracle
+from oracles import (auc_pair_oracle, auc_rank_loop_oracle,
+                     read_label_file_oracle, roc_loop_oracle)
 
 
 class TestBinaryMetrics:
@@ -272,6 +277,158 @@ class TestLabelFiles:
         # label_for_flow looks a flow up by its key itself
         from netwarden.flows import FlowKey
         assert FlowKey._fields == ev.LABEL_FILE_COLUMNS[:5]
+
+    @pytest.mark.parametrize("name", ["train", "test"])
+    def test_rewritten_file_is_byte_identical(self, corpus_dir, tmp_path,
+                                              name):
+        """The rows hold Python values: a numpy float64 would be written
+        as `np.float64(...)`, which the reader refuses."""
+        path = corpus_dir / (name + ".labels.csv")
+        ev.write_label_file(ev.read_label_file(str(path)),
+                            str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(ev.LABEL_FILE_COLUMNS) + "\n\n")
+        c = ev.read_label_columns(str(path))
+        assert c.n == 0 and c.addresses == [] and c.label.size == 0
+        assert ev.read_label_file(str(path)) == []
+
+    @pytest.mark.parametrize("lines, message", [
+        # a port out of range on line 2 before an unknown label on line 3
+        (["10.0.0.1,10.0.0.2,99999,6,6,0,1,Scan",
+          "10.0.0.1,10.0.0.2,5,6,6,0,1,scan"],
+         "line 2: src_port 99999 is outside 0-65535"),
+        (["10.0.0.1,10.0.0.2,5,6,6,0,1,Scan",
+          "10.0.0.1,10.0.0.2,5,6,6,nan,1,Scan", "10.0.0.1"],
+         "line 3: window nan,1 has a NaN bound"),
+        # of one line's faults, the first checked
+        (["host,10.0.0.2,5,6,6,0,1,scan"], "line 2: unknown label 'scan'"),
+        (["host,10.0.0.2,5,6,6,0,1,Scan,x"], "line 2 has 9 fields, not 8"),
+        (["10.0.0.1,10.0.0.2,5,6,6,nan,later,Scan"],
+         "line 2: could not convert string to float: 'later'"),
+        (["10.0.0.1,host,-1,6,6,0,1,Scan"],
+         "line 2: 'host' does not appear to be an IPv4 or IPv6 address"),
+        (["10.0.0.1,10.0.0.2,http,99999999999999999999,6,0,1,Scan"],
+         "line 2: invalid literal for int() with base 10: 'http'"),
+        (["10.0.0.1,10.0.0.2,5,99999999999999999999,http,0,1,Scan"],
+         "line 2: dst_port 99999999999999999999 is outside 0-65535"),
+    ])
+    def test_first_fault_of_the_first_bad_line(self, tmp_path, lines,
+                                               message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(ev.LABEL_FILE_COLUMNS)] + lines))
+        with pytest.raises(LabelVocabularyMismatch) as exc:
+            ev.read_label_file(str(path))
+        assert str(exc.value).startswith("label file " + message)
+        assert _read(read_label_file_oracle, str(path)) \
+            == _read(ev.read_label_file, str(path))
+
+
+def _read(reader, path: str):
+    """The rows `reader` reads, each field with its type and a float as
+    its bits, or the type and message of what it raises."""
+    try:
+        rows = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(r), [(type(v), int(np.float64(v).view(np.uint64))
+                        if isinstance(v, float) else v) for v in r])
+            for r in rows]
+
+
+def _digits(text: str) -> str:
+    """`text` with its ASCII digits as Arabic-Indic ones."""
+    return text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662"
+                                        "\u0663\u0664\u0665\u0666\u0667"
+                                        "\u0668\u0669"))
+
+
+def _mostly(good, bad):
+    """`good`, and one time in 30 `bad`."""
+    return st.integers(0, 29).flatmap(lambda i: bad if i == 0 else good)
+
+
+WHITESPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028"),
+                     max_size=2)
+# integers as `int` reads them, or texts it refuses or reads out of range
+INTEGERS = _mostly(
+    st.builds(lambda v, style: style(str(v)), st.integers(0, 255),
+              st.sampled_from([str, lambda t: "+" + t, lambda t: " " + t,
+                               lambda t: t + "\t", lambda t: "00" + t,
+                               lambda t: t[0] + "_" + t[1:] if t[1:] else t,
+                               _digits])),
+    st.sampled_from(["-1", "65536", "256", "99999999999999999999", "http",
+                     "1.5", "", "1__0", "0x10"]))
+# window bounds as `float` reads them, or texts it refuses or reads NaN
+FLOATS = _mostly(
+    st.one_of(
+        st.builds(lambda v, style: style(repr(v)),
+                  st.floats(allow_nan=False, allow_infinity=True),
+                  st.sampled_from([str, lambda t: " " + t,
+                                   lambda t: t + " ", _digits,
+                                   lambda t: t if t[0] == "-" else "+" + t])),
+        st.sampled_from(["inf", "-inf", "Infinity", "1e400", "-1e400",
+                         "-0.0", "1_0.5"])),
+    st.sampled_from(["nan", "NaN", "later", "", "1..5"]))
+ADDRESSES = _mostly(
+    st.sampled_from(["10.0.0.1", "192.0.2.7", "2001:db8::1", "2001:DB8::1",
+                     "2001:0db8:0000:0000:0000:0000:0000:0001",
+                     "::ffff:10.0.0.1", "FE80::1"]),
+    st.sampled_from([" 10.0.0.1", "010.0.0.1", "10.0.0.300", "host",
+                     "2001:db8::1::2", ""]))
+LABELS = _mostly(st.sampled_from(ev.LABEL_VOCABULARY + ("Scan ",)),
+                 st.sampled_from(["scan", " Scan", ""]))
+
+
+@st.composite
+def label_lines(draw):
+    """A line of a label file: eight fields, fewer or more, any of them
+    perhaps a fault, or a blank one."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(WHITESPACE)
+    fields = [draw(ADDRESSES), draw(ADDRESSES), draw(INTEGERS),
+              draw(INTEGERS), draw(INTEGERS), draw(FLOATS), draw(FLOATS),
+              draw(LABELS)]
+    if draw(st.integers(0, 29)) == 0:
+        at = draw(st.integers(0, len(fields) - 1))
+        if draw(st.booleans()):
+            del fields[at]
+        else:
+            fields.insert(at, draw(FLOATS))
+    return draw(WHITESPACE) + ",".join(fields) + draw(WHITESPACE)
+
+
+@st.composite
+def label_files(draw):
+    """The text of a label file: a header, perhaps a wrong one, then
+    lines ended by LF, CRLF or a lone CR, the last perhaps by none."""
+    header = ",".join(ev.LABEL_FILE_COLUMNS)
+    if draw(st.integers(0, 29)) == 0:
+        header = draw(st.sampled_from([header[:-6], header + ",x", ""]))
+    lines = [draw(WHITESPACE) + header + draw(WHITESPACE)] + draw(
+        st.lists(label_lines(), max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLabelReaderMatchesOracle:
+    """read_label_file against the line-by-line reader: the same rows,
+    types and bits, or the same error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(label_files())
+    def test_generated_files(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "labels.csv")
+            with open(path, "w", newline="") as fh:  # no newline translated
+                fh.write(text)
+            assert _read(ev.read_label_file, path) \
+                == _read(read_label_file_oracle, path)
 
 
 ARP_FRAME = eth_header(0x0806) + b"\x00" * 28
