@@ -30,9 +30,9 @@ with numpy:
   instance [ts, ts], a flow [window_start, last_ts], and each takes the
   row of its 5-tuple (a bidirectional flow's, then of the reversed one)
   that overlaps it most, the first in the file on a tie. The rows come
-  as `evaluation.read_label_columns` gives them: each distinct address
-  gets its id once, and the rows' keys, windows and label codes are
-  gathered from the columns.
+  as `evaluation.read_label_columns` gives them, from a file it found
+  valid: each distinct address gets its id once, and the rows' keys,
+  windows and label codes are gathered from the columns.
 
 Like PacketContext, the packet sort reads addresses and ports, and only
 for equality; timestamps order the packets and give the gaps. Like
@@ -608,7 +608,7 @@ def _join_labels(labels: LabelColumns, address_id, tuples, lo: np.ndarray,
     perm, new = _group(k1, k2)
     same = np.empty(perm.size, dtype=np.int64)  # one id per distinct key
     same[perm] = np.cumsum(new)
-    m, n = labels.n, lo.size
+    m, n = labels.label.size, lo.size
     by_key = np.argsort(same[:m], kind="stable")  # file order within a key
     rows_of = np.bincount(same[:m], minlength=perm.size + 1)  # of each id
     row_at = np.cumsum(rows_of) - rows_of  # a key id's first row in by_key

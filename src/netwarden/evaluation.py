@@ -204,151 +204,133 @@ class LabelColumns:
     window_start: np.ndarray
     window_end: np.ndarray
     label: np.ndarray
-    n: int
 
 
 _LABEL_CODES = {name: code for code, name in enumerate(LABEL_VOCABULARY)}
 
 
 def read_label_file(path: str) -> list[LabelRow]:
-    """The rows of a label sidecar file, in file order, as
-    `read_label_columns` reads them, each address spelled as the decoder
-    spells it (`2001:DB8:0::1` as `2001:db8::1`) and each field a Python
-    `str`, `int` or `float`. Raises as `read_label_columns` does."""
-    c = read_label_columns(path)
-    addresses = np.array(c.addresses, dtype=object)
-    labels = np.array(LABEL_VOCABULARY, dtype=object)
-    return list(map(LabelRow._make, zip(
-        addresses[c.src].tolist(), addresses[c.dst].tolist(),
-        c.src_port.tolist(), c.dst_port.tolist(), c.protocol.tolist(),
-        c.window_start.tolist(), c.window_end.tolist(),
-        labels[c.label].tolist())))
+    """The rows of a label sidecar file, in file order, read line by
+    line: each field a Python `str`, `int` or `float`, each address
+    spelled as the decoder spells it (`2001:DB8:0::1` as `2001:db8::1`).
+    Blank lines are skipped; a file with a header and no rows has none.
+    A header other than LABEL_FILE_COLUMNS raises
+    LabelVocabularyMismatch, and so does a line without eight fields,
+    with a window bound that is not a number or is NaN, a label not in
+    LABEL_VOCABULARY, an address `ipaddress` refuses, or a port or
+    protocol that is not an integer in its header field's range. The
+    error names the first such line (1-based, blank lines counted) and,
+    of its faults, the first in that order. Infinite bounds are read as
+    they are, and a window ending before it starts holds no timestamp.
+
+    This is the one reader that words a fault: `read_label_columns`
+    raises a refused file's error by calling it."""
+    spelled: dict[str, str] = {}  # a file names few addresses in many rows
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if tuple(header) != LABEL_FILE_COLUMNS:
+            raise LabelVocabularyMismatch(
+                "label file columns %r do not match %r"
+                % (header, list(LABEL_FILE_COLUMNS)))
+        for number, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            p = line.split(",")
+            if len(p) != len(LABEL_FILE_COLUMNS):
+                raise LabelVocabularyMismatch(
+                    "label file line %d has %d fields, not %d"
+                    % (number, len(p), len(LABEL_FILE_COLUMNS)))
+            try:
+                start, end = float(p[5]), float(p[6])
+                if start != start or end != end:
+                    raise ValueError("window %s,%s has a NaN bound"
+                                     % (p[5], p[6]))
+                if p[7] not in LABEL_VOCABULARY:
+                    raise ValueError("unknown label %r, not one of %s"
+                                     % (p[7], ", ".join(LABEL_VOCABULARY)))
+                for text in p[:2]:
+                    if text not in spelled:
+                        spelled[text] = str(ipaddress.ip_address(text))
+                numbers = []
+                for i, top in ((2, 0xFFFF), (3, 0xFFFF), (4, 0xFF)):
+                    value = int(p[i])
+                    if not 0 <= value <= top:
+                        raise ValueError("%s %d is outside 0-%d"
+                                         % (LABEL_FILE_COLUMNS[i], value,
+                                            top))
+                    numbers.append(value)
+            except ValueError as exc:
+                raise LabelVocabularyMismatch(
+                    "label file line %d: %s" % (number, exc)) from None
+            rows.append(LabelRow(spelled[p[0]], spelled[p[1]], *numbers,
+                                 start, end, p[7]))
+    return rows
 
 
 def read_label_columns(path: str) -> LabelColumns:
-    """The rows of a label sidecar file as columns. Blank lines are
-    skipped; a file with a header and no rows has none. A header other
-    than LABEL_FILE_COLUMNS raises LabelVocabularyMismatch, and so does
-    a line without eight fields, with a window bound that is not a
-    number or is NaN, a label not in LABEL_VOCABULARY, an address
-    `ipaddress` refuses, or a port or protocol that is not an integer in
-    its header field's range. The error names the first such line
-    (1-based, blank lines counted) and, of its faults, the first in that
-    order. Infinite bounds are read as they are, and a window ending
-    before it starts holds no timestamp.
+    """The rows of a label sidecar file as columns: the values
+    `read_label_file` reads, or its error.
 
     The file is read and split at once, and each column converted with
     one `map` of `float` or `int`, so a field reads as those read it
-    (`+15`, ` 15`, `1_0`, `1e400`); the checks run on the columns."""
+    (`+15`, ` 15`, `1_0`, `1e400`); each distinct address is spelled
+    once. The columns only detect a fault: a wrong header, a line
+    without eight fields, a field `float`, `int` or `ipaddress` refuses,
+    a NaN bound, an unknown label, a port or protocol out of range. On
+    one, `read_label_file` reads the file again and raises the error
+    that names the line."""
     with open(path) as fh:  # text mode: "\r\n" and "\r" end lines too
         lines = fh.read().split("\n")
-    header = lines[0].strip().split(",")
-    if tuple(header) != LABEL_FILE_COLUMNS:
-        raise LabelVocabularyMismatch(
-            "label file columns %r do not match %r"
-            % (header, list(LABEL_FILE_COLUMNS)))
+    if tuple(lines[0].strip().split(",")) != LABEL_FILE_COLUMNS:
+        raise _refused(path)
     lines = list(map(str.strip, lines[1:]))
     rows = list(compress(lines, lines))  # the lines that are not blank
-    numbers = np.flatnonzero(np.fromiter(map(bool, lines), bool,
-                                         len(lines))) + 2
     del lines
-    width = len(LABEL_FILE_COLUMNS)
-    # (row, check, what the message says after the line number): checks
-    # numbered in the order each line is checked
-    faults = []
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64,
-                         len(rows))
-    wrong = np.flatnonzero(commas != width - 1)
-    if wrong.size:  # only the rows before it are read
-        cut = int(wrong[0])
-        faults.append((cut, 0, " has %d fields, not %d"
-                       % (commas[cut] + 1, width)))
-        rows = rows[:cut]
-    n = len(rows)
+    n, width = len(rows), len(LABEL_FILE_COLUMNS)
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n)
+    if (commas != width - 1).any():
+        raise _refused(path)
     fields = ",".join(rows).split(",") if n else []  # "" splits to [""]
     del rows
     src, dst, sport, dport, proto, start, end, label = (
         fields[i::width] for i in range(width))
     del fields
-    window_start, start_fault = _numbers(start, float)
-    window_end, end_fault = _numbers(end, float)
-    code = np.fromiter(map(_LABEL_CODES.get, label, repeat(-1)), np.int64,
-                       n)
-    addresses, src_id, dst_id, address_faults = _addresses(src, dst)
-    checks = [start_fault, end_fault, _first(
-        np.isnan(window_start) | np.isnan(window_end),
-        lambda i: "window %s,%s has a NaN bound" % (start[i], end[i])),
-        _first(code < 0, lambda i: "unknown label %r, not one of %s"
-               % (label[i], ", ".join(LABEL_VOCABULARY))),
-        *address_faults]
-    ports = []
-    for i, texts, top in ((2, sport, 0xFFFF), (3, dport, 0xFFFF),
-                          (4, proto, 0xFF)):
-        values, fault = _numbers(texts, int, top)
-        out = _first((values < 0) | (values > top),
-                     lambda row: "%s %d is outside 0-%d"
-                     % (LABEL_FILE_COLUMNS[i], int(texts[row]), top))
-        checks.append(min(filter(None, (fault, out)), default=None))
-        ports.append(values)
-    faults += [(fault[0], check, ": " + fault[1])
-               for check, fault in enumerate(checks, start=1) if fault]
-    if faults:
-        row, _, message = min(faults)
-        raise LabelVocabularyMismatch("label file line %d%s"
-                                      % (numbers[row], message))
-    return LabelColumns(addresses, src_id, dst_id, *ports, window_start,
-                        window_end, code, n)
-
-
-def _first(bad: np.ndarray, message) -> tuple[int, str] | None:
-    """(row, message(row)) of the first True in `bad`, else None."""
-    rows = np.flatnonzero(bad)
-    return (int(rows[0]), message(int(rows[0]))) if rows.size else None
-
-
-def _numbers(texts: list[str], kind,
-             top: int | None = None) -> tuple[np.ndarray, tuple | None]:
-    """`kind` (`float`, or `int` for a header field 0..top) of each text
-    as float64 or int64, and (row, message) of the first text `kind`
-    refuses, else None; from that row on the values are 0. An integer
-    outside 0..top may read as -1 or top + 1."""
-    dtype = np.float64 if kind is float else np.int64
-    try:
-        return np.fromiter(map(kind, texts), dtype, len(texts)), None
-    except (ValueError, OverflowError):  # OverflowError: past int64
-        pass
-    values = np.zeros(len(texts), dtype)
-    for row, text in enumerate(texts):
-        try:
-            value = kind(text)
-        except ValueError as exc:
-            return values, (row, str(exc))
-        values[row] = value if top is None else min(max(value, -1), top + 1)
-    return values, None
-
-
-def _addresses(src: list[str], dst: list[str]) -> tuple:
-    """(addresses, src ids, dst ids, [src fault, dst fault]): each
-    distinct text spelled once through `ipaddress`, the distinct
-    spellings, each row's index into them (-1 where refused), and each
-    column's (row, message) of the first refused address, or None."""
     spelled: dict[str, int] = {}
     index: dict[str, int] = {}
-    refused: dict[str, str] = {}
     distinct = dict.fromkeys(src)
     distinct.update(dict.fromkeys(dst))
-    for text in distinct:
-        try:
-            spelling = str(ipaddress.ip_address(text))
-        except ValueError as exc:
-            index[text], refused[text] = -1, str(exc)
-            continue
-        index[text] = spelled.setdefault(spelling, len(spelled))
-    ids = [np.fromiter(map(index.__getitem__, texts), np.int64, len(texts))
-           for texts in (src, dst)]
-    faults = [_first(i < 0, lambda row: refused[texts[row]])
-              for i, texts in zip(ids, (src, dst))]
-    return list(spelled), *ids, faults
+    try:
+        window_start, window_end = (np.fromiter(map(float, texts),
+                                                np.float64, n)
+                                    for texts in (start, end))
+        ports = [np.fromiter(map(int, texts), np.int64, n)
+                 for texts in (sport, dport, proto)]
+        for text in distinct:
+            index[text] = spelled.setdefault(
+                str(ipaddress.ip_address(text)), len(spelled))
+    except (ValueError, OverflowError):  # OverflowError: past int64
+        raise _refused(path)
+    code = np.fromiter(map(_LABEL_CODES.get, label, repeat(-1)), np.int64,
+                       n)
+    if (np.isnan(window_start).any() or np.isnan(window_end).any()
+            or (code < 0).any()
+            or any(((v < 0) | (v > top)).any()
+                   for v, top in zip(ports, (0xFFFF, 0xFFFF, 0xFF)))):
+        raise _refused(path)
+    src_id, dst_id = (np.fromiter(map(index.__getitem__, texts), np.int64,
+                                  n) for texts in (src, dst))
+    return LabelColumns(list(spelled), src_id, dst_id, *ports, window_start,
+                        window_end, code)
+
+
+def _refused(path: str) -> RuntimeError:
+    """For a file the columns refused: `read_label_file` raises its
+    error, or else the columns are at fault and this error is raised."""
+    read_label_file(path)
+    return RuntimeError("label file %s: read_label_columns refused a file "
+                        "read_label_file reads" % path)
 
 
 class LabelIndex:

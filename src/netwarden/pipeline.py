@@ -49,8 +49,9 @@ def extract_with_flows(capture_path: str, mode: str, tw: float | None = None,
     modes in `columnar.flow_matrix`, which meters, builds the rows and
     joins the labels on the columns. The sidecar is read as columns too,
     by `evaluation.read_label_columns`, before the capture, so a refused
-    label file raises before any frame is read. An unknown `mode` raises
-    ManifestMismatch."""
+    label file raises before any frame is read, with the error
+    `evaluation.read_label_file` gives, naming the line. An unknown
+    `mode` raises ManifestMismatch."""
     from .evaluation import read_label_columns
 
     if mode not in DEFAULT_MANIFESTS:

@@ -17,13 +17,11 @@ import numpy as np
 
 from netwarden.errors import (
     FragmentContinuation,
-    LabelVocabularyMismatch,
     MalformedHeader,
     NonIP,
     UnsupportedLinkType,
 )
-from netwarden.evaluation import (LABEL_FILE_COLUMNS, LABEL_VOCABULARY,
-                                  LabelIndex, LabelRow)
+from netwarden.evaluation import LabelIndex, read_label_file
 from netwarden.features import (DEFAULT_MANIFESTS, FeatureMatrix,
                                 MODE_PACKET, MODE_TO_DIRECTION,
                                 PACKET_MANIFEST, PacketContext, flow_row,
@@ -1113,65 +1111,18 @@ def meter_times_oracle(packets, mode: str) -> list:
     return out
 
 
-# --- label sidecar files ---------------------------------------------------
-#
-# The label file read line by line, as first written: each line stripped,
-# blank ones skipped, and the first fault of the first bad line raised.
-
-def read_label_file_oracle(path: str) -> list[LabelRow]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != LABEL_FILE_COLUMNS:
-            raise LabelVocabularyMismatch(
-                "label file columns %r do not match %r"
-                % (header, list(LABEL_FILE_COLUMNS)))
-        for number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            p = line.split(",")
-            if len(p) != len(LABEL_FILE_COLUMNS):
-                raise LabelVocabularyMismatch(
-                    "label file line %d has %d fields, not %d"
-                    % (number, len(p), len(LABEL_FILE_COLUMNS)))
-            try:
-                start, end = float(p[5]), float(p[6])
-                if math.isnan(start) or math.isnan(end):
-                    raise ValueError("window %s,%s has a NaN bound"
-                                     % (p[5], p[6]))
-                if p[7] not in LABEL_VOCABULARY:
-                    raise ValueError("unknown label %r, not one of %s"
-                                     % (p[7], ", ".join(LABEL_VOCABULARY)))
-                src = str(ipaddress.ip_address(p[0]))
-                dst = str(ipaddress.ip_address(p[1]))
-                numbers = []
-                for i, top in ((2, 0xFFFF), (3, 0xFFFF), (4, 0xFF)):
-                    value = int(p[i])
-                    if not 0 <= value <= top:
-                        raise ValueError("%s %d is outside 0-%d"
-                                         % (LABEL_FILE_COLUMNS[i], value,
-                                            top))
-                    numbers.append(value)
-            except ValueError as exc:
-                raise LabelVocabularyMismatch(
-                    "label file line %d: %s" % (number, exc)) from None
-            rows.append(LabelRow(src, dst, *numbers, start, end, p[7]))
-    return rows
-
-
 # --- packet-mode batch job -------------------------------------------------
 #
 # The packet-mode batch job as first written: the capture reader's records
 # one at a time, each through packet_features with one PacketContext and,
-# with labels read by read_label_file_oracle, LabelIndex.label_for_packet.
+# with labels read by read_label_file, LabelIndex.label_for_packet.
 # It shares the one-packet path with the library, which the oracles above
 # check; the columnar extract_matrix(.., "packet") must give the same
 # values bit for bit, the same labels and unmatched count and the same
 # CaptureSummary, or raise the same exception.
 
 def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
-    index = (LabelIndex(read_label_file_oracle(labels_path))
+    index = (LabelIndex(read_label_file(labels_path))
              if labels_path else None)
     rows = []
     labels = [] if index is not None else None
@@ -1194,7 +1145,7 @@ def packet_matrix_oracle(capture_path: str, labels_path: str | None = None):
 #
 # The flow-mode batch job as first written: the capture reader's records
 # one at a time through one FlowMeter, each flow it emits through
-# flow_row and, with labels read by read_label_file_oracle,
+# flow_row and, with labels read by read_label_file,
 # LabelIndex.label_for_flow, and the flows dumped one record at a time.
 # The meter, the row builder and the label join are the library's; only
 # where the records and the label rows come from differs.
@@ -1241,7 +1192,7 @@ def flow_matrix_oracle(capture_path: str, mode: str, tw: float | None = None,
                        labels_path: str | None = None,
                        flows_out: str | None = None):
     manifest = DEFAULT_MANIFESTS[mode]
-    index = (LabelIndex(read_label_file_oracle(labels_path))
+    index = (LabelIndex(read_label_file(labels_path))
              if labels_path else None)
     rows = []
     labels = [] if index is not None else None
