@@ -48,16 +48,16 @@ def sq_dists_pairs(A: np.ndarray, BT: np.ndarray, rows: np.ndarray,
                    cols: np.ndarray) -> np.ndarray:
     """||A[rows[i]] - BT[:, cols[i]]||^2 for each listed pair i: the float
     sq_dists gives for that pair. A one-row A needs no gather."""
+    if cols.size == 1:
+        # numpy sums a reduction to a single element pairwise, not in order
+        rows, cols = np.repeat(rows, 2), np.repeat(cols, 2)
+        return sq_dists_pairs(A, BT, rows, cols)[:1]
     diff = BT.take(cols, axis=1)
     # b - a rounds to exactly -(a - b), so the squares are the same
     np.subtract(diff, A.T if A.shape[0] == 1 else A[rows].T, out=diff)
     np.multiply(diff, diff, out=diff)
-    out = diff[0]
-    # one plane after another: np.add.reduce over a (d, pairs) block sums
-    # the column terms pairwise when there is one pair
-    for plane in diff[1:]:
-        out += plane
-    return out
+    # over the outer axis numpy adds the d planes one after another
+    return np.add.reduce(diff, axis=0)
 
 
 def rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:

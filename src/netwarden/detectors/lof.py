@@ -35,6 +35,11 @@ neighbour, and no value comes from it. Fit and score are bit for bit
 those of the full fixed-order distance matrix, whatever the product's
 rounding (gemv or gemm, memory layout, thread count). Score computes each
 distinct query row once.
+
+Fit finds each training row's neighbours once and keeps the lists (about
+k a row) until every k-distance is known; lrd and each training row's
+leave-one-out LOF, which calibrates the threshold, come from the same
+lists.
 """
 
 from __future__ import annotations
@@ -136,6 +141,7 @@ class LocalOutlierFactor(Declared):
     # fitted state, set by fit: the screen [X^T; 1; |x|^2], whose norms are
     # never saved, and its top, the training rows transposed (d, n)
     _screen = _XT = _max_sq_norm = _kdist = _lrd = None
+    loo_scores = None  # set by fit and never saved
 
     def _set_training(self, X: np.ndarray) -> None:
         """Keep the training rows X (n, d) in the screen matrix, under a
@@ -180,6 +186,10 @@ class LocalOutlierFactor(Declared):
             yield s, kd, rows[near], cols[near], dist[near]
 
     def fit(self, X: np.ndarray) -> "LocalOutlierFactor":
+        """Fit on the training rows X (n, d). Besides kdist and lrd, keeps
+        in `loo_scores` each training row's leave-one-out LOF: the mean
+        lrd of its neighbours, itself excluded, over its own lrd. They are
+        not saved with the model."""
         X = np.asarray(X, dtype=np.float64)
         if X.size == 0:
             raise EmptyTraining("LOF needs training rows")
@@ -189,16 +199,24 @@ class LocalOutlierFactor(Declared):
                             % (self.k, n))
         _require_finite(X, "training")
         self._set_training(X)
-        # every lrd needs every k-distance: one pass for those, one for lrd
+        # every lrd needs every k-distance: keep each block's neighbours
+        # until all are known
         kdist = np.empty(n)
-        for s, kd, *_ in self._neighbour_blocks(X, own=True):
-            kdist[s:s + kd.size] = kd
-        lrd = np.empty(n)
+        blocks = []
         for s, kd, rows, cols, dist in self._neighbour_blocks(X, own=True):
-            (mean,) = _row_means(rows, kd.size, np.maximum(kdist[cols], dist))
-            lrd[s:s + kd.size] = 1.0 / (mean + LRD_FLOOR)
+            kdist[s:s + kd.size] = kd
+            blocks.append((s, kd.size, rows, cols, dist))
+        lrd = np.empty(n)
+        for s, b, rows, cols, dist in blocks:
+            (mean,) = _row_means(rows, b, np.maximum(kdist[cols], dist))
+            lrd[s:s + b] = 1.0 / (mean + LRD_FLOOR)
+        loo = np.empty(n)
+        for s, b, rows, cols, _ in blocks:
+            (mean_lrd,) = _row_means(rows, b, lrd[cols])
+            loo[s:s + b] = mean_lrd / lrd[s:s + b]
         self._kdist = kdist
         self._lrd = lrd
+        self.loo_scores = loo
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

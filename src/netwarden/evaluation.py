@@ -63,15 +63,21 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     The trapezoid over every distinct score threshold, summed in integers:
     twice the Mann-Whitney U, so it equals the rank statistic exactly.
     """
-    fp, tp, n_pos, n_neg = _roc_counts(scores, labels)
+    return _auc(*_roc_counts(scores, labels))
+
+
+def roc_points(scores: np.ndarray, labels: np.ndarray) -> list:
+    """(fpr, tpr) at every distinct score threshold, plus the corners."""
+    return _roc_points(*_roc_counts(scores, labels))
+
+
+def _auc(fp, tp, n_pos, n_neg) -> float:
     tp_prev = np.concatenate(([0], tp[:-1]))
     u2 = int((np.diff(fp, prepend=0) * (tp_prev + tp)).sum())
     return u2 / (2 * n_pos * n_neg)
 
 
-def roc_points(scores: np.ndarray, labels: np.ndarray) -> list:
-    """(fpr, tpr) at every distinct score threshold, plus the corners."""
-    fp, tp, n_pos, n_neg = _roc_counts(scores, labels)
+def _roc_points(fp, tp, n_pos, n_neg) -> list:
     return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(),
                                    (tp / n_pos).tolist()))
 
@@ -127,12 +133,14 @@ def evaluate_scores(scores: np.ndarray, flags: np.ndarray,
     for cls in sorted(set(labels_arr[positive])):
         mask = labels_arr == cls
         per_class[cls] = float(flags[mask].mean())
-    has_both = positive.any() and (~positive).any()
+    # one sort of the scores gives both the AUC and the ROC
+    counts = (_roc_counts(scores, positive)
+              if positive.any() and (~positive).any() else None)
     return EvalReport(
         tp=tp, fp=fp, tn=tn, fn=fn,
-        auc=auc(scores, positive) if has_both else None,
+        auc=_auc(*counts) if counts else None,
         per_class_recall=per_class,
-        roc=roc_points(scores, positive) if (roc and has_both) else [],
+        roc=_roc_points(*counts) if (roc and counts) else [],
         unmatched_labels=unmatched,
         **m,
     )
@@ -207,6 +215,8 @@ class LabelColumns:
 
 
 _LABEL_CODES = {name: code for code, name in enumerate(LABEL_VOCABULARY)}
+# rows hold the vocabulary's own strings, not a copy of the text per row
+_VOCABULARY = dict(zip(LABEL_VOCABULARY, LABEL_VOCABULARY))
 
 
 def read_label_file(path: str) -> list[LabelRow]:
@@ -247,7 +257,8 @@ def read_label_file(path: str) -> list[LabelRow]:
                 if start != start or end != end:
                     raise ValueError("window %s,%s has a NaN bound"
                                      % (p[5], p[6]))
-                if p[7] not in LABEL_VOCABULARY:
+                label = _VOCABULARY.get(p[7])
+                if label is None:
                     raise ValueError("unknown label %r, not one of %s"
                                      % (p[7], ", ".join(LABEL_VOCABULARY)))
                 for text in p[:2]:
@@ -265,7 +276,7 @@ def read_label_file(path: str) -> list[LabelRow]:
                 raise LabelVocabularyMismatch(
                     "label file line %d: %s" % (number, exc)) from None
             rows.append(LabelRow(spelled[p[0]], spelled[p[1]], *numbers,
-                                 start, end, p[7]))
+                                 start, end, label))
     return rows
 
 

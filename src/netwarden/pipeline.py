@@ -71,7 +71,11 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
 
     The training path never reads a label column: any labels on the input
     matrix are dropped before anything else happens. The threshold is the
-    (1 - target_fpr) quantile of the scores of every training row.
+    (1 - target_fpr) quantile of the scores of every training row. LOF
+    takes each row's leave-one-out LOF (Breunig et al., SIGMOD 2000):
+    for a row it was fitted on, the LOF its fit computes with the row
+    left out of its own neighbours; for a row outside its fit
+    subsample, the row's score.
     """
     X = FeatureMatrix(values=matrix.values, names=matrix.names,
                       mode=matrix.mode)  # label-free view
@@ -99,6 +103,7 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
         params.setdefault("seed", derive_seed(seed, "fit-" + kind))
 
     cap = MAX_TRAIN_DEFAULT.get(kind)
+    fit_rows = None
     if cap is not None and n > cap:
         rng = np.random.default_rng(derive_seed(seed, "subsample"))
         fit_rows = np.sort(rng.choice(n, size=cap, replace=False))
@@ -108,7 +113,14 @@ def train_model(matrix: FeatureMatrix, kind: str, params: dict | None = None,
 
     det = make_detector(kind, params)
     det.fit(fit_vals)
-    scores = det.score(vals)
+    if kind == "lof":
+        # scored as a query, a fit row would find itself at distance 0
+        scores = det.loo_scores
+        if fit_rows is not None:
+            scores = np.concatenate(
+                [scores, det.score(np.delete(vals, fit_rows, axis=0))])
+    else:
+        scores = det.score(vals)
     theta = calibrate_threshold(scores, target_fpr)
     return TrainedModel(
         kind=kind,

@@ -104,8 +104,9 @@ def _lof_neighbourhood(d, kd, kdist):
 
 
 def lof_full_matrix_oracle(train, queries, k):
-    """(kdist, lrd, scores) of LOF fitted on `train` and scored on
-    `queries`."""
+    """(kdist, lrd, scores, loo) of LOF fitted on `train` and scored on
+    `queries`; `loo` is each training row's leave-one-out LOF, the mean
+    lrd of its neighbours (itself not among them) over its own lrd."""
     X = np.asarray(train, dtype=np.float64)
     n = X.shape[0]
     D = _column_sq_dists(X, X)
@@ -113,8 +114,11 @@ def lof_full_matrix_oracle(train, queries, k):
     np.fill_diagonal(D, np.inf)  # a training point is not its own neighbor
     kdist = np.partition(D, k - 1, axis=1)[:, k - 1]
     lrd = np.empty(n, dtype=np.float64)
+    nbrs = []
     for i in range(n):
-        _, lrd[i] = _lof_neighbourhood(D[i], kdist[i], kdist)
+        nbr, lrd[i] = _lof_neighbourhood(D[i], kdist[i], kdist)
+        nbrs.append(nbr)
+    loo = np.array([lrd[nbr].mean() / lrd[i] for i, nbr in enumerate(nbrs)])
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     D = _column_sq_dists(Q, X)
     np.sqrt(D, out=D)
@@ -123,7 +127,7 @@ def lof_full_matrix_oracle(train, queries, k):
     for i in range(Q.shape[0]):
         nbr, lrd_q = _lof_neighbourhood(D[i], kdist_q[i], kdist)
         scores[i] = lrd[nbr].mean() / lrd_q
-    return kdist, lrd, scores
+    return kdist, lrd, scores, loo
 
 
 def iforest_mean_path_oracle(state: dict, X) -> np.ndarray:

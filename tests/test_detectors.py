@@ -114,10 +114,10 @@ class TestSquaredDistances:
         np.testing.assert_array_equal(bits(sq_dists(Q, X.T)),
                                       bits(sq_dist_oracle(Q, X)))
 
-    @pytest.mark.parametrize("d", [1, 2, 11])
+    @pytest.mark.parametrize("d", [1, 2, 11, 40])
     def test_pairs_equal_sq_dists_bits(self, d):
-        # the pairs are summed plane by plane: np.add.reduce over a
-        # (d, pairs) block adds the column terms pairwise for one pair
+        # the pairs are summed plane by plane, one pair too: np.add.reduce
+        # over a (d, 1) block would add its column terms pairwise
         rng = np.random.default_rng(d)
         A = rng.normal(size=(6, d)) * np.exp(rng.normal(size=(6, d)) * 4)
         X = rng.normal(size=(9, d)) * np.exp(rng.normal(size=(9, d)) * 4)
@@ -546,9 +546,10 @@ class TestLofQueryBlocks:
     @staticmethod
     def assert_matches_oracle(X, Q, k):
         model = LocalOutlierFactor(k=k).fit(X)
-        kdist, lrd, scores = lof_full_matrix_oracle(X, Q, k)
+        kdist, lrd, scores, loo = lof_full_matrix_oracle(X, Q, k)
         np.testing.assert_array_equal(bits(model._kdist), bits(kdist))
         np.testing.assert_array_equal(bits(model._lrd), bits(lrd))
+        np.testing.assert_array_equal(bits(model.loo_scores), bits(loo))
         np.testing.assert_array_equal(bits(model.score(Q)), bits(scores))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -577,6 +578,24 @@ class TestLofQueryBlocks:
             d2 = sq_dists(origin[None, :], pair.T)[0]
             assert d2[0] < d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
         self.assert_matches_oracle(X, Q, 2)
+
+    @pytest.mark.parametrize("n, block", [(150, 64), (150, 7), (64, 64),
+                                          (21, 1)])
+    def test_fit_screens_each_training_row_once(self, monkeypatch, n,
+                                                  block):
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "QUERY_BLOCK", block)
+        screen = lof.approx_sq_dists
+        calls = []
+
+        def counted(Q, *args):
+            calls.append(Q.shape[0])
+            return screen(Q, *args)
+
+        monkeypatch.setattr(lof, "approx_sq_dists", counted)
+        X, _ = tied_rows(6, n_train=n, n_query=1)
+        LocalOutlierFactor(k=10).fit(X)
+        assert len(calls) == -(-n // block) and sum(calls) == n
 
     def test_widened_bound_covers_every_sqrt_tie(self):
         from netwarden.detectors.lof import WIDEN

@@ -170,6 +170,17 @@ class TestEvaluateScores:
         assert rep.per_class_recall == {"DDoS": 1.0, "Download": 0.0,
                                         "Scan": 1.0}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_auc_and_roc_are_those_of_the_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.normal(size=300), seed)  # ties at low seeds
+        labels = list(rng.choice(["Normal", "Scan", "C&C"], size=300))
+        positive = np.array(labels) != "Normal"
+        rep = ev.evaluate_scores(scores, scores > 0.5, labels)
+        assert _bits(rep.auc) == _bits(ev.auc(scores, positive))
+        assert np.array_equal(_bits(rep.roc),
+                              _bits(ev.roc_points(scores, positive)))
+
     def test_unknown_label_rejected(self):
         with pytest.raises(LabelVocabularyMismatch):
             ev.evaluate_scores(np.ones(1), np.ones(1, dtype=bool),
@@ -310,6 +321,12 @@ class TestLabelFiles:
         finally:
             tracemalloc.stop()
         assert len(rows) > 500 and peak / len(rows) < 500
+
+    def test_labels_are_the_vocabulary_strings(self, corpus_dir):
+        rows = ev.read_label_file(str(corpus_dir / "test.labels.csv"))
+        assert {row.label for row in rows} - {ev.LABEL_NORMAL}
+        assert all(any(row.label is name for name in ev.LABEL_VOCABULARY)
+                   for row in rows)
 
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "empty.csv"

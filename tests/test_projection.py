@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from netwarden.detectors import KINDS, TrainedModel
+from netwarden.detectors import KINDS, TrainedModel, calibrate_threshold
 from netwarden.errors import ManifestMismatch, NonFiniteFeature
 from netwarden.features import FeatureMatrix, apply_normalizer
 from netwarden.pipeline import project_for_model, score_matrix, train_model
@@ -73,6 +73,36 @@ class TestBitIdentical:
             assert np.array_equal(one, expected[i:i + 1])
             s, _ = score_matrix(model, row)
             assert np.array_equal(s, model.score(one))
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quantile_of_the_training_scores(self, models, kind):
+        # LOF's are its leave-one-out scores: all 300 rows are under its
+        # fit cap, so each is left out of its own neighbours
+        model = models[kind]
+        if kind == "lof":
+            scores = model.detector.loo_scores
+            assert scores.shape == (300,)
+        else:
+            train = FeatureMatrix(raw_matrix(300, 1), NAMES, MODE)
+            scores = model.score(project_for_model(model, train))
+        assert model.threshold == calibrate_threshold(scores,
+                                                      model.target_fpr)
+
+    def test_lof_scores_the_rows_outside_its_fit(self, monkeypatch):
+        from netwarden import pipeline
+        monkeypatch.setitem(pipeline.MAX_TRAIN_DEFAULT, "lof", 100)
+        train = FeatureMatrix(raw_matrix(300, 4), NAMES, MODE)
+        model = train_model(train, "lof", seed=5)
+        det = model.detector
+        X = project_for_model(model, train)
+        fitted = (X[:, None, :] == det._XT.T[None, :, :]).all(axis=2) \
+            .any(axis=1)
+        assert fitted.sum() == 100 == det.loo_scores.size
+        scores = np.concatenate([det.loo_scores, det.score(X[~fitted])])
+        assert model.threshold == calibrate_threshold(scores,
+                                                      model.target_fpr)
 
 
 class TestManifestMismatch:
@@ -163,10 +193,11 @@ class TestModelFile:
         ("ee",
          "41fd268b336303b11db70aa6cc3c97a8ffdf049fc1e78b7f5b2e4b8002a0555e"),
         ("lof",
-         "4bc58ec7d89e3171d438a381f7c98bd3de89febfc40702deb105efe0a44dfb03"),
+         "7bd9175c6d8bc97b994f38bc1e2b01f941e87ba58f36111302bc020b746722ac"),
     ])
     def test_saved_bytes_pinned(self, models, kind, digest, tmp_path):
-        # digests of the model file as the format was first written
+        # digests of the model file as the format was first written; LOF's
+        # moved with its threshold, now from leave-one-out scores
         path = tmp_path / "model.json"
         models[kind + "/selected"].save(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
