@@ -7,13 +7,20 @@ is the inverse mean reachability with a small additive floor so that
 duplicate-heavy data keeps finite densities.
 
 Fit and score find neighbours in blocks of QUERY_BLOCK query rows, so no
-n x n matrix is held, in two steps:
+n x n matrix is held, in three steps:
 
-1. Screen. One matrix product of the rows [-2q, |q|^2, 1] with the
-   columns [x; 1; |x|^2] gives approximate squared distances A. With U
-   at least the k-th smallest A of a query row (_kth_bound), every
-   training point with A <= (U + E) WIDEN + E is a candidate.
-2. Refine. Each candidate's squared distance D is measured again in the
+1. Prune. Median cuts on the widest coordinate split the training rows
+   into leaves of at most LEAF rows. Each leaf keeps a representative
+   row r and a radius R. A block keeps only the leaves that may hold a
+   neighbour of one of its rows (bound below). Fit visits the training
+   rows leaf by leaf and score orders its rows by their nearest
+   representative, so that a block's rows keep few leaves.
+2. Screen. One matrix product of the rows [-2q, |q|^2, 1] with the
+   columns [x; 1; |x|^2] of the kept rows, in training-index order, gives
+   approximate squared distances A. With U at least the k-th smallest A
+   of a query row (_kth_bound), every kept point with
+   A <= (U + E) WIDEN + E is a candidate.
+3. Refine. Each candidate's squared distance D is measured again in the
    fixed column order of distance.py. The k-distance, the neighbours,
    lrd and the score come from those values alone.
 
@@ -31,10 +38,36 @@ keeps every training point.
 At least k points have A <= U, and so D <= U + E: the squared k-distance
 kd^2 <= U + E. A neighbour has D <= kd^2 WIDEN, hence
 A <= (U + E) WIDEN + E: the screen passes the k nearest points and every
-neighbour, and no value comes from it. Fit and score are bit for bit
-those of the full fixed-order distance matrix, whatever the product's
-rounding (gemv or gemm, memory layout, thread count). Score computes each
-distinct query row once.
+neighbour, and no value comes from it.
+
+The prune's bound. The analysis above puts A and D each within E / 2 of
+the exact |q - x|^2. So, with A from the representatives' columns, the
+exact distance from q to a representative r lies between
+sqrt(A - E) and hi = sqrt(A + E), and R, the largest sqrt(D + E) of the
+leaf's rows as queries against r, is at least the exact distance from r
+to each of them. Some k training points other than q lie within exact
+distance F of q:
+- fit: F is the smallest far bound hi + R at which the leaves within it
+  hold k + 1 rows, q perhaps among them;
+- score: F is the smallest hi + sqrt(kdist(r)^2 + E_r), where E_r is the
+  E of r as a query: r's k neighbours have D <= kdist(r)^2, so each is
+  within sqrt(kdist(r)^2 + E_r) of r.
+Their D <= F^2 + E, so kd^2 <= F^2 + E, and a neighbour, with
+D <= kd^2 WIDEN, lies within M = sqrt((F^2 + E) WIDEN + E) of q. Every
+row of a leaf lies at least sqrt(A - E) - R from q, so a leaf with
+A - E > (R + M)^2 holds no neighbour. Computed from nonnegative terms,
+A - E is within a factor 1 + u of its exact value and
+(R WIDEN + M WIDEN)^2 within (1 - u)^19, so a leaf is dropped only when
+A - E > (R WIDEN + M WIDEN)^2, whose WIDEN^2 (32 u) covers both;
+underflow costs less than E's tiny term. A wide row has E = inf and keeps
+every leaf, as does a NaN. The kept leaves hold every neighbour and the
+k nearest points of each row, which is all the screen needs.
+
+Fit and score are therefore bit for bit those of the full fixed-order
+distance matrix, whatever the product's rounding (gemv or gemm, memory
+layout, thread count), the leaves or the order of the queries. Score
+computes each distinct query row once, and one row alone skips the
+prune, which costs it more than it saves.
 
 Fit finds each training row's neighbours once and keeps the lists (about
 k a row) until every k-distance is known; lrd and each training row's
@@ -52,6 +85,7 @@ from .distance import sq_dists_pairs
 
 LRD_FLOOR = 1e-10
 QUERY_BLOCK = 64  # query rows per screened block
+LEAF = 32  # training rows per leaf of the prune, at most
 GROUP = 16  # approximate distances per minimum in the k-th smallest bound
 EPS = np.finfo(np.float64).eps
 TINY = np.finfo(np.float64).tiny
@@ -59,6 +93,13 @@ TINY = np.finfo(np.float64).tiny
 # itself; a candidate bound 8 eps above kd^2 misses none of them
 WIDEN = 1.0 + 8 * EPS
 NORM_LIMIT = 1e300  # above |q|^2 + max |x|^2 the product may overflow
+
+
+def _error_bound(sq_norms: np.ndarray, d: int,
+                 max_sq_norm: float) -> np.ndarray:
+    """E of query rows with these squared norms."""
+    c = (5 * d + 8) * EPS
+    return sq_norms * c + c * (max_sq_norm + TINY)  # cannot overflow
 
 
 def approx_sq_dists(Q: np.ndarray, screen: np.ndarray,
@@ -72,16 +113,45 @@ def approx_sq_dists(Q: np.ndarray, screen: np.ndarray,
     np.multiply(Q, -2.0, out=Qa[:, :d])
     np.einsum("ij,ij->i", Q, Q, out=Qa[:, d])
     Qa[:, d + 1] = 1.0
-    c = (5 * d + 8) * EPS
-    E = Qa[:, d] * c + c * (max_sq_norm + TINY)  # cannot overflow
-    if E.max() <= c * NORM_LIMIT:
+    E = _error_bound(Qa[:, d], d, max_sq_norm)
+    limit = (5 * d + 8) * EPS * NORM_LIMIT
+    if E.max() <= limit:
         return Qa @ screen, E
-    wide = ~(E <= c * NORM_LIMIT)
+    wide = ~(E <= limit)
     E[wide] = np.inf
     if not max_sq_norm <= NORM_LIMIT:  # every row is wide
         return np.zeros((b, screen.shape[1])), E
     Qa[wide] = 0.0
     return Qa @ screen, E
+
+
+def _leaves(X: np.ndarray) -> tuple:
+    """(order, starts): the training row indices leaf by leaf, and where
+    each leaf starts in them. Each cut sorts a part of more than LEAF rows
+    on its widest coordinate and cuts it at its middle, or at the change
+    of that coordinate nearest the middle if one lies within a quarter of
+    the part from it, so that runs of equal rows tend to share a leaf."""
+    n = X.shape[0]
+    order, starts = np.arange(n), np.zeros(1, dtype=np.intp)
+    while True:
+        sizes = np.diff(starts, append=n)
+        if sizes.max() <= LEAF:
+            return order, starts
+        P = X[order]
+        width = (np.maximum.reduceat(P, starts)
+                 - np.minimum.reduceat(P, starts))
+        part = np.repeat(np.arange(starts.size), sizes)
+        key = P[np.arange(n), width.argmax(axis=1)[part]]
+        by_key = np.lexsort((key, part))
+        order, key = order[by_key], key[by_key]
+        change = np.flatnonzero(key[1:] != key[:-1]) + 1
+        size = sizes[sizes > LEAF]
+        mid = starts[sizes > LEAF] + size // 2
+        i = np.searchsorted(change, mid)
+        after, before = np.append(change, 2 * n)[i], np.append(-n, change)[i]
+        near = np.where(mid - before < after - mid, before, after)
+        cut = np.where(np.abs(near - mid) <= size // 4, near, mid)
+        starts = np.sort(np.append(starts, cut))
 
 
 def _kth_bound(A: np.ndarray, k: int) -> np.ndarray:
@@ -141,11 +211,17 @@ class LocalOutlierFactor(Declared):
     # fitted state, set by fit: the screen [X^T; 1; |x|^2], whose norms are
     # never saved, and its top, the training rows transposed (d, n)
     _screen = _XT = _max_sq_norm = _kdist = _lrd = None
+    # the prune's leaves, set with the training rows and never saved: the
+    # rows leaf by leaf, each row's leaf, each leaf's size, representative
+    # (its screen columns and its E as a query) and radius
+    _order = _leaf_of = _sizes = _reps = _rep_screen = _rep_err = None
+    _radius = None
     loo_scores = None  # set by fit and never saved
 
     def _set_training(self, X: np.ndarray) -> None:
         """Keep the training rows X (n, d) in the screen matrix, under a
-        row of ones and their squared norms."""
+        row of ones and their squared norms, and build the prune's
+        leaves."""
         n, d = X.shape
         self._screen = np.empty((d + 2, n))
         self._XT = self._screen[:d]
@@ -153,37 +229,91 @@ class LocalOutlierFactor(Declared):
         self._screen[d] = 1.0
         np.einsum("ij,ij->j", self._XT, self._XT, out=self._screen[d + 1])
         self._max_sq_norm = float(self._screen[d + 1].max())
+        order, starts = _leaves(X)
+        self._order = order
+        self._sizes = np.diff(starts, append=n)
+        leaf = np.repeat(np.arange(starts.size), self._sizes)
+        self._leaf_of = np.empty(n, dtype=np.intp)
+        self._leaf_of[order] = leaf
+        # the representative is the row nearest its leaf's box centre
+        P = X[order]
+        centre = (np.minimum.reduceat(P, starts) / 2
+                  + np.maximum.reduceat(P, starts) / 2)
+        off = np.add.reduce((P - centre[leaf]) ** 2, axis=1)
+        self._reps = order[np.lexsort((off, leaf))[starts]]
+        self._rep_screen = np.ascontiguousarray(self._screen[:, self._reps])
+        err = _error_bound(self._screen[d + 1], d, self._max_sq_norm)
+        self._rep_err = err[self._reps]
+        D = sq_dists_pairs(P, self._rep_screen[:d], np.arange(n), leaf)
+        self._radius = np.maximum.reduceat(np.sqrt(D + err[order]), starts)
 
-    def _candidates(self, block: np.ndarray, own_start) -> tuple:
+    def _kept_columns(self, block: np.ndarray, own: bool) -> np.ndarray:
+        """The training indices, in order, of the leaves that may hold a
+        neighbour of a row of `block` (the module docstring's bound). With
+        `own` the rows are training points."""
+        A, E = approx_sq_dists(block, self._rep_screen, self._max_sq_norm)
+        hi = np.sqrt(A + E[:, None])
+        if own:
+            # the far bound at which the nearest leaves hold k + 1 rows
+            far = np.add(hi, self._radius, out=hi)
+            by_far = far.argsort(axis=1)
+            held = np.cumsum(self._sizes[by_far], axis=1) > self.k
+            F = np.take_along_axis(far, by_far, axis=1)[
+                np.arange(far.shape[0]), held.argmax(axis=1)]
+        else:
+            hi += np.sqrt(self._kdist[self._reps] ** 2 + self._rep_err)
+            F = hi.min(axis=1)
+        M = np.sqrt((F * F + E) * WIDEN + E)
+        reach = np.add(self._radius * WIDEN, (M * WIDEN)[:, None])
+        np.square(reach, out=reach)
+        dropped = (A - E[:, None] > reach).all(axis=0)  # a NaN drops nothing
+        return np.flatnonzero(~dropped[self._leaf_of])
+
+    def _by_nearest_rep(self, Q: np.ndarray) -> np.ndarray:
+        """The rows of Q ordered by their nearest representative."""
+        near = np.empty(Q.shape[0], dtype=np.intp)
+        for s in range(0, Q.shape[0], QUERY_BLOCK):
+            A, _ = approx_sq_dists(Q[s:s + QUERY_BLOCK], self._rep_screen,
+                                   self._max_sq_norm)
+            near[s:s + QUERY_BLOCK] = A.argmin(axis=1)
+        return np.argsort(near, kind="stable")
+
+    def _candidates(self, block: np.ndarray, cols, own) -> tuple:
         """(row, training index) of every candidate neighbour of the query
-        rows `block`, in row then index order. `own_start` is the training
-        index of the block's first row when the queries are the training
-        points, which are not their own neighbours, and None otherwise."""
-        A, E = approx_sq_dists(block, self._screen, self._max_sq_norm)
-        b = A.shape[0]
-        if own_start is not None:
-            own = (np.arange(b), own_start + np.arange(b))
+        rows `block` among the training indices `cols` (sorted; None for
+        all), in row then index order. `own` gives each row's training
+        index when the queries are the training points, which are not
+        their own neighbours, and is None otherwise."""
+        screen = self._screen if cols is None else self._screen[:, cols]
+        A, E = approx_sq_dists(block, screen, self._max_sq_norm)
+        if own is not None:  # the prune keeps each row's own leaf
+            own = (np.arange(own.size), np.searchsorted(cols, own))
             A[own] = np.inf
         U = _kth_bound(A, self.k)
         keep = A <= ((U + E) * WIDEN + E)[:, None]
-        if own_start is not None:
+        if own is not None:
             keep[own] = False
-        return np.unravel_index(np.flatnonzero(keep), keep.shape)
+        rows, pos = np.unravel_index(np.flatnonzero(keep), keep.shape)
+        return rows, pos if cols is None else cols[pos]
 
     def _neighbour_blocks(self, Q: np.ndarray, own: bool):
-        """Per block of query rows: its first row, the k-distance of each of
-        its rows, and their neighbours as block row, training index and
+        """Per block of query rows: their indices in Q, the k-distance of
+        each, and their neighbours as block row, training index and
         distance, in row then index order. With `own` the queries are the
-        training points."""
+        training points, taken leaf by leaf; other queries go in order
+        of their nearest representative."""
+        order = self._order if own else self._by_nearest_rep(Q)
         for s in range(0, Q.shape[0], QUERY_BLOCK):
-            block = Q[s:s + QUERY_BLOCK]
-            rows, cols = self._candidates(block, s if own else None)
+            at = order[s:s + QUERY_BLOCK]
+            block = Q[at]
+            kept = self._kept_columns(block, own)
+            rows, cols = self._candidates(block, kept, at if own else None)
             D = sq_dists_pairs(block, self._XT, rows, cols)
             # the screen passes the k nearest: their kth D is kd^2
-            kd = np.sqrt(_kth_smallest(rows, D, block.shape[0], self.k))
+            kd = np.sqrt(_kth_smallest(rows, D, at.size, self.k))
             dist = np.sqrt(D)
             near = dist <= kd[rows]
-            yield s, kd, rows[near], cols[near], dist[near]
+            yield at, kd, rows[near], cols[near], dist[near]
 
     def fit(self, X: np.ndarray) -> "LocalOutlierFactor":
         """Fit on the training rows X (n, d). Besides kdist and lrd, keeps
@@ -203,17 +333,17 @@ class LocalOutlierFactor(Declared):
         # until all are known
         kdist = np.empty(n)
         blocks = []
-        for s, kd, rows, cols, dist in self._neighbour_blocks(X, own=True):
-            kdist[s:s + kd.size] = kd
-            blocks.append((s, kd.size, rows, cols, dist))
+        for at, kd, rows, cols, dist in self._neighbour_blocks(X, own=True):
+            kdist[at] = kd
+            blocks.append((at, rows, cols, dist))
         lrd = np.empty(n)
-        for s, b, rows, cols, dist in blocks:
-            (mean,) = _row_means(rows, b, np.maximum(kdist[cols], dist))
-            lrd[s:s + b] = 1.0 / (mean + LRD_FLOOR)
+        for at, rows, cols, dist in blocks:
+            (mean,) = _row_means(rows, at.size, np.maximum(kdist[cols], dist))
+            lrd[at] = 1.0 / (mean + LRD_FLOOR)
         loo = np.empty(n)
-        for s, b, rows, cols, _ in blocks:
-            (mean_lrd,) = _row_means(rows, b, lrd[cols])
-            loo[s:s + b] = mean_lrd / lrd[s:s + b]
+        for at, rows, cols, _ in blocks:
+            (mean_lrd,) = _row_means(rows, at.size, lrd[cols])
+            loo[at] = mean_lrd / lrd[at]
         self._kdist = kdist
         self._lrd = lrd
         self.loo_scores = loo
@@ -235,10 +365,10 @@ class LocalOutlierFactor(Declared):
         return self._score_rows(Q[first])[inverse]
 
     def _score_one(self, q: np.ndarray) -> np.ndarray:
-        """The score of one query row q (1, d): the screen, pair kernel and
-        arithmetic of the blocks on 1-D arrays, without their padding and
-        grouping."""
-        rows, cols = self._candidates(q, None)
+        """The score of one query row q (1, d): the screen over every
+        training point, pair kernel and arithmetic of the blocks on 1-D
+        arrays, without their padding and grouping."""
+        rows, cols = self._candidates(q, None, None)
         D = sq_dists_pairs(q, self._XT, rows, cols)
         kd = np.sqrt(np.partition(D, self.k - 1)[self.k - 1])
         dist = np.sqrt(D)
@@ -251,12 +381,12 @@ class LocalOutlierFactor(Declared):
 
     def _score_rows(self, Q: np.ndarray) -> np.ndarray:
         out = np.empty(Q.shape[0])
-        for s, kd, rows, cols, dist in self._neighbour_blocks(Q, own=False):
+        for at, kd, rows, cols, dist in self._neighbour_blocks(Q, own=False):
             reach = np.maximum(self._kdist[cols], dist)
-            mean_reach, mean_lrd = _row_means(rows, kd.size, reach,
+            mean_reach, mean_lrd = _row_means(rows, at.size, reach,
                                               self._lrd[cols])
             lrd_q = 1.0 / (mean_reach + LRD_FLOOR)
-            out[s:s + kd.size] = mean_lrd / lrd_q
+            out[at] = mean_lrd / lrd_q
         return out
 
     def state_dict(self) -> dict:

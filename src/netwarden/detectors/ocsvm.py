@@ -128,12 +128,15 @@ class OneClassSVM(Declared):
         return self
 
     def decision_value(self, X: np.ndarray) -> np.ndarray:
-        """g(x); negative values are anomalous."""
+        """g(x); negative values are anomalous. Each row's sum runs over
+        its own kernel row in a fixed order, so a row's value does not
+        depend on the rows scored with it."""
         if self._svT is None:
             raise EmptyTraining("model is not fitted")
         Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
         k = rbf(Q, self._svT, self._gamma_value)
-        return k @ self._sv_alpha - self.rho
+        k *= self._sv_alpha
+        return np.add.reduce(k, axis=1) - self.rho
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return -self.decision_value(X)

@@ -588,14 +588,17 @@ class TestLofQueryBlocks:
         screen = lof.approx_sq_dists
         calls = []
 
-        def counted(Q, *args):
-            calls.append(Q.shape[0])
-            return screen(Q, *args)
+        def counted(Q, columns, *args):
+            calls.append((Q.shape[0], columns))
+            return screen(Q, columns, *args)
 
         monkeypatch.setattr(lof, "approx_sq_dists", counted)
         X, _ = tied_rows(6, n_train=n, n_query=1)
-        LocalOutlierFactor(k=10).fit(X)
-        assert len(calls) == -(-n // block) and sum(calls) == n
+        model = LocalOutlierFactor(k=10).fit(X)
+        # the prune's products against the representatives are not screens
+        rows = [b for b, columns in calls
+                if columns is not model._rep_screen]
+        assert len(rows) == -(-n // block) and sum(rows) == n
 
     def test_widened_bound_covers_every_sqrt_tie(self):
         from netwarden.detectors.lof import WIDEN
@@ -678,26 +681,35 @@ class TestLofModelGuards:
 
 
 class TestLofScreen:
-    """The screen only picks candidates, and every value comes from the
-    fixed-order kernel, so the full-matrix oracle holds bit for bit, also
-    where the screen's bound is tight."""
+    """The prune and the screen only pick candidates, and every value
+    comes from the fixed-order kernel, so the full-matrix oracle holds bit
+    for bit, also where the screen's bound is tight, with leaves of the
+    default size, of one row and of three."""
 
     @staticmethod
     def assert_screen_keeps_neighbours(model, Q):
         """Every training point within the k-distance of a query row, by
-        the full fixed-order matrix, is among the row's candidates."""
+        the full fixed-order matrix, is among the row's candidates, from
+        every training point and from the leaves the prune keeps for the
+        rows as one block."""
         D = np.sqrt(sq_dists(Q, model._XT))
         kd = np.partition(D, model.k - 1, axis=1)[:, model.k - 1]
-        rows, cols = model._candidates(Q, None)
-        kept = set(zip(rows.tolist(), cols.tolist()))
         need = set(zip(*(a.tolist() for a in np.nonzero(D <= kd[:, None]))))
-        assert need <= kept
+        for cols in (None, model._kept_columns(Q, own=False)):
+            rows, cols = model._candidates(Q, cols, None)
+            assert need <= set(zip(rows.tolist(), cols.tolist()))
 
-    def check(self, X, Q, k):
-        TestLofQueryBlocks.assert_matches_oracle(X, Q, k)
-        model = LocalOutlierFactor(k=k).fit(X)
-        if len(Q):
-            self.assert_screen_keeps_neighbours(model, np.asarray(Q, float))
+    @staticmethod
+    def check(X, Q, k):
+        from netwarden.detectors import lof
+        for leaf in (lof.LEAF, 1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lof, "LEAF", leaf)
+                TestLofQueryBlocks.assert_matches_oracle(X, Q, k)
+                model = LocalOutlierFactor(k=k).fit(X)
+                if len(Q):
+                    TestLofScreen.assert_screen_keeps_neighbours(
+                        model, np.asarray(Q, float))
 
     def test_large_norms_beside_near_ties(self):
         rng = np.random.default_rng(11)
@@ -734,11 +746,14 @@ class TestLofScreen:
         X, _ = tied_rows(14, n_train=200, n_query=1)
         self.check(X, X[[0, 5, 5, 9, 199]], 10)
 
-    def test_zero_row_batch(self):
-        model = LocalOutlierFactor(k=3).fit(
-            np.random.default_rng(15).normal(size=(20, 4)))
-        out = model.score(np.empty((0, 4)))
-        assert out.shape == (0,) and out.dtype == np.float64
+    def test_zero_row_batch(self, monkeypatch):
+        from netwarden.detectors import lof
+        for leaf in (lof.LEAF, 3):
+            monkeypatch.setattr(lof, "LEAF", leaf)
+            model = LocalOutlierFactor(k=3).fit(
+                np.random.default_rng(15).normal(size=(20, 4)))
+            out = model.score(np.empty((0, 4)))
+            assert out.shape == (0,) and out.dtype == np.float64
 
     @pytest.mark.parametrize("centre, spread, d", [
         (0.0, 1e150, 2),    # |x|^2 about the limit: some rows skip the screen
@@ -803,7 +818,96 @@ class TestLofScreen:
                        data.draw(st.sampled_from([1, 3, 32]), label="block"))
             mp.setattr(lof, "GROUP",
                        data.draw(st.sampled_from([1, 2, 3, 8]), label="group"))
+            mp.setattr(lof, "LEAF", data.draw(st.integers(1, 41),
+                                              label="leaf"))
             TestLofQueryBlocks.assert_matches_oracle(X, Q, k)
+
+
+class TestLofPrune:
+    """Cases aimed at the prune's leaves. TestLofScreen runs every case
+    with leaves of the default size, of one row and of three."""
+
+    check = staticmethod(TestLofScreen.check)
+
+    def test_row_one_radius_from_its_representative(self, monkeypatch):
+        from netwarden.detectors import lof
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0],
+                      [11.0, 0.0], [12.0, 0.0], [11.0, 1.0]])
+        with monkeypatch.context() as mp:
+            mp.setattr(lof, "LEAF", 3)
+            model = LocalOutlierFactor(k=1).fit(X)
+        # (2, 0) is one radius from its leaf's representative (1, 0)
+        assert model._leaf_of[:3].tolist() == [0, 0, 0]
+        assert model._reps[0] == 1 and 1.0 <= model._radius[0] < 1.001
+        Q = np.array([[3.0, 0.0], [2.0, 0.0], [6.0, 0.0], [-1.0, 0.0],
+                      [9.0, 0.0], [12.0, 1.0]])
+        for k in (1, 2, 4, 6):
+            self.check(X, Q, k)
+
+    def test_duplicate_run_split_across_leaves(self, monkeypatch):
+        from netwarden.detectors import lof
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(40, 3))
+        X[5:15] = X[3]  # a run of 11 equal rows
+        with monkeypatch.context() as mp:
+            mp.setattr(lof, "LEAF", 3)
+            model = LocalOutlierFactor(k=3).fit(X)
+        assert np.unique(model._leaf_of[[3] + list(range(5, 15))]).size > 1
+        Q = np.vstack([X[3:4], X[3:4] + 1e-3, rng.normal(size=(8, 3))])
+        for k in (3, 10, 11, 14):
+            self.check(X, Q, k)
+
+    def test_far_query(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(60, 4))
+        Q = np.vstack([np.full((1, 4), 1e3), X[:2] + 40.0, -X[7:8] * 1e4,
+                       X[:3]])
+        for k in (1, 7):
+            self.check(X, Q, k)
+
+    @pytest.mark.parametrize("centre", [0.0, 1.2e154])
+    def test_wide_rows_keep_every_leaf(self, monkeypatch, centre):
+        # a row whose norms may overflow the product has E = inf
+        from netwarden.detectors import lof
+        monkeypatch.setattr(lof, "LEAF", 3)
+        rng = np.random.default_rng(22)
+        spread = 1e150 if centre == 0.0 else 1e152
+        X = centre + rng.normal(size=(40, 2)) * spread
+        Q = centre + rng.normal(size=(8, 2)) * spread
+        model = LocalOutlierFactor(k=4).fit(X)
+        _, E = lof.approx_sq_dists(Q, model._screen, model._max_sq_norm)
+        assert (E == np.inf).any()
+        for q in Q[E == np.inf]:
+            assert model._kept_columns(q[None, :], own=False).size == 40
+
+    @pytest.mark.parametrize("n", [10, 31, 32])
+    def test_one_leaf(self, n):
+        # n <= LEAF: one leaf, which every row keeps
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        assert LocalOutlierFactor(k=2).fit(X)._reps.size == 1
+        self.check(X, np.vstack([X[:2], rng.normal(size=(5, 3))]), 2)
+
+    def test_prune_is_active(self, monkeypatch):
+        # on clustered rows a block's screen sees few training columns
+        from netwarden.detectors import lof
+        screen = lof.approx_sq_dists
+        calls = []
+
+        def counted(Q, columns, *args):
+            calls.append(columns)
+            return screen(Q, columns, *args)
+
+        X, Q = tied_rows(9, n_train=3000, n_query=1000)
+        model = LocalOutlierFactor(k=10)
+        monkeypatch.setattr(lof, "approx_sq_dists", counted)
+        model.fit(X)
+        fit = [c.shape[1] for c in calls if c is not model._rep_screen]
+        del calls[:]
+        model.score(Q)
+        score = [c.shape[1] for c in calls if c is not model._rep_screen]
+        assert len(fit) == 3000 // 64 + 1 and len(score) > 10
+        assert max(fit) < 3000 / 4 and max(score) < 3000 / 4
 
 
 class TestOrientation:

@@ -168,3 +168,21 @@ class TestSmoSolver:
         assert model.detector.get_params() == \
             make_detector("osvm").get_params()
         assert model.detector.nu == 0.05
+
+
+
+def test_one_row_equals_batch_bits():
+    # a BLAS product over the kernel rows may split its sums by batch
+    # shape; each row's fixed-order sum cannot
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(400, 11)) @ rng.normal(size=(11, 11))
+    Q = rng.normal(size=(300, 11)) * 2.0
+    Q[::4] = Q[1]  # repeated rows
+    model = OneClassSVM(nu=0.2, gamma=0.05).fit(X)
+    singles = bits([model.score(q)[0] for q in Q])
+    strided = np.zeros((Q.shape[0], 2 * Q.shape[1]))[:, ::2]
+    strided[:] = Q
+    for batch, expected in ((Q, singles), (np.asfortranarray(Q), singles),
+                            (strided, singles), (Q[::-1], singles[::-1]),
+                            (Q[5:12], singles[5:12])):
+        np.testing.assert_array_equal(bits(model.score(batch)), expected)

@@ -32,6 +32,10 @@ def oracle_input(model, raw: FeatureMatrix) -> np.ndarray:
     return apply_normalizer(raw, stats).values[:, cols]
 
 
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 @pytest.fixture(scope="module")
 def models():
     train = FeatureMatrix(raw_matrix(300, 1), NAMES, MODE)
@@ -186,6 +190,23 @@ class TestModelFile:
                               score_matrix(model, probes)[0])
         back.save(str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_loaded_lof_scores_the_bits_of_the_fitted_one(self, tmp_path):
+        # the prune's leaves are not saved: loading builds them again
+        raw = raw_matrix(600, 4)
+        raw[::9] += 6.0
+        model = train_model(FeatureMatrix(raw, NAMES, MODE), "lof", seed=3)
+        path = tmp_path / "lof.json"
+        model.save(str(path))
+        back = TrainedModel.load(str(path))
+        assert back.detector._reps.size > 10
+        X = project_for_model(model, FeatureMatrix(raw_matrix(300, 5),
+                                                   NAMES, MODE))
+        X[::11] += 3.0
+        batch = bits(model.score(X))
+        np.testing.assert_array_equal(bits(back.score(X)), batch)
+        np.testing.assert_array_equal(
+            bits([back.score(x)[0] for x in X]), batch)
 
     @pytest.mark.parametrize("kind,digest", [
         ("if",
