@@ -11,6 +11,7 @@ import ipaddress
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -326,6 +327,28 @@ def mahalanobis_oracle(x, mu, cov) -> float:
     diff = np.asarray(x, dtype=float) - np.asarray(mu, dtype=float)
     return float(math.sqrt(diff @ np.linalg.solve(np.asarray(cov, float),
                                                   diff)))
+
+
+def mahalanobis_exact(x, mu, cov) -> float:
+    """Mahalanobis distance of the floats x, mu and cov, with the squared
+    distance (x - mu)^T cov^-1 (x - mu) solved in exact rational
+    arithmetic by Gaussian elimination; only the final square root is
+    rounded."""
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(x, mu)]
+    d = len(diff)
+    aug = [[Fraction(v) for v in row] + [diff[i]]
+           for i, row in enumerate(cov)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, d):
+            f = aug[r][col] / aug[col][col]
+            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    y = [Fraction(0)] * d
+    for r in reversed(range(d)):
+        y[r] = (aug[r][d] - sum(aug[r][c] * y[c]
+                                for c in range(r + 1, d))) / aug[r][r]
+    return math.sqrt(sum(a * b for a, b in zip(diff, y)))
 
 
 # --- autoencoder training ---------------------------------------------------

@@ -137,10 +137,8 @@ def test_c3_numerical_checks():
     Y = rng.normal(size=(150, 5))
     ee = EllipticEnvelope(ridge=0.0).fit(Y)
     assert ee.score(ee.mu[None, :])[0] <= 1e-12
-    ee_id = EllipticEnvelope(ridge=0.0)
-    ee_id.mu = np.zeros(4)
-    ee_id.cov = np.eye(4)
-    ee_id._precision = np.eye(4)
+    ee_id = EllipticEnvelope.from_state(
+        {"ridge": 0.0}, {"mu": np.zeros(4), "cov": np.eye(4)})
     q = np.array([[3.0, 0.0, 4.0, 0.0]])
     assert abs(ee_id.score(q)[0] - 5.0) <= 1e-12
 

@@ -168,6 +168,8 @@ class TestModelFile:
             std=d["normalization"]["std"] + [1.0])),
         ("ee", lambda d: d["normalization"].update(
             mean=[d["normalization"]["mean"]])),
+        ("ee", lambda d: d["state"]["cov"][0].__setitem__(
+            2, d["state"]["cov"][0][2] + 100.0)),
     ], ids=["ee-cov-zero", "ee-cov-not-square", "ee-mu-inf", "kind-svm",
             "no-state", "osvm-alpha-short", "osvm-rho-nan", "osvm-gamma-0",
             "osvm-tol-neg", "ae-bias-short", "ae-layer-missing",
@@ -178,7 +180,7 @@ class TestModelFile:
             "seed-negative", "no-normalization", "normalization-null",
             "no-target-fpr", "no-seed", "hash-differs",
             "mode-not-hashed", "name-not-kept", "mean-short", "std-long",
-            "mean-2d"])
+            "mean-2d", "ee-cov-asymmetric"])
     def test_malformed_file_refused(self, tmp_path, kind, edit):
         X = np.random.default_rng(12).normal(size=(60, 3))
         model, _ = self.roundtrip(tmp_path, kind, X)

@@ -26,6 +26,7 @@ from oracles import (
     iforest_mean_path_oracle,
     lof_full_matrix_oracle,
     lof_oracle,
+    mahalanobis_exact,
     mahalanobis_oracle,
     sq_dist_oracle,
 )
@@ -413,19 +414,15 @@ class TestEllipticEnvelope:
                                                                   abs=1e-12)
 
     def test_identity_covariance_is_euclidean(self):
-        model = EllipticEnvelope(ridge=0.0)
-        model.mu = np.zeros(3)
-        model.cov = np.eye(3)
-        model._precision = np.linalg.inv(model.cov)
+        model = EllipticEnvelope.from_state(
+            {"ridge": 0.0}, {"mu": np.zeros(3), "cov": np.eye(3)})
         x = np.array([[1.0, 2.0, 2.0]])
         assert model.score(x)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_one_dimensional_example(self):
         # mu=0, S=[4], x=2 -> 2/sqrt(4) = 1
-        model = EllipticEnvelope(ridge=0.0)
-        model.mu = np.zeros(1)
-        model.cov = np.array([[4.0]])
-        model._precision = np.linalg.inv(model.cov)
+        model = EllipticEnvelope.from_state(
+            {"ridge": 0.0}, {"mu": [0.0], "cov": [[4.0]]})
         assert model.score(np.array([[2.0]]))[0] == pytest.approx(1.0,
                                                                   abs=1e-12)
 
@@ -437,6 +434,25 @@ class TestEllipticEnvelope:
             expected = mahalanobis_oracle(q, model.mu, model.cov)
             assert model.score(q[None, :])[0] == pytest.approx(expected,
                                                                rel=1e-9)
+
+    def test_matches_exact_oracle_when_ill_conditioned(self):
+        # a covariance of condition about 1e9: the last column is almost
+        # the sum of the first two. The oracle solves the stored floats
+        # exactly. On these rows the quadratic form through the explicit
+        # inverse was off by up to 2.1e-11 relative, the whitened score by
+        # 2.9e-12
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(500, 6))
+        X[:, 5] = X[:, 0] + X[:, 1] + 3e-3 * X[:, 5]
+        X *= np.array([0.5, 1.0, 2.0, 0.1, 1.0, 30.0])
+        model = EllipticEnvelope(ridge=0.0).fit(X)
+        assert np.linalg.cond(model.cov) >= 1e8
+        Q = np.vstack([X[:40], model.mu + rng.normal(size=(40, 6))
+                       * X.std(axis=0)])
+        exact = np.array([mahalanobis_exact(q, model.mu, model.cov)
+                          for q in Q])
+        rel = np.abs(model.score(Q) - exact) / exact
+        assert rel.max() <= 1e-11
 
     def test_affine_invariance_without_ridge(self):
         rng = np.random.default_rng(2)
@@ -464,14 +480,41 @@ class TestEllipticEnvelope:
         assert np.array_equal(model.score(Q), clone.score(Q))
 
     def test_one_row_equals_batch_bits(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(400, 11)) @ rng.normal(size=(11, 11))
-        Q = rng.normal(size=(300, 11)) * 2.0
-        Q[::4] = Q[1]
-        model = EllipticEnvelope().fit(X)
-        singles = bits([model.score(q)[0] for q in Q])
-        for batch in (Q, np.asfortranarray(Q)):
-            np.testing.assert_array_equal(bits(model.score(batch)), singles)
+        # 51 columns is a bi_flow matrix after projection, 109 all of them;
+        # column scales from 1 to 1e4 make the covariance ill-conditioned
+        cases = [(d, False) for d in (1, 2, 11, 51, 109)]
+        cases += [(d, True) for d in (2, 11, 51, 109)]
+        for d, ill in cases:
+            rng = np.random.default_rng(4)
+            X = rng.normal(size=(400, d)) @ rng.normal(size=(d, d))
+            if ill:
+                X *= np.logspace(0, 4, d)
+            Q = rng.normal(size=(300, d)) * 2.0
+            Q[::4] = Q[1]
+            model = EllipticEnvelope().fit(X)
+            assert not ill or np.linalg.cond(model.cov) >= 1e7
+            singles = bits([model.score(q)[0] for q in Q])
+            np.testing.assert_array_equal(
+                bits([model.score(Q[i:i + 1])[0] for i in range(len(Q))]),
+                singles)
+            for batch in (Q, np.asfortranarray(Q)):
+                np.testing.assert_array_equal(bits(model.score(batch)),
+                                              singles)
+            np.testing.assert_array_equal(bits(model.score(Q[::3])),
+                                          singles[::3])
+            for _ in range(5):
+                rows = rng.integers(0, len(Q), size=int(rng.integers(1, 60)))
+                np.testing.assert_array_equal(bits(model.score(Q[rows])),
+                                              singles[rows])
+
+    def test_asymmetric_covariance_refused(self):
+        # the Cholesky factor reads only the lower triangle, so this
+        # covariance factors as [[4, 2], [2, 3]] does
+        cov = np.array([[4.0, 100.0], [2.0, 3.0]])
+        np.linalg.cholesky(cov)
+        with pytest.raises(MalformedModel, match="symmetric"):
+            EllipticEnvelope.from_state({"ridge": 0.0},
+                                        {"mu": [0.0, 0.0], "cov": cov})
 
 
 class TestLocalOutlierFactor:

@@ -212,13 +212,14 @@ class TestModelFile:
         ("if",
          "80c633e81b0662d4da1f1dfc36deab6991874fc98c85bb67dcf03d34424ee8fa"),
         ("ee",
-         "41fd268b336303b11db70aa6cc3c97a8ffdf049fc1e78b7f5b2e4b8002a0555e"),
+         "5ef5b96a51edecec21d40c89db7ab44f788ef827a1aa21c0fa61095d1c7acb37"),
         ("lof",
          "7bd9175c6d8bc97b994f38bc1e2b01f941e87ba58f36111302bc020b746722ac"),
     ])
     def test_saved_bytes_pinned(self, models, kind, digest, tmp_path):
         # digests of the model file as the format was first written; LOF's
-        # moved with its threshold, now from leave-one-out scores
+        # moved with its threshold, now from leave-one-out scores, and EE's
+        # with its threshold, now from whitened scores (2 ulp)
         path = tmp_path / "model.json"
         models[kind + "/selected"].save(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
