@@ -16,7 +16,8 @@ import sys
 
 from . import synth as synth_mod
 from .detectors import KIND, TARGET_FPR, TrainedModel, make_detector
-from .errors import ConfigInvalid, InputOutputError, NetwardenError
+from .errors import (ConfigInvalid, InputOutputError, ManifestMismatch,
+                     NetwardenError)
 from .evaluation import (LABEL_NORMAL, evaluate, format_metric_table,
                          tw_sweep)
 from .features import (MODE_PACKET, MODES, FeatureMatrix, apply_normalizer,
@@ -251,6 +252,12 @@ def _load_model_and_input(cfg: dict) -> tuple[TrainedModel, FeatureMatrix]:
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "in", "out")
     X = _read_matrix(cfg)
+    if X.mode not in MODES:
+        # such a model could read no capture; refuse it before training
+        raise ManifestMismatch(
+            "%s has traffic mode %r: train reads a matrix CSV whose "
+            "'# netwarden manifest=' line names one of %s, as extract "
+            "writes it" % (cfg["in"], X.mode, ", ".join(MODES)))
     selected = None
     if cfg["manifest"]:
         with open(cfg["manifest"]) as fh, _text_input(cfg["manifest"]):

@@ -10,6 +10,11 @@ The expanded form |a|^2 + |b|^2 - 2ab is faster but cancels, and splits
 exact ties. LOF uses it only as a screen: it keeps every training point
 that the form's error bound cannot rule out and measures each of them
 again with sq_dists_pairs, so no value it returns comes from the screen.
+
+distinct_rows finds the distinct rows of a query batch. Packet traffic
+repeats header rows, and the IF, LOF and OSVM score of a row depends
+only on its bytes, so each of them scores each distinct row once and
+gives every copy that row's score.
 """
 
 from __future__ import annotations
@@ -70,3 +75,16 @@ def rbf(A: np.ndarray, BT: np.ndarray, gamma: float) -> np.ndarray:
     K *= -gamma
     return np.exp(K, out=K)
 
+
+def distinct_rows(X: np.ndarray) -> tuple:
+    """(rows, inverse): the distinct rows of the 2-D array X, compared as
+    bytes (so -0.0 and 0.0 differ, and equal NaNs match), and the index in
+    `rows` of each row of X: rows[inverse] is X bit for bit. A batch of one
+    row skips the sort."""
+    n, d = X.shape
+    if n < 2 or d == 0:
+        return X, np.arange(n)
+    Q = np.ascontiguousarray(X)
+    void = Q.view(np.dtype((np.void, Q.itemsize * d))).ravel()
+    rows, inverse = np.unique(void, return_inverse=True)
+    return rows.view(Q.dtype).reshape(-1, d), inverse

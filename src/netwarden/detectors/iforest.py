@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import EmptyTraining, MalformedModel
 from ..settings import SEED, Declared, Setting
+from .distance import distinct_rows
 
 _HARMONIC_CACHE = [0.0]  # H(0) = 0
 BLOCK_PAIRS = 16_384  # (row, tree) pairs walked together in mean_path_length
@@ -175,14 +176,17 @@ class IsolationForest(Declared):
         return out
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """Normalized anomaly score in (0, 1]; higher = more anomalous."""
+        """Normalized anomaly score in (0, 1]; higher = more anomalous.
+        Each distinct row is walked once."""
         if self._feat is None:
             raise EmptyTraining("model is not fitted")
-        mean_paths = self.mean_path_length(X)
+        rows, inverse = distinct_rows(
+            np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        mean_paths = self.mean_path_length(rows)
         c = average_path_normalizer(self._effective_subsample)
         if c <= 0:  # fit on one row: as anomaly_score_from_mean_path
-            return np.ones_like(mean_paths)
-        return np.power(2.0, -mean_paths / c)
+            return np.ones_like(mean_paths)[inverse]
+        return np.power(2.0, -mean_paths / c)[inverse]
 
     def state_dict(self) -> dict:
         return {"effective_subsample": self._effective_subsample,

@@ -66,8 +66,8 @@ k nearest points of each row, which is all the screen needs.
 Fit and score are therefore bit for bit those of the full fixed-order
 distance matrix, whatever the product's rounding (gemv or gemm, memory
 layout, thread count), the leaves or the order of the queries. Score
-computes each distinct query row once, and one row alone skips the
-prune, which costs it more than it saves.
+computes each distinct query row once (distance.distinct_rows), and one
+row alone skips the prune, which costs it more than it saves.
 
 Fit finds each training row's neighbours once and keeps the lists (about
 k a row) until every k-distance is known; lrd and each training row's
@@ -81,7 +81,7 @@ import numpy as np
 
 from ..errors import EmptyTraining, KTooLarge, MalformedModel, NonFiniteFeature
 from ..settings import Declared, Setting
-from .distance import sq_dists_pairs
+from .distance import distinct_rows, sq_dists_pairs
 
 LRD_FLOOR = 1e-10
 QUERY_BLOCK = 64  # query rows per screened block
@@ -357,12 +357,8 @@ class LocalOutlierFactor(Declared):
         _require_finite(Q, "query")
         if Q.shape[0] == 1:
             return self._score_one(Q)
-        # a score depends only on the row's bytes: score each once
-        Q = np.ascontiguousarray(Q)
-        rows = Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True,
-                                      return_inverse=True)
-        return self._score_rows(Q[first])[inverse]
+        rows, inverse = distinct_rows(Q)
+        return self._score_rows(rows)[inverse]
 
     def _score_one(self, q: np.ndarray) -> np.ndarray:
         """The score of one query row q (1, d): the screen over every

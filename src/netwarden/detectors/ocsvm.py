@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import EmptyTraining, MalformedModel, NonConvergence
 from ..settings import Declared, Setting
-from .distance import rbf
+from .distance import distinct_rows, rbf
 
 
 def _gram_rows(X: np.ndarray, gamma: float, cache_bytes: int):
@@ -130,13 +130,15 @@ class OneClassSVM(Declared):
     def decision_value(self, X: np.ndarray) -> np.ndarray:
         """g(x); negative values are anomalous. Each row's sum runs over
         its own kernel row in a fixed order, so a row's value does not
-        depend on the rows scored with it."""
+        depend on the rows scored with it, and each distinct row is
+        computed once."""
         if self._svT is None:
             raise EmptyTraining("model is not fitted")
-        Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k = rbf(Q, self._svT, self._gamma_value)
+        rows, inverse = distinct_rows(
+            np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        k = rbf(rows, self._svT, self._gamma_value)
         k *= self._sv_alpha
-        return np.add.reduce(k, axis=1) - self.rho
+        return (np.add.reduce(k, axis=1) - self.rho)[inverse]
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return -self.decision_value(X)

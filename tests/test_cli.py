@@ -18,7 +18,7 @@ from netwarden.features import PACKET_MANIFEST, FeatureMatrix, \
     manifest_hash, read_matrix_csv, write_matrix_csv
 from netwarden.pipeline import extract_matrix, train_model
 from netwarden.cli import _SETTINGS, _scenario_from_dict
-from netwarden.detectors import DETECTOR_CLASSES
+from netwarden.detectors import DETECTOR_CLASSES, KIND
 from netwarden.settings import settings_of
 
 from conftest import build_global_header, build_record, golden_syn_frame
@@ -57,9 +57,10 @@ def packet_model(workdir):
 @pytest.fixture(scope="module")
 def refused_inputs(workdir):
     """Paths of inputs the CLI must refuse with one error line: a packet
-    matrix CSV, a model trained on its copy with no manifest line (so of
-    mode "unknown"), a manifest whose names are not a list, and a file
-    that is not UTF-8 text."""
+    matrix CSV, its copy with no manifest line (so of mode "unknown"), a
+    model of that mode (built with train_model, since the train command
+    refuses such a matrix), a manifest whose names are not a list, and a
+    file that is not UTF-8 text."""
     d = workdir / "refused"
     d.mkdir()
     X = extract_matrix(str(workdir / "corpus.pcap"), mode="packet")
@@ -67,11 +68,14 @@ def refused_inputs(workdir):
     lines = (d / "x.csv").read_text().splitlines(True)
     assert lines[0].startswith("# netwarden manifest=")
     (d / "headerless.csv").write_text("".join(lines[1:]))
-    assert run("train", "--in", str(d / "headerless.csv"),
-               "--out", str(d / "unknown_model.json")) == 0
+    headerless = read_matrix_csv(str(d / "headerless.csv"))
+    assert headerless.mode == "unknown"
+    train_model(headerless, kind=KIND.default).save(
+        str(d / "unknown_model.json"))
     (d / "names5.json").write_text('{"names": 5}')
     (d / "binary").write_bytes(b"\xff\xfe\x80 not UTF-8 \xc3\x28\n")
     return {"{pcap}": str(workdir / "corpus.pcap"), "{csv}": str(d / "x.csv"),
+            "{headerless}": str(d / "headerless.csv"),
             "{unknown}": str(d / "unknown_model.json"),
             "{names5}": str(d / "names5.json"), "{binary}": str(d / "binary")}
 
@@ -547,10 +551,10 @@ class TestConfigAndErrors:
          "# mode=packet\n%s\n%s\n" % (",".join(PACKET_MANIFEST.names),
                                         ",".join("0" * 19)),
          "manifest_mismatch", "line 3 has 19 fields"),
-        (("train", "--in", "{file}"), "f0,f1\n", "empty_training",
-         "zero rows"),
-        (("train", "--in", "{file}", "--detector", "osvm"), "f0,f1\n1,2\n",
-         "empty_training", "at least 2 rows"),
+        (("train", "--in", "{file}"), "# mode=packet\nf0,f1\n",
+         "empty_training", "zero rows"),
+        (("train", "--in", "{file}", "--detector", "osvm"),
+         "# mode=packet\nf0,f1\n1,2\n", "empty_training", "at least 2 rows"),
         (("extract", "--in", "{pcap}", "--labels", "{file}"),
          LABEL_HEADER + "010.0.0.1,10.0.0.2,5,6,6,0,1,Scan\n",
          "label_vocabulary_mismatch", "line 2: '010.0.0.1'"),
@@ -604,6 +608,7 @@ class TestConfigAndErrors:
          "manifest_mismatch"),
         (("evaluate", "--in", "{pcap}", "--model", "{unknown}"),
          "manifest_mismatch"),
+        (("train", "--in", "{headerless}"), "manifest_mismatch"),
         (("train", "--in", "{csv}", "--manifest", "{names5}"),
          "config_invalid"),
         (("train", "--in", "{binary}"), "io_error"),
@@ -613,9 +618,9 @@ class TestConfigAndErrors:
         (("train", "--in", "{csv}", "--manifest", "{binary}"), "io_error"),
         (("synth", "--scenario", "{binary}"), "io_error"),
     ], ids=["score-unknown-mode", "evaluate-unknown-mode",
-            "manifest-names-int", "in-not-utf8", "model-not-utf8",
-            "labels-not-utf8", "config-not-utf8", "manifest-not-utf8",
-            "scenario-not-utf8"])
+            "train-unknown-mode", "manifest-names-int", "in-not-utf8",
+            "model-not-utf8", "labels-not-utf8", "config-not-utf8",
+            "manifest-not-utf8", "scenario-not-utf8"])
     def test_refused_input_is_one_json_line(self, refused_inputs, tmp_path,
                                             capsys, argv, code):
         # each of these used to end in a Python traceback
@@ -845,7 +850,7 @@ class TestConfigAndErrors:
         csv = tmp_path / "m.csv"
         csv.write_text("a,b\n1,2\n3,4\n5,6\n")
         nan_csv = tmp_path / "nan.csv"
-        nan_csv.write_text("a,b\n1,2\n3,nan\n5,6\n")
+        nan_csv.write_text("# mode=packet\na,b\n1,2\n3,nan\n5,6\n")
         out = str(tmp_path / "out")
         cases = [
             (("extract", "--in", str(junk), "--out", out), "bad_magic"),

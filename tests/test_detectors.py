@@ -9,11 +9,17 @@ from netwarden.detectors import (
     EllipticEnvelope,
     IsolationForest,
     LocalOutlierFactor,
+    OneClassSVM,
     anomaly_score_from_mean_path,
     average_path_normalizer,
+    calibrate_threshold,
     harmonic,
+    ocsvm,
 )
-from netwarden.detectors.distance import sq_dists, sq_dists_pairs
+from netwarden.detectors.distance import (distinct_rows, sq_dists,
+                                          sq_dists_pairs)
+from netwarden.features import FeatureMatrix
+from netwarden.pipeline import project_for_model, train_model
 from netwarden.errors import (
     EmptyTraining,
     KTooLarge,
@@ -985,3 +991,99 @@ class TestOrientation:
             s_in = model.score(inliers)
             s_out = model.score(outliers)
             assert np.median(s_out) > np.quantile(s_in, 0.99), kind
+
+
+def repeated_rows(seed, d=6, nan=False):
+    """Training rows and a query batch of exact repeats, rows that differ
+    only in the sign of a zero, and (with `nan`) identical NaN rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(120, d))
+    X[::4] = X[1]
+    Q = np.vstack([X[:30], rng.normal(size=(30, d))])
+    Q[::3] = Q[2]
+    Q[44:48] = Q[40:44]
+    Q[40:44, 0] = 0.0
+    Q[44:48, 0] = -0.0  # as rows 40-43 but for the sign of a zero
+    if nan:
+        Q[50:54] = Q[50]
+        Q[50:54, 1] = np.nan
+    return X, Q[np.random.default_rng(seed + 1).permutation(len(Q))]
+
+
+DISTINCT_KINDS = {
+    "if": lambda: IsolationForest(n_trees=20, subsample_size=64, seed=2),
+    "lof": lambda: LocalOutlierFactor(k=5),
+    "osvm": lambda: OneClassSVM(nu=0.2, gamma=0.1),
+}
+
+
+class TestDistinctRows:
+    """IF, LOF and OSVM score each distinct row of a batch once
+    (distance.distinct_rows) and give every copy its score."""
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_helper_restores_every_row_bit_for_bit(self, nan):
+        _, Q = repeated_rows(0, nan=nan)
+        wide = np.zeros((Q.shape[0], 2 * Q.shape[1]))
+        wide[:, ::2] = Q
+        for batch in (Q, np.asfortranarray(Q), wide[:, ::2]):
+            rows, inverse = distinct_rows(batch)
+            np.testing.assert_array_equal(bits(rows[inverse]), bits(Q))
+            assert len({r.tobytes() for r in Q}) == rows.shape[0]
+        rows, _ = distinct_rows(Q)
+        zero = rows[:, 0] == 0  # -0.0 is kept apart from 0.0
+        assert zero.sum() == 8 and np.signbit(rows[zero, 0]).sum() == 4
+        if nan:  # the four NaN rows are one
+            assert np.isnan(rows).any(axis=1).sum() == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_helper_short_batches(self, n):
+        Q = np.arange(3.0 * n).reshape(n, 3)
+        rows, inverse = distinct_rows(Q)
+        assert rows is Q and inverse.tolist() == list(range(n))
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_KINDS))
+    def test_batch_equals_each_row_alone(self, kind):
+        X, Q = repeated_rows(3, nan=kind == "if")
+        model = DISTINCT_KINDS[kind]().fit(X)
+        singles = bits([model.score(q[None, :])[0] for q in Q])
+        wide = np.zeros((Q.shape[0], 3 * Q.shape[1]))
+        wide[:, 1::3] = Q
+        for batch in (Q, np.asfortranarray(Q), wide[:, 1::3]):
+            np.testing.assert_array_equal(bits(model.score(batch)), singles)
+        assert model.score(Q[:0]).shape == (0,)
+        np.testing.assert_array_equal(bits(model.score(Q[7])), singles[7:8])
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_KINDS))
+    def test_kernel_sees_only_distinct_rows(self, kind, monkeypatch):
+        X, Q = repeated_rows(4, nan=kind == "if")
+        model = DISTINCT_KINDS[kind]().fit(X)
+        owner, name = {"if": (IsolationForest, "mean_path_length"),
+                       "lof": (LocalOutlierFactor, "_score_rows"),
+                       "osvm": (ocsvm, "rbf")}[kind]
+        kernel, seen = getattr(owner, name), []
+
+        def counted(*args):
+            seen.append(args[1 if kind != "osvm" else 0].shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        model.score(Q)
+        assert seen == [len({r.tobytes() for r in Q})] and seen[0] < len(Q)
+        if kind != "lof":  # one LOF row goes another way
+            seen.clear()
+            model.score(Q[:1])
+            assert seen == [1]
+
+    @pytest.mark.parametrize("kind", ["if", "osvm"])
+    def test_train_threshold_from_one_row_scores(self, kind):
+        rng = np.random.default_rng(9)
+        values = np.repeat(rng.normal(size=(70, 4)), [1, 2, 3, 4, 5] * 14,
+                           axis=0)
+        matrix = FeatureMatrix(values=rng.permutation(values),
+                               names=("a", "b", "c", "d"), mode="packet")
+        model = train_model(matrix, kind, seed=1)
+        vals = project_for_model(model, matrix)
+        singles = [model.detector.score(v[None, :])[0] for v in vals]
+        expected = calibrate_threshold(np.array(singles), model.target_fpr)
+        assert bits(model.threshold) == bits(expected)
